@@ -33,7 +33,7 @@ from .localization import (
 from .nn import grad_check, init_linear, linear_fwd, masked_ce_loss_and_grad
 from .render import save_heatmap_pgm, save_label_ppm, save_overlay_ppm
 from .rng import Rng, derive_seed
-from .sampling import SamplingConfig, load_points, save_points
+from .sampling import SamplingConfig, build_supervision_set, load_points, save_points
 from .segmentation import (
     SegConfig,
     add_class,
@@ -44,7 +44,7 @@ from .segmentation import (
     train_segmentation,
 )
 from .synthdata import ExtractorSpec, generate_dataset
-from .tensor import load_tensor, save_tensor
+from .tensor import load_tensor, save_json, save_tensor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,25 +148,19 @@ def _load_map_dir(map_dir: str) -> dict[str, dict[int, "ScoreMap"]]:
 
 
 def cmd_sample(args) -> int:
-    from .sampling import compute_dense_calibration, image_stream, sample_image
-
     manifest = load_manifest(args.features)
     records = manifest.load_records()
-    maps_by_image = _load_map_dir(args.in_dir)
+    maps = _load_map_dir(args.in_dir)
     config = SamplingConfig(
         k=args.k, strategy=_strategy_name(args.strategy), tau=args.tau,
         spatial_scale=args.spatial_scale,
     )
-    calibration = (
-        compute_dense_calibration(maps_by_image) if args.strategy == "dense" else {}
+    # the scores come from the map directory, so no models are needed; an
+    # image without exported maps (no positive tag) gets background only
+    points = build_supervision_set(
+        records, {}, config, args.seed,
+        maps_by_image={r.image_id: maps.get(r.image_id, {}) for r in records},
     )
-    points = []
-    for index, rec in enumerate(records):
-        maps = maps_by_image.get(rec.image_id, {})
-        points.extend(
-            sample_image(rec, maps, config, calibration,
-                         image_stream(args.seed, index))
-        )
     save_points(points, args.out)
     print(f"{len(points)} points -> {args.out}")
     return EXIT_OK
@@ -218,9 +212,7 @@ def cmd_eval(args) -> int:
         for e in manifest.entries
     ]
     report, _ = pipeline.evaluate_images(model, images, manifest.background_label)
-    with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(report.to_dict(), args.out)
     print(f"miou={report.miou:.4f} -> {args.out}")
     return EXIT_OK
 
@@ -246,9 +238,8 @@ def cmd_ablate(args) -> int:
     summary = pipeline.ablation_run(
         base, variants, seeds, jobs=_resolve_jobs(args), log=print
     )
-    with open(args.out + ".json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    save_json(summary, args.out + ".json")
     table = pipeline.format_ablation_table(summary)
     with open(args.out + ".txt", "w") as fh:
         fh.write(table)

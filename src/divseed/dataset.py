@@ -10,8 +10,8 @@ A dataset directory holds:
 
 Features are stored raw; consumers z-score + unit-normalize them against the
 manifest's stats file on load. Normalization stats are computed from the
-written set unless an existing stats file is passed in (test splits and
-added-class data reuse the training stats, which stay frozen).
+written set unless existing stats are passed in (test splits and added-class
+data reuse the training stats, which stay frozen).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .tensor import (
     compute_norm_stats,
     load_tensor,
     normalize_features,
+    save_json,
     save_tensor,
 )
 
@@ -117,22 +118,26 @@ def write_dataset(
     out_dir: str,
     scenes: list[SyntheticScene],
     spec: ExtractorSpec,
-    stats_from: str | None = None,
+    stats_from: str | NormStats | None = None,
+    features: list[FeatureGrid] | None = None,
 ) -> str:
     """Write scenes + extracted features + stats + manifest; returns the
-    manifest path. stats_from copies an existing stats tensor instead of
-    computing one from these scenes."""
+    manifest path.
+
+    features are the scenes' raw extractor outputs, extracted here when not
+    given. stats_from stores existing stats instead of computing them from
+    these features: a NormStats, or the path of a stats tensor to copy.
+    """
     if not scenes:
         raise DataError("write_dataset: no scenes")
+    if features is None:
+        features = [extract_features(scene, spec) for scene in scenes]
     for sub in ("images", "masks", "features"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
-    raw_features = []
     entries = []
-    for scene in scenes:
+    for scene, feats in zip(scenes, features):
         image_id = scene.tags.image_id
-        feats = extract_features(scene, spec)
-        raw_features.append(feats)
         rel = {
             "image": f"images/{image_id}.dstn",
             "mask": f"masks/{image_id}.dstn",
@@ -153,8 +158,9 @@ def write_dataset(
 
     stats_path = os.path.join(out_dir, STATS_NAME)
     if stats_from is None:
-        stats = compute_norm_stats(raw_features)
-        save_tensor(np.stack([stats.mean, stats.std]), stats_path)
+        stats_from = compute_norm_stats(features)
+    if isinstance(stats_from, NormStats):
+        save_tensor(np.stack([stats_from.mean, stats_from.std]), stats_path)
     else:
         shutil.copyfile(stats_from, stats_path)
 
@@ -175,9 +181,7 @@ def write_dataset(
         "images": entries,
     }
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    with open(manifest_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(doc, manifest_path)
     return manifest_path
 
 

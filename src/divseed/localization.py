@@ -65,9 +65,6 @@ class ScoreMap:
     def fg_flat(self) -> np.ndarray:
         return self.fg.astype(np.float64).ravel()
 
-    def bg_flat(self) -> np.ndarray:
-        return self.bg.astype(np.float64).ravel()
-
 
 @dataclass
 class LocalizationModel:
@@ -153,13 +150,6 @@ def pooled_probability(model_pooling: str, fg: np.ndarray, bg: np.ndarray
     if model_pooling == "global":
         return global_softmax_prob(fg, bg)
     raise DataError(f"unknown pooling mode {model_pooling!r}")
-
-
-def image_probability(model: LocalizationModel, f: FeatureGrid) -> float:
-    """Image-level presence probability for the model's class."""
-    sm = score_image(model, f)
-    p, _ = pooled_probability(model.pooling, sm.fg_flat(), sm.bg_flat())
-    return p
 
 
 def _require_unit(f: FeatureGrid) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .rng import Rng
-from .tensor import Grid, load_tensor, save_tensor
+from .tensor import load_tensor, save_json, save_tensor
 
 PROB_CLAMP = 1e-7
 
@@ -83,14 +83,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dy * (x > 0.0)
-
-
-def linear_forward(layer: LinearLayer, x: Grid) -> Grid:
-    """Grid-level affine application (same H, W; depth in_dim -> out_dim)."""
-    if x.depth != layer.in_dim:
-        raise DataError(f"linear_forward: depth {x.depth} != in_dim {layer.in_dim}")
-    y = linear_fwd(layer, x.locations().astype(np.float64))
-    return Grid(y.reshape(x.height, x.width, layer.out_dim).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +301,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     os.makedirs(os.path.join(path, "params"), exist_ok=True)
     for name, arr in arrays.items():
         save_tensor(arr, os.path.join(path, "params", f"{name}.dstn"))
-    with open(os.path.join(path, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(meta, os.path.join(path, "meta.json"))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

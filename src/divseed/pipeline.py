@@ -8,6 +8,11 @@ comes from a stream derived from the single run seed, one stream per task
 count. Reports and artifact hashes are reproducible bit-for-bit from the
 config.
 
+The stage functions below work in memory and are the only implementation:
+`run_pipeline` and `ablation_run` both call them, and a run's output
+directory is a sink they write to, never read back. So a run and an
+ablation of the same config train and evaluate on bitwise-equal features.
+
 Ground truth is only ever touched here (for evaluation) and in data
 generation; training and sampling code never receives masks.
 """
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import load_manifest, write_dataset
+from .dataset import write_dataset
 from .errors import ConfigError, DataError, DivseedError
 from .evaluation import ConfusionMatrix, EvalReport, accumulate, miou
 from .localization import (
@@ -54,7 +58,7 @@ from .segmentation import (
     train_segmentation,
 )
 from .synthdata import ExtractorSpec, downsample_mask, extract_features, generate_dataset
-from .tensor import FeatureGrid, compute_norm_stats, normalize_features
+from .tensor import FeatureGrid, compute_norm_stats, normalize_features, save_json
 
 POOLINGS = ("global", "pixel")
 
@@ -155,7 +159,7 @@ _STREAM_SEG = 0x5E60
 
 
 # ---------------------------------------------------------------------------
-# in-memory benchmark (ablations, tests); the file-based path mirrors it
+# benchmark data, optionally written out as dataset directories
 
 
 @dataclass
@@ -174,35 +178,46 @@ class Benchmark:
     norm_stats: object  # NormStats, frozen from the training split
 
 
-def make_benchmark(config: PipelineConfig) -> Benchmark:
-    """Generate train/test scenes and normalized features in memory."""
+def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Benchmark:
+    """Generate train/test scenes and normalized features in memory.
+
+    With data_dir, both splits are also written there as dataset directories
+    (data_dir/train, data_dir/test) sharing the training stats. Scenes and
+    raw features are not kept in the Benchmark.
+    """
     spec = ExtractorSpec(seed=derive_seed(config.seed, _STREAM_EXTRACTOR))
     size = config.image_size
-    train = generate_dataset(
-        config.n_train, config.n_classes, size, size,
-        derive_seed(config.seed, _STREAM_TRAIN_DATA), id_prefix="train",
-    )
-    test = generate_dataset(
-        config.n_test, config.n_classes, size, size,
-        derive_seed(config.seed, _STREAM_TEST_DATA), id_prefix="test",
-    )
-    raw_train = [extract_features(s, spec) for s in train]
-    stats = compute_norm_stats(raw_train)
-    train_records = [
-        SupervisionRecord(
-            image_id=s.tags.image_id,
-            features=normalize_features(f, stats),
-            tags=s.tags,
+    stats = None
+
+    def split(name, n, stream):
+        """(scene, unit features) pairs of one split; the training split,
+        made first, fixes the stats."""
+        nonlocal stats
+        scenes = generate_dataset(
+            n, config.n_classes, size, size,
+            derive_seed(config.seed, stream), id_prefix=name,
         )
-        for s, f in zip(train, raw_train)
+        features = [extract_features(s, spec) for s in scenes]
+        if stats is None:
+            stats = compute_norm_stats(features)
+        if data_dir is not None:
+            write_dataset(os.path.join(data_dir, name), scenes, spec, stats, features)
+        # in place, so unit grids reuse the memory of the raw grids they replace
+        for i, f in enumerate(features):
+            features[i] = normalize_features(f, stats)
+        return zip(scenes, features)
+
+    train_records = [
+        SupervisionRecord(image_id=s.tags.image_id, features=f, tags=s.tags)
+        for s, f in split("train", config.n_train, _STREAM_TRAIN_DATA)
     ]
     test_images = [
         EvalImage(
             image_id=s.tags.image_id,
-            features=normalize_features(extract_features(s, spec), stats),
+            features=f,
             truth=downsample_mask(s.mask, config.n_classes + 1),
         )
-        for s in test
+        for s, f in split("test", config.n_test, _STREAM_TEST_DATA)
     ]
     return Benchmark(
         n_classes=config.n_classes,
@@ -276,7 +291,19 @@ def sample_supervision(
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# segmentation head and evaluation
+
+
+def _train_head(
+    bench: Benchmark, points: list[SampledPoint], config: PipelineConfig
+) -> SegTrainResult:
+    features = {
+        r.image_id: augment_with_global(r.features) for r in bench.train_records
+    }
+    return train_segmentation(
+        points, features, list(range(bench.n_classes)), config.seg_config(),
+        derive_seed(config.seed, _STREAM_SEG),
+    )
 
 
 def evaluate_images(
@@ -339,9 +366,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     everything except the timing section is reproducible from the config.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(config.to_dict(), os.path.join(out_dir, "config.json"))
 
     stages = []
 
@@ -355,35 +380,14 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
         stages.append({"name": name, "seconds": round(time.perf_counter() - t0, 3)})
         return result
 
-    spec = ExtractorSpec(seed=derive_seed(config.seed, _STREAM_EXTRACTOR))
-    size = config.image_size
-
-    def _gen():
-        train_dir = os.path.join(out_dir, "data", "train")
-        test_dir = os.path.join(out_dir, "data", "test")
-        train_scenes = generate_dataset(
-            config.n_train, config.n_classes, size, size,
-            derive_seed(config.seed, _STREAM_TRAIN_DATA), id_prefix="train",
-        )
-        write_dataset(train_dir, train_scenes, spec)
-        test_scenes = generate_dataset(
-            config.n_test, config.n_classes, size, size,
-            derive_seed(config.seed, _STREAM_TEST_DATA), id_prefix="test",
-        )
-        write_dataset(
-            test_dir, test_scenes, spec,
-            stats_from=os.path.join(train_dir, "stats.dstn"),
-        )
-        return load_manifest(train_dir), load_manifest(test_dir)
-
-    train_manifest, test_manifest = _timed("gen-data", _gen)
-    stats = train_manifest.load_stats()
-    train_records = train_manifest.load_records(stats)
-    class_ids = list(train_manifest.classes)
+    bench = _timed(
+        "gen-data", lambda: make_benchmark(config, os.path.join(out_dir, "data"))
+    )
 
     def _loc():
         results = train_localizers(
-            train_records, class_ids, config.loc_config(), config.seed, config.jobs
+            bench.train_records, list(range(bench.n_classes)), config.loc_config(),
+            config.seed, config.jobs,
         )
         for c, res in results.items():
             save_loc_checkpoint(os.path.join(out_dir, "loc", f"class_{c}"), res)
@@ -394,7 +398,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
 
     def _sample():
         points = sample_supervision(
-            train_records, models, config.sampling_config(),
+            bench.train_records, models, config.sampling_config(),
             derive_seed(config.seed, _STREAM_SAMPLING), jobs=config.jobs,
         )
         save_points(points, os.path.join(out_dir, "points.jsonl"))
@@ -403,13 +407,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     points = _timed("sample", _sample)
 
     def _seg():
-        features = {
-            r.image_id: augment_with_global(r.features) for r in train_records
-        }
-        result = train_segmentation(
-            points, features, class_ids, config.seg_config(),
-            derive_seed(config.seed, _STREAM_SEG),
-        )
+        result = _train_head(bench, points, config)
         save_seg_checkpoint(
             os.path.join(out_dir, "seg.ckpt"), result, config.seg_config()
         )
@@ -418,21 +416,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     seg_result = _timed("train-seg", _seg)
 
     def _eval():
-        test_images = [
-            EvalImage(
-                image_id=e.image_id,
-                features=test_manifest.load_unit_features(e, stats),
-                truth=test_manifest.load_grid_truth(e),
-            )
-            for e in test_manifest.entries
-        ]
         report, _ = evaluate_images(
-            seg_result.model, test_images, test_manifest.background_label,
+            seg_result.model, bench.test_images, bench.n_classes,
             config_echo=config.report_echo(),
         )
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(report.to_dict(), os.path.join(out_dir, "report.json"))
         return report
 
     report = _timed("eval", _eval)
@@ -440,13 +428,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     summary = {
         "config": config.report_echo(),
         "stages": stages,
-        "seg_train_seconds": round(seg_result.wall_seconds, 3),
         "artifacts": _hash_tree(out_dir),
         "report": report.to_dict(),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(summary, os.path.join(out_dir, "summary.json"))
     return summary
 
 
@@ -465,13 +450,7 @@ def run_variant(
         bench.train_records, models, config.sampling_config(),
         derive_seed(config.seed, _STREAM_SAMPLING),
     )
-    features = {
-        r.image_id: augment_with_global(r.features) for r in bench.train_records
-    }
-    seg_result = train_segmentation(
-        points, features, list(range(bench.n_classes)), config.seg_config(),
-        derive_seed(config.seed, _STREAM_SEG),
-    )
+    seg_result = _train_head(bench, points, config)
     report, _ = evaluate_images(
         seg_result.model, bench.test_images, bench.n_classes,
         config_echo=config.report_echo(),

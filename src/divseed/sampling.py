@@ -225,6 +225,16 @@ def dense_pseudo_labels(
     empty dict labels everything background. Returns an (H, W) int array of
     class ids / BACKGROUND.
     """
+    labels, _ = _dense_labels_and_values(scoremaps, tau, calibration)
+    return labels
+
+
+def _dense_labels_and_values(
+    scoremaps: dict[int, ScoreMap],
+    tau: float,
+    calibration: dict[int, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """dense_pseudo_labels plus each location's best calibrated score."""
     if not scoremaps:
         raise DataError("dense_pseudo_labels: no score maps (label all bg upstream)")
     class_ids = sorted(scoremaps)
@@ -241,7 +251,7 @@ def dense_pseudo_labels(
     labels[best_val < tau] = BACKGROUND
     if labels.shape != shape:
         raise DataError("score map shapes differ across classes")
-    return labels
+    return labels, best_val
 
 
 def _dense_points(
@@ -304,15 +314,16 @@ def build_supervision_set(
     background). Deterministic given the seed; per-image randomness is an
     independent derived stream, so ordering and worker count cannot change
     the result. Precomputed score maps may be passed in (e.g. from a worker
-    pool); by default they are computed here.
+    pool, or read from files); by default they are computed here, and only
+    then are models needed. An image's maps may lack a tagged class: it gets
+    points from the maps it has.
     """
-    missing = sorted(
-        {c for rec in dataset for c in rec.tags.present} - set(models)
-    )
-    if missing:
-        raise DataError(f"no localization model for tagged classes {missing}")
-
     if maps_by_image is None:
+        missing = sorted(
+            {c for rec in dataset for c in rec.tags.present} - set(models)
+        )
+        if missing:
+            raise DataError(f"no localization model for tagged classes {missing}")
         maps_by_image = {
             rec.image_id: score_tagged_classes(rec, models) for rec in dataset
         }
@@ -344,11 +355,7 @@ def sample_image(
             labels = np.full((h, w), BACKGROUND, dtype=np.int64)
             values = np.zeros((h, w))
         else:
-            labels = dense_pseudo_labels(maps, config.tau, calibration)
-            stack = np.stack(
-                [maps[c].fg.astype(np.float64) / calibration[c] for c in sorted(maps)]
-            )
-            values = stack.max(axis=0)
+            labels, values = _dense_labels_and_values(maps, config.tau, calibration)
         return _dense_points(rec.image_id, labels, values)
 
     fg_points: list[SampledPoint] = []

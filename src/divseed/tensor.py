@@ -1,4 +1,5 @@
-"""Dense float grids, two-stage feature normalization, and the DSTN file format.
+"""Dense float grids, two-stage feature normalization, the DSTN file format,
+and the JSON artifact writer.
 
 A Grid is an H x W x depth block of float32 values, location-major: the flat
 location index of (row, col) is row * width + col, with the channel axis
@@ -16,6 +17,7 @@ DSTN tensor file format (bit-exact, no padding, no footer):
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -93,8 +95,8 @@ class FeatureGrid:
 class NormStats:
     """Per-dimension mean/std over a training set, population convention."""
 
-    mean: np.ndarray  # (D,) float64
-    std: np.ndarray  # (D,) float64
+    mean: np.ndarray  # (D,) float64 holding float32 values
+    std: np.ndarray  # (D,) float64 holding float32 values
     epsilon: float = STD_EPSILON
     clamped_dims: tuple[int, ...] = field(default_factory=tuple)
 
@@ -111,7 +113,9 @@ def compute_norm_stats(features: list[FeatureGrid] | tuple[FeatureGrid, ...]) ->
     """Mean and population std per dimension over all locations of all grids.
 
     Dimensions with std below epsilon are flagged; their divisor is clamped
-    rather than dropped so the feature depth stays stable.
+    rather than dropped so the feature depth stays stable. Both are rounded
+    to float32, the precision stats.dstn stores, so stats used in memory and
+    stats read back from disk normalize features identically.
     """
     if len(features) == 0:
         raise DataError("compute_norm_stats: no feature grids given")
@@ -121,6 +125,8 @@ def compute_norm_stats(features: list[FeatureGrid] | tuple[FeatureGrid, ...]) ->
     stacked = np.concatenate([f.grid.locations() for f in features]).astype(np.float64)
     mean = stacked.mean(axis=0)
     std = np.sqrt(np.mean((stacked - mean) ** 2, axis=0))  # divide-by-N
+    mean = mean.astype(np.float32).astype(np.float64)
+    std = std.astype(np.float32).astype(np.float64)
     clamped = tuple(int(i) for i in np.nonzero(std < STD_EPSILON)[0])
     return NormStats(mean=mean, std=std, clamped_dims=clamped)
 
@@ -197,9 +203,8 @@ def load_tensor(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
 
 
-def save_grid(g: Grid, path) -> None:
-    save_tensor(g.values, path)
-
-
-def load_grid(path) -> Grid:
-    return Grid(load_tensor(path))
+def save_json(doc, path) -> None:
+    """Write a JSON artifact: 2-space indent, sorted keys, trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

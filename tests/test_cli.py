@@ -89,6 +89,46 @@ def test_train_loc_sample_seg_predict_eval_chain(workdir):
     assert 0.0 <= report["miou"] <= 1.0
 
 
+@pytest.mark.parametrize("strategy", ["diverse", "dense"])
+def test_sample_with_a_missing_class_map(workdir, tmp_path, strategy):
+    """Runs after the chain test: an image whose map directory lacks one of
+    its tagged classes gets points from the maps it has, with no error."""
+    import shutil
+
+    from divseed.cli import _load_map_dir
+    from divseed.sampling import (
+        SamplingConfig,
+        compute_dense_calibration,
+        image_stream,
+        sample_image,
+    )
+
+    m = load_manifest(str(workdir / "train"))
+    both = next(e for e in m.entries if e.tags == {0, 1})
+    maps_dir = tmp_path / "maps"
+    shutil.copytree(workdir / "maps", maps_dir)
+    os.remove(maps_dir / f"{both.image_id}__c1.dstn")
+    out = tmp_path / "points.jsonl"
+    rc = main([
+        "sample", "--strategy", strategy, "--k", "5", "--in", str(maps_dir),
+        "--features", str(workdir / "train"), "--seed", "3", "--out", str(out),
+    ])
+    assert rc == 0
+    # the per-image loop the command has always run, as the reference
+    maps_by_image = _load_map_dir(str(maps_dir))
+    config = SamplingConfig(k=5, strategy=strategy)
+    calibration = compute_dense_calibration(maps_by_image) if strategy == "dense" else {}
+    expected = []
+    for index, rec in enumerate(m.load_records()):
+        maps = maps_by_image.get(rec.image_id, {})
+        expected.extend(
+            sample_image(rec, maps, config, calibration, image_stream(3, index))
+        )
+    points = load_points(out)
+    assert points == expected
+    assert not [p for p in points if p.image_id == both.image_id and p.label == 1]
+
+
 def test_add_class_command(workdir):
     """Runs after the chain test: extends the 2-class system with class 2."""
     rc = main([

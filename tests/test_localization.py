@@ -5,7 +5,6 @@ from divseed.errors import DataError
 from divseed.localization import (
     LocConfig,
     TagSet,
-    image_probability,
     load_loc_checkpoint,
     new_localization_model,
     pooled_probability,
@@ -15,6 +14,13 @@ from divseed.localization import (
 )
 from divseed.rng import Rng
 from divseed.tensor import FeatureGrid, Grid, NormState
+
+
+def image_probability(model, f):
+    """Image-level presence probability for the model's class."""
+    sm = score_image(model, f)
+    p, _ = pooled_probability(model.pooling, sm.fg, sm.bg)
+    return p
 
 
 def unit_grid(vectors, shape):

@@ -15,7 +15,6 @@ from divseed.nn import (
     grad_check,
     init_linear,
     linear_backward,
-    linear_forward,
     linear_fwd,
     load_checkpoint,
     masked_ce_loss_and_grad,
@@ -30,6 +29,12 @@ from divseed.tensor import Grid
 
 def sigmoid(u):
     return 1.0 / (1.0 + math.exp(-u))
+
+
+def linear_forward(layer: LinearLayer, x: Grid) -> Grid:
+    """linear_fwd applied to every location of a grid (same H, W)."""
+    y = linear_fwd(layer, x.locations().astype(np.float64))
+    return Grid(y.reshape(x.height, x.width, layer.out_dim).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------

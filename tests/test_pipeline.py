@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from divseed.dataset import load_manifest
 from divseed.errors import ConfigError, DataError
 from divseed.pipeline import (
     PipelineConfig,
@@ -199,6 +200,35 @@ def test_worker_count_does_not_change_results(tmp_path):
         if seq["artifacts"][rel] != par["artifacts"].get(rel)
     }
     assert diff <= {"config.json"}
+
+
+def test_run_and_benchmark_train_on_bitwise_equal_data(tmp_path):
+    """What a run writes and a stage command reads back equals the in-memory
+    benchmark bit for bit, and so do localizers trained on either."""
+    config = PipelineConfig(n_train=40, n_test=10)
+    bench = make_benchmark(config)
+    run_pipeline(config, str(tmp_path))
+    train = load_manifest(str(tmp_path / "data" / "train"))
+    test = load_manifest(str(tmp_path / "data" / "test"))
+    stats = test.load_stats()
+    records = train.load_records()
+    assert [r.image_id for r in records] == [r.image_id for r in bench.train_records]
+    for disk, mem in zip(records, bench.train_records):
+        assert disk.tags == mem.tags
+        assert np.array_equal(disk.features.grid.values, mem.features.grid.values)
+    assert [e.image_id for e in test.entries] == [im.image_id for im in bench.test_images]
+    for entry, mem in zip(test.entries, bench.test_images):
+        features = test.load_unit_features(entry, stats)
+        assert np.array_equal(features.grid.values, mem.features.grid.values)
+        assert np.array_equal(test.load_grid_truth(entry), mem.truth)
+    classes = list(range(config.n_classes))
+    from_disk = train_localizers(records, classes, config.loc_config(), config.seed)
+    in_memory = train_localizers(
+        bench.train_records, classes, config.loc_config(), config.seed
+    )
+    for c in classes:
+        for a, b in zip(from_disk[c].model.params(), in_memory[c].model.params()):
+            assert np.array_equal(a, b)
 
 
 def test_stage_failure_names_the_stage(tmp_path):
