@@ -23,14 +23,23 @@ from . import pipeline
 from .dataset import load_manifest, write_dataset
 from .errors import ConfigError, DataError, DivseedError, NumericError, TensorFormatError
 from .localization import (
+    LocalizationModel,
     LocConfig,
     ScoreMap,
     load_loc_checkpoint,
+    localizer_loss_and_grads,
     save_loc_checkpoint,
     score_image,
     train_localizer,
 )
-from .nn import grad_check, init_linear, linear_fwd, masked_ce_loss_and_grad
+from .nn import (
+    LinearLayer,
+    grad_check,
+    init_linear,
+    linear_backward,
+    linear_fwd,
+    masked_ce_loss_and_grad,
+)
 from .render import save_heatmap_pgm, save_label_ppm, save_overlay_ppm
 from .rng import Rng, derive_seed
 from .sampling import SamplingConfig, build_supervision_set, load_points, save_points
@@ -64,11 +73,22 @@ def _strategy_name(cli_name: str) -> str:
     return "top_k" if cli_name == "topk" else cli_name
 
 
+def _load_json_object(path: str) -> dict:
+    """A config document: a JSON object, else a ConfigError."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: invalid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    return doc
+
+
 def _load_config(args) -> pipeline.PipelineConfig:
     doc = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _load_json_object(args.config)
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set wants key=value, got {item!r}")
@@ -137,12 +157,16 @@ def _load_map_dir(map_dir: str) -> dict[str, dict[int, "ScoreMap"]]:
         stem = name[: -len(".dstn")]
         if "__c" not in stem:
             raise DataError(f"score map file {name!r} not named <image>__c<class>.dstn")
-        image_id, cid = stem.rsplit("__c", 1)
+        image_id, suffix = stem.rsplit("__c", 1)
+        try:
+            cid = int(suffix)
+        except ValueError:
+            raise DataError(f"score map file {name!r}: class {suffix!r} is not an integer")
         arr = load_tensor(os.path.join(map_dir, name))
         if arr.ndim != 3 or arr.shape[0] != 2:
             raise DataError(f"{name}: expected a (2, H, W) tensor, got {arr.shape}")
-        maps.setdefault(image_id, {})[int(cid)] = ScoreMap(
-            class_id=int(cid), image_id=image_id, fg=arr[0], bg=arr[1]
+        maps.setdefault(image_id, {})[cid] = ScoreMap(
+            class_id=cid, image_id=image_id, fg=arr[0], bg=arr[1]
         )
     return maps
 
@@ -227,8 +251,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    with open(args.grid) as fh:
-        grid = json.load(fh)
+    grid = _load_json_object(args.grid)
     base = pipeline.PipelineConfig.from_dict(grid.get("base", {}))
     variants = grid.get("variants", [])
     if not variants:
@@ -293,41 +316,23 @@ def cmd_add_class(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    """Finite-difference checks of the three hand-derived losses."""
-    from .nn import (
-        bce_loss_and_grad,
-        global_softmax_prob,
-        linear_backward,
-        pixel_softmax_prob,
-        relu,
-        relu_backward,
-    )
-
+    """Finite-difference checks of the hand-derived losses; the localizer's
+    is the backward its training runs."""
     rng = Rng(args.seed)
     failures = 0
     n, d, h = 12, 6, 5
 
     def loc_loss(pooling):
         x = rng.uniform_array(n * d, -1, 1).reshape(n, d)
-        label = 1
 
         def fn(params):
             w1, b1, w2, b2 = params
-            from .nn import LinearLayer
-
-            l1 = LinearLayer(w1, b1)
-            l2 = LinearLayer(w2, b2)
-            h1 = linear_fwd(l1, x)
-            a1 = relu(h1)
-            y = linear_fwd(l2, a1)
-            pool = pixel_softmax_prob if pooling == "pixel" else global_softmax_prob
-            p, trace = pool(y[:, 0], y[:, 1])
-            lv = bce_loss_and_grad(p, label, trace, n_locations=n)
-            dy = np.stack([lv.grads["fg"], lv.grads["bg"]], axis=1)
-            dw2, db2, da1 = linear_backward(l2, a1, dy)
-            dh1 = relu_backward(h1, da1)
-            dw1, db1, _ = linear_backward(l1, x, dh1)
-            return lv.loss, [dw1, db1, dw2, db2]
+            model = LocalizationModel(
+                class_id=0, layer1=LinearLayer(w1, b1), layer2=LinearLayer(w2, b2),
+                pooling=pooling, seed=0,
+            )
+            lv, grads = localizer_loss_and_grads(model, x, label=1)
+            return lv.loss, grads
 
         return fn
 
@@ -337,8 +342,6 @@ def cmd_gradcheck(args) -> int:
 
         def fn(params):
             w, b = params
-            from .nn import LinearLayer
-
             logits = linear_fwd(LinearLayer(w, b), x)
             lv = masked_ce_loss_and_grad(logits, labels)
             dw, db, _ = linear_backward(LinearLayer(w, b), x, lv.grads["logits"])

@@ -249,18 +249,42 @@ def _train_localizer_once(
 
 def _loc_step(model: LocalizationModel, f: FeatureGrid, label: int,
               state: AdamState) -> LossValue:
-    """One image: forward, pooled BCE, manual backward, Adam update."""
-    x = f.grid.locations().astype(np.float64)
+    """One image: forward, pooled BCE, sparse backward, Adam update."""
+    lv, grads = localizer_loss_and_grads(
+        model, f.grid.locations().astype(np.float64), label
+    )
+    model.set_params(adam_step(model.params(), grads, state))
+    return lv
+
+
+def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int
+                             ) -> tuple[LossValue, list[np.ndarray]]:
+    """Pooled BCE of one image and its gradients w.r.t. model.params().
+
+    x: (N, D) float64 locations. The pooled loss depends on the scores at
+    its fg/bg argmax locations only, so the backward runs on those rows
+    alone; the result equals the full-grid chain bit for bit (see nn).
+    """
     h1, a1, y = _forward_scores(model, x)
     p, trace = pooled_probability(model.pooling, y[:, 0], y[:, 1])
     lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
-    dy = np.stack([lv.grads["fg"], lv.grads["bg"]], axis=1)
-    dw2, db2, da1 = linear_backward(model.layer2, a1, dy)
-    dh1 = relu_backward(h1, da1)
-    dw1, db1, _ = linear_backward(model.layer1, x, dh1)
-    new_params = adam_step(model.params(), [dw1, db1, dw2, db2], state)
-    model.set_params(new_params)
-    return lv
+    rows = _gradient_rows(trace, x.shape[0])
+    dy = np.stack([lv.grads["fg"][rows], lv.grads["bg"][rows]], axis=1)
+    dw2, db2, da1 = linear_backward(model.layer2, a1[rows], dy)
+    dh1 = relu_backward(h1[rows], da1)
+    dw1, db1, _ = linear_backward(model.layer1, x[rows], dh1, input_grad=False)
+    return lv, [dw1, db1, dw2, db2]
+
+
+def _gradient_rows(trace: PoolingTrace, n_locations: int) -> list[int]:
+    """The traced locations as two distinct rows in ascending order; when
+    they coincide, a neighbouring row (zero gradient) is the second."""
+    a, b = sorted((trace.fg_loc, trace.bg_loc))
+    if a != b:
+        return [a, b]
+    if n_locations == 1:
+        return [a]
+    return [a, a + 1] if a + 1 < n_locations else [a - 1, a]
 
 
 def save_loc_checkpoint(path, result: LocTrainResult) -> None:

@@ -6,6 +6,17 @@ map applied at every location. Losses return a LossValue carrying the scalar
 loss and gradients w.r.t. their direct inputs; training loops chain those
 through linear_backward / relu_backward by hand.
 
+The localizer's max-pooled loss sends its gradient through at most two
+locations, so its backward (localization.localizer_loss_and_grads) runs the
+chain on those rows only, always as a two-row product: when both argmaxes
+are one location, a neighbouring row with zero gradient is added. A two-row
+product gives the same bits as the full-grid chain; a one-row product takes
+a matrix-vector path that rounds differently.
+
+Adam keeps its moments as one flat float64 vector over all parameter arrays
+and updates them with one vectorized pass per step, using the same
+elementwise expressions, in the same order, as a per-array update.
+
 Numeric conventions:
   - parameters and loss math are float64; float32 only at storage boundaries
   - max-pooling subgradient: all gradient to the lowest-linear-index argmax
@@ -64,16 +75,19 @@ def linear_fwd(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
     """x: (N, in_dim) -> (N, out_dim)."""
     if x.shape[1] != layer.in_dim:
         raise DataError(f"linear: input depth {x.shape[1]} != in_dim {layer.in_dim}")
-    return x @ layer.weights.T + layer.bias
+    y = x @ layer.weights.T
+    y += layer.bias
+    return y
 
 
 def linear_backward(
-    layer: LinearLayer, x: np.ndarray, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (dW, db, dx) for upstream gradient dy of shape (N, out_dim)."""
+    layer: LinearLayer, x: np.ndarray, dy: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Returns (dW, db, dx) for upstream gradient dy of shape (N, out_dim);
+    dx is None when input_grad is False (a first layer needs none)."""
     dw = dy.T @ x
     db = dy.sum(axis=0)
-    dx = dy @ layer.weights
+    dx = dy @ layer.weights if input_grad else None
     return dw, db, dx
 
 
@@ -180,20 +194,23 @@ def bce_loss_and_grad(p: float, label: int, trace: PoolingTrace, n_locations: in
     return LossValue(loss=loss, grads={"fg": d_fg, "bg": d_bg}, clamp_events=events)
 
 
-def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]]) -> LossValue:
+def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | np.ndarray
+                            ) -> LossValue:
     """Mean softmax cross-entropy over labeled locations only.
 
-    logits: (N, C+1); labels: (location, class) pairs, duplicates allowed and
-    counted toward the mean. Gradient rows at unlabeled locations are exactly
-    zero. An empty label set gives loss 0 and an all-zero gradient.
+    logits: (N, C+1); labels: (location, class) pairs, as a list of pairs or
+    an (m, 2) integer array; duplicates are allowed and counted toward the
+    mean. Gradient rows at unlabeled locations are exactly zero. An empty
+    label set gives loss 0 and an all-zero gradient.
     """
     logits = np.asarray(logits, dtype=np.float64)
     n, n_classes = logits.shape
     grad = np.zeros_like(logits)
-    if not labels:
+    pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    m = pairs.shape[0]
+    if m == 0:
         return LossValue(loss=0.0, grads={"logits": grad})
-    locs = np.array([loc for loc, _ in labels], dtype=np.int64)
-    cls = np.array([c for _, c in labels], dtype=np.int64)
+    locs, cls = pairs[:, 0], pairs[:, 1]
     if locs.min() < 0 or locs.max() >= n:
         raise DataError("masked CE: location index out of range")
     if cls.min() < 0 or cls.max() >= n_classes:
@@ -202,7 +219,6 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]]) -
     shifted = rows - rows.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
-    m = len(labels)
     loss = -float(log_probs[np.arange(m), cls].mean())
     row_grad = np.exp(log_probs)
     row_grad[np.arange(m), cls] -= 1.0
@@ -216,15 +232,16 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]]) -
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam state over a list of parameter arrays."""
+    """Bias-corrected Adam state; m and v are flat float64 vectors over the
+    parameter arrays in order, allocated by the first step."""
 
     lr: float
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(
@@ -233,21 +250,38 @@ def adam_step(
     """One update; returns new parameter arrays and advances the state."""
     if len(params) != len(grads):
         raise DataError("adam_step: params/grads length mismatch")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
             raise DataError(f"adam_step: shape mismatch {p.shape} vs {g.shape}")
+    p = np.concatenate([a.ravel() for a in params], dtype=np.float64)
+    g = np.concatenate([a.ravel() for a in grads], dtype=np.float64)
+    if state.m is None:
+        state.m = np.zeros_like(p)
+        state.v = np.zeros_like(p)
+    elif state.m.shape != p.shape:
+        raise DataError(f"adam_step: {p.size} parameters, state holds {state.m.size}")
     state.t += 1
     t = state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-        m_hat = state.m[i] / (1 - state.beta1 ** t)
-        v_hat = state.v[i] / (1 - state.beta2 ** t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    m, v = state.m, state.v
+    # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
+    m *= state.beta1
+    m += (1 - state.beta1) * g
+    v *= state.beta2
+    gg = (1 - state.beta2) * g
+    gg *= g
+    v += gg
+    # p - lr * m_hat / (sqrt(v_hat) + eps)
+    denom = v / (1 - state.beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step = m / (1 - state.beta1 ** t)
+    step *= state.lr
+    step /= denom
+    p -= step
+    out, start = [], 0
+    for a in params:
+        out.append(p[start : start + a.size].reshape(a.shape))
+        start += a.size
     return out
 
 

@@ -25,6 +25,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .sampling import (
     score_tagged_classes,
 )
 from .segmentation import (
+    AugmentedFeatureGrid,
     SegConfig,
     SegmentationModel,
     SegTrainResult,
@@ -86,6 +88,10 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.pooling not in POOLINGS:
             raise ConfigError(f"unknown pooling {self.pooling!r}, want one of {POOLINGS}")
         if self.strategy not in STRATEGIES:
@@ -176,6 +182,12 @@ class Benchmark:
     test_images: list[EvalImage]
     extractor: ExtractorSpec
     norm_stats: object  # NormStats, frozen from the training split
+
+    @cached_property
+    def train_features(self) -> dict[str, AugmentedFeatureGrid]:
+        """The head's input per training image, built on first use and shared
+        by every head trained on this benchmark."""
+        return {r.image_id: augment_with_global(r.features) for r in self.train_records}
 
 
 def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Benchmark:
@@ -297,11 +309,8 @@ def sample_supervision(
 def _train_head(
     bench: Benchmark, points: list[SampledPoint], config: PipelineConfig
 ) -> SegTrainResult:
-    features = {
-        r.image_id: augment_with_global(r.features) for r in bench.train_records
-    }
     return train_segmentation(
-        points, features, list(range(bench.n_classes)), config.seg_config(),
+        points, bench.train_features, list(range(bench.n_classes)), config.seg_config(),
         derive_seed(config.seed, _STREAM_SEG),
     )
 
@@ -348,12 +357,15 @@ def _sha256(path: str) -> str:
 
 
 def _hash_tree(root: str) -> dict[str, str]:
+    """Content hash of every file under root except a summary.json left there
+    by an earlier run, which this run's summary replaces."""
     hashes = {}
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             full = os.path.join(dirpath, name)
             rel = os.path.relpath(full, root)
-            hashes[rel] = _sha256(full)
+            if rel != "summary.json":
+                hashes[rel] = _sha256(full)
     return hashes
 
 
@@ -364,9 +376,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     seg.ckpt/, report.json, config.json, summary.json. The summary carries
     per-stage wall-clock seconds and a content hash of every artifact file;
     everything except the timing section is reproducible from the config.
+    config.json records the config without `jobs`, so the artifacts are the
+    same for any worker count.
     """
     os.makedirs(out_dir, exist_ok=True)
-    save_json(config.to_dict(), os.path.join(out_dir, "config.json"))
+    save_json(config.report_echo(), os.path.join(out_dir, "config.json"))
 
     stages = []
 

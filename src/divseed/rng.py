@@ -15,7 +15,10 @@ vectorised while remaining identical to sequential calls. Derived quantities:
 
   float53:   u64 >> 11, scaled by 2^-53, uniform in [0, 1)
   randint:   rejection sampling on 64-bit draws (exactly uniform)
-  shuffle:   Fisher-Yates using randint
+  shuffle:   Fisher-Yates using randint; all draws are taken in one bulk
+             call and checked against their rejection limits, giving the
+             same permutation (and stream position) as one randint per
+             swap; if any draw would be rejected, the sequential loop runs
   derive:    child seed = mix64(seed XOR mix64(stream)), mix64 = the splitmix
              finaliser above; used to hand independent streams to parallel
              tasks (one stream id per class / image / stage).
@@ -84,9 +87,22 @@ class Rng:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """In-place Fisher-Yates; swap i takes randint(i + 1), i = n-1 .. 1."""
+        n = len(items)
+        if n < 2:
+            return
+        start = self._count
+        draws = self.next_u64_array(n - 1)
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        # randint rejects u >= (2**64 // b) * b = 2**64 - r, r = 2**64 mod b
+        r = (np.uint64(_MASK64) % bounds + np.uint64(1)) % bounds
+        if np.any((r != 0) & (draws > np.uint64(_MASK64) - r)):
+            self._count = start
+            for i in range(n - 1, 0, -1):
+                j = self.randint(i + 1)
+                items[i], items[j] = items[j], items[i]
+            return
+        for i, j in zip(range(n - 1, 0, -1), (draws % bounds).tolist()):
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:

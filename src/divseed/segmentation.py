@@ -161,11 +161,7 @@ def train_segmentation(
         class_ids, in_dim, first.global_dim, config, derive_seed(seed, 0x5E6)
     )
 
-    x = np.empty((len(points), in_dim), dtype=np.float64)
-    y = np.empty(len(points), dtype=np.int64)
-    for i, p in enumerate(points):
-        x[i] = features_by_image[p.image_id].grid.locations()[p.loc]
-        y[i] = model.label_to_index(p.label)
+    x, y = _gather_points(points, features_by_image, model)
 
     rng = Rng(derive_seed(seed, 0x5EC0))
     state = AdamState(lr=config.lr)
@@ -173,6 +169,7 @@ def train_segmentation(
     for _ in range(config.epochs):
         order = list(range(len(points)))
         rng.shuffle(order)
+        order = np.array(order, dtype=np.int64)
         total = 0.0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
@@ -190,16 +187,42 @@ def train_segmentation(
     )
 
 
+def _gather_points(points: list[SampledPoint],
+                   features_by_image: dict[str, AugmentedFeatureGrid],
+                   model: SegmentationModel) -> tuple[np.ndarray, np.ndarray]:
+    """(n, D) float64 point features and (n,) output indices, in point order:
+    one fancy-index per image, labels mapped through a per-label lookup."""
+    n = len(points)
+    image_index: dict[str, int] = {}
+    codes = np.fromiter(
+        (image_index.setdefault(p.image_id, len(image_index)) for p in points),
+        dtype=np.int64, count=n,
+    )
+    locs = np.fromiter((p.loc for p in points), dtype=np.int64, count=n)
+    by_image = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[by_image], np.arange(len(image_index) + 1))
+    x = np.empty((n, model.hidden_layer.in_dim), dtype=np.float64)
+    for image_id, c in image_index.items():
+        rows = by_image[bounds[c] : bounds[c + 1]]
+        x[rows] = features_by_image[image_id].grid.locations()[locs[rows]]
+    labels, inverse = np.unique(
+        np.fromiter((p.label for p in points), dtype=np.int64, count=n),
+        return_inverse=True,
+    )
+    lookup = np.array([model.label_to_index(int(c)) for c in labels], dtype=np.int64)
+    return x, lookup[inverse]
+
+
 def _seg_step(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
               state: AdamState) -> float:
     h1 = linear_fwd(model.hidden_layer, xb)
     a1 = relu(h1)
     logits = linear_fwd(model.out_layer, a1)
-    lv = masked_ce_loss_and_grad(logits, [(i, int(c)) for i, c in enumerate(yb)])
+    lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
     dlogits = lv.grads["logits"]
     dw2, db2, da1 = linear_backward(model.out_layer, a1, dlogits)
     dh1 = relu_backward(h1, da1)
-    dw1, db1, _ = linear_backward(model.hidden_layer, xb, dh1)
+    dw1, db1, _ = linear_backward(model.hidden_layer, xb, dh1, input_grad=False)
     model.set_params(adam_step(model.params(), [dw1, db1, dw2, db2], state))
     return lv.loss
 

@@ -14,10 +14,15 @@ import time
 import numpy as np
 import pytest
 
-from divseed.localization import LocTrainResult, ScoreMap, save_loc_checkpoint
+from divseed.localization import (
+    LocalizationModel,
+    LocTrainResult,
+    ScoreMap,
+    localizer_loss_and_grads,
+    save_loc_checkpoint,
+)
 from divseed.nn import (
     LinearLayer,
-    bce_loss_and_grad,
     global_softmax_prob,
     grad_check,
     init_linear,
@@ -26,7 +31,6 @@ from divseed.nn import (
     masked_ce_loss_and_grad,
     pixel_softmax_prob,
     relu,
-    relu_backward,
 )
 from divseed.pipeline import (
     PipelineConfig,
@@ -206,23 +210,21 @@ def test_criterion_4_gradient_checks():
         x, params = _loc_style_instance(rng)
         label = done % 2
 
-        def forward(ps, pool):
-            l1 = LinearLayer(ps[0], ps[1])
-            l2 = LinearLayer(ps[2], ps[3])
-            h = linear_fwd(l1, x)
-            a = relu(h)
-            y = linear_fwd(l2, a)
-            p, trace = pool(y[:, 0], y[:, 1])
-            lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
-            dy = np.stack([lv.grads["fg"], lv.grads["bg"]], axis=1)
-            dw2, db2, da = linear_backward(l2, a, dy)
-            dh = relu_backward(h, da)
-            dw1, db1, _ = linear_backward(l1, x, dh)
-            return lv.loss, [dw1, db1, dw2, db2], y
+        def loss_and_grads(ps, pooling):
+            # the backward the localizer trains with
+            model = LocalizationModel(
+                class_id=0, layer1=LinearLayer(ps[0], ps[1]),
+                layer2=LinearLayer(ps[2], ps[3]), pooling=pooling, seed=0,
+            )
+            lv, grads = localizer_loss_and_grads(model, x, label)
+            return lv.loss, grads
 
         # unique argmaxes: regenerate until the pooled maxima are isolated,
         # so the finite-difference step cannot cross a tie
-        _, _, y = forward(params, global_softmax_prob)
+        y = linear_fwd(
+            LinearLayer(params[2], params[3]),
+            relu(linear_fwd(LinearLayer(params[0], params[1]), x)),
+        )
         if (
             _argmax_gap(y[:, 0] - y[:, 1]) < 1e-3
             or _argmax_gap(y[:, 0]) < 1e-3
@@ -230,10 +232,9 @@ def test_criterion_4_gradient_checks():
         ):
             continue
         done += 1
-        for name, pool in (("pixel", pixel_softmax_prob),
-                           ("global", global_softmax_prob)):
+        for name in ("pixel", "global"):
             err = grad_check(
-                lambda ps, pool=pool: forward(ps, pool)[:2], params,
+                lambda ps, name=name: loss_and_grads(ps, name), params,
                 Rng(rng.next_u64()), n_coords=100,
             )
             worst[name] = max(worst[name], err)

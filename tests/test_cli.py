@@ -216,6 +216,36 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_invalid_config_json_is_config_error(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"k": 20,')
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_invalid_ablation_grid_json_is_config_error(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"variants": [')
+    rc = main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "abl")])
+    assert rc == 2
+
+
+def test_non_integer_set_value_is_config_error(tmp_path):
+    rc = main(["run", "--set", "k=2.5", "--out", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_non_integer_map_class_suffix_is_data_error(workdir, tmp_path):
+    maps_dir = tmp_path / "maps"
+    maps_dir.mkdir()
+    (maps_dir / "tr_00000__cx.dstn").write_bytes(b"")
+    rc = main([
+        "sample", "--strategy", "diverse", "--in", str(maps_dir),
+        "--features", str(workdir / "train"), "--out", str(tmp_path / "p.jsonl"),
+    ])
+    assert rc == 3
+
+
 def test_missing_manifest_is_data_error(tmp_path):
     rc = main([
         "train-loc", "--class", "0", "--data", str(tmp_path / "nope"),

@@ -6,12 +6,14 @@ from divseed.localization import (
     LocConfig,
     TagSet,
     load_loc_checkpoint,
+    localizer_loss_and_grads,
     new_localization_model,
     pooled_probability,
     save_loc_checkpoint,
     score_image,
     train_localizer,
 )
+from divseed.nn import bce_loss_and_grad, linear_backward, linear_fwd, relu, relu_backward
 from divseed.rng import Rng
 from divseed.tensor import FeatureGrid, Grid, NormState
 
@@ -205,3 +207,83 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(
         model.layer1.weights, result.model.layer1.weights.astype(np.float32)
     )
+
+
+# ---------------------------------------------------------------------------
+# sparse backward
+
+
+def _dense_loss_and_grads(model, x, label):
+    """The backward over every location: the reference chain."""
+    h1 = linear_fwd(model.layer1, x)
+    a1 = relu(h1)
+    y = linear_fwd(model.layer2, a1)
+    p, trace = pooled_probability(model.pooling, y[:, 0], y[:, 1])
+    lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
+    dy = np.stack([lv.grads["fg"], lv.grads["bg"]], axis=1)
+    dw2, db2, da1 = linear_backward(model.layer2, a1, dy)
+    dh1 = relu_backward(h1, da1)
+    dw1, db1, _ = linear_backward(model.layer1, x, dh1)
+    return lv.loss, [dw1, db1, dw2, db2], trace
+
+
+def _assert_sparse_equals_dense(model, x, label):
+    lv, grads = localizer_loss_and_grads(model, x, label)
+    loss, dense, trace = _dense_loss_and_grads(model, x, label)
+    assert lv.loss == loss
+    for a, b in zip(grads, dense):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
+    return trace
+
+
+def _model(pooling, d, seed, hidden=6):
+    model = new_localization_model(0, d, LocConfig(hidden=hidden, pooling=pooling), seed)
+    rng = Rng(seed + 1)
+    model.layer1.bias = rng.uniform_array(hidden, -0.3, 0.3)
+    model.layer2.bias = rng.uniform_array(2, -0.3, 0.3)
+    return model
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+def test_sparse_backward_equals_dense_chain(pooling):
+    for seed in range(12):
+        model = _model(pooling, 8, seed)
+        x = Rng(100 + seed).uniform_array(16 * 8, -1, 1).reshape(16, 8)
+        for label in (0, 1):
+            _assert_sparse_equals_dense(model, x, label)
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+def test_sparse_backward_at_the_last_location(pooling):
+    """Both argmaxes on the last row: the added row is the one before it."""
+    n, d = 9, 5
+    model = _model(pooling, d, 3)
+    model.layer1.weights = np.abs(model.layer1.weights)
+    model.layer1.bias = np.zeros_like(model.layer1.bias)
+    model.layer2.weights = np.abs(model.layer2.weights)
+    if pooling == "pixel":
+        model.layer2.weights[1] = 0.0  # fg - bg then peaks where fg does
+    x = Rng(7).uniform_array(n * d, 0, 1).reshape(n, d)
+    x[-1] = 2.0  # dominates every other row, elementwise
+    for label in (0, 1):
+        trace = _assert_sparse_equals_dense(model, x, label)
+        assert trace.fg_loc == trace.bg_loc == n - 1
+
+
+def test_sparse_backward_with_coinciding_global_argmaxes():
+    model = _model("global", 8, 5)
+    model.layer2.weights[1] = model.layer2.weights[0]
+    model.layer2.bias[1] = model.layer2.bias[0]  # bg map equals fg map
+    x = Rng(11).uniform_array(16 * 8, -1, 1).reshape(16, 8)
+    for label in (0, 1):
+        trace = _assert_sparse_equals_dense(model, x, label)
+        assert trace.fg_loc == trace.bg_loc
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+def test_sparse_backward_on_a_single_location(pooling):
+    model = _model(pooling, 4, 9)
+    x = Rng(13).uniform_array(4, -1, 1).reshape(1, 4)
+    for label in (0, 1):
+        _assert_sparse_equals_dense(model, x, label)

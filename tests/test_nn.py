@@ -222,6 +222,18 @@ def test_masked_ce_range_checks():
         masked_ce_loss_and_grad(np.zeros((3, 2)), [(0, 2)])
 
 
+def test_masked_ce_takes_pairs_or_an_array():
+    rng = Rng(0x3A5)
+    logits = rng.uniform_array(8 * 4, -2, 2).reshape(8, 4)
+    pairs = [(0, 1), (3, 3), (3, 3), (7, 0)]  # one duplicate
+    a = masked_ce_loss_and_grad(logits, pairs)
+    b = masked_ce_loss_and_grad(logits, np.array(pairs, dtype=np.int64))
+    assert a.loss == b.loss
+    assert a.grads["logits"].tobytes() == b.grads["logits"].tobytes()
+    empty = masked_ce_loss_and_grad(logits, np.empty((0, 2), dtype=np.int64))
+    assert empty.loss == 0.0 and not empty.grads["logits"].any()
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -261,6 +273,49 @@ def test_adam_deterministic():
 def test_adam_shape_mismatch():
     with pytest.raises(DataError):
         adam_step([np.zeros(2)], [np.zeros(3)], AdamState(lr=0.1))
+    state = AdamState(lr=0.1)
+    adam_step([np.zeros(2)], [np.ones(2)], state)
+    with pytest.raises(DataError):
+        adam_step([np.zeros(3)], [np.ones(3)], state)
+
+
+def _per_array_adam(params, grads, state, moments):
+    """Adam applied one parameter array at a time: the reference update."""
+    if not moments:
+        moments["m"] = [np.zeros_like(p) for p in params]
+        moments["v"] = [np.zeros_like(p) for p in params]
+    m, v = moments["m"], moments["v"]
+    state.t += 1
+    t = state.t
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = state.beta1 * m[i] + (1 - state.beta1) * g
+        v[i] = state.beta2 * v[i] + (1 - state.beta2) * g * g
+        m_hat = m[i] / (1 - state.beta1 ** t)
+        v_hat = v[i] / (1 - state.beta2 ** t)
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    return out
+
+
+def test_flat_adam_equals_per_array_update_bitwise():
+    rng = Rng(0xADA)
+    shapes = [(5, 7), (5,), (2, 5), (2,)]
+    flat = [rng.uniform_array(int(np.prod(s)), -1, 1).reshape(s) for s in shapes]
+    ref = [p.copy() for p in flat]
+    flat_state, ref_state, moments = AdamState(lr=2e-2), AdamState(lr=2e-2), {}
+    for step in range(6):
+        if step == 3:  # lr drop mid-run, moments kept
+            flat_state.lr = ref_state.lr = 2e-3
+        grads = [rng.uniform_array(int(np.prod(s)), -3, 3).reshape(s) for s in shapes]
+        grads[1][step % 5] = 0.0
+        flat = adam_step(flat, grads, flat_state)
+        ref = _per_array_adam(ref, grads, ref_state, moments)
+        for a, b in zip(flat, ref):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+    assert flat_state.t == ref_state.t == 6
+    assert flat_state.m.tobytes() == np.concatenate([m.ravel() for m in moments["m"]]).tobytes()
+    assert flat_state.v.tobytes() == np.concatenate([v.ravel() for v in moments["v"]]).tobytes()
 
 
 # ---------------------------------------------------------------------------

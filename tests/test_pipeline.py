@@ -193,13 +193,29 @@ def test_worker_count_does_not_change_results(tmp_path):
     seq = run_pipeline(TINY, str(tmp_path / "seq"))
     par = run_pipeline(base_with(TINY, {"jobs": 2}), str(tmp_path / "par"))
     assert seq["report"] == par["report"]
-    # artifact trees are identical except for the config echo's jobs field
+    # config.json omits jobs, so the artifact trees are identical
     diff = {
         rel
-        for rel in seq["artifacts"]
-        if seq["artifacts"][rel] != par["artifacts"].get(rel)
+        for rel in set(seq["artifacts"]) | set(par["artifacts"])
+        if seq["artifacts"].get(rel) != par["artifacts"].get(rel)
     }
-    assert diff <= {"config.json"}
+    assert diff == set()
+    assert "jobs" not in json.loads((tmp_path / "par" / "config.json").read_text())
+
+
+@pytest.mark.slow
+def test_rerun_into_the_same_directory_hashes_the_same_artifacts(tmp_path):
+    first = run_pipeline(TINY, str(tmp_path))
+    again = run_pipeline(TINY, str(tmp_path))
+    assert "summary.json" not in first["artifacts"]
+    assert again["artifacts"] == first["artifacts"]
+
+
+@pytest.mark.parametrize("key", ["k", "seed", "n_train", "jobs"])
+@pytest.mark.parametrize("value", [2.5, "3", True])
+def test_int_fields_reject_other_types(key, value):
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict({key: value})
 
 
 def test_run_and_benchmark_train_on_bitwise_equal_data(tmp_path):

@@ -62,6 +62,55 @@ def test_shuffle_is_permutation(seed, n):
     assert sorted(items) == list(range(n))
 
 
+def _sequential_shuffle(rng, items):
+    """Fisher-Yates with one randint per swap: the reference permutation."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0xC0FFEE, 2**64 - 1])
+def test_shuffle_matches_sequential_fisher_yates(seed):
+    for n in list(range(33)) + [1000, 65537, 100_000]:
+        bulk, seq = list(range(n)), list(range(n))
+        rb, rs = Rng(seed), Rng(seed)
+        rb.shuffle(bulk)
+        _sequential_shuffle(rs, seq)
+        assert bulk == seq, n
+        assert rb.next_u64() == rs.next_u64()  # same stream position after
+
+
+class ScriptedRng(Rng):
+    """A stream whose draws are given, in the same counter-based form."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = draws
+
+    def next_u64(self):
+        self._count += 1
+        return self.draws[self._count - 1]
+
+    def next_u64_array(self, n):
+        out = np.array(self.draws[self._count : self._count + n], dtype=np.uint64)
+        self._count += n
+        return out
+
+
+def test_shuffle_with_a_rejected_draw_matches_sequential():
+    # for bound 3, randint rejects u >= 2**64 - 1 (2**64 mod 3 == 1); bounds
+    # 4 and 2 divide 2**64 and never reject
+    draws = [5, 2**64 - 1, 7, 9, 11, 13]
+    bulk, seq = list("abcd"), list("abcd")
+    rb, rs = ScriptedRng(draws), ScriptedRng(draws)
+    rb.shuffle(bulk)
+    _sequential_shuffle(rs, seq)
+    assert rs._count == 4  # the rejection cost one extra draw
+    assert bulk == seq and rb._count == rs._count
+    # taking the rejected draw modulo 3 would give another permutation
+    assert (2**64 - 1) % 3 != 7 % 3
+
+
 def test_sample_indices_distinct():
     got = Rng(5).sample_indices(100, 30)
     assert len(set(got)) == 30

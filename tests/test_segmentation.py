@@ -7,6 +7,7 @@ from divseed.rng import Rng
 from divseed.sampling import BACKGROUND, SampledPoint, SamplingConfig, SupervisionRecord
 from divseed.segmentation import (
     SegConfig,
+    _gather_points,
     add_class,
     augment_with_global,
     load_seg_checkpoint,
@@ -80,6 +81,36 @@ def _separable_points(n_images=6, d=6):
         f = FeatureGrid(grid=Grid(vecs.reshape(4, 4, d)), norm_state=NormState.UNIT)
         features[image_id] = augment_with_global(f)
     return points, features
+
+
+def _per_point_gather(points, features, model):
+    """One row and one label lookup per point: the reference gather."""
+    x = np.empty((len(points), model.hidden_layer.in_dim), dtype=np.float64)
+    y = np.empty(len(points), dtype=np.int64)
+    for i, p in enumerate(points):
+        x[i] = features[p.image_id].grid.locations()[p.loc]
+        y[i] = model.label_to_index(p.label)
+    return x, y
+
+
+def test_gather_equals_per_point_loop():
+    class_ids = (5, 0, 2)  # unsorted universe: indices are not ids
+    features = {f"im{i}": augment_with_global(unit_features(200 + i)) for i in range(25)}
+    rng = Rng(0x6A7)
+    points = []
+    for _ in range(400):  # images interleaved, duplicates likely
+        image_id = f"im{rng.randint(25)}"
+        label = (BACKGROUND,) + class_ids
+        points.append(SampledPoint(image_id, rng.randint(16), label[rng.randint(4)], 1, 0.5))
+    points += points[:30]  # exact duplicates
+    model = new_segmentation_model(class_ids, 12, 6, SegConfig(hidden=4), seed=1)
+    x, y = _gather_points(points, features, model)
+    ref_x, ref_y = _per_point_gather(points, features, model)
+    assert x.tobytes() == ref_x.tobytes()
+    assert np.array_equal(y, ref_y)
+    assert set(y.tolist()) == {0, 1, 2, 3}
+    with pytest.raises(DataError):
+        _gather_points(points + [SampledPoint("im0", 0, 7, 1, 0.5)], features, model)
 
 
 def test_separable_points_reach_full_accuracy():
