@@ -23,6 +23,7 @@ from . import pipeline
 from .dataset import load_manifest, write_dataset
 from .errors import ConfigError, DataError, DivseedError, NumericError, TensorFormatError
 from .localization import (
+    POOLING_MODES,
     LocalizationModel,
     LocConfig,
     ScoreMap,
@@ -32,21 +33,16 @@ from .localization import (
     score_image,
     train_localizer,
 )
-from .nn import (
-    LinearLayer,
-    grad_check,
-    init_linear,
-    linear_backward,
-    linear_fwd,
-    masked_ce_loss_and_grad,
-)
+from .nn import grad_check
 from .render import save_heatmap_pgm, save_label_ppm, save_overlay_ppm
 from .rng import Rng, derive_seed
 from .sampling import SamplingConfig, build_supervision_set, load_points, save_points
 from .segmentation import (
     SegConfig,
+    SegmentationModel,
     add_class,
     augment_with_global,
+    head_loss_and_grads,
     load_seg_checkpoint,
     predict,
     save_seg_checkpoint,
@@ -284,6 +280,8 @@ def cmd_add_class(args) -> int:
             loc_models[model.class_id] = model
     points = load_points(args.points)
     features = {r.image_id: augment_with_global(r.features) for r in base_records}
+    seg_config = SegConfig(hidden=args.seg_hidden, lr=args.lr, epochs=args.epochs,
+                           batch_size=args.batch)
     result = add_class(
         args.class_id,
         new_records,
@@ -293,8 +291,7 @@ def cmd_add_class(args) -> int:
         base_manifest.classes,
         LocConfig(hidden=args.loc_hidden, pooling=args.pooling),
         SamplingConfig(k=args.k, strategy=_strategy_name(args.strategy)),
-        SegConfig(hidden=args.seg_hidden, lr=args.lr, epochs=args.epochs,
-                  batch_size=args.batch),
+        seg_config,
         seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
@@ -302,12 +299,7 @@ def cmd_add_class(args) -> int:
         os.path.join(args.out, f"loc_class_{args.class_id}"), result.loc_result
     )
     save_points(result.merged_points, os.path.join(args.out, "points.jsonl"))
-    save_seg_checkpoint(
-        os.path.join(args.out, "seg.ckpt"),
-        result.seg_result,
-        SegConfig(hidden=args.seg_hidden, lr=args.lr, epochs=args.epochs,
-                  batch_size=args.batch),
-    )
+    save_seg_checkpoint(os.path.join(args.out, "seg.ckpt"), result.seg_result, seg_config)
     print(
         f"class {args.class_id} added: +{len(result.new_points)} points, "
         f"universe {list(result.class_ids)} -> {args.out}"
@@ -316,57 +308,36 @@ def cmd_add_class(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    """Finite-difference checks of the hand-derived losses; the localizer's
-    is the backward its training runs."""
+    """Finite-difference checks of the backward each model trains with: the
+    localizer's pooled BCE and the head's loss."""
     rng = Rng(args.seed)
-    failures = 0
+    init_seed = derive_seed(args.seed, 1)
     n, d, h = 12, 6, 5
 
-    def loc_loss(pooling):
-        x = rng.uniform_array(n * d, -1, 1).reshape(n, d)
-
+    def check(model, loss_and_grads, stream):
         def fn(params):
-            w1, b1, w2, b2 = params
-            model = LocalizationModel(
-                class_id=0, layer1=LinearLayer(w1, b1), layer2=LinearLayer(w2, b2),
-                pooling=pooling, seed=0,
-            )
-            lv, grads = localizer_loss_and_grads(model, x, label=1)
+            model.set_params(params)
+            lv, grads = loss_and_grads(model)
             return lv.loss, grads
 
-        return fn
-
-    def masked_loss():
-        x = rng.uniform_array(n * d, -1, 1).reshape(n, d)
-        labels = [(i, i % 4) for i in range(0, n, 2)]
-
-        def fn(params):
-            w, b = params
-            logits = linear_fwd(LinearLayer(w, b), x)
-            lv = masked_ce_loss_and_grad(logits, labels)
-            dw, db, _ = linear_backward(LinearLayer(w, b), x, lv.grads["logits"])
-            return lv.loss, [dw, db]
-
-        return fn
+        params = [p.copy() for p in model.params()]
+        return grad_check(fn, params, Rng(derive_seed(args.seed, stream)))
 
     checks = []
-    init = Rng(derive_seed(args.seed, 1))
-    l1 = init_linear(init, d, h)
-    l2 = init_linear(init, h, 2)
     for pooling in ("pixel", "global"):
-        err = grad_check(
-            loc_loss(pooling),
-            [l1.weights.copy(), l1.bias.copy(), l2.weights.copy(), l2.bias.copy()],
-            Rng(derive_seed(args.seed, 2)),
-        )
+        x = rng.uniform_array(n * d, -1, 1).reshape(n, d)
+        model = LocalizationModel.initialized(init_seed, d, h, 2, class_id=0, pooling=pooling)
+        err = check(model, lambda m: localizer_loss_and_grads(m, x, label=1), 2)
         checks.append((f"pooled-bce[{pooling}]", err))
-    out = init_linear(init, d, 4)
-    err = grad_check(
-        masked_loss(), [out.weights.copy(), out.bias.copy()],
-        Rng(derive_seed(args.seed, 3)),
+    x = rng.uniform_array(n * d, -1, 1).reshape(n, d)
+    head = SegmentationModel.initialized(
+        derive_seed(args.seed, 4), d, h, 4, class_ids=(0, 1, 2), global_dim=0
     )
+    labels = np.arange(0, n, 2) % 4
+    err = check(head, lambda m: head_loss_and_grads(m, x[::2], labels), 3)
     checks.append(("masked-ce", err))
 
+    failures = 0
     for name, err in checks:
         ok = err < args.tol
         failures += not ok
@@ -412,6 +383,7 @@ def cmd_render(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    loc, seg, sampling = LocConfig(), SegConfig(), SamplingConfig()
     p = argparse.ArgumentParser(prog="divseed", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -430,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train-loc", help="train one class's localizer")
     t.add_argument("--class", dest="class_id", type=int, required=True)
     t.add_argument("--data", required=True, help="dataset manifest")
-    t.add_argument("--pooling", choices=["pixel", "global"], default="global")
+    t.add_argument("--pooling", choices=POOLING_MODES, default=loc.pooling)
     t.add_argument("--seed", type=int, default=7)
-    t.add_argument("--hidden", type=int, default=64)
+    t.add_argument("--hidden", type=int, default=loc.hidden)
     t.add_argument("--out", required=True)
     t.add_argument("--export-maps", default=None,
                    help="also write score maps for positive images")
@@ -441,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="sample pseudo-label points from score maps")
     s.add_argument("--strategy", choices=["diverse", "topk", "spatial", "dense"],
                    required=True)
-    s.add_argument("--k", type=int, default=20)
-    s.add_argument("--tau", type=float, default=0.2)
+    s.add_argument("--k", type=int, default=sampling.k)
+    s.add_argument("--tau", type=float, default=sampling.tau)
     s.add_argument("--spatial-scale", type=float, default=None)
     s.add_argument("--in", dest="in_dir", required=True, help="score map directory")
     s.add_argument("--features", required=True, help="dataset manifest")
@@ -453,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     ts = sub.add_parser("train-seg", help="train the segmentation head on points")
     ts.add_argument("--points", required=True)
     ts.add_argument("--features", required=True, help="dataset manifest")
-    ts.add_argument("--hidden", type=int, default=128)
-    ts.add_argument("--lr", type=float, default=1e-3)
-    ts.add_argument("--epochs", type=int, default=2)
-    ts.add_argument("--batch", type=int, default=100)
+    ts.add_argument("--hidden", type=int, default=seg.hidden)
+    ts.add_argument("--lr", type=float, default=seg.lr)
+    ts.add_argument("--epochs", type=int, default=seg.epochs)
+    ts.add_argument("--batch", type=int, default=seg.batch_size)
     ts.add_argument("--seed", type=int, default=7)
     ts.add_argument("--out", required=True)
     ts.set_defaults(fn=cmd_train_seg)
@@ -501,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     ac.add_argument("--points", required=True, help="existing points.jsonl")
     ac.add_argument("--out", required=True)
     ac.add_argument("--seed", type=int, default=7)
-    ac.add_argument("--pooling", choices=["pixel", "global"], default="global")
+    ac.add_argument("--pooling", choices=POOLING_MODES, default=loc.pooling)
     ac.add_argument("--strategy", choices=["diverse", "topk", "spatial"],
                     default="diverse")
-    ac.add_argument("--k", type=int, default=20)
-    ac.add_argument("--loc-hidden", type=int, default=64)
-    ac.add_argument("--seg-hidden", type=int, default=128)
-    ac.add_argument("--lr", type=float, default=1e-3)
-    ac.add_argument("--epochs", type=int, default=2)
-    ac.add_argument("--batch", type=int, default=100)
+    ac.add_argument("--k", type=int, default=sampling.k)
+    ac.add_argument("--loc-hidden", type=int, default=loc.hidden)
+    ac.add_argument("--seg-hidden", type=int, default=seg.hidden)
+    ac.add_argument("--lr", type=float, default=seg.lr)
+    ac.add_argument("--epochs", type=int, default=seg.epochs)
+    ac.add_argument("--batch", type=int, default=seg.batch_size)
     ac.set_defaults(fn=cmd_add_class)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient checks")

@@ -35,6 +35,7 @@ from .synthdata import (
 )
 from .tensor import (
     FeatureGrid,
+    Grid,
     NormStats,
     compute_norm_stats,
     load_tensor,
@@ -88,9 +89,14 @@ class Manifest:
         return NormStats(mean=arr[0], std=arr[1])
 
     def load_raw_features(self, entry: ManifestEntry) -> FeatureGrid:
-        from .tensor import Grid
-
-        return FeatureGrid(grid=Grid(load_tensor(self.path(entry.features_path))))
+        arr = load_tensor(self.path(entry.features_path))
+        expected = (*self.grid_size, self.feature_depth)
+        if arr.shape != expected:
+            raise DataError(
+                f"{entry.features_path}: features of shape {arr.shape}, "
+                f"the manifest says {expected}"
+            )
+        return FeatureGrid(grid=Grid(arr))
 
     def load_unit_features(self, entry: ManifestEntry, stats: NormStats) -> FeatureGrid:
         return normalize_features(self.load_raw_features(entry), stats)
@@ -186,7 +192,8 @@ def write_dataset(
 
 
 def load_manifest(path: str) -> Manifest:
-    """Read a manifest.json (or a directory containing one)."""
+    """Read a manifest.json (or a directory containing one); DataError when
+    it is missing, not JSON, or lacks or mistypes a field."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     try:
@@ -197,23 +204,26 @@ def load_manifest(path: str) -> Manifest:
     except json.JSONDecodeError as e:
         raise DataError(f"manifest {path} is not valid JSON: {e}")
     root = os.path.dirname(os.path.abspath(path))
-    entries = [
-        ManifestEntry(
-            image_id=e["id"],
-            image_path=e["image"],
-            mask_path=e["mask"],
-            features_path=e["features"],
-            tags=frozenset(int(t) for t in e["tags"]),
+    try:
+        entries = [
+            ManifestEntry(
+                image_id=e["id"],
+                image_path=e["image"],
+                mask_path=e["mask"],
+                features_path=e["features"],
+                tags=frozenset(int(t) for t in e["tags"]),
+            )
+            for e in doc["images"]
+        ]
+        return Manifest(
+            root=root,
+            classes=[int(c) for c in doc["classes"]],
+            image_size=tuple(int(v) for v in doc["image_size"]),
+            grid_size=tuple(int(v) for v in doc["grid_size"]),
+            feature_depth=int(doc["feature_depth"]),
+            extractor_seed=int(doc["extractor"]["seed"]),
+            stats_path=doc["norm_stats"],
+            entries=entries,
         )
-        for e in doc["images"]
-    ]
-    return Manifest(
-        root=root,
-        classes=[int(c) for c in doc["classes"]],
-        image_size=tuple(doc["image_size"]),
-        grid_size=tuple(doc["grid_size"]),
-        feature_depth=int(doc["feature_depth"]),
-        extractor_seed=int(doc["extractor"]["seed"]),
-        stats_path=doc["norm_stats"],
-        entries=entries,
-    )
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"manifest {path} is malformed: {type(e).__name__} {e}")

@@ -16,24 +16,35 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .nn import (
+    MLP,
     AdamState,
-    LinearLayer,
     LossValue,
     PoolingTrace,
     adam_step,
     bce_loss_and_grad,
     global_softmax_prob,
-    init_linear,
     linear_backward,
     linear_fwd,
+    load_checkpoint,
     pixel_softmax_prob,
     relu,
     relu_backward,
+    save_checkpoint,
 )
 from .rng import Rng, derive_seed
 from .tensor import FeatureGrid, NormState
 
 POOLING_MODES = ("global", "pixel")
+
+# max-pooled training occasionally collapses both score channels onto one
+# profile and flatlines at the ln(2) loss plateau; a run whose last epoch
+# loss stays above RESTART_LOSS_THRESHOLD is restarted from a derived seed
+# (deterministic), up to MAX_RESTARTS times
+RESTART_LOSS_THRESHOLD = 0.5
+MAX_RESTARTS = 4
+
+# checkpoint file names of the hidden and output layers: params/layer1_w.dstn ...
+_CHECKPOINT_LAYERS = ("layer1", "layer2")
 
 
 @dataclass(frozen=True)
@@ -67,22 +78,12 @@ class ScoreMap:
 
 
 @dataclass
-class LocalizationModel:
+class LocalizationModel(MLP):
     """hidden-ReLU-2 per-location network; output channel 0 is the foreground
     score, channel 1 the background score."""
 
     class_id: int
-    layer1: LinearLayer
-    layer2: LinearLayer
     pooling: str
-    seed: int
-
-    def params(self) -> list[np.ndarray]:
-        return self.layer1.params() + self.layer2.params()
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        self.layer1.set_params(params[:2])
-        self.layer2.set_params(params[2:])
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,6 @@ class LocConfig:
     # features at desk scale; pass your own schedule for other feature scales.
     lr_schedule: tuple[tuple[int, float], ...] = ((2, 2e-2), (1, 2e-3))
     pooling: str = "global"
-    # max-pooled training occasionally collapses both score channels onto one
-    # profile and flatlines at the ln(2) loss plateau; such runs are restarted
-    # from a derived seed (deterministic), up to max_restarts times
-    restart_loss_threshold: float = 0.5
-    max_restarts: int = 4
 
     def __post_init__(self):
         if self.pooling not in POOLING_MODES:
@@ -115,21 +111,16 @@ class LocTrainResult:
 
 def new_localization_model(class_id: int, in_dim: int, config: LocConfig, seed: int
                            ) -> LocalizationModel:
-    rng = Rng(seed)
-    return LocalizationModel(
-        class_id=class_id,
-        layer1=init_linear(rng, in_dim, config.hidden),
-        layer2=init_linear(rng, config.hidden, 2),
-        pooling=config.pooling,
-        seed=seed,
+    return LocalizationModel.initialized(
+        seed, in_dim, config.hidden, 2, class_id=class_id, pooling=config.pooling
     )
 
 
 def _forward_scores(model: LocalizationModel, x: np.ndarray):
     """x: (N, D) float64 -> (h1 pre-act, hidden act, (N, 2) scores)."""
-    h1 = linear_fwd(model.layer1, x)
+    h1 = linear_fwd(model.hidden, x)
     a1 = relu(h1)
-    y = linear_fwd(model.layer2, a1)
+    y = linear_fwd(model.out, a1)
     return h1, a1, y
 
 
@@ -169,15 +160,15 @@ def train_localizer(
     Negatives are drawn without replacement when enough exist, otherwise with
     replacement up to the positive count. Same seed and data give a
     bit-identical model. A run that never leaves the chance-level loss
-    plateau is retrained from a derived seed (see LocConfig). Raises
+    plateau is retrained from a derived seed (see MAX_RESTARTS). Raises
     DataError without at least one positive and one negative; raises
     NumericError (with the step) if the loss goes non-finite.
     """
     result = _train_localizer_once(class_id, dataset, config, seed)
     attempt = 0
     while (
-        result.epoch_losses[-1] > config.restart_loss_threshold
-        and attempt < config.max_restarts
+        result.epoch_losses[-1] > RESTART_LOSS_THRESHOLD
+        and attempt < MAX_RESTARTS
     ):
         attempt += 1
         result = _train_localizer_once(
@@ -270,9 +261,9 @@ def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int
     lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
     rows = _gradient_rows(trace, x.shape[0])
     dy = np.stack([lv.grads["fg"][rows], lv.grads["bg"][rows]], axis=1)
-    dw2, db2, da1 = linear_backward(model.layer2, a1[rows], dy)
+    dw2, db2, da1 = linear_backward(model.out, a1[rows], dy)
     dh1 = relu_backward(h1[rows], da1)
-    dw1, db1, _ = linear_backward(model.layer1, x[rows], dh1, input_grad=False)
+    dw1, db1, _ = linear_backward(model.hidden, x[rows], dh1, input_grad=False)
     return lv, [dw1, db1, dw2, db2]
 
 
@@ -289,24 +280,15 @@ def _gradient_rows(trace: PoolingTrace, n_locations: int) -> list[int]:
 
 def save_loc_checkpoint(path, result: LocTrainResult) -> None:
     """Checkpoint directory: params as DSTN tensors + JSON sidecar."""
-    from .nn import save_checkpoint
-
     m = result.model
     save_checkpoint(
         path,
-        arrays={
-            "layer1_w": m.layer1.weights,
-            "layer1_b": m.layer1.bias,
-            "layer2_w": m.layer2.weights,
-            "layer2_b": m.layer2.bias,
-        },
+        m,
+        _CHECKPOINT_LAYERS,
         meta={
             "kind": "localization",
             "class_id": m.class_id,
             "pooling": m.pooling,
-            "in_dim": m.layer1.in_dim,
-            "hidden": m.layer1.out_dim,
-            "seed": m.seed,
             "epoch_losses": result.epoch_losses,
             "negative_ids": result.negative_ids,
             "clamp_events": result.clamp_events,
@@ -315,21 +297,7 @@ def save_loc_checkpoint(path, result: LocTrainResult) -> None:
 
 
 def load_loc_checkpoint(path) -> LocalizationModel:
-    from .nn import load_checkpoint
-
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "localization":
-        raise DataError(f"{path}: not a localization checkpoint")
+    fields, meta = load_checkpoint(path, "localization", _CHECKPOINT_LAYERS)
     return LocalizationModel(
-        class_id=int(meta["class_id"]),
-        layer1=LinearLayer(
-            weights=arrays["layer1_w"].astype(np.float64),
-            bias=arrays["layer1_b"].astype(np.float64),
-        ),
-        layer2=LinearLayer(
-            weights=arrays["layer2_w"].astype(np.float64),
-            bias=arrays["layer2_b"].astype(np.float64),
-        ),
-        pooling=meta["pooling"],
-        seed=int(meta["seed"]),
+        **fields, class_id=int(meta["class_id"]), pooling=meta["pooling"]
     )

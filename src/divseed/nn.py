@@ -2,9 +2,12 @@
 
 Everything here operates on (N, dim) float64 arrays where N is the number of
 grid locations; receptive field is always 1x1, so a "layer" is a plain affine
-map applied at every location. Losses return a LossValue carrying the scalar
-loss and gradients w.r.t. their direct inputs; training loops chain those
-through linear_backward / relu_backward by hand.
+map applied at every location. Both models (the per-class localizer and the
+segmentation head) are an MLP: a hidden layer, a ReLU, an output layer. MLP
+holds the layers, their initializer and their checkpoint format; each model
+module runs its own forward and backward chain through linear_fwd,
+linear_backward and relu_backward. Losses return a LossValue carrying the
+scalar loss and gradients w.r.t. their direct inputs.
 
 The localizer's max-pooled loss sends its gradient through at most two
 locations, so its backward (localization.localizer_loss_and_grads) runs the
@@ -69,6 +72,32 @@ def init_linear(rng: Rng, in_dim: int, out_dim: int) -> LinearLayer:
     a = math.sqrt(6.0 / (in_dim + out_dim))
     w = rng.uniform_array(out_dim * in_dim, -a, a).reshape(out_dim, in_dim)
     return LinearLayer(weights=w, bias=np.zeros(out_dim, dtype=np.float64))
+
+
+# No forward/backward here: perfbench traces the nn ops per model module.
+@dataclass
+class MLP:
+    """Per-location network: hidden layer, ReLU, output layer. params() lists
+    hidden weights, hidden bias, output weights, output bias."""
+
+    hidden: LinearLayer
+    out: LinearLayer
+    seed: int  # the initializer's seed
+
+    @classmethod
+    def initialized(cls, seed: int, in_dim: int, hidden: int, out_dim: int, **fields):
+        """Fresh layers from one Rng(seed), the hidden layer drawn first."""
+        rng = Rng(seed)
+        hidden_layer = init_linear(rng, in_dim, hidden)
+        out_layer = init_linear(rng, hidden, out_dim)
+        return cls(hidden=hidden_layer, out=out_layer, seed=seed, **fields)
+
+    def params(self) -> list[np.ndarray]:
+        return self.hidden.params() + self.out.params()
+
+    def set_params(self, params: list[np.ndarray]) -> None:
+        self.hidden.set_params(params[:2])
+        self.out.set_params(params[2:])
 
 
 def linear_fwd(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
@@ -330,20 +359,37 @@ def grad_check(loss_fn, params: list[np.ndarray], rng: Rng, n_coords: int = 100,
 # checkpoints: one DSTN file per parameter array + a JSON sidecar
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Write a checkpoint directory: params/<name>.dstn plus meta.json."""
+def save_checkpoint(path, model: MLP, names: tuple[str, str], meta: dict) -> None:
+    """Write a checkpoint directory: params/<name>_w.dstn and <name>_b.dstn
+    for the hidden and output layers under the two given names, plus
+    meta.json holding meta and the model's in_dim, hidden and seed."""
     os.makedirs(os.path.join(path, "params"), exist_ok=True)
-    for name, arr in arrays.items():
-        save_tensor(arr, os.path.join(path, "params", f"{name}.dstn"))
+    for name, layer in zip(names, (model.hidden, model.out)):
+        save_tensor(layer.weights, os.path.join(path, "params", f"{name}_w.dstn"))
+        save_tensor(layer.bias, os.path.join(path, "params", f"{name}_b.dstn"))
+    meta = {**meta, "in_dim": model.hidden.in_dim, "hidden": model.hidden.out_dim,
+            "seed": model.seed}
     save_json(meta, os.path.join(path, "meta.json"))
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    with open(os.path.join(path, "meta.json")) as fh:
-        meta = json.load(fh)
-    params_dir = os.path.join(path, "params")
-    arrays = {}
-    for name in sorted(os.listdir(params_dir)):
-        if name.endswith(".dstn"):
-            arrays[name[: -len(".dstn")]] = load_tensor(os.path.join(params_dir, name))
-    return arrays, meta
+def load_checkpoint(path, kind: str, names: tuple[str, str]) -> tuple[dict, dict]:
+    """Read a checkpoint written by save_checkpoint with meta["kind"] == kind.
+
+    Returns the MLP fields (hidden, out, seed), with float64 parameters, and
+    the meta document; DataError for another kind or an unreadable meta.
+    """
+    try:
+        with open(os.path.join(path, "meta.json")) as fh:
+            meta = json.load(fh)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: meta.json is not valid JSON: {e}")
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} checkpoint")
+
+    def layer(name):
+        w, b = (load_tensor(os.path.join(path, "params", f"{name}_{part}.dstn"))
+                for part in ("w", "b"))
+        return LinearLayer(weights=w.astype(np.float64), bias=b.astype(np.float64))
+
+    hidden, out = names
+    return {"hidden": layer(hidden), "out": layer(out), "seed": int(meta["seed"])}, meta

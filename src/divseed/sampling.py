@@ -76,31 +76,53 @@ def _unit_locations(f: FeatureGrid) -> np.ndarray:
     return f.grid.locations().astype(np.float64)
 
 
-def sample_diverse_fg(sm: ScoreMap, f: FeatureGrid, k: int) -> list[SampledPoint]:
-    """Greedy score-times-dissimilarity selection of k foreground points.
-
-    Keeps a running per-location max-similarity array so each step costs
-    O(N * D) instead of re-scanning all previous picks.
+def _greedy(
+    image_id: str,
+    label: int,
+    k: int,
+    similarity,
+    objective,
+    max_sim: np.ndarray,
+    available: np.ndarray,
+    lowest: bool = False,
+) -> list[SampledPoint]:
+    """The greedy recursion every non-dense sampler runs: k steps, each taking
+    the first argmax (argmin when lowest) of objective(max_sim) over the
+    available locations, then folding the pick's similarity(loc) row into
+    the running per-location max max_sim, so a step costs O(N * D) instead
+    of re-scanning all previous picks. max_sim and available change in place.
     """
+    best, fill = (np.argmin, np.inf) if lowest else (np.argmax, -np.inf)
+    picks: list[SampledPoint] = []
+    for rank in range(1, k + 1):
+        masked = np.where(available, objective(max_sim), fill)
+        i = int(best(masked))
+        picks.append(SampledPoint(image_id, i, label, rank, float(masked[i])))
+        available[i] = False
+        np.maximum(max_sim, similarity(i), out=max_sim)
+    return picks
+
+
+def _greedy_fg(sm: ScoreMap, k: int, similarity) -> list[SampledPoint]:
+    """k foreground points maximizing score * (1 - max similarity to earlier
+    picks)."""
     scores = _clamped_scores(sm)
-    feats = _unit_locations(f)
     n = scores.shape[0]
-    if feats.shape[0] != n:
-        raise DataError("score map and feature grid shapes differ")
     if k > n:
         raise DataError(f"k={k} exceeds {n} locations")
-    picks: list[SampledPoint] = []
-    available = np.ones(n, dtype=bool)
-    max_sim = np.zeros(n, dtype=np.float64)
-    objective = scores
-    for rank in range(1, k + 1):
-        masked = np.where(available, objective, -np.inf)
-        i = int(np.argmax(masked))
-        picks.append(SampledPoint(sm.image_id, i, sm.class_id, rank, float(masked[i])))
-        available[i] = False
-        np.maximum(max_sim, np.abs(feats @ feats[i]), out=max_sim)
-        objective = scores * (1.0 - max_sim)
-    return picks
+    return _greedy(
+        sm.image_id, sm.class_id, k, similarity,
+        lambda max_sim: scores * (1.0 - max_sim),
+        np.zeros(n, dtype=np.float64), np.ones(n, dtype=bool),
+    )
+
+
+def sample_diverse_fg(sm: ScoreMap, f: FeatureGrid, k: int) -> list[SampledPoint]:
+    """Greedy score-times-dissimilarity selection of k foreground points."""
+    feats = _unit_locations(f)
+    if feats.shape[0] != sm.fg.size:
+        raise DataError("score map and feature grid shapes differ")
+    return _greedy_fg(sm, k, lambda loc: np.abs(feats @ feats[loc]))
 
 
 def sample_diverse_bg(
@@ -117,7 +139,6 @@ def sample_diverse_bg(
     """
     feats = _unit_locations(f)
     n = feats.shape[0]
-    image_id = fg_points[0].image_id if fg_points else ""
     if not fg_points:
         if rng is None:
             raise DataError("no foreground points and no rng for the fallback")
@@ -132,19 +153,18 @@ def sample_diverse_bg(
     if k > n - len(taken):
         raise DataError(f"k={k} exceeds {n - len(taken)} free locations")
     available = np.ones(n, dtype=bool)
-    for loc in taken:
-        available[loc] = False
+    available[list(taken)] = False
+
+    def similarity(loc):
+        return np.abs(feats @ feats[loc])
+
     max_sim = np.zeros(n, dtype=np.float64)
     for p in fg_points:
-        np.maximum(max_sim, np.abs(feats @ feats[p.loc]), out=max_sim)
-    picks: list[SampledPoint] = []
-    for rank in range(1, k + 1):
-        masked = np.where(available, max_sim, np.inf)
-        i = int(np.argmin(masked))
-        picks.append(SampledPoint(image_id, i, BACKGROUND, rank, float(masked[i])))
-        available[i] = False
-        np.maximum(max_sim, np.abs(feats @ feats[i]), out=max_sim)
-    return picks
+        np.maximum(max_sim, similarity(p.loc), out=max_sim)
+    return _greedy(
+        fg_points[0].image_id, BACKGROUND, k, similarity, lambda max_sim: max_sim,
+        max_sim, available, lowest=True,
+    )
 
 
 def sample_top_k(sm: ScoreMap, k: int) -> list[SampledPoint]:
@@ -175,25 +195,10 @@ def default_spatial_scale(shape: tuple[int, int]) -> float:
 def sample_spatial(sm: ScoreMap, k: int, scale: float | None = None) -> list[SampledPoint]:
     """Same greedy recursion as sample_diverse_fg with similarity replaced by
     a Gaussian of euclidean grid distance."""
-    scores = _clamped_scores(sm)
-    n = scores.shape[0]
-    if k > n:
-        raise DataError(f"k={k} exceeds {n} locations")
     shape = sm.fg.shape
     if scale is None:
         scale = default_spatial_scale(shape)
-    picks: list[SampledPoint] = []
-    available = np.ones(n, dtype=bool)
-    max_sim = np.zeros(n, dtype=np.float64)
-    objective = scores
-    for rank in range(1, k + 1):
-        masked = np.where(available, objective, -np.inf)
-        i = int(np.argmax(masked))
-        picks.append(SampledPoint(sm.image_id, i, sm.class_id, rank, float(masked[i])))
-        available[i] = False
-        np.maximum(max_sim, spatial_similarity(shape, i, scale), out=max_sim)
-        objective = scores * (1.0 - max_sim)
-    return picks
+    return _greedy_fg(sm, k, lambda loc: spatial_similarity(shape, loc, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +405,26 @@ def save_points(points: list[SampledPoint], path) -> None:
 
 
 def load_points(path) -> list[SampledPoint]:
+    """Read a points file; DataError naming the file and line for a line
+    that is not JSON or lacks or mistypes a field."""
     points = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            points.append(
-                SampledPoint(
-                    image_id=d["image"],
-                    loc=int(d["loc"]),
-                    label=int(d["label"]),
-                    rank=int(d["rank"]),
-                    value=float(d["value"]),
-                    flags=tuple(d.get("flags", [])),
+            try:
+                d = json.loads(line)
+                points.append(
+                    SampledPoint(
+                        image_id=d["image"],
+                        loc=int(d["loc"]),
+                        label=int(d["label"]),
+                        rank=int(d["rank"]),
+                        value=float(d["value"]),
+                        flags=tuple(d.get("flags", [])),
+                    )
                 )
-            )
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"{path}:{lineno}: malformed point: {type(e).__name__} {e}")
     return points

@@ -28,15 +28,17 @@ from .localization import (
     train_localizer,
 )
 from .nn import (
+    MLP,
     AdamState,
-    LinearLayer,
+    LossValue,
     adam_step,
-    init_linear,
     linear_backward,
     linear_fwd,
+    load_checkpoint,
     masked_ce_loss_and_grad,
     relu,
     relu_backward,
+    save_checkpoint,
 )
 from .rng import Rng, derive_seed
 from .sampling import (
@@ -48,6 +50,9 @@ from .sampling import (
 )
 from .tensor import FeatureGrid, Grid, NormState, l2_normalize_locations
 
+# checkpoint file names of the hidden and output layers: params/hidden_w.dstn ...
+_CHECKPOINT_LAYERS = ("hidden", "out")
+
 
 @dataclass(frozen=True)
 class AugmentedFeatureGrid:
@@ -55,10 +60,6 @@ class AugmentedFeatureGrid:
 
     grid: Grid  # depth = base depth + global_dim
     global_dim: int
-
-    @property
-    def base_depth(self) -> int:
-        return self.grid.depth - self.global_dim
 
 
 def augment_with_global(f: FeatureGrid) -> AugmentedFeatureGrid:
@@ -77,12 +78,9 @@ def augment_with_global(f: FeatureGrid) -> AugmentedFeatureGrid:
 
 
 @dataclass
-class SegmentationModel:
+class SegmentationModel(MLP):
     class_ids: tuple[int, ...]  # ordered foreground universe
-    hidden_layer: LinearLayer
-    out_layer: LinearLayer
     global_dim: int
-    seed: int
 
     @property
     def n_classes(self) -> int:
@@ -91,13 +89,6 @@ class SegmentationModel:
     @property
     def background_index(self) -> int:
         return self.n_classes
-
-    def params(self) -> list[np.ndarray]:
-        return self.hidden_layer.params() + self.out_layer.params()
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        self.hidden_layer.set_params(params[:2])
-        self.out_layer.set_params(params[2:])
 
     def label_to_index(self, label: int) -> int:
         if label == BACKGROUND:
@@ -125,13 +116,9 @@ class SegTrainResult:
 
 def new_segmentation_model(class_ids, in_dim: int, global_dim: int,
                            config: SegConfig, seed: int) -> SegmentationModel:
-    rng = Rng(seed)
-    return SegmentationModel(
-        class_ids=tuple(class_ids),
-        hidden_layer=init_linear(rng, in_dim, config.hidden),
-        out_layer=init_linear(rng, config.hidden, len(class_ids) + 1),
-        global_dim=global_dim,
-        seed=seed,
+    return SegmentationModel.initialized(
+        seed, in_dim, config.hidden, len(class_ids) + 1,
+        class_ids=tuple(class_ids), global_dim=global_dim,
     )
 
 
@@ -201,7 +188,7 @@ def _gather_points(points: list[SampledPoint],
     locs = np.fromiter((p.loc for p in points), dtype=np.int64, count=n)
     by_image = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[by_image], np.arange(len(image_index) + 1))
-    x = np.empty((n, model.hidden_layer.in_dim), dtype=np.float64)
+    x = np.empty((n, model.hidden.in_dim), dtype=np.float64)
     for image_id, c in image_index.items():
         rows = by_image[bounds[c] : bounds[c + 1]]
         x[rows] = features_by_image[image_id].grid.locations()[locs[rows]]
@@ -215,16 +202,26 @@ def _gather_points(points: list[SampledPoint],
 
 def _seg_step(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
               state: AdamState) -> float:
-    h1 = linear_fwd(model.hidden_layer, xb)
-    a1 = relu(h1)
-    logits = linear_fwd(model.out_layer, a1)
-    lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
-    dlogits = lv.grads["logits"]
-    dw2, db2, da1 = linear_backward(model.out_layer, a1, dlogits)
-    dh1 = relu_backward(h1, da1)
-    dw1, db1, _ = linear_backward(model.hidden_layer, xb, dh1, input_grad=False)
-    model.set_params(adam_step(model.params(), [dw1, db1, dw2, db2], state))
+    lv, grads = head_loss_and_grads(model, xb, yb)
+    model.set_params(adam_step(model.params(), grads, state))
     return lv.loss
+
+
+def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
+                        ) -> tuple[LossValue, list[np.ndarray]]:
+    """Mean cross-entropy of a batch of points and its gradients w.r.t.
+    model.params(): the backward the head trains with.
+
+    xb: (m, D) float64 point features; yb: (m,) output indices, one per row.
+    """
+    h1 = linear_fwd(model.hidden, xb)
+    a1 = relu(h1)
+    logits = linear_fwd(model.out, a1)
+    lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
+    dw2, db2, da1 = linear_backward(model.out, a1, lv.grads["logits"])
+    dh1 = relu_backward(h1, da1)
+    dw1, db1, _ = linear_backward(model.hidden, xb, dh1, input_grad=False)
+    return lv, [dw1, db1, dw2, db2]
 
 
 def predict(model: SegmentationModel, af: AugmentedFeatureGrid
@@ -232,12 +229,12 @@ def predict(model: SegmentationModel, af: AugmentedFeatureGrid
     """Dense prediction: (H, W) argmax label indices (background = C, ties to
     the lowest index) and the (H, W, C+1) softmax probability grid."""
     g = af.grid
-    if g.depth != model.hidden_layer.in_dim:
+    if g.depth != model.hidden.in_dim:
         raise DataError(
-            f"predict: feature depth {g.depth} != model input {model.hidden_layer.in_dim}"
+            f"predict: feature depth {g.depth} != model input {model.hidden.in_dim}"
         )
     x = g.locations().astype(np.float64)
-    logits = linear_fwd(model.out_layer, relu(linear_fwd(model.hidden_layer, x)))
+    logits = linear_fwd(model.out, relu(linear_fwd(model.hidden, x)))
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
@@ -324,24 +321,15 @@ def add_class(
 
 
 def save_seg_checkpoint(path, result: SegTrainResult, config: SegConfig) -> None:
-    from .nn import save_checkpoint
-
     m = result.model
     save_checkpoint(
         path,
-        arrays={
-            "hidden_w": m.hidden_layer.weights,
-            "hidden_b": m.hidden_layer.bias,
-            "out_w": m.out_layer.weights,
-            "out_b": m.out_layer.bias,
-        },
+        m,
+        _CHECKPOINT_LAYERS,
         meta={
             "kind": "segmentation",
             "class_ids": list(m.class_ids),
-            "in_dim": m.hidden_layer.in_dim,
-            "hidden": m.hidden_layer.out_dim,
             "global_dim": m.global_dim,
-            "seed": m.seed,
             "lr": config.lr,
             "epochs": config.epochs,
             "batch_size": config.batch_size,
@@ -351,21 +339,9 @@ def save_seg_checkpoint(path, result: SegTrainResult, config: SegConfig) -> None
 
 
 def load_seg_checkpoint(path) -> SegmentationModel:
-    from .nn import load_checkpoint
-
-    arrays, meta = load_checkpoint(path)
-    if meta.get("kind") != "segmentation":
-        raise DataError(f"{path}: not a segmentation checkpoint")
+    fields, meta = load_checkpoint(path, "segmentation", _CHECKPOINT_LAYERS)
     return SegmentationModel(
+        **fields,
         class_ids=tuple(int(c) for c in meta["class_ids"]),
-        hidden_layer=LinearLayer(
-            weights=arrays["hidden_w"].astype(np.float64),
-            bias=arrays["hidden_b"].astype(np.float64),
-        ),
-        out_layer=LinearLayer(
-            weights=arrays["out_w"].astype(np.float64),
-            bias=arrays["out_b"].astype(np.float64),
-        ),
         global_dim=int(meta["global_dim"]),
-        seed=int(meta["seed"]),
     )

@@ -26,7 +26,6 @@ from divseed.nn import (
     global_softmax_prob,
     grad_check,
     init_linear,
-    linear_backward,
     linear_fwd,
     masked_ce_loss_and_grad,
     pixel_softmax_prob,
@@ -51,7 +50,12 @@ from divseed.sampling import (
     sample_diverse_fg,
     sample_spatial,
 )
-from divseed.segmentation import add_class, augment_with_global
+from divseed.segmentation import (
+    SegmentationModel,
+    add_class,
+    augment_with_global,
+    head_loss_and_grads,
+)
 from divseed.synthdata import extract_features, generate_dataset
 from divseed.tensor import FeatureGrid, Grid, NormState, normalize_features
 
@@ -213,8 +217,8 @@ def test_criterion_4_gradient_checks():
         def loss_and_grads(ps, pooling):
             # the backward the localizer trains with
             model = LocalizationModel(
-                class_id=0, layer1=LinearLayer(ps[0], ps[1]),
-                layer2=LinearLayer(ps[2], ps[3]), pooling=pooling, seed=0,
+                hidden=LinearLayer(ps[0], ps[1]), out=LinearLayer(ps[2], ps[3]),
+                seed=0, class_id=0, pooling=pooling,
             )
             lv, grads = localizer_loss_and_grads(model, x, label)
             return lv.loss, grads
@@ -239,18 +243,19 @@ def test_criterion_4_gradient_checks():
             )
             worst[name] = max(worst[name], err)
 
-        labels = [(int(i), int(i % 3)) for i in range(0, x.shape[0], 2)]
-        out = init_linear(Rng(rng.next_u64()), x.shape[1], 3)
+        # the head's loss on every other location, through the backward
+        # the head trains with (hidden layer included)
+        labels = np.arange(0, x.shape[0], 2) % 3
+        head = SegmentationModel.initialized(
+            rng.next_u64(), x.shape[1], 5, 3, class_ids=(0, 1), global_dim=0
+        )
 
         def masked(ps):
-            layer = LinearLayer(ps[0], ps[1])
-            logits = linear_fwd(layer, x)
-            lv = masked_ce_loss_and_grad(logits, labels)
-            dw, db, _ = linear_backward(layer, x, lv.grads["logits"])
-            return lv.loss, [dw, db]
+            head.set_params(ps)
+            lv, grads = head_loss_and_grads(head, x[::2], labels)
+            return lv.loss, grads
 
-        err = grad_check(masked, [out.weights, out.bias],
-                         Rng(rng.next_u64()), n_coords=100)
+        err = grad_check(masked, head.params(), Rng(rng.next_u64()), n_coords=100)
         worst["masked"] = max(worst["masked"], err)
     elapsed = time.perf_counter() - started
     ok = max(worst.values()) < 1e-4 and elapsed < 60.0

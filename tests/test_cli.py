@@ -246,6 +246,75 @@ def test_non_integer_map_class_suffix_is_data_error(workdir, tmp_path):
     assert rc == 3
 
 
+def _edited_manifest(workdir, tmp_path, edit):
+    """A copy of the training manifest with edit(doc) applied, in tmp_path
+    (its file paths then point nowhere; the parse fails first)."""
+    doc = json.loads((workdir / "train" / "manifest.json").read_text())
+    edit(doc)
+    (tmp_path / "manifest.json").write_text(json.dumps(doc))
+    return tmp_path
+
+
+def test_manifest_entry_without_features_is_data_error(workdir, tmp_path, capsys):
+    data = _edited_manifest(workdir, tmp_path, lambda doc: doc["images"][3].pop("features"))
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_manifest_non_integer_tag_is_data_error(workdir, tmp_path, capsys):
+    data = _edited_manifest(workdir, tmp_path,
+                            lambda doc: doc["images"][0].update(tags=["x"]))
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_features_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
+    import shutil
+
+    from divseed.tensor import save_tensor
+
+    data = tmp_path / "train"
+    shutil.copytree(workdir / "train", data)
+    m = load_manifest(str(data))
+    feats = load_tensor(data / m.entries[5].features_path)
+    save_tensor(feats[:, :-1], data / m.entries[5].features_path)
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    assert m.entries[5].features_path in capsys.readouterr().err
+
+
+def _train_seg_on_edited_points(workdir, tmp_path, edit):
+    """train-seg (runs after the chain test) on points.jsonl with its
+    second line replaced by edit(line)."""
+    lines = (workdir / "points.jsonl").read_text().splitlines()
+    lines[1] = edit(lines[1])
+    bad = tmp_path / "points.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    return main([
+        "train-seg", "--points", str(bad), "--features", str(workdir / "train"),
+        "--out", str(tmp_path / "seg.ckpt"),
+    ])
+
+
+def test_truncated_points_line_is_data_error(workdir, tmp_path, capsys):
+    rc = _train_seg_on_edited_points(workdir, tmp_path, lambda line: line[: len(line) // 2])
+    assert rc == 3
+    assert "points.jsonl:2" in capsys.readouterr().err
+
+
+def test_point_without_label_is_data_error(workdir, tmp_path, capsys):
+    def drop_label(line):
+        d = json.loads(line)
+        del d["label"]
+        return json.dumps(d)
+
+    rc = _train_seg_on_edited_points(workdir, tmp_path, drop_label)
+    assert rc == 3
+    assert "points.jsonl:2" in capsys.readouterr().err
+
+
 def test_missing_manifest_is_data_error(tmp_path):
     rc = main([
         "train-loc", "--class", "0", "--data", str(tmp_path / "nope"),

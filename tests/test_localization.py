@@ -185,7 +185,7 @@ def test_non_finite_scores_abort():
     from divseed.errors import NumericError
 
     model = new_localization_model(0, in_dim=3, config=LocConfig(hidden=4), seed=6)
-    model.layer2.weights[0, 0] = np.inf
+    model.out.weights[0, 0] = np.inf
     f = FeatureGrid(
         grid=Grid(np.full((2, 2, 3), 0.5, dtype=np.float32)),
         norm_state=NormState.UNIT,
@@ -205,7 +205,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert model.pooling == result.model.pooling
     # float32 storage round trip
     assert np.array_equal(
-        model.layer1.weights, result.model.layer1.weights.astype(np.float32)
+        model.hidden.weights, result.model.hidden.weights.astype(np.float32)
     )
 
 
@@ -215,15 +215,15 @@ def test_checkpoint_round_trip(tmp_path):
 
 def _dense_loss_and_grads(model, x, label):
     """The backward over every location: the reference chain."""
-    h1 = linear_fwd(model.layer1, x)
+    h1 = linear_fwd(model.hidden, x)
     a1 = relu(h1)
-    y = linear_fwd(model.layer2, a1)
+    y = linear_fwd(model.out, a1)
     p, trace = pooled_probability(model.pooling, y[:, 0], y[:, 1])
     lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
     dy = np.stack([lv.grads["fg"], lv.grads["bg"]], axis=1)
-    dw2, db2, da1 = linear_backward(model.layer2, a1, dy)
+    dw2, db2, da1 = linear_backward(model.out, a1, dy)
     dh1 = relu_backward(h1, da1)
-    dw1, db1, _ = linear_backward(model.layer1, x, dh1)
+    dw1, db1, _ = linear_backward(model.hidden, x, dh1)
     return lv.loss, [dw1, db1, dw2, db2], trace
 
 
@@ -240,8 +240,8 @@ def _assert_sparse_equals_dense(model, x, label):
 def _model(pooling, d, seed, hidden=6):
     model = new_localization_model(0, d, LocConfig(hidden=hidden, pooling=pooling), seed)
     rng = Rng(seed + 1)
-    model.layer1.bias = rng.uniform_array(hidden, -0.3, 0.3)
-    model.layer2.bias = rng.uniform_array(2, -0.3, 0.3)
+    model.hidden.bias = rng.uniform_array(hidden, -0.3, 0.3)
+    model.out.bias = rng.uniform_array(2, -0.3, 0.3)
     return model
 
 
@@ -259,11 +259,11 @@ def test_sparse_backward_at_the_last_location(pooling):
     """Both argmaxes on the last row: the added row is the one before it."""
     n, d = 9, 5
     model = _model(pooling, d, 3)
-    model.layer1.weights = np.abs(model.layer1.weights)
-    model.layer1.bias = np.zeros_like(model.layer1.bias)
-    model.layer2.weights = np.abs(model.layer2.weights)
+    model.hidden.weights = np.abs(model.hidden.weights)
+    model.hidden.bias = np.zeros_like(model.hidden.bias)
+    model.out.weights = np.abs(model.out.weights)
     if pooling == "pixel":
-        model.layer2.weights[1] = 0.0  # fg - bg then peaks where fg does
+        model.out.weights[1] = 0.0  # fg - bg then peaks where fg does
     x = Rng(7).uniform_array(n * d, 0, 1).reshape(n, d)
     x[-1] = 2.0  # dominates every other row, elementwise
     for label in (0, 1):
@@ -273,8 +273,8 @@ def test_sparse_backward_at_the_last_location(pooling):
 
 def test_sparse_backward_with_coinciding_global_argmaxes():
     model = _model("global", 8, 5)
-    model.layer2.weights[1] = model.layer2.weights[0]
-    model.layer2.bias[1] = model.layer2.bias[0]  # bg map equals fg map
+    model.out.weights[1] = model.out.weights[0]
+    model.out.bias[1] = model.out.bias[0]  # bg map equals fg map
     x = Rng(11).uniform_array(16 * 8, -1, 1).reshape(16, 8)
     for label in (0, 1):
         trace = _assert_sparse_equals_dense(model, x, label)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +8,15 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from divseed.errors import DataError
+from divseed.localization import (
+    LocalizationModel,
+    LocTrainResult,
+    load_loc_checkpoint,
+    localizer_loss_and_grads,
+    save_loc_checkpoint,
+)
 from divseed.nn import (
+    MLP,
     AdamState,
     LinearLayer,
     adam_step,
@@ -14,16 +24,21 @@ from divseed.nn import (
     global_softmax_prob,
     grad_check,
     init_linear,
-    linear_backward,
     linear_fwd,
     load_checkpoint,
     masked_ce_loss_and_grad,
     pixel_softmax_prob,
-    relu,
-    relu_backward,
     save_checkpoint,
 )
 from divseed.rng import Rng
+from divseed.segmentation import (
+    SegConfig,
+    SegmentationModel,
+    SegTrainResult,
+    head_loss_and_grads,
+    load_seg_checkpoint,
+    save_seg_checkpoint,
+)
 from divseed.tensor import Grid
 
 
@@ -322,34 +337,29 @@ def test_flat_adam_equals_per_array_update_bitwise():
 # gradient checking
 
 
+def _mlp(params, model_type, **fields):
+    w1, b1, w2, b2 = params
+    return model_type(hidden=LinearLayer(w1, b1), out=LinearLayer(w2, b2), seed=0, **fields)
+
+
 def _mlp_masked_loss(x, labels):
+    """The head's training loss on the labeled (location, class) rows."""
+    locs, classes = np.array(labels).T
+
     def fn(params):
-        w1, b1, w2, b2 = params
-        h = linear_fwd(LinearLayer(w1, b1), x)
-        a = relu(h)
-        logits = linear_fwd(LinearLayer(w2, b2), a)
-        lv = masked_ce_loss_and_grad(logits, labels)
-        dw2, db2, da = linear_backward(LinearLayer(w2, b2), a, lv.grads["logits"])
-        dh = relu_backward(h, da)
-        dw1, db1, _ = linear_backward(LinearLayer(w1, b1), x, dh)
-        return lv.loss, [dw1, db1, dw2, db2]
+        model = _mlp(params, SegmentationModel, class_ids=(0, 1, 2), global_dim=0)
+        lv, grads = head_loss_and_grads(model, x[locs], classes)
+        return lv.loss, grads
 
     return fn
 
 
-def _pooled_bce_loss(x, pool, label):
+def _pooled_bce_loss(x, pooling, label):
+    """The localizer's training loss."""
     def fn(params):
-        w1, b1, w2, b2 = params
-        h = linear_fwd(LinearLayer(w1, b1), x)
-        a = relu(h)
-        y = linear_fwd(LinearLayer(w2, b2), a)
-        p, trace = pool(y[:, 0], y[:, 1])
-        lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
-        dy = np.stack([lv.grads["fg"], lv.grads["bg"]], axis=1)
-        dw2, db2, da = linear_backward(LinearLayer(w2, b2), a, dy)
-        dh = relu_backward(h, da)
-        dw1, db1, _ = linear_backward(LinearLayer(w1, b1), x, dh)
-        return lv.loss, [dw1, db1, dw2, db2]
+        model = _mlp(params, LocalizationModel, class_id=0, pooling=pooling)
+        lv, grads = localizer_loss_and_grads(model, x, label)
+        return lv.loss, grads
 
     return fn
 
@@ -374,9 +384,8 @@ def test_grad_check_masked_ce():
 
 @pytest.mark.parametrize("pool_name", ["pixel", "global"])
 def test_grad_check_pooled_bce(pool_name):
-    pool = pixel_softmax_prob if pool_name == "pixel" else global_softmax_prob
     x, params = _random_net(5, out=2)
-    err = grad_check(_pooled_bce_loss(x, pool, 1), params, Rng(7), n_coords=120)
+    err = grad_check(_pooled_bce_loss(x, pool_name, 1), params, Rng(7), n_coords=120)
     assert err < 1e-4
 
 
@@ -392,14 +401,71 @@ def test_grad_check_constant_loss():
 # checkpoints
 
 
+def _f32_params(model, seed):
+    """Random float32-representable parameters, so a float32 checkpoint
+    holds them exactly."""
+    rng = Rng(seed)
+    model.set_params([
+        rng.uniform_array(p.size, -1, 1).reshape(p.shape).astype(np.float32).astype(np.float64)
+        for p in model.params()
+    ])
+    return model
+
+
 def test_checkpoint_round_trip(tmp_path):
-    arrays_in = {
-        "w": np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32),
-        "b": np.zeros(3, dtype=np.float32),
-    }
-    meta = {"kind": "test", "hidden": 3, "seed": 9}
-    save_checkpoint(tmp_path / "ck", arrays_in, meta)
-    arrays_out, meta_out = load_checkpoint(tmp_path / "ck")
-    assert meta_out == meta
-    assert set(arrays_out) == {"w", "b"}
-    assert np.array_equal(arrays_out["w"], arrays_in["w"])
+    model = _f32_params(MLP.initialized(9, 4, 3, 2), 1)
+    save_checkpoint(tmp_path / "ck", model, ("a", "b"), {"kind": "test", "note": [1]})
+    fields, meta = load_checkpoint(tmp_path / "ck", "test", ("a", "b"))
+    assert meta == {"kind": "test", "note": [1], "in_dim": 4, "hidden": 3, "seed": 9}
+    loaded = MLP(**fields)
+    assert loaded.seed == 9
+    for a, b in zip(loaded.params(), model.params()):
+        assert a.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
+def _loc_checkpoint():
+    model = LocalizationModel.initialized(3, 6, 5, 2, class_id=2, pooling="pixel")
+    save = lambda path, m: save_loc_checkpoint(path, LocTrainResult(m, [0.5], ["x"]))
+    return model, save, load_loc_checkpoint
+
+
+def _seg_checkpoint():
+    model = SegmentationModel.initialized(4, 6, 5, 4, class_ids=(0, 2, 1), global_dim=3)
+    save = lambda path, m: save_seg_checkpoint(path, SegTrainResult(m, [0.5], 0.0), SegConfig())
+    return model, save, load_seg_checkpoint
+
+
+# the file names under params/ are part of the checkpoint format
+@pytest.mark.parametrize("make, files", [
+    (_loc_checkpoint, ["layer1_b.dstn", "layer1_w.dstn", "layer2_b.dstn", "layer2_w.dstn"]),
+    (_seg_checkpoint, ["hidden_b.dstn", "hidden_w.dstn", "out_b.dstn", "out_w.dstn"]),
+], ids=["localization", "segmentation"])
+def test_model_checkpoint_round_trips_bitwise(tmp_path, make, files):
+    model, save, load = make()
+    _f32_params(model, 2)
+    save(tmp_path / "ck", model)
+    assert sorted(os.listdir(tmp_path / "ck" / "params")) == files
+    loaded = load(tmp_path / "ck")
+    assert type(loaded) is type(model)
+    for a, b in zip(loaded.params(), model.params()):
+        assert a.tobytes() == b.tobytes()
+
+    def other_fields(m):
+        return {f.name: getattr(m, f.name) for f in dataclasses.fields(m)
+                if f.name not in ("hidden", "out")}
+
+    assert other_fields(loaded) == other_fields(model)
+
+
+def test_load_checkpoint_rejects_the_wrong_kind(tmp_path):
+    for make, other_load in ((_loc_checkpoint, load_seg_checkpoint),
+                             (_seg_checkpoint, load_loc_checkpoint)):
+        model, save, _ = make()
+        path = tmp_path / type(model).__name__
+        save(path, model)
+        with pytest.raises(DataError, match="checkpoint"):
+            other_load(path)
+    (path / "meta.json").write_text('{"kind": "segm')
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_seg_checkpoint(path)

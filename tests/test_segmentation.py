@@ -85,7 +85,7 @@ def _separable_points(n_images=6, d=6):
 
 def _per_point_gather(points, features, model):
     """One row and one label lookup per point: the reference gather."""
-    x = np.empty((len(points), model.hidden_layer.in_dim), dtype=np.float64)
+    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float64)
     y = np.empty(len(points), dtype=np.int64)
     for i, p in enumerate(points):
         x[i] = features[p.image_id].grid.locations()[p.loc]
@@ -246,7 +246,7 @@ def test_add_class_grows_universe_and_keeps_old_models():
         seed=5,
     )
     assert result.class_ids == (0, 1, 2, 7)
-    assert result.seg_result.model.out_layer.out_dim == 5  # 4 classes + bg
+    assert result.seg_result.model.out.out_dim == 5  # 4 classes + bg
     assert len(result.new_points) > 0
     assert len(result.merged_points) == len(points) + len(result.new_points)
     # only positive new images contribute points, each k fg + k bg
