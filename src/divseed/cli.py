@@ -3,8 +3,10 @@
 Subcommands: gen-data, train-loc, sample, train-seg, predict, eval, ablate,
 add-class, gradcheck, render, run. A single JSON config drives `run` and
 `ablate`; individual stage commands take explicit flags. Flags always win
-over config-file values. `--jobs` (or the DIVSEED_JOBS environment variable)
-sizes the worker pool for per-class localizer training and per-image scoring.
+over config-file values. `--jobs N` on `run` and `ablate` (or the DIVSEED_JOBS
+environment variable) sizes the worker pool for per-class localizer training
+and per-image scoring, in a run and in every seed of an ablation; N below 1
+is a config error.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 I/O or file-format error.
@@ -59,7 +61,7 @@ EXIT_IO = 5
 
 
 def _resolve_jobs(args) -> int:
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         return args.jobs
     env = os.environ.get("DIVSEED_JOBS", "")
     return int(env) if env.isdigit() and int(env) > 0 else 1
@@ -81,8 +83,10 @@ def _load_json_object(path: str) -> dict:
     return doc
 
 
-def _load_config(args) -> pipeline.PipelineConfig:
-    doc = {}
+def _load_config(args, doc: dict | None = None) -> pipeline.PipelineConfig:
+    """The config document (--config, else doc) with --set and the worker
+    count (--jobs, else DIVSEED_JOBS, else 1) on top, validated."""
+    doc = dict(doc or {})
     if getattr(args, "config", None):
         doc = _load_json_object(args.config)
     for item in getattr(args, "set", None) or []:
@@ -248,15 +252,16 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     grid = _load_json_object(args.grid)
-    base = pipeline.PipelineConfig.from_dict(grid.get("base", {}))
+    base_doc = grid.get("base", {})
+    if not isinstance(base_doc, dict):
+        raise ConfigError(f"{args.grid}: base must be a JSON object")
+    base = _load_config(args, base_doc)
     variants = grid.get("variants", [])
     if not variants:
         raise ConfigError("ablation grid has no variants")
     seeds = grid.get("seeds") or [derive_seed(base.seed, i) % 10**6
                                   for i in range(args.seeds)]
-    summary = pipeline.ablation_run(
-        base, variants, seeds, jobs=_resolve_jobs(args), log=print
-    )
+    summary = pipeline.ablation_run(base, variants, seeds, log=print)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_json(summary, args.out + ".json")
     table = pipeline.format_ablation_table(summary)

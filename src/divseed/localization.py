@@ -23,9 +23,11 @@ from .nn import (
     adam_step,
     bce_loss_and_grad,
     global_softmax_prob,
+    is_int,
     linear_backward,
     linear_fwd,
     load_checkpoint,
+    meta_value,
     pixel_softmax_prob,
     relu,
     relu_backward,
@@ -299,5 +301,8 @@ def save_loc_checkpoint(path, result: LocTrainResult) -> None:
 def load_loc_checkpoint(path) -> LocalizationModel:
     fields, meta = load_checkpoint(path, "localization", _CHECKPOINT_LAYERS)
     return LocalizationModel(
-        **fields, class_id=int(meta["class_id"]), pooling=meta["pooling"]
+        **fields,
+        class_id=meta_value(path, meta, "class_id", is_int, "an integer"),
+        pooling=meta_value(path, meta, "pooling", lambda v: v in POOLING_MODES,
+                           f"one of {POOLING_MODES}"),
     )

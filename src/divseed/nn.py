@@ -376,7 +376,8 @@ def load_checkpoint(path, kind: str, names: tuple[str, str]) -> tuple[dict, dict
     """Read a checkpoint written by save_checkpoint with meta["kind"] == kind.
 
     Returns the MLP fields (hidden, out, seed), with float64 parameters, and
-    the meta document; DataError for another kind or an unreadable meta.
+    the meta document; DataError for another kind, an unreadable meta or a
+    seed that is not an integer.
     """
     try:
         with open(os.path.join(path, "meta.json")) as fh:
@@ -392,4 +393,20 @@ def load_checkpoint(path, kind: str, names: tuple[str, str]) -> tuple[dict, dict
         return LinearLayer(weights=w.astype(np.float64), bias=b.astype(np.float64))
 
     hidden, out = names
-    return {"hidden": layer(hidden), "out": layer(out), "seed": int(meta["seed"])}, meta
+    seed = meta_value(path, meta, "seed", is_int, "an integer")
+    return {"hidden": layer(hidden), "out": layer(out), "seed": seed}, meta
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def meta_value(path, meta: dict, key: str, valid, want: str):
+    """meta[key] of the checkpoint at path; DataError naming its meta.json
+    and the key when the key is missing or valid(value) is false."""
+    where = os.path.join(path, "meta.json")
+    if key not in meta:
+        raise DataError(f"{where}: missing key {key!r}")
+    if not valid(meta[key]):
+        raise DataError(f"{where}: {key!r} must be {want}, got {meta[key]!r}")
+    return meta[key]

@@ -8,10 +8,14 @@ comes from a stream derived from the single run seed, one stream per task
 count. Reports and artifact hashes are reproducible bit-for-bit from the
 config.
 
-The stage functions below work in memory and are the only implementation:
-`run_pipeline` and `ablation_run` both call them, and a run's output
-directory is a sink they write to, never read back. So a run and an
-ablation of the same config train and evaluate on bitwise-equal features.
+Each sequence has one implementation, in memory. `run_variant` is the only
+sample -> train-seg -> eval sequence: `run_pipeline` runs it with its output
+directory as the sink, and every ablation variant runs it in memory.
+`ablation_seed` is the only per-seed grid driver (one benchmark, one
+localizer set per pooling mode, every variant, class addition on request);
+`ablation_run` and the acceptance suite call it. A run's output directory is
+written, never read back, so a run and an ablation of the same config train
+and evaluate on bitwise-equal features.
 
 Ground truth is only ever touched here (for evaluation) and in data
 generation; training and sampling code never receives masks.
@@ -24,6 +28,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,12 +38,14 @@ from .dataset import write_dataset
 from .errors import ConfigError, DataError, DivseedError
 from .evaluation import ConfusionMatrix, EvalReport, accumulate, miou
 from .localization import (
+    POOLING_MODES,
     LocalizationModel,
     LocConfig,
     LocTrainResult,
     save_loc_checkpoint,
     train_localizer,
 )
+from .nn import is_int
 from .rng import derive_seed
 from .sampling import (
     STRATEGIES,
@@ -50,10 +57,12 @@ from .sampling import (
     score_tagged_classes,
 )
 from .segmentation import (
+    AddClassResult,
     AugmentedFeatureGrid,
     SegConfig,
     SegmentationModel,
     SegTrainResult,
+    add_class,
     augment_with_global,
     predict,
     save_seg_checkpoint,
@@ -61,8 +70,6 @@ from .segmentation import (
 )
 from .synthdata import ExtractorSpec, downsample_mask, extract_features, generate_dataset
 from .tensor import FeatureGrid, compute_norm_stats, normalize_features, save_json
-
-POOLINGS = ("global", "pixel")
 
 
 @dataclass(frozen=True)
@@ -90,10 +97,12 @@ class PipelineConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            if f.type == "int" and not is_int(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        if self.pooling not in POOLINGS:
-            raise ConfigError(f"unknown pooling {self.pooling!r}, want one of {POOLINGS}")
+        if self.pooling not in POOLING_MODES:
+            raise ConfigError(
+                f"unknown pooling {self.pooling!r}, want one of {POOLING_MODES}"
+            )
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}, want one of {STRATEGIES}"
@@ -162,6 +171,8 @@ _STREAM_EXTRACTOR = 0xE87
 _STREAM_LOC_BASE = 0x10C000
 _STREAM_SAMPLING = 0x5A3F
 _STREAM_SEG = 0x5E60
+_STREAM_ADD_CLASS_DATA = 0xADDDA7A
+_STREAM_ADD_CLASS = 0xADD
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +314,7 @@ def sample_supervision(
 
 
 # ---------------------------------------------------------------------------
-# segmentation head and evaluation
-
-
-def _train_head(
-    bench: Benchmark, points: list[SampledPoint], config: PipelineConfig
-) -> SegTrainResult:
-    return train_segmentation(
-        points, bench.train_features, list(range(bench.n_classes)), config.seg_config(),
-        derive_seed(config.seed, _STREAM_SEG),
-    )
+# evaluation
 
 
 def evaluate_images(
@@ -345,7 +347,7 @@ def evaluate_images(
 
 
 # ---------------------------------------------------------------------------
-# full run against an output directory
+# the stage sequence, and full runs against an output directory
 
 
 def _sha256(path: str) -> str:
@@ -369,6 +371,19 @@ def _hash_tree(root: str) -> dict[str, str]:
     return hashes
 
 
+@contextmanager
+def _stage(stages: list[dict], name: str):
+    """Append the stage's wall-clock seconds to stages. A DivseedError raised
+    in it is re-raised with the stage named; artifacts already written stay
+    on disk."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except DivseedError as e:
+        raise type(e)(f"stage {name}: {e}") from e
+    stages.append({"name": name, "seconds": round(time.perf_counter() - t0, 3)})
+
+
 def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     """Execute all stages, writing artifacts under out_dir.
 
@@ -381,64 +396,18 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     save_json(config.report_echo(), os.path.join(out_dir, "config.json"))
-
     stages = []
-
-    def _timed(name, fn):
-        t0 = time.perf_counter()
-        try:
-            result = fn()
-        except DivseedError as e:
-            # abort with the failing stage named; partial artifacts stay on disk
-            raise type(e)(f"stage {name}: {e}") from e
-        stages.append({"name": name, "seconds": round(time.perf_counter() - t0, 3)})
-        return result
-
-    bench = _timed(
-        "gen-data", lambda: make_benchmark(config, os.path.join(out_dir, "data"))
-    )
-
-    def _loc():
-        results = train_localizers(
+    with _stage(stages, "gen-data"):
+        bench = make_benchmark(config, os.path.join(out_dir, "data"))
+    with _stage(stages, "train-loc"):
+        loc_results = train_localizers(
             bench.train_records, list(range(bench.n_classes)), config.loc_config(),
             config.seed, config.jobs,
         )
-        for c, res in results.items():
+        for c, res in loc_results.items():
             save_loc_checkpoint(os.path.join(out_dir, "loc", f"class_{c}"), res)
-        return results
-
-    loc_results = _timed("train-loc", _loc)
     models = {c: r.model for c, r in loc_results.items()}
-
-    def _sample():
-        points = sample_supervision(
-            bench.train_records, models, config.sampling_config(),
-            derive_seed(config.seed, _STREAM_SAMPLING), jobs=config.jobs,
-        )
-        save_points(points, os.path.join(out_dir, "points.jsonl"))
-        return points
-
-    points = _timed("sample", _sample)
-
-    def _seg():
-        result = _train_head(bench, points, config)
-        save_seg_checkpoint(
-            os.path.join(out_dir, "seg.ckpt"), result, config.seg_config()
-        )
-        return result
-
-    seg_result = _timed("train-seg", _seg)
-
-    def _eval():
-        report, _ = evaluate_images(
-            seg_result.model, bench.test_images, bench.n_classes,
-            config_echo=config.report_echo(),
-        )
-        save_json(report.to_dict(), os.path.join(out_dir, "report.json"))
-        return report
-
-    report = _timed("eval", _eval)
-
+    report, _, _ = run_variant(bench, models, config, out_dir, stages)
     summary = {
         "config": config.report_echo(),
         "stages": stages,
@@ -449,77 +418,172 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     return summary
 
 
-# ---------------------------------------------------------------------------
-# ablation grids
-
-
 def run_variant(
     bench: Benchmark,
     models: dict[int, LocalizationModel],
     config: PipelineConfig,
+    out_dir: str | None = None,
+    stages: list[dict] | None = None,
 ) -> tuple[EvalReport, SegTrainResult, list[SampledPoint]]:
-    """Sampling + segmentation + eval on an existing benchmark and localizer
-    set (the stages a sampling/k variant actually changes)."""
-    points = build_supervision_set(
-        bench.train_records, models, config.sampling_config(),
-        derive_seed(config.seed, _STREAM_SAMPLING),
-    )
-    seg_result = _train_head(bench, points, config)
-    report, _ = evaluate_images(
-        seg_result.model, bench.test_images, bench.n_classes,
-        config_echo=config.report_echo(),
-    )
+    """The sample -> train-seg -> eval stages on a benchmark and a localizer
+    set: all that a sampling or k variant changes. With out_dir, each stage
+    writes its artifact there as it finishes (points.jsonl, seg.ckpt/,
+    report.json); with stages, each stage's timing is appended there."""
+    stages = [] if stages is None else stages
+    with _stage(stages, "sample"):
+        points = sample_supervision(
+            bench.train_records, models, config.sampling_config(),
+            derive_seed(config.seed, _STREAM_SAMPLING), config.jobs,
+        )
+        if out_dir is not None:
+            save_points(points, os.path.join(out_dir, "points.jsonl"))
+    with _stage(stages, "train-seg"):
+        seg_result = train_segmentation(
+            points, bench.train_features, list(range(bench.n_classes)),
+            config.seg_config(), derive_seed(config.seed, _STREAM_SEG),
+        )
+        if out_dir is not None:
+            save_seg_checkpoint(
+                os.path.join(out_dir, "seg.ckpt"), seg_result, config.seg_config()
+            )
+    with _stage(stages, "eval"):
+        report, _ = evaluate_images(
+            seg_result.model, bench.test_images, bench.n_classes,
+            config_echo=config.report_echo(),
+        )
+        if out_dir is not None:
+            save_json(report.to_dict(), os.path.join(out_dir, "report.json"))
     return report, seg_result, points
+
+
+# ---------------------------------------------------------------------------
+# ablation grids
+
+
+def new_class_records(
+    bench: Benchmark, config: PipelineConfig, n_images: int
+) -> list[SupervisionRecord]:
+    """n_images scenes over one class more than the benchmark, with features
+    from its extractor normalized by its frozen training stats: the data
+    class addition learns class n_classes from."""
+    scenes = generate_dataset(
+        n_images, config.n_classes + 1, config.image_size, config.image_size,
+        seed=derive_seed(config.seed, _STREAM_ADD_CLASS_DATA), id_prefix="new",
+    )
+    return [
+        SupervisionRecord(
+            image_id=s.tags.image_id,
+            features=normalize_features(
+                extract_features(s, bench.extractor), bench.norm_stats
+            ),
+            tags=s.tags,
+        )
+        for s in scenes
+    ]
+
+
+@dataclass
+class VariantRun:
+    """What run_variant gave one variant of a grid seed."""
+
+    overrides: dict
+    config: PipelineConfig
+    report: EvalReport
+    seg_result: SegTrainResult
+    points: list[SampledPoint]
+
+
+@dataclass
+class SeedRun:
+    """One seed of an ablation grid: its benchmark, the localizers of each
+    pooling mode, every variant and, once run, the class addition."""
+
+    seed: int
+    bench: Benchmark
+    models: dict[str, dict[int, LocalizationModel]]  # by pooling mode
+    variants: list[VariantRun]
+    added: AddClassResult | None = None
+    added_report: EvalReport | None = None
+
+    def rows(self) -> list[dict]:
+        """The ablation rows of this seed, one per variant."""
+        return [
+            {
+                "variant": variant_name(v.overrides),
+                "overrides": dict(v.overrides),
+                "seed": self.seed,
+                "miou": v.report.miou,
+                "per_class_iou": v.report.per_class_iou,
+            }
+            for v in self.variants
+        ]
+
+    def run_add_class(self, n_images: int) -> None:
+        """Add class n_classes, learned from n_images new images, on top of the
+        first variant's localizers and points, and evaluate the grown head on
+        the benchmark's test images. The existing localizers stay untouched."""
+        first = self.variants[0]
+        cfg = first.config
+        n = self.bench.n_classes
+        self.added = add_class(
+            n, new_class_records(self.bench, cfg, n_images),
+            self.models[cfg.pooling], first.points, self.bench.train_features,
+            list(range(n)), cfg.loc_config(), cfg.sampling_config(),
+            cfg.seg_config(), seed=derive_seed(cfg.seed, _STREAM_ADD_CLASS),
+        )
+        self.added_report, _ = evaluate_images(
+            self.added.seg_result.model, self.bench.test_images, n
+        )
+
+
+def ablation_seed(
+    base: PipelineConfig,
+    variants: list[dict],
+    seed: int,
+    add_class_images: int = 0,
+    log=None,
+) -> SeedRun:
+    """One seed of an ablation grid: one benchmark, one localizer set per
+    pooling mode the variants use (localizer training does not depend on the
+    sampling variant), then run_variant for each variant in order. With
+    add_class_images, class addition follows on the first variant."""
+    log = log or (lambda message: None)
+    seed_cfg = base_with(base, {"seed": seed})
+    configs = [base_with(seed_cfg, v) for v in variants]  # validated before work
+    log(f"[ablate] seed {seed}: generating benchmark")
+    bench = make_benchmark(seed_cfg)
+    models = {}
+    for pooling in sorted({cfg.pooling for cfg in configs}):
+        log(f"[ablate] seed {seed}: training localizers ({pooling})")
+        cfg = base_with(seed_cfg, {"pooling": pooling})
+        results = train_localizers(
+            bench.train_records, list(range(cfg.n_classes)), cfg.loc_config(),
+            cfg.seed, cfg.jobs,
+        )
+        models[pooling] = {c: r.model for c, r in results.items()}
+    runs = []
+    for overrides, cfg in zip(variants, configs):
+        report, seg_result, points = run_variant(bench, models[cfg.pooling], cfg)
+        log(f"[ablate] seed {seed}: {variant_name(overrides)} miou={report.miou:.4f}")
+        runs.append(VariantRun(dict(overrides), cfg, report, seg_result, points))
+    run = SeedRun(seed, bench, models, runs)
+    if add_class_images:
+        run.run_add_class(add_class_images)
+    return run
 
 
 def ablation_run(
     base: PipelineConfig,
     variants: list[dict],
     seeds: list[int],
-    jobs: int = 1,
     log=None,
 ) -> dict:
-    """Full pipeline per (variant, seed) with shared per-seed datasets.
-
-    Each seed builds one benchmark and one localizer set per pooling mode
-    (model training does not depend on the sampling variant); each variant
-    then runs sampling + segmentation + evaluation on top. Rows are returned
-    per (variant, seed), plus per-variant medians and a robustness analysis
-    of any k-sweeps in the grid.
-    """
-    for v in variants:
-        base_with(base, v)  # validate early, before any work
+    """ablation_seed for every seed, summarized: rows per (variant, seed),
+    per-variant medians and a robustness analysis of any k-sweeps in the
+    grid. base.jobs sizes the worker pool."""
     rows = []
     for seed in seeds:
-        seed_cfg = base_with(base, {"seed": seed})
-        if log:
-            log(f"[ablate] seed {seed}: generating benchmark")
-        bench = make_benchmark(seed_cfg)
-        poolings = sorted({base_with(base, v).pooling for v in variants})
-        models_by_pooling = {}
-        for pooling in poolings:
-            cfg = base_with(seed_cfg, {"pooling": pooling})
-            if log:
-                log(f"[ablate] seed {seed}: training localizers ({pooling})")
-            results = train_localizers(
-                bench.train_records, list(range(cfg.n_classes)),
-                cfg.loc_config(), cfg.seed, jobs,
-            )
-            models_by_pooling[pooling] = {c: r.model for c, r in results.items()}
-        for v in variants:
-            cfg = base_with(seed_cfg, v)
-            report, _, _ = run_variant(bench, models_by_pooling[cfg.pooling], cfg)
-            if log:
-                log(f"[ablate] seed {seed}: {variant_name(v)} miou={report.miou:.4f}")
-            rows.append(
-                {
-                    "variant": variant_name(v),
-                    "overrides": dict(v),
-                    "seed": seed,
-                    "miou": report.miou,
-                    "per_class_iou": report.per_class_iou,
-                }
-            )
+        rows += ablation_seed(base, variants, seed, log=log).rows()
     return summarize_ablation(base, rows)
 
 

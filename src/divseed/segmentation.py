@@ -32,10 +32,12 @@ from .nn import (
     AdamState,
     LossValue,
     adam_step,
+    is_int,
     linear_backward,
     linear_fwd,
     load_checkpoint,
     masked_ce_loss_and_grad,
+    meta_value,
     relu,
     relu_backward,
     save_checkpoint,
@@ -342,6 +344,9 @@ def load_seg_checkpoint(path) -> SegmentationModel:
     fields, meta = load_checkpoint(path, "segmentation", _CHECKPOINT_LAYERS)
     return SegmentationModel(
         **fields,
-        class_ids=tuple(int(c) for c in meta["class_ids"]),
-        global_dim=int(meta["global_dim"]),
+        class_ids=tuple(meta_value(
+            path, meta, "class_ids",
+            lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers",
+        )),
+        global_dim=meta_value(path, meta, "global_dim", is_int, "an integer"),
     )

@@ -1,15 +1,17 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 
-Criteria 6-10 share one benchmark grid (5 seeds x the sampling/pooling/k
-variants, with localizers reused across variants that do not retrain them);
-the grid fixture also enforces the single-core runtime budget. Everything
-runs with jobs=1.
+Criteria 6-10 share one benchmark grid, the committed
+configs/strategy_ablation.json (5 seeds x the sampling/pooling/k variants),
+run seed by seed through pipeline.ablation_seed, which reuses localizers
+across variants that do not retrain them; the grid fixture also enforces the
+single-core runtime budget. Everything runs with jobs=1.
 """
 
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,31 +35,20 @@ from divseed.nn import (
 )
 from divseed.pipeline import (
     PipelineConfig,
-    base_with,
-    evaluate_images,
+    ablation_seed,
     format_ablation_table,
-    make_benchmark,
     run_pipeline,
-    run_variant,
     summarize_ablation,
-    train_localizers,
 )
-from divseed.rng import Rng, derive_seed
+from divseed.rng import Rng
 from divseed.sampling import (
     SampledPoint,
-    SupervisionRecord,
     sample_diverse_bg,
     sample_diverse_fg,
     sample_spatial,
 )
-from divseed.segmentation import (
-    SegmentationModel,
-    add_class,
-    augment_with_global,
-    head_loss_and_grads,
-)
-from divseed.synthdata import extract_features, generate_dataset
-from divseed.tensor import FeatureGrid, Grid, NormState, normalize_features
+from divseed.segmentation import SegmentationModel, head_loss_and_grads
+from divseed.tensor import FeatureGrid, Grid, NormState
 
 from reference_samplers import naive_diverse_bg, naive_diverse_fg, naive_spatial
 
@@ -303,65 +294,31 @@ def test_criterion_5_pooling_identities():
 # shared benchmark grid for criteria 6-10
 
 
-GRID_SEEDS = [0, 1, 2, 3, 4]
-VARIANTS = [
-    {"strategy": "diverse", "k": 20},
-    {"strategy": "top_k", "k": 20},
-    {"strategy": "dense"},
-    {"strategy": "spatial", "k": 20},
-    {"strategy": "diverse", "k": 5},
-    {"strategy": "diverse", "k": 10},
-    {"strategy": "diverse", "k": 50},
-    {"strategy": "diverse", "k": 20, "pooling": "pixel"},
-]
+GRID_PATH = Path(__file__).resolve().parents[1] / "configs" / "strategy_ablation.json"
+ADD_CLASS_IMAGES = 150
 
 
 @pytest.fixture(scope="module")
 def grid(tmp_path_factory):
-    """5-seed benchmark sweep + per-seed class addition, single-core."""
+    """The committed strategy-ablation grid (5 seeds x 8 variants) plus a
+    per-seed class addition on the diverse-k20 system, single-core."""
     started = time.perf_counter()
-    base = PipelineConfig()  # the default desk benchmark
+    doc = json.loads(GRID_PATH.read_text())
+    base = PipelineConfig.from_dict(doc["base"])
+    assert doc["variants"][0] == {"strategy": "diverse", "k": 20}
     rows = []
     seg_seconds = []
     addclass = []
     out_dir = tmp_path_factory.mktemp("acceptance")
 
-    for seed in GRID_SEEDS:
-        seed_cfg = base_with(base, {"seed": seed})
-        bench = make_benchmark(seed_cfg)
-        models_by_pooling = {}
-        for pooling in sorted({v.get("pooling", base.pooling) for v in VARIANTS}):
-            cfg = base_with(seed_cfg, {"pooling": pooling})
-            results = train_localizers(
-                bench.train_records, list(range(cfg.n_classes)),
-                cfg.loc_config(), cfg.seed, jobs=1,
-            )
-            models_by_pooling[pooling] = {c: r.model for c, r in results.items()}
-
-        diverse_state = None
-        for overrides in VARIANTS:
-            cfg = base_with(seed_cfg, overrides)
-            report, seg, points = run_variant(
-                bench, models_by_pooling[cfg.pooling], cfg
-            )
-            rows.append(
-                {
-                    "variant": ",".join(
-                        f"{k}={overrides[k]}" for k in sorted(overrides)
-                    ),
-                    "overrides": dict(overrides),
-                    "seed": seed,
-                    "miou": report.miou,
-                    "per_class_iou": report.per_class_iou,
-                }
-            )
-            if overrides == VARIANTS[0]:
-                seg_seconds.append(seg.wall_seconds)
-                diverse_state = (report, points)
+    for seed in doc["seeds"]:
+        run = ablation_seed(base, doc["variants"], seed)
+        rows += run.rows()
+        diverse = run.variants[0]
+        seg_seconds.append(diverse.seg_result.wall_seconds)
 
         # class addition on top of the diverse-k20 system
-        report_before, points = diverse_state
-        models = models_by_pooling[base.pooling]
+        models = run.models[diverse.config.pooling]
         ckpt_dir = out_dir / f"seed{seed}_loc"
         for c in sorted(models):
             save_loc_checkpoint(
@@ -376,34 +333,7 @@ def grid(tmp_path_factory):
         params_before = {
             c: [p.copy() for p in models[c].params()] for c in models
         }
-
-        new_scenes = generate_dataset(
-            150, base.n_classes + 1, base.image_size, base.image_size,
-            seed=derive_seed(seed, 0xADDDA7A), id_prefix="new",
-        )
-        new_records = [
-            SupervisionRecord(
-                image_id=s.tags.image_id,
-                features=normalize_features(
-                    extract_features(s, bench.extractor), bench.norm_stats
-                ),
-                tags=s.tags,
-            )
-            for s in new_scenes
-        ]
-        features = {
-            r.image_id: augment_with_global(r.features)
-            for r in bench.train_records
-        }
-        added = add_class(
-            base.n_classes, new_records, models, points, features,
-            list(range(base.n_classes)), seed_cfg.loc_config(),
-            seed_cfg.sampling_config(), seed_cfg.seg_config(),
-            seed=derive_seed(seed, 0xADD),
-        )
-        report_after, _ = evaluate_images(
-            added.seg_result.model, bench.test_images, base.n_classes
-        )
+        run.run_add_class(ADD_CLASS_IMAGES)
         hashes_after = {
             c: (ckpt_dir / f"class_{c}" / "params" / "layer2_w.dstn").read_bytes()
             for c in sorted(models)
@@ -419,10 +349,10 @@ def grid(tmp_path_factory):
                 "ckpt_identical": hashes_before == hashes_after,
                 "params_identical": params_same,
                 "drops": [
-                    report_before.per_class_iou[c] - report_after.per_class_iou[c]
+                    diverse.report.per_class_iou[c] - run.added_report.per_class_iou[c]
                     for c in range(base.n_classes)
                 ],
-                "retrain_seconds": added.seg_result.wall_seconds,
+                "retrain_seconds": run.added.seg_result.wall_seconds,
             }
         )
 

@@ -228,6 +228,9 @@ def test_invalid_ablation_grid_json_is_config_error(tmp_path):
     grid.write_text('{"variants": [')
     rc = main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "abl")])
     assert rc == 2
+    grid.write_text('{"base": [1], "variants": [{}]}')
+    rc = main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "abl")])
+    assert rc == 2
 
 
 def test_non_integer_set_value_is_config_error(tmp_path):
@@ -381,6 +384,28 @@ def test_jobs_env_fallback(monkeypatch, workdir, tmp_path):
     with pytest.raises(SystemExit):
         main(["run", "--out", str(tmp_path / "o"), "--jobs", "2"])
     assert captured["jobs"] == 2
+    # ablate resolves its worker count the same way, into the base config
+    monkeypatch.setattr(cli.pipeline, "ablation_run", lambda base, *_, **__: spy(base, None))
+    for flag, jobs in (([], 3), (["--jobs", "2"], 2)):
+        with pytest.raises(SystemExit):
+            main(["ablate", "--grid", str(_tiny_grid(tmp_path)), "--out", str(tmp_path / "a")]
+                 + flag)
+        assert captured["jobs"] == jobs
+
+
+def _tiny_grid(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"base": {"n_train": 10}, "variants": [{}], "seeds": [1]}))
+    return grid
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_config_error(tmp_path, capsys, command, jobs):
+    args = ["run"] if command == "run" else ["ablate", "--grid", str(_tiny_grid(tmp_path))]
+    rc = main(args + ["--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert rc == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

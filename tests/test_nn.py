@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 
@@ -469,3 +470,38 @@ def test_load_checkpoint_rejects_the_wrong_kind(tmp_path):
     (path / "meta.json").write_text('{"kind": "segm')
     with pytest.raises(DataError, match="not valid JSON"):
         load_seg_checkpoint(path)
+
+
+_MISSING = object()
+
+
+# every meta key a loader reads, missing or of the wrong kind
+@pytest.mark.parametrize("make, key, value", [
+    (_loc_checkpoint, "seed", _MISSING),
+    (_loc_checkpoint, "seed", "3"),
+    (_loc_checkpoint, "class_id", _MISSING),
+    (_loc_checkpoint, "class_id", 2.5),
+    (_loc_checkpoint, "pooling", _MISSING),
+    (_loc_checkpoint, "pooling", "avg"),
+    (_seg_checkpoint, "seed", _MISSING),
+    (_seg_checkpoint, "seed", True),
+    (_seg_checkpoint, "class_ids", _MISSING),
+    (_seg_checkpoint, "class_ids", 3),
+    (_seg_checkpoint, "class_ids", [0, "2"]),
+    (_seg_checkpoint, "global_dim", _MISSING),
+    (_seg_checkpoint, "global_dim", 3.0),
+], ids=lambda v: "missing" if v is _MISSING else None)
+def test_bad_checkpoint_meta_is_data_error_naming_file_and_key(tmp_path, make, key, value):
+    model, save, load = make()
+    save(tmp_path / "ck", model)
+    meta_path = tmp_path / "ck" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    if value is _MISSING:
+        del meta[key]
+    else:
+        meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(DataError) as err:
+        load(tmp_path / "ck")
+    assert str(meta_path) in str(err.value)
+    assert repr(key) in str(err.value)

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from divseed.errors import ConfigError, DataError
 from divseed.pipeline import (
     PipelineConfig,
     EvalImage,
+    ablation_seed,
     base_with,
     evaluate_images,
     format_ablation_table,
@@ -20,8 +24,9 @@ from divseed.pipeline import (
     train_localizers,
 )
 from divseed.rng import derive_seed
-from divseed.sampling import build_supervision_set
-from divseed.segmentation import new_segmentation_model, SegConfig
+from divseed.sampling import build_supervision_set, save_points
+from divseed.segmentation import new_segmentation_model, save_seg_checkpoint, SegConfig
+from divseed.tensor import save_json
 
 # small but real: big enough for localizers to train, small enough for CI
 TINY = PipelineConfig(seed=3, n_train=80, n_test=16, n_classes=2, image_size=32)
@@ -103,6 +108,32 @@ def test_run_variant_reports_sane_miou(tiny_bench, tiny_models):
     assert seg.wall_seconds < 60
 
 
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.slow
+def test_ablation_seed_equals_the_benchmark_hand_loop(tmp_path):
+    """The per-seed driver gives the variant mIoUs and the class addition of
+    the loop the benchmark's ablation-seed workload writes out by hand:
+    make_benchmark, train_localizers, run_variant per variant, add_class."""
+    workloads = _perfbench_workloads()
+    hand = workloads.AblationSeed.tiny(5, str(tmp_path))
+    mious, untouched, added_miou = hand.run()
+    run = ablation_seed(
+        hand.config, workloads.VARIANTS, 5,
+        add_class_images=workloads.TINY_ADD_CLASS_IMAGES,
+    )
+    assert {row["variant"]: row["miou"] for row in run.rows()} == mious
+    assert untouched
+    assert run.added_report.miou == added_miou
+
+
 def test_sample_supervision_jobs_equivalent(tiny_bench, tiny_models):
     seed = derive_seed(TINY.seed, 0x5A3F)
     seq = sample_supervision(
@@ -170,8 +201,12 @@ def test_evaluate_images_rejects_unknown_truth():
 # full run on disk
 
 
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.mark.slow
-def test_run_pipeline_writes_artifacts(tmp_path):
+def test_run_pipeline_writes_artifacts(tiny_bench, tiny_models, tmp_path):
     out = tmp_path / "run"
     summary = run_pipeline(TINY, str(out))
     for rel in ("config.json", "report.json", "summary.json", "points.jsonl"):
@@ -186,6 +221,15 @@ def test_run_pipeline_writes_artifacts(tmp_path):
     # report echoes the semantic config
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["n_train"] == 80
+    # one stage sequence: the points, head and report are run_variant's on the
+    # in-memory benchmark and localizers of the same config
+    report, seg, points = run_variant(tiny_bench, tiny_models, TINY)
+    save_points(points, str(tmp_path / "points.jsonl"))
+    save_seg_checkpoint(str(tmp_path / "seg.ckpt"), seg, TINY.seg_config())
+    save_json(report.to_dict(), str(tmp_path / "report.json"))
+    for name in ("points.jsonl", "report.json"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert _files(out / "seg.ckpt") == _files(tmp_path / "seg.ckpt")
 
 
 @pytest.mark.slow
