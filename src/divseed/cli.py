@@ -5,8 +5,7 @@ add-class, gradcheck, render, run. A single JSON config drives `run` and
 `ablate`; individual stage commands take explicit flags. Flags always win
 over config-file values. `--jobs N` on `run` and `ablate` (or the DIVSEED_JOBS
 environment variable) sizes the worker pool for per-class localizer training
-and per-image scoring, in a run and in every seed of an ablation; N below 1
-is a config error.
+and, in a run, per-image scoring; N below 1 is a config error.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 I/O or file-format error.
@@ -83,10 +82,8 @@ def _load_json_object(path: str) -> dict:
     return doc
 
 
-def _load_config(args, doc: dict | None = None) -> pipeline.PipelineConfig:
-    """The config document (--config, else doc) with --set and the worker
-    count (--jobs, else DIVSEED_JOBS, else 1) on top, validated."""
-    doc = dict(doc or {})
+def _load_config(args) -> pipeline.PipelineConfig:
+    doc = {}
     if getattr(args, "config", None):
         doc = _load_json_object(args.config)
     for item in getattr(args, "set", None) or []:
@@ -255,7 +252,9 @@ def cmd_ablate(args) -> int:
     base_doc = grid.get("base", {})
     if not isinstance(base_doc, dict):
         raise ConfigError(f"{args.grid}: base must be a JSON object")
-    base = _load_config(args, base_doc)
+    base = pipeline.base_with(
+        pipeline.PipelineConfig.from_dict(base_doc), {"jobs": _resolve_jobs(args)}
+    )
     variants = grid.get("variants", [])
     if not variants:
         raise ConfigError("ablation grid has no variants")

@@ -8,14 +8,10 @@ comes from a stream derived from the single run seed, one stream per task
 count. Reports and artifact hashes are reproducible bit-for-bit from the
 config.
 
-Each sequence has one implementation, in memory. `run_variant` is the only
-sample -> train-seg -> eval sequence: `run_pipeline` runs it with its output
-directory as the sink, and every ablation variant runs it in memory.
-`ablation_seed` is the only per-seed grid driver (one benchmark, one
-localizer set per pooling mode, every variant, class addition on request);
-`ablation_run` and the acceptance suite call it. A run's output directory is
-written, never read back, so a run and an ablation of the same config train
-and evaluate on bitwise-equal features.
+`run_variant` is the one sample -> train-seg -> eval sequence, for a run and
+for every ablation variant; `ablation_seed` is the one per-seed grid driver.
+A run's output directory is written, never read back, so a run and an
+ablation of the same config train and evaluate on bitwise-equal features.
 
 Ground truth is only ever touched here (for evaluation) and in data
 generation; training and sampling code never receives masks.
@@ -484,8 +480,6 @@ def new_class_records(
 
 @dataclass
 class VariantRun:
-    """What run_variant gave one variant of a grid seed."""
-
     overrides: dict
     config: PipelineConfig
     report: EvalReport
@@ -495,18 +489,12 @@ class VariantRun:
 
 @dataclass
 class SeedRun:
-    """One seed of an ablation grid: its benchmark, the localizers of each
-    pooling mode, every variant and, once run, the class addition."""
-
     seed: int
     bench: Benchmark
     models: dict[str, dict[int, LocalizationModel]]  # by pooling mode
     variants: list[VariantRun]
-    added: AddClassResult | None = None
-    added_report: EvalReport | None = None
 
     def rows(self) -> list[dict]:
-        """The ablation rows of this seed, one per variant."""
         return [
             {
                 "variant": variant_name(v.overrides),
@@ -518,35 +506,28 @@ class SeedRun:
             for v in self.variants
         ]
 
-    def run_add_class(self, n_images: int) -> None:
+    def run_add_class(self, n_images: int) -> tuple[AddClassResult, EvalReport]:
         """Add class n_classes, learned from n_images new images, on top of the
-        first variant's localizers and points, and evaluate the grown head on
-        the benchmark's test images. The existing localizers stay untouched."""
+        first variant's localizers and points; the grown head's result and its
+        report on the benchmark's test images."""
         first = self.variants[0]
         cfg = first.config
         n = self.bench.n_classes
-        self.added = add_class(
+        added = add_class(
             n, new_class_records(self.bench, cfg, n_images),
             self.models[cfg.pooling], first.points, self.bench.train_features,
             list(range(n)), cfg.loc_config(), cfg.sampling_config(),
             cfg.seg_config(), seed=derive_seed(cfg.seed, _STREAM_ADD_CLASS),
         )
-        self.added_report, _ = evaluate_images(
-            self.added.seg_result.model, self.bench.test_images, n
-        )
+        report, _ = evaluate_images(added.seg_result.model, self.bench.test_images, n)
+        return added, report
 
 
 def ablation_seed(
-    base: PipelineConfig,
-    variants: list[dict],
-    seed: int,
-    add_class_images: int = 0,
-    log=None,
+    base: PipelineConfig, variants: list[dict], seed: int, log=None
 ) -> SeedRun:
     """One seed of an ablation grid: one benchmark, one localizer set per
-    pooling mode the variants use (localizer training does not depend on the
-    sampling variant), then run_variant for each variant in order. With
-    add_class_images, class addition follows on the first variant."""
+    pooling mode the variants use, then run_variant for each variant."""
     log = log or (lambda message: None)
     seed_cfg = base_with(base, {"seed": seed})
     configs = [base_with(seed_cfg, v) for v in variants]  # validated before work
@@ -563,13 +544,14 @@ def ablation_seed(
         models[pooling] = {c: r.model for c, r in results.items()}
     runs = []
     for overrides, cfg in zip(variants, configs):
-        report, seg_result, points = run_variant(bench, models[cfg.pooling], cfg)
+        # scored in this process: a new scoring pool per variant costs more
+        # than it saves (a 2-core grid ran 11% slower with one)
+        report, seg_result, points = run_variant(
+            bench, models[cfg.pooling], base_with(cfg, {"jobs": 1})
+        )
         log(f"[ablate] seed {seed}: {variant_name(overrides)} miou={report.miou:.4f}")
         runs.append(VariantRun(dict(overrides), cfg, report, seg_result, points))
-    run = SeedRun(seed, bench, models, runs)
-    if add_class_images:
-        run.run_add_class(add_class_images)
-    return run
+    return SeedRun(seed, bench, models, runs)
 
 
 def ablation_run(
@@ -579,8 +561,7 @@ def ablation_run(
     log=None,
 ) -> dict:
     """ablation_seed for every seed, summarized: rows per (variant, seed),
-    per-variant medians and a robustness analysis of any k-sweeps in the
-    grid. base.jobs sizes the worker pool."""
+    per-variant medians and a robustness analysis of any k-sweeps."""
     rows = []
     for seed in seeds:
         rows += ablation_seed(base, variants, seed, log=log).rows()

@@ -305,6 +305,10 @@ def grid(tmp_path_factory):
     started = time.perf_counter()
     doc = json.loads(GRID_PATH.read_text())
     base = PipelineConfig.from_dict(doc["base"])
+    # criteria 6-10 hold on this grid: the default benchmark, 5 seeds, 8
+    # variants with diverse k=20 first; a change to the file must show here
+    assert doc["base"] == {} and doc["seeds"] == [0, 1, 2, 3, 4]
+    assert len(doc["variants"]) == 8
     assert doc["variants"][0] == {"strategy": "diverse", "k": 20}
     rows = []
     seg_seconds = []
@@ -333,7 +337,7 @@ def grid(tmp_path_factory):
         params_before = {
             c: [p.copy() for p in models[c].params()] for c in models
         }
-        run.run_add_class(ADD_CLASS_IMAGES)
+        added, added_report = run.run_add_class(ADD_CLASS_IMAGES)
         hashes_after = {
             c: (ckpt_dir / f"class_{c}" / "params" / "layer2_w.dstn").read_bytes()
             for c in sorted(models)
@@ -349,10 +353,10 @@ def grid(tmp_path_factory):
                 "ckpt_identical": hashes_before == hashes_after,
                 "params_identical": params_same,
                 "drops": [
-                    diverse.report.per_class_iou[c] - run.added_report.per_class_iou[c]
+                    diverse.report.per_class_iou[c] - added_report.per_class_iou[c]
                     for c in range(base.n_classes)
                 ],
-                "retrain_seconds": run.added.seg_result.wall_seconds,
+                "retrain_seconds": added.seg_result.wall_seconds,
             }
         )
 

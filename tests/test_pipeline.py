@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -108,30 +107,21 @@ def test_run_variant_reports_sane_miou(tiny_bench, tiny_models):
     assert seg.wall_seconds < 60
 
 
-def _perfbench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.slow
 def test_ablation_seed_equals_the_benchmark_hand_loop(tmp_path):
     """The per-seed driver gives the variant mIoUs and the class addition of
     the loop the benchmark's ablation-seed workload writes out by hand:
     make_benchmark, train_localizers, run_variant per variant, add_class."""
-    workloads = _perfbench_workloads()
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
     hand = workloads.AblationSeed.tiny(5, str(tmp_path))
     mious, untouched, added_miou = hand.run()
-    run = ablation_seed(
-        hand.config, workloads.VARIANTS, 5,
-        add_class_images=workloads.TINY_ADD_CLASS_IMAGES,
-    )
+    run = ablation_seed(hand.config, workloads.VARIANTS, 5)
+    _, added_report = run.run_add_class(workloads.TINY_ADD_CLASS_IMAGES)
     assert {row["variant"]: row["miou"] for row in run.rows()} == mious
     assert untouched
-    assert run.added_report.miou == added_miou
+    assert added_report.miou == added_miou
 
 
 def test_sample_supervision_jobs_equivalent(tiny_bench, tiny_models):
