@@ -3,9 +3,10 @@
 Subcommands: gen-data, train-loc, sample, train-seg, predict, eval, ablate,
 add-class, gradcheck, render, run. A single JSON config drives `run` and
 `ablate`; individual stage commands take explicit flags. Flags always win
-over config-file values. `--jobs N` on `run` and `ablate` (or the DIVSEED_JOBS
-environment variable) sizes the worker pool for per-class localizer training
-and, in a run, per-image scoring; N below 1 is a config error.
+over config-file values. `--jobs N` on `run` and `ablate`, else a `jobs` value
+in the config document, else the DIVSEED_JOBS environment variable, sizes the
+worker pool for per-class localizer training; N below 1 is a config error.
+Point sampling always runs in-process.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 I/O or file-format error.
@@ -59,11 +60,20 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
-def _resolve_jobs(args) -> int:
+def _with_jobs(args, doc: dict) -> dict:
+    """The config document with its worker count resolved: --jobs, else the
+    document's own `jobs`, else DIVSEED_JOBS, else 1. A DIVSEED_JOBS that is
+    not an integer >= 1 is a ConfigError."""
     if getattr(args, "jobs", None) is not None:
-        return args.jobs
+        return {**doc, "jobs": args.jobs}
+    if "jobs" in doc:
+        return doc
     env = os.environ.get("DIVSEED_JOBS", "")
-    return int(env) if env.isdigit() and int(env) > 0 else 1
+    if not env:
+        return {**doc, "jobs": 1}
+    if not (env.isdigit() and int(env) > 0):
+        raise ConfigError(f"DIVSEED_JOBS must be an integer >= 1, got {env!r}")
+    return {**doc, "jobs": int(env)}
 
 
 def _strategy_name(cli_name: str) -> str:
@@ -94,11 +104,7 @@ def _load_config(args) -> pipeline.PipelineConfig:
             doc[key] = json.loads(raw)
         except json.JSONDecodeError:
             doc[key] = raw
-    cfg = pipeline.PipelineConfig.from_dict(doc)
-    jobs = _resolve_jobs(args)
-    if jobs != cfg.jobs:
-        cfg = pipeline.base_with(cfg, {"jobs": jobs})
-    return cfg
+    return pipeline.PipelineConfig.from_dict(_with_jobs(args, doc))
 
 
 # --------------------------------------------------------------------------
@@ -178,10 +184,7 @@ def cmd_sample(args) -> int:
     )
     # the scores come from the map directory, so no models are needed; an
     # image without exported maps (no positive tag) gets background only
-    points = build_supervision_set(
-        records, {}, config, args.seed,
-        maps_by_image={r.image_id: maps.get(r.image_id, {}) for r in records},
-    )
+    points = build_supervision_set(records, {}, config, args.seed, maps_by_image=maps)
     save_points(points, args.out)
     print(f"{len(points)} points -> {args.out}")
     return EXIT_OK
@@ -252,9 +255,7 @@ def cmd_ablate(args) -> int:
     base_doc = grid.get("base", {})
     if not isinstance(base_doc, dict):
         raise ConfigError(f"{args.grid}: base must be a JSON object")
-    base = pipeline.base_with(
-        pipeline.PipelineConfig.from_dict(base_doc), {"jobs": _resolve_jobs(args)}
-    )
+    base = pipeline.PipelineConfig.from_dict(_with_jobs(args, base_doc))
     variants = grid.get("variants", [])
     if not variants:
         raise ConfigError("ablation grid has no variants")

@@ -126,13 +126,28 @@ def _forward_scores(model: LocalizationModel, x: np.ndarray):
     return h1, a1, y
 
 
+def score_batch(model: LocalizationModel, x: np.ndarray) -> np.ndarray:
+    """One forward pass over the locations of B images of one grid size.
+
+    x: (B, N, D) float64 unit features -> (B, N, 2) float32 fg/bg scores,
+    each image's equal bit for bit to its own forward pass. NumericError if
+    any score is non-finite.
+    """
+    b, n, d = x.shape
+    _, _, y = _forward_scores(model, x.reshape(b * n, d))
+    scores = y.astype(np.float32).reshape(b, n, 2)
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite score map")
+    return scores
+
+
 def score_image(model: LocalizationModel, f: FeatureGrid, image_id: str = "") -> ScoreMap:
     """Deterministic forward pass to fg/bg maps at feature-grid resolution."""
     _require_unit(f)
     g = f.grid
-    _, _, y = _forward_scores(model, g.locations().astype(np.float64))
-    fg = y[:, 0].reshape(g.height, g.width).astype(np.float32)
-    bg = y[:, 1].reshape(g.height, g.width).astype(np.float32)
+    y = score_batch(model, g.locations().astype(np.float64)[None])[0]
+    fg = np.ascontiguousarray(y[:, 0]).reshape(g.height, g.width)
+    bg = np.ascontiguousarray(y[:, 1]).reshape(g.height, g.width)
     return ScoreMap(class_id=model.class_id, image_id=image_id, fg=fg, bg=bg)
 
 

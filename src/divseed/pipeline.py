@@ -5,8 +5,10 @@ A pipeline run is: generate data -> train one localizer per class -> sample
 points -> train the segmentation head -> evaluate. Every stage's randomness
 comes from a stream derived from the single run seed, one stream per task
 (class, image, stage), so results are independent of scheduling and worker
-count. Reports and artifact hashes are reproducible bit-for-bit from the
-config.
+count. `jobs` fans out only localizer training, one class per task; points
+are sampled in-process by sampling's lockstep core and flow on as a
+`PointSet` of columns. Reports and artifact hashes are reproducible
+bit-for-bit from the config.
 
 `run_variant` is the one sample -> train-seg -> eval sequence, for a run and
 for every ablation variant; `ablation_seed` is the one per-seed grid driver.
@@ -45,12 +47,11 @@ from .nn import is_int
 from .rng import derive_seed
 from .sampling import (
     STRATEGIES,
-    SampledPoint,
+    PointSet,
     SamplingConfig,
     SupervisionRecord,
     build_supervision_set,
     save_points,
-    score_tagged_classes,
 )
 from .segmentation import (
     AddClassResult,
@@ -248,7 +249,8 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
 
 
 # ---------------------------------------------------------------------------
-# localizer training, optionally fanned out over processes
+# localizer training and point sampling; localizers optionally fanned out
+# over processes
 
 
 def _loc_task(args):
@@ -277,36 +279,16 @@ def train_localizers(
     return {c: results[c] for c in sorted(results)}
 
 
-def _score_task(args):
-    indexed, models = args
-    return [(rec.image_id, score_tagged_classes(rec, models)) for rec in indexed]
-
-
 def sample_supervision(
     records: list[SupervisionRecord],
     models: dict[int, LocalizationModel],
     sampling_config: SamplingConfig,
     seed: int,
-    jobs: int = 1,
-) -> list[SampledPoint]:
-    """build_supervision_set with per-image scoring optionally fanned out.
-
-    Only the scoring forward passes move to workers; the greedy selection
-    itself runs in order in the parent, so the output is identical for any
-    worker count.
-    """
-    maps_by_image = None
-    if jobs > 1 and len(records) > 1:
-        chunks = [(records[i::jobs], models) for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            maps_by_image = {
-                image_id: maps
-                for part in pool.map(_score_task, chunks)
-                for image_id, maps in part
-            }
-    return build_supervision_set(
-        records, models, sampling_config, seed, maps_by_image=maps_by_image
-    )
+) -> PointSet:
+    """The sample stage: build_supervision_set over the training records, in
+    this process. Scoring is one forward pass per class over a chunk of
+    images, cheaper than starting a worker pool."""
+    return build_supervision_set(records, models, sampling_config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +402,7 @@ def run_variant(
     config: PipelineConfig,
     out_dir: str | None = None,
     stages: list[dict] | None = None,
-) -> tuple[EvalReport, SegTrainResult, list[SampledPoint]]:
+) -> tuple[EvalReport, SegTrainResult, PointSet]:
     """The sample -> train-seg -> eval stages on a benchmark and a localizer
     set: all that a sampling or k variant changes. With out_dir, each stage
     writes its artifact there as it finishes (points.jsonl, seg.ckpt/,
@@ -429,7 +411,7 @@ def run_variant(
     with _stage(stages, "sample"):
         points = sample_supervision(
             bench.train_records, models, config.sampling_config(),
-            derive_seed(config.seed, _STREAM_SAMPLING), config.jobs,
+            derive_seed(config.seed, _STREAM_SAMPLING),
         )
         if out_dir is not None:
             save_points(points, os.path.join(out_dir, "points.jsonl"))
@@ -484,7 +466,7 @@ class VariantRun:
     config: PipelineConfig
     report: EvalReport
     seg_result: SegTrainResult
-    points: list[SampledPoint]
+    points: PointSet
 
 
 @dataclass
@@ -544,11 +526,7 @@ def ablation_seed(
         models[pooling] = {c: r.model for c, r in results.items()}
     runs = []
     for overrides, cfg in zip(variants, configs):
-        # scored in this process: a new scoring pool per variant costs more
-        # than it saves (a 2-core grid ran 11% slower with one)
-        report, seg_result, points = run_variant(
-            bench, models[cfg.pooling], base_with(cfg, {"jobs": 1})
-        )
+        report, seg_result, points = run_variant(bench, models[cfg.pooling], cfg)
         log(f"[ablate] seed {seed}: {variant_name(overrides)} miou={report.miou:.4f}")
         runs.append(VariantRun(dict(overrides), cfg, report, seg_result, points))
     return SeedRun(seed, bench, models, runs)

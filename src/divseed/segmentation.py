@@ -24,7 +24,6 @@ from .localization import (
     LocalizationModel,
     LocConfig,
     LocTrainResult,
-    score_image,
     train_localizer,
 )
 from .nn import (
@@ -45,10 +44,10 @@ from .nn import (
 from .rng import Rng, derive_seed
 from .sampling import (
     BACKGROUND,
-    SampledPoint,
+    PointSet,
     SamplingConfig,
     SupervisionRecord,
-    sample_image,
+    sample_class_points,
 )
 from .tensor import FeatureGrid, Grid, NormState, l2_normalize_locations
 
@@ -125,13 +124,14 @@ def new_segmentation_model(class_ids, in_dim: int, global_dim: int,
 
 
 def train_segmentation(
-    points: list[SampledPoint],
+    points: PointSet,
     features_by_image: dict[str, AugmentedFeatureGrid],
     class_ids,
     config: SegConfig,
     seed: int,
 ) -> SegTrainResult:
-    """Train the per-location head on the pooled point set.
+    """Train the per-location head on the pooled point set (a PointSet, or a
+    list of SampledPoint rows).
 
     Points are gathered into one (n, D) matrix, shuffled with the seeded
     stream each epoch, and consumed in batches of config.batch_size under
@@ -140,7 +140,8 @@ def train_segmentation(
     if not points:
         raise DataError("train_segmentation: empty point set")
     started = time.perf_counter()
-    missing = sorted({p.image_id for p in points} - set(features_by_image))
+    points = PointSet.of(points)
+    missing = sorted(set(points.image_ids) - set(features_by_image))
     if missing:
         raise DataError(f"points reference images without features: {missing[:5]}")
 
@@ -176,28 +177,19 @@ def train_segmentation(
     )
 
 
-def _gather_points(points: list[SampledPoint],
+def _gather_points(points: PointSet,
                    features_by_image: dict[str, AugmentedFeatureGrid],
                    model: SegmentationModel) -> tuple[np.ndarray, np.ndarray]:
     """(n, D) float64 point features and (n,) output indices, in point order:
     one fancy-index per image, labels mapped through a per-label lookup."""
-    n = len(points)
-    image_index: dict[str, int] = {}
-    codes = np.fromiter(
-        (image_index.setdefault(p.image_id, len(image_index)) for p in points),
-        dtype=np.int64, count=n,
-    )
-    locs = np.fromiter((p.loc for p in points), dtype=np.int64, count=n)
-    by_image = np.argsort(codes, kind="stable")
-    bounds = np.searchsorted(codes[by_image], np.arange(len(image_index) + 1))
-    x = np.empty((n, model.hidden.in_dim), dtype=np.float64)
-    for image_id, c in image_index.items():
+    points = PointSet.of(points)
+    by_image = np.argsort(points.image, kind="stable")
+    bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
+    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float64)
+    for c, image_id in enumerate(points.image_ids):
         rows = by_image[bounds[c] : bounds[c + 1]]
-        x[rows] = features_by_image[image_id].grid.locations()[locs[rows]]
-    labels, inverse = np.unique(
-        np.fromiter((p.label for p in points), dtype=np.int64, count=n),
-        return_inverse=True,
-    )
+        x[rows] = features_by_image[image_id].grid.locations()[points.loc[rows]]
+    labels, inverse = np.unique(points.label, return_inverse=True)
     lookup = np.array([model.label_to_index(int(c)) for c in labels], dtype=np.int64)
     return x, lookup[inverse]
 
@@ -255,8 +247,8 @@ def predict(model: SegmentationModel, af: AugmentedFeatureGrid
 class AddClassResult:
     class_ids: tuple[int, ...]
     loc_result: LocTrainResult
-    new_points: list[SampledPoint]
-    merged_points: list[SampledPoint]
+    new_points: PointSet
+    merged_points: PointSet
     seg_result: SegTrainResult
 
 
@@ -264,7 +256,7 @@ def add_class(
     new_class_id: int,
     new_data: list[SupervisionRecord],
     loc_models: dict[int, LocalizationModel],
-    existing_points: list[SampledPoint],
+    existing_points: PointSet,
     features_by_image: dict[str, AugmentedFeatureGrid],
     class_ids,
     loc_config: LocConfig,
@@ -273,8 +265,9 @@ def add_class(
     seed: int,
 ) -> AddClassResult:
     """Extend the system with one class: train that class's localizer on the
-    new images, sample its points (plus background) there, merge with the
-    existing point pool, and retrain only the segmentation head with one more
+    new images, sample its points (plus background) on the new images tagged
+    with it, append them to the existing point pool (a PointSet or a list of
+    SampledPoint rows), and retrain only the segmentation head with one more
     output. Existing localization models are not touched.
     """
     if new_class_id in class_ids:
@@ -289,23 +282,16 @@ def add_class(
         seed=derive_seed(seed, 0xADD0 + new_class_id),
     )
 
-    new_points: list[SampledPoint] = []
-    new_features: dict[str, AugmentedFeatureGrid] = {}
-    for index, rec in enumerate(new_data):
-        if new_class_id not in rec.tags:
-            continue
-        maps = {
-            new_class_id: score_image(
-                loc_result.model, rec.features, image_id=rec.image_id
-            )
-        }
-        rng = Rng(derive_seed(seed, 0xADD5A3F + index))
-        new_points.extend(sample_image(rec, maps, sampling_config, {}, rng))
-        new_features[rec.image_id] = augment_with_global(rec.features)
-
-    merged = list(existing_points) + new_points
+    new_points = sample_class_points(
+        new_data, loc_result.model, sampling_config, derive_seed(seed, 0xADD5A3F)
+    )
+    merged = PointSet.concat([PointSet.of(existing_points), new_points])
     all_features = dict(features_by_image)
-    all_features.update(new_features)
+    all_features.update(
+        (rec.image_id, augment_with_global(rec.features))
+        for rec in new_data
+        if new_class_id in rec.tags
+    )
     seg_result = train_segmentation(
         merged,
         all_features,

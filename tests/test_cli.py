@@ -96,12 +96,9 @@ def test_sample_with_a_missing_class_map(workdir, tmp_path, strategy):
     import shutil
 
     from divseed.cli import _load_map_dir
-    from divseed.sampling import (
-        SamplingConfig,
-        compute_dense_calibration,
-        image_stream,
-        sample_image,
-    )
+    from divseed.sampling import SamplingConfig
+
+    from reference_samplers import reference_supervision_set
 
     m = load_manifest(str(workdir / "train"))
     both = next(e for e in m.entries if e.tags == {0, 1})
@@ -114,19 +111,36 @@ def test_sample_with_a_missing_class_map(workdir, tmp_path, strategy):
         "--features", str(workdir / "train"), "--seed", "3", "--out", str(out),
     ])
     assert rc == 0
-    # the per-image loop the command has always run, as the reference
-    maps_by_image = _load_map_dir(str(maps_dir))
-    config = SamplingConfig(k=5, strategy=strategy)
-    calibration = compute_dense_calibration(maps_by_image) if strategy == "dense" else {}
-    expected = []
-    for index, rec in enumerate(m.load_records()):
-        maps = maps_by_image.get(rec.image_id, {})
-        expected.extend(
-            sample_image(rec, maps, config, calibration, image_stream(3, index))
-        )
+    # the per-image loop the command used to run, as the reference
+    expected = reference_supervision_set(
+        m.load_records(), {}, SamplingConfig(k=5, strategy=strategy), 3,
+        maps_by_image=_load_map_dir(str(maps_dir)),
+    )
     points = load_points(out)
     assert points == expected
     assert not [p for p in points if p.image_id == both.image_id and p.label == 1]
+
+
+@pytest.mark.parametrize("strategy", ["diverse", "topk", "spatial", "dense"])
+def test_misshaped_score_map_is_data_error(workdir, tmp_path, capsys, strategy):
+    """Runs after the chain test: a 16x16 map for an image of an 8x8 grid."""
+    import shutil
+
+    import numpy as np
+
+    from divseed.tensor import save_tensor
+
+    maps_dir = tmp_path / "maps"
+    shutil.copytree(workdir / "maps", maps_dir)
+    name = sorted(os.listdir(maps_dir))[0]
+    save_tensor(np.zeros((2, 16, 16), dtype=np.float32), maps_dir / name)
+    rc = main([
+        "sample", "--strategy", strategy, "--k", "5", "--in", str(maps_dir),
+        "--features", str(workdir / "train"), "--out", str(tmp_path / "p.jsonl"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert name.split("__c")[0] in err and "(16, 16)" in err and "(8, 8)" in err
 
 
 def test_add_class_command(workdir):
@@ -384,18 +398,43 @@ def test_jobs_env_fallback(monkeypatch, workdir, tmp_path):
     with pytest.raises(SystemExit):
         main(["run", "--out", str(tmp_path / "o"), "--jobs", "2"])
     assert captured["jobs"] == 2
+    # a config document's jobs wins over the environment, the flag over both
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    for args, jobs in (
+        (["--config", str(cfg)], 2), (["--set", "jobs=4"], 4),
+        (["--config", str(cfg), "--jobs", "1"], 1),
+    ):
+        with pytest.raises(SystemExit):
+            main(["run", "--out", str(tmp_path / "o")] + args)
+        assert captured["jobs"] == jobs
     # ablate resolves its worker count the same way, into the base config
     monkeypatch.setattr(cli.pipeline, "ablation_run", lambda base, *_, **__: spy(base, None))
-    for flag, jobs in (([], 3), (["--jobs", "2"], 2)):
+    for base, flag, jobs in (
+        ({}, [], 3), ({}, ["--jobs", "2"], 2),
+        ({"jobs": 2}, [], 2), ({"jobs": 2}, ["--jobs", "1"], 1),
+    ):
+        grid = _tiny_grid(tmp_path, **base)
         with pytest.raises(SystemExit):
-            main(["ablate", "--grid", str(_tiny_grid(tmp_path)), "--out", str(tmp_path / "a")]
-                 + flag)
+            main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "a")] + flag)
         assert captured["jobs"] == jobs
 
 
-def _tiny_grid(tmp_path):
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_invalid_divseed_jobs_is_config_error(monkeypatch, tmp_path, capsys, command, value):
+    monkeypatch.setenv("DIVSEED_JOBS", value)
+    args = ["run"] if command == "run" else ["ablate", "--grid", str(_tiny_grid(tmp_path))]
+    rc = main(args + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "DIVSEED_JOBS" in capsys.readouterr().err
+
+
+def _tiny_grid(tmp_path, **base):
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"base": {"n_train": 10}, "variants": [{}], "seeds": [1]}))
+    grid.write_text(json.dumps(
+        {"base": {"n_train": 10, **base}, "variants": [{}], "seeds": [1]}
+    ))
     return grid
 
 

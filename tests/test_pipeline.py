@@ -1,3 +1,5 @@
+import copy
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from divseed.dataset import load_manifest
-from divseed.errors import ConfigError, DataError
+from divseed.errors import ConfigError, DataError, NumericError
 from divseed.pipeline import (
     PipelineConfig,
     EvalImage,
@@ -18,14 +20,23 @@ from divseed.pipeline import (
     make_benchmark,
     run_pipeline,
     run_variant,
-    sample_supervision,
     summarize_ablation,
     train_localizers,
 )
 from divseed.rng import derive_seed
-from divseed.sampling import build_supervision_set, save_points
+from divseed.sampling import (
+    CHUNK,
+    STRATEGIES,
+    SamplingConfig,
+    SupervisionRecord,
+    build_supervision_set,
+    save_points,
+    score_tagged_classes,
+)
 from divseed.segmentation import new_segmentation_model, save_seg_checkpoint, SegConfig
-from divseed.tensor import save_json
+from divseed.tensor import FeatureGrid, NormState, save_json
+
+from reference_samplers import reference_supervision_set
 
 # small but real: big enough for localizers to train, small enough for CI
 TINY = PipelineConfig(seed=3, n_train=80, n_test=16, n_classes=2, image_size=32)
@@ -107,14 +118,34 @@ def test_run_variant_reports_sane_miou(tiny_bench, tiny_models):
     assert seg.wall_seconds < 60
 
 
+def _perfbench_module(name):
+    """A module of the benchmark in perfbench/, imported by name."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module(name)
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    """perfbench's tracer looks these up by name on every traced run."""
+    perftrace = _perfbench_module("perftrace")
+    names = [(qualified, attr) for qualified, attr, _, _ in perftrace.FUNCTIONS]
+    names += [(module.__name__, attr) for module, attr, _ in perftrace.NN_OPS]
+    names.append(("divseed.pipeline", "ProcessPoolExecutor"))
+    missing = []
+    for qualified, attr in names:
+        owner = importlib.import_module(qualified)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{qualified}.{attr}")
+    assert missing == []
+
+
 @pytest.mark.slow
 def test_ablation_seed_equals_the_benchmark_hand_loop(tmp_path):
     """The per-seed driver gives the variant mIoUs and the class addition of
     the loop the benchmark's ablation-seed workload writes out by hand:
     make_benchmark, train_localizers, run_variant per variant, add_class."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads
-
+    workloads = _perfbench_module("workloads")
     hand = workloads.AblationSeed.tiny(5, str(tmp_path))
     mious, untouched, added_miou = hand.run()
     run = ablation_seed(hand.config, workloads.VARIANTS, 5)
@@ -124,19 +155,68 @@ def test_ablation_seed_equals_the_benchmark_hand_loop(tmp_path):
     assert added_report.miou == added_miou
 
 
-def test_sample_supervision_jobs_equivalent(tiny_bench, tiny_models):
+@pytest.fixture(scope="module")
+def tiny_pixel_models(tiny_bench):
+    loc_config = base_with(TINY, {"pooling": "pixel"}).loc_config()
+    results = train_localizers(tiny_bench.train_records, [0, 1], loc_config, TINY.seed)
+    return {c: r.model for c, r in results.items()}
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_supervision_set_equals_the_per_image_loop(
+    tiny_bench, tiny_models, tiny_pixel_models, pooling, strategy
+):
+    """The lockstep core gives the points of the per-image loop, value for
+    value: over chunks (80 images is no multiple of CHUNK), untagged images
+    (the random-background fallback) and maps lacking a tagged class."""
+    models = tiny_models if pooling == "global" else tiny_pixel_models
+    records = tiny_bench.train_records
+    assert len(records) % CHUNK and any(not r.tags.present for r in records)
     seed = derive_seed(TINY.seed, 0x5A3F)
-    seq = sample_supervision(
-        tiny_bench.train_records, tiny_models, TINY.sampling_config(), seed, jobs=1
+    for k in (1, 5, 20):
+        config = SamplingConfig(k=k, strategy=strategy)
+        points = build_supervision_set(records, models, config, seed)
+        assert list(points) == reference_supervision_set(records, models, config, seed)
+    # as `divseed sample` passes them: every third two-class image lacks class 1
+    maps = {r.image_id: score_tagged_classes(r, models) for r in records}
+    dropped = [r.image_id for r in records if len(r.tags.present) == 2][::3]
+    for image_id in dropped:
+        del maps[image_id][1]
+    assert dropped
+    config = SamplingConfig(k=5, strategy=strategy)
+    points = build_supervision_set(records, {}, config, seed, maps_by_image=maps)
+    assert list(points) == reference_supervision_set(records, {}, config, seed, maps)
+
+
+def test_supervision_set_errors_match_the_per_image_loop(tiny_bench, tiny_models):
+    records = tiny_bench.train_records
+    n = records[0].features.grid.n_locations
+    both = next(i for i, r in enumerate(records) if len(r.tags.present) == 2)
+    raw = list(records)
+    raw[both] = SupervisionRecord(
+        records[both].image_id,
+        FeatureGrid(records[both].features.grid, NormState.RAW),
+        records[both].tags,
     )
-    par = sample_supervision(
-        tiny_bench.train_records, tiny_models, TINY.sampling_config(), seed, jobs=2
-    )
-    assert seq == par
-    direct = build_supervision_set(
-        tiny_bench.train_records, tiny_models, TINY.sampling_config(), seed
-    )
-    assert seq == direct
+    cases = [
+        (records, tiny_models, {"k": n + 1}, f"exceeds {n} locations"),
+        (records, tiny_models, {"k": n // 2}, "free locations"),
+        (raw, tiny_models, {"k": 5}, "unit-normalized"),
+        (records, {0: tiny_models[0]}, {"k": 5}, "no localization model"),
+    ]
+    broken = copy.deepcopy(tiny_models)
+    broken[1].out.weights[0, 0] = np.inf
+    cases.append((records, broken, {"k": 5}, "non-finite score map"))
+    for dataset, models, overrides, message in cases:
+        error = NumericError if "non-finite" in message else DataError
+        for strategy in STRATEGIES:
+            if strategy == "dense" and "locations" in message:
+                continue  # dense labeling takes no k
+            config = SamplingConfig(strategy=strategy, **overrides)
+            for sampler in (build_supervision_set, reference_supervision_set):
+                with pytest.raises(error, match=message), np.errstate(all="ignore"):
+                    sampler(dataset, models, config, 1)
 
 
 def test_train_localizers_jobs_equivalent(tiny_bench):
