@@ -9,6 +9,14 @@ module runs its own forward and backward chain through linear_fwd,
 linear_backward and relu_backward. Losses return a LossValue carrying the
 scalar loss and gradients w.r.t. their direct inputs.
 
+An MLP keeps its four parameter arrays as views into one flat float64
+buffer, `MLP.flat`; `MLP.views` lays the same shapes over any buffer of that
+length, such as a gradient buffer, or over a (C, P) stack of them with a
+leading class axis. Write parameters through `set_params` or in place; a
+rebound layer array is no longer part of the buffer. The layer ops take
+such stacked layers too: (C, out, in) weights map (C, N, in) inputs slice by
+slice, and a stacked matmul gives each slice the bits of its own product.
+
 The localizer's max-pooled loss sends its gradient through at most two
 locations, so its backward (localization.localizer_loss_and_grads) runs the
 chain on those rows only, always as a two-row product: when both argmaxes
@@ -16,8 +24,8 @@ are one location, a neighbouring row with zero gradient is added. A two-row
 product gives the same bits as the full-grid chain; a one-row product takes
 a matrix-vector path that rounds differently.
 
-Adam keeps its moments as one flat float64 vector over all parameter arrays
-and updates them with one vectorized pass per step, using the same
+adam_step is the one Adam: it updates a flat parameter buffer, or a (C, P)
+stack of them with a learning rate per row, in place, using the same
 elementwise expressions, in the same order, as a per-array update.
 
 Numeric conventions:
@@ -44,24 +52,21 @@ PROB_CLAMP = 1e-7
 
 @dataclass
 class LinearLayer:
-    """Affine map applied per location: y = W x + b."""
+    """Affine map applied per location: y = W x + b; stacked, C of them."""
 
-    weights: np.ndarray  # (out_dim, in_dim) float64
-    bias: np.ndarray  # (out_dim,) float64
+    weights: np.ndarray  # (out_dim, in_dim) float64, or (C, out_dim, in_dim)
+    bias: np.ndarray  # (out_dim,) float64, or (C, out_dim)
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     def params(self) -> list[np.ndarray]:
         return [self.weights, self.bias]
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        self.weights, self.bias = params
 
 
 def init_linear(rng: Rng, in_dim: int, out_dim: int) -> LinearLayer:
@@ -78,11 +83,26 @@ def init_linear(rng: Rng, in_dim: int, out_dim: int) -> LinearLayer:
 @dataclass
 class MLP:
     """Per-location network: hidden layer, ReLU, output layer. params() lists
-    hidden weights, hidden bias, output weights, output bias."""
+    hidden weights, hidden bias, output weights, output bias: views into the
+    flat buffer `flat`, which construction fills with copies of the layers'
+    arrays."""
 
     hidden: LinearLayer
     out: LinearLayer
     seed: int  # the initializer's seed
+
+    def __post_init__(self):
+        self.flat = np.concatenate([np.ravel(a) for a in self.params()], dtype=np.float64)
+        w1, b1, w2, b2 = self.views(self.flat)
+        self.hidden, self.out = LinearLayer(w1, b1), LinearLayer(w2, b2)
+
+    # pickles (and deep copies) carry the arrays; unpickling rebuilds the buffer
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "flat"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @classmethod
     def initialized(cls, seed: int, in_dim: int, hidden: int, out_dim: int, **fields):
@@ -95,27 +115,46 @@ class MLP:
     def params(self) -> list[np.ndarray]:
         return self.hidden.params() + self.out.params()
 
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Arrays shaped like params() over consecutive spans of flat's last
+        axis: (P,) gives the shapes themselves, (C, P) each with a leading C."""
+        views, start = [], 0
+        for p in self.params():
+            stop = start + p.size
+            views.append(flat[..., start:stop].reshape(flat.shape[:-1] + p.shape))
+            start = stop
+        return views
+
     def set_params(self, params: list[np.ndarray]) -> None:
-        self.hidden.set_params(params[:2])
-        self.out.set_params(params[2:])
+        """Copy params, shaped like params(), into the buffer."""
+        views = self.params()
+        if len(params) != len(views):
+            raise DataError(f"set_params: {len(params)} arrays, want {len(views)}")
+        for view, p in zip(views, params):
+            if view.shape != np.shape(p):
+                raise DataError(f"set_params: shape {np.shape(p)} != {view.shape}")
+            view[...] = p
 
 
 def linear_fwd(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
-    """x: (N, in_dim) -> (N, out_dim)."""
-    if x.shape[1] != layer.in_dim:
-        raise DataError(f"linear: input depth {x.shape[1]} != in_dim {layer.in_dim}")
-    y = x @ layer.weights.T
-    y += layer.bias
+    """x: (N, in_dim) -> (N, out_dim); a stacked layer maps (C, N, in_dim)."""
+    if x.shape[-1] != layer.in_dim:
+        raise DataError(f"linear: input depth {x.shape[-1]} != in_dim {layer.in_dim}")
+    y = x @ np.swapaxes(layer.weights, -1, -2)
+    y += layer.bias[..., None, :]
     return y
 
 
 def linear_backward(
-    layer: LinearLayer, x: np.ndarray, dy: np.ndarray, input_grad: bool = True
+    layer: LinearLayer, x: np.ndarray, dy: np.ndarray, input_grad: bool = True,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Returns (dW, db, dx) for upstream gradient dy of shape (N, out_dim);
-    dx is None when input_grad is False (a first layer needs none)."""
-    dw = dy.T @ x
-    db = dy.sum(axis=0)
+    """Returns (dW, db, dx) for upstream gradient dy of shape (N, out_dim), or
+    (C, N, out_dim) for a stacked layer; dW and db are written into out when
+    given; dx is None when input_grad is False (a first layer needs none)."""
+    dw_out, db_out = out or (None, None)
+    dw = np.matmul(np.swapaxes(dy, -1, -2), x, out=dw_out)
+    db = dy.sum(axis=-2, out=db_out)
     dx = dy @ layer.weights if input_grad else None
     return dw, db, dx
 
@@ -161,10 +200,7 @@ def pixel_softmax_prob(fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingTr
     which is how it is computed; the argmax of the difference is the single
     location gradients flow through.
     """
-    f, b = _check_score_pair(fg, bg)
-    diffs = f - b
-    i = int(np.argmax(diffs))  # first index on ties
-    return _sigmoid(float(diffs[i])), PoolingTrace(mode="pixel", fg_loc=i, bg_loc=i)
+    return pool_rows("pixel", _score_pair(fg, bg))[0]
 
 
 def global_softmax_prob(fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingTrace]:
@@ -173,22 +209,41 @@ def global_softmax_prob(fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingT
     Equals sigmoid(max_i fg_i - max_l bg_l); gradients flow through the two
     argmax locations.
     """
-    f, b = _check_score_pair(fg, bg)
-    i = int(np.argmax(f))
-    l = int(np.argmax(b))
-    return _sigmoid(float(f[i] - b[l])), PoolingTrace(mode="global", fg_loc=i, bg_loc=l)
+    return pool_rows("global", _score_pair(fg, bg))[0]
 
 
-def _check_score_pair(fg: np.ndarray, bg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pool_rows(mode: str, scores: np.ndarray) -> list[tuple[float, PoolingTrace]]:
+    """pixel_softmax_prob or global_softmax_prob, by mode, of every row of a
+    (C, N, 2) float64 stack of fg / bg scores: the argmaxes (first index on
+    ties) over the whole stack at once, each row's sigmoid in scalar math.
+    NumericError if any score is non-finite."""
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite scores in pooling")
+    rows = np.arange(scores.shape[0])
+    if mode == "pixel":
+        diffs = scores[:, :, 0] - scores[:, :, 1]
+        fg_locs = bg_locs = np.argmax(diffs, axis=1)
+        logits = diffs[rows, fg_locs]
+    elif mode == "global":
+        fg_locs, bg_locs = np.argmax(scores, axis=1).T
+        logits = scores[rows, fg_locs, 0] - scores[rows, bg_locs, 1]
+    else:
+        raise DataError(f"unknown pooling mode {mode!r}")
+    return [
+        (_sigmoid(u), PoolingTrace(mode=mode, fg_loc=i, bg_loc=l))
+        for u, i, l in zip(logits.tolist(), fg_locs.tolist(), bg_locs.tolist())
+    ]
+
+
+def _score_pair(fg: np.ndarray, bg: np.ndarray) -> np.ndarray:
+    """Two score maps of one image as a (1, N, 2) float64 stack."""
     f = np.asarray(fg, dtype=np.float64).ravel()
     b = np.asarray(bg, dtype=np.float64).ravel()
     if f.size == 0:
         raise DataError("empty score map")
     if f.shape != b.shape:
         raise DataError(f"score map shapes differ: {fg.shape} vs {bg.shape}")
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(b))):
-        raise NumericError("non-finite scores in pooling")
-    return f, b
+    return np.stack([f, b], axis=1)[None]
 
 
 @dataclass
@@ -230,28 +285,40 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
     logits: (N, C+1); labels: (location, class) pairs, as a list of pairs or
     an (m, 2) integer array; duplicates are allowed and counted toward the
     mean. Gradient rows at unlabeled locations are exactly zero. An empty
-    label set gives loss 0 and an all-zero gradient.
+    label set gives loss 0 and an all-zero gradient. Locations in strictly
+    increasing order (each labeled once; a training batch labels every row)
+    are assigned their gradient rows; others accumulate them.
     """
     logits = np.asarray(logits, dtype=np.float64)
     n, n_classes = logits.shape
-    grad = np.zeros_like(logits)
     pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
     m = pairs.shape[0]
     if m == 0:
-        return LossValue(loss=0.0, grads={"logits": grad})
+        return LossValue(loss=0.0, grads={"logits": np.zeros_like(logits)})
     locs, cls = pairs[:, 0], pairs[:, 1]
     if locs.min() < 0 or locs.max() >= n:
         raise DataError("masked CE: location index out of range")
     if cls.min() < 0 or cls.max() >= n_classes:
         raise DataError("masked CE: class index out of range")
-    rows = logits[locs]
+    once = bool(np.all(locs[1:] > locs[:-1]))  # each location labeled at most once
+    every_row = once and m == n  # then locs is 0 .. n-1
+    rows = logits if every_row else logits[locs]
     shifted = rows - rows.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
-    loss = -float(log_probs[np.arange(m), cls].mean())
+    picked = np.arange(m), cls
+    loss = -float(log_probs[picked].sum() / m)  # the mean's bits, without its overhead
     row_grad = np.exp(log_probs)
-    row_grad[np.arange(m), cls] -= 1.0
-    np.add.at(grad, locs, row_grad / m)  # accumulates duplicates
+    row_grad[picked] -= 1.0
+    row_grad /= m
+    if every_row:
+        grad = row_grad
+    else:
+        grad = np.zeros_like(logits)
+        if once:
+            grad[locs] = row_grad  # equals adding into zeros: no entry is -0.0
+        else:
+            np.add.at(grad, locs, row_grad)  # accumulates duplicates
     return LossValue(loss=loss, grads={"logits": grad})
 
 
@@ -261,10 +328,11 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam state; m and v are flat float64 vectors over the
-    parameter arrays in order, allocated by the first step."""
+    """Bias-corrected Adam state; m and v are shaped like the parameter
+    buffer, allocated by the first step. lr is a number, or for a (C, P)
+    stack a (C,) array with one rate per row."""
 
-    lr: float
+    lr: float | np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -273,25 +341,19 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> list[np.ndarray]:
-    """One update; returns new parameter arrays and advances the state."""
-    if len(params) != len(grads):
-        raise DataError("adam_step: params/grads length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise DataError(f"adam_step: shape mismatch {p.shape} vs {g.shape}")
-    p = np.concatenate([a.ravel() for a in params], dtype=np.float64)
-    g = np.concatenate([a.ravel() for a in grads], dtype=np.float64)
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One update of a flat float64 parameter buffer (P,), or of a (C, P)
+    stack of them, in place; advances the state."""
+    if params.shape != grads.shape:
+        raise DataError(f"adam_step: shape mismatch {params.shape} vs {grads.shape}")
     if state.m is None:
-        state.m = np.zeros_like(p)
-        state.v = np.zeros_like(p)
-    elif state.m.shape != p.shape:
-        raise DataError(f"adam_step: {p.size} parameters, state holds {state.m.size}")
+        state.m = np.zeros_like(params)
+        state.v = np.zeros_like(params)
+    elif state.m.shape != params.shape:
+        raise DataError(f"adam_step: parameters {params.shape}, state holds {state.m.shape}")
     state.t += 1
     t = state.t
-    m, v = state.m, state.v
+    m, v, g = state.m, state.v, grads
     # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
     m *= state.beta1
     m += (1 - state.beta1) * g
@@ -304,14 +366,9 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += state.eps
     step = m / (1 - state.beta1 ** t)
-    step *= state.lr
+    step *= state.lr if np.ndim(state.lr) == 0 else np.asarray(state.lr)[:, None]
     step /= denom
-    p -= step
-    out, start = [], 0
-    for a in params:
-        out.append(p[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return out
+    params -= step
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +381,14 @@ def grad_check(loss_fn, params: list[np.ndarray], rng: Rng, n_coords: int = 100,
 
     loss_fn(params) must return (loss, grads) with grads shaped like params.
     Checks a random subsample of at least n_coords coordinates (all of them
-    if fewer exist); rel err = |ga - gf| / max(|ga|, |gf|, 1e-8).
+    if fewer exist); rel err = |ga - gf| / max(|ga|, |gf|, 1e-8). params
+    and the analytic grads are copied first, so a loss_fn that writes its
+    arguments into a model's buffer, or reuses a gradient buffer, changes
+    neither the base point nor the gradient checked against.
     """
+    params = [np.array(p, dtype=np.float64) for p in params]
     loss0, analytic = loss_fn(params)
+    analytic = [np.array(g) for g in analytic]
     if not math.isfinite(loss0):
         raise NumericError("grad_check: non-finite loss")
     sizes = [p.size for p in params]

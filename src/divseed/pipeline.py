@@ -5,7 +5,8 @@ A pipeline run is: generate data -> train one localizer per class -> sample
 points -> train the segmentation head -> evaluate. Every stage's randomness
 comes from a stream derived from the single run seed, one stream per task
 (class, image, stage), so results are independent of scheduling and worker
-count. `jobs` fans out only localizer training, one class per task; points
+count. `jobs` fans out only localizer training, a contiguous group of
+classes per worker, each group trained in lockstep; points
 are sampled in-process by sampling's lockstep core and flow on as a
 `PointSet` of columns. Reports and artifact hashes are reproducible
 bit-for-bit from the config.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +43,7 @@ from .localization import (
     LocConfig,
     LocTrainResult,
     save_loc_checkpoint,
-    train_localizer,
+    train_class_localizers,
 )
 from .nn import is_int
 from .rng import derive_seed
@@ -96,6 +98,11 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not is_int(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type.startswith("float") and not (
+                _is_number(value) or (value is None and f.type == "float | None")
+            ):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+        object.__setattr__(self, "loc_lr_schedule", _lr_schedule(self.loc_lr_schedule))
         if self.pooling not in POOLING_MODES:
             raise ConfigError(
                 f"unknown pooling {self.pooling!r}, want one of {POOLING_MODES}"
@@ -106,6 +113,8 @@ class PipelineConfig:
             )
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        if self.seg_batch < 1:
+            raise ConfigError("seg_batch must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -120,11 +129,6 @@ class PipelineConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        d = dict(d)
-        if "loc_lr_schedule" in d:
-            d["loc_lr_schedule"] = tuple(
-                (int(e), float(lr)) for e, lr in d["loc_lr_schedule"]
-            )
         try:
             return cls(**d)
         except TypeError as e:
@@ -159,6 +163,27 @@ class PipelineConfig:
         d = self.to_dict()
         d.pop("jobs")
         return d
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _lr_schedule(schedule) -> tuple[tuple[int, float], ...]:
+    """loc_lr_schedule as (epochs, lr) tuples: a non-empty list of [integer
+    epochs >= 0, finite lr] pairs running at least one epoch in all, else a
+    ConfigError."""
+    want = "loc_lr_schedule must be a non-empty list of [epochs, lr] pairs"
+    if not isinstance(schedule, (list, tuple)) or not schedule:
+        raise ConfigError(f"{want}, got {schedule!r}")
+    for pair in schedule:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and is_int(pair[0]) and pair[0] >= 0
+                and _is_number(pair[1]) and math.isfinite(pair[1])):
+            raise ConfigError(f"{want} with integer epochs >= 0 and a finite lr, got {pair!r}")
+    if sum(epochs for epochs, _ in schedule) < 1:
+        raise ConfigError("loc_lr_schedule must run at least one epoch")
+    return tuple((epochs, float(lr)) for epochs, lr in schedule)
 
 
 # stage seed streams
@@ -254,9 +279,9 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
 
 
 def _loc_task(args):
-    class_id, records, loc_config, seed = args
+    class_ids, records, loc_config, seeds = args
     dataset = [(r.features, r.tags) for r in records]
-    return class_id, train_localizer(class_id, dataset, loc_config, seed)
+    return train_class_localizers(class_ids, dataset, loc_config, seeds)
 
 
 def train_localizers(
@@ -266,17 +291,21 @@ def train_localizers(
     seed: int,
     jobs: int = 1,
 ) -> dict[int, LocTrainResult]:
-    """One localizer per class, each on its own derived seed stream."""
-    tasks = [
-        (c, records, loc_config, derive_seed(seed, _STREAM_LOC_BASE + c))
-        for c in sorted(class_ids)
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_loc_task, tasks))
+    """One localizer per class, each on its own derived seed stream. The
+    sorted classes are cut into min(jobs, classes) contiguous groups, one
+    per worker, and each group trains in lockstep; results are the same bits
+    for any jobs."""
+    classes = sorted(set(class_ids))
+    seeds = [derive_seed(seed, _STREAM_LOC_BASE + c) for c in classes]
+    n_groups = max(1, min(jobs, len(classes)))
+    cuts = [len(classes) * g // n_groups for g in range(n_groups + 1)]
+    tasks = [(classes[a:b], records, loc_config, seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            groups = list(pool.map(_loc_task, tasks))
     else:
-        results = dict(_loc_task(t) for t in tasks)
-    return {c: results[c] for c in sorted(results)}
+        groups = [_loc_task(t) for t in tasks]
+    return dict(zip(classes, (r for group in groups for r in group)))
 
 
 def sample_supervision(

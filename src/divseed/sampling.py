@@ -675,23 +675,23 @@ def _sample_chunk(start, records, config, seed, models, maps_by_image, tables) -
 
 
 def save_points(points, path) -> None:
-    """Write a PointSet (or any SampledPoint rows), one JSON object a line."""
+    """Write a PointSet (or any SampledPoint rows), one JSON object a line:
+    the bytes of json.dumps(row, sort_keys=True) with the keys flags, image,
+    label, loc, rank, value, written from the columns. Each image id and
+    flag tuple is encoded once; floats keep float.__repr__, as json does."""
+    points = PointSet.of(points)
+    ids = [json.dumps(image_id) for image_id in points.image_ids]
+    flags = [json.dumps(list(names)) for names in _FLAG_NAMES]
     with open(path, "w") as fh:
-        for p in points:
-            fh.write(
-                json.dumps(
-                    {
-                        "image": p.image_id,
-                        "loc": p.loc,
-                        "label": p.label,
-                        "rank": p.rank,
-                        "value": p.value,
-                        "flags": list(p.flags),
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+        fh.writelines(
+            f'{{"flags": {flags[f]}, "image": {ids[i]}, "label": {label}, '
+            f'"loc": {loc}, "rank": {rank}, "value": {_json_float(value)}}}\n'
+            for i, loc, label, rank, value, f in zip(*(c.tolist() for c in points._columns()))
+        )
+
+
+def _json_float(value: float) -> str:
+    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
 def load_points(path) -> PointSet:

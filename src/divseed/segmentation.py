@@ -155,6 +155,8 @@ def train_segmentation(
 
     rng = Rng(derive_seed(seed, 0x5EC0))
     state = AdamState(lr=config.lr)
+    grad = np.empty_like(model.flat)
+    grads = model.views(grad)
     epoch_losses = []
     for _ in range(config.epochs):
         order = list(range(len(points)))
@@ -164,10 +166,11 @@ def train_segmentation(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss = _seg_step(model, x[batch], y[batch], state)
-            if not np.isfinite(loss):
+            lv, _ = head_loss_and_grads(model, x[batch], y[batch], grads)
+            if not np.isfinite(lv.loss):
                 raise NumericError(f"segmentation loss non-finite at batch {n_batches}")
-            total += loss
+            adam_step(model.flat, grad, state)
+            total += lv.loss
             n_batches += 1
         epoch_losses.append(total / n_batches)
     return SegTrainResult(
@@ -194,17 +197,13 @@ def _gather_points(points: PointSet,
     return x, lookup[inverse]
 
 
-def _seg_step(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
-              state: AdamState) -> float:
-    lv, grads = head_loss_and_grads(model, xb, yb)
-    model.set_params(adam_step(model.params(), grads, state))
-    return lv.loss
-
-
-def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
+def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
+                        grads: list[np.ndarray] | None = None
                         ) -> tuple[LossValue, list[np.ndarray]]:
     """Mean cross-entropy of a batch of points and its gradients w.r.t.
-    model.params(): the backward the head trains with.
+    model.params(): the backward the head trains with. The gradients are
+    written into grads, arrays shaped like params() (training passes views
+    of its flat gradient buffer), or into views of a new buffer.
 
     xb: (m, D) float64 point features; yb: (m,) output indices, one per row.
     """
@@ -212,10 +211,13 @@ def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
     a1 = relu(h1)
     logits = linear_fwd(model.out, a1)
     lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
-    dw2, db2, da1 = linear_backward(model.out, a1, lv.grads["logits"])
+    if grads is None:
+        grads = model.views(np.empty_like(model.flat))
+    dw1, db1, dw2, db2 = grads
+    _, _, da1 = linear_backward(model.out, a1, lv.grads["logits"], out=(dw2, db2))
     dh1 = relu_backward(h1, da1)
-    dw1, db1, _ = linear_backward(model.hidden, xb, dh1, input_grad=False)
-    return lv, [dw1, db1, dw2, db2]
+    linear_backward(model.hidden, xb, dh1, input_grad=False, out=(dw1, db1))
+    return lv, grads
 
 
 def predict(model: SegmentationModel, af: AugmentedFeatureGrid

@@ -230,6 +230,24 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert rc == 2
 
 
+# each failed with a traceback (exit 1) before the config checked it
+@pytest.mark.parametrize("doc", [
+    {"loc_lr_schedule": [[1]]},
+    {"loc_lr_schedule": "ab"},
+    {"loc_lr_schedule": [[0, 0.01]]},
+    {"seg_batch": 0},
+    {"tau": "x"},
+], ids=["schedule-pair-too-short", "schedule-string", "schedule-no-epochs",
+        "seg-batch-zero", "tau-string"])
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any work
+
+
 def test_invalid_config_json_is_config_error(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"k": 20,')

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divseed import localization
 from divseed.errors import DataError
 from divseed.localization import (
     LocConfig,
@@ -11,11 +12,22 @@ from divseed.localization import (
     pooled_probability,
     save_loc_checkpoint,
     score_image,
+    train_class_localizers,
     train_localizer,
 )
-from divseed.nn import bce_loss_and_grad, linear_backward, linear_fwd, relu, relu_backward
+from divseed.nn import (
+    AdamState,
+    adam_step,
+    bce_loss_and_grad,
+    linear_backward,
+    linear_fwd,
+    relu,
+    relu_backward,
+)
 from divseed.rng import Rng
 from divseed.tensor import FeatureGrid, Grid, NormState
+
+from reference_localizer import reference_train_localizer
 
 
 def image_probability(model, f):
@@ -287,3 +299,100 @@ def test_sparse_backward_on_a_single_location(pooling):
     x = Rng(13).uniform_array(4, -1, 1).reshape(1, 4)
     for label in (0, 1):
         _assert_sparse_equals_dense(model, x, label)
+
+
+# ---------------------------------------------------------------------------
+# lockstep training against the per-class loop
+
+
+def multi_class_dataset(n=36, d=6, sizes=((4, 4),), seed=21):
+    """Random unit features; class c is tagged on a share of the images that
+    shrinks with c, so the classes have unequal positive counts (and ragged
+    epochs). Grid sizes cycle through sizes."""
+    rng = Rng(seed)
+    data = []
+    for i in range(n):
+        h, w = sizes[i % len(sizes)]
+        vecs = rng.uniform_array(h * w * d, -1, 1).reshape(h * w, d)
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        present = frozenset(c for c in range(4) if rng.uniform() < 0.6 - 0.12 * c)
+        data.append((unit_grid(vecs, (h, w)), TagSet(image_id=f"im{i}", present=present)))
+    return data
+
+
+LOCKSTEP_SCHEDULE = ((2, 3e-2), (0, 1e-1), (1, 3e-3))
+
+
+def _assert_lockstep_equals_reference(data, class_ids, config, seeds):
+    results = train_class_localizers(class_ids, data, config, seeds)
+    assert len(results) == len(class_ids)
+    for c, seed, result in zip(class_ids, seeds, results):
+        params, losses, negatives, clamps, restarts = reference_train_localizer(
+            c, data, config, seed
+        )
+        assert result.model.class_id == c
+        assert [p.tobytes() for p in result.model.params()] == [p.tobytes() for p in params]
+        assert result.epoch_losses == losses
+        assert result.negative_ids == negatives
+        assert result.clamp_events == clamps
+        assert result.restarts == restarts
+    return results
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+@pytest.mark.parametrize("class_ids", [[2], [1, 3], [0, 1, 2, 3]], ids=["C1", "C2", "C4"])
+def test_lockstep_equals_the_per_class_loop(pooling, class_ids):
+    data = multi_class_dataset()
+    counts = [sum(c in t for _, t in data) for c in class_ids]
+    assert len(set(counts)) == len(counts)  # unequal positive counts
+    config = LocConfig(hidden=5, pooling=pooling, lr_schedule=LOCKSTEP_SCHEDULE)
+    seeds = [1000 + 7 * c for c in class_ids]
+    _assert_lockstep_equals_reference(data, class_ids, config, seeds)
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+def test_lockstep_equals_the_per_class_loop_on_mixed_grid_sizes(pooling):
+    """Images of several sizes, one-location grids among them: a step stacks
+    each size separately."""
+    data = multi_class_dataset(sizes=((4, 4), (3, 2), (1, 1)), seed=5)
+    config = LocConfig(hidden=4, pooling=pooling, lr_schedule=LOCKSTEP_SCHEDULE)
+    _assert_lockstep_equals_reference(data, [0, 1, 2], config, [3, 4, 5])
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+def test_lockstep_restarts_equal_the_per_class_loop(pooling, monkeypatch):
+    data = multi_class_dataset(seed=8)
+    class_ids, seeds = [0, 1, 2, 3], [11, 12, 13, 14]
+    config = LocConfig(hidden=5, pooling=pooling, lr_schedule=LOCKSTEP_SCHEDULE)
+    first = [r.epoch_losses[-1] for r in train_class_localizers(class_ids, data, config, seeds)]
+    # every class restarts until MAX_RESTARTS; then only those above a
+    # threshold between the first runs' final losses, a ragged number of times
+    for threshold in (-1.0, sorted(first)[1]):
+        monkeypatch.setattr(localization, "RESTART_LOSS_THRESHOLD", threshold)
+        results = _assert_lockstep_equals_reference(data, class_ids, config, seeds)
+        restarts = [r.restarts for r in results]
+        if threshold < 0:
+            assert restarts == [localization.MAX_RESTARTS] * 4
+        else:
+            assert 0 in restarts and max(restarts) > 0
+
+
+def test_lockstep_models_do_not_alias():
+    """Training one model further leaves the others' bytes unchanged."""
+    data = multi_class_dataset()
+    config = LocConfig(hidden=5, lr_schedule=LOCKSTEP_SCHEDULE)
+    models = [r.model for r in train_class_localizers([0, 1, 2], data, config, [1, 2, 3])]
+    before = [m.flat.tobytes() for m in models]
+    f, _ = data[0]
+    _, grads = localizer_loss_and_grads(models[1], f.grid.locations().astype(np.float64), 1)
+    adam_step(models[1].flat, np.concatenate([g.ravel() for g in grads]), AdamState(lr=0.1))
+    assert models[1].flat.tobytes() != before[1]
+    assert [m.flat.tobytes() for m in (models[0], models[2])] == [before[0], before[2]]
+    for a in models:
+        for b in models:
+            assert a is b or not np.shares_memory(a.flat, b.flat)
+
+
+def test_a_schedule_without_epochs_is_a_data_error():
+    with pytest.raises(DataError, match="no epoch"):
+        LocConfig(lr_schedule=((0, 1e-2),))

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -256,43 +258,41 @@ def test_masked_ce_takes_pairs_or_an_array():
 
 def test_adam_first_step_closed_form():
     for g0 in (0.3, -2.0, 1e-3):
-        params = [np.full((2, 2), 5.0)]
-        grads = [np.full((2, 2), g0)]
+        params = np.full(4, 5.0)
         state = AdamState(lr=0.01)
-        (new,) = adam_step(params, grads, state)
+        adam_step(params, np.full(4, g0), state)
         expected = 5.0 - 0.01 * g0 / (abs(g0) + state.eps)
-        assert np.allclose(new, expected)
+        assert np.allclose(params, expected)
         assert state.t == 1
 
 
 def test_adam_zero_gradient_nearly_static():
-    params = [np.ones(3)]
     state = AdamState(lr=0.1)
-    adam_step(params, [np.ones(3)], state)
-    drift = adam_step([np.ones(3)], [np.zeros(3)], state)[0]
+    adam_step(np.ones(3), np.ones(3), state)
+    drift = np.ones(3)
+    adam_step(drift, np.zeros(3), state)
     assert np.max(np.abs(drift - 1.0)) < 0.1  # only the decayed-moment term
 
 
 def test_adam_deterministic():
     def run():
         rng = Rng(11)
-        p = [rng.uniform_array(6).reshape(2, 3)]
+        p = rng.uniform_array(6)
         s = AdamState(lr=0.05)
         for _ in range(10):
-            g = [rng.uniform_array(6, -1, 1).reshape(2, 3)]
-            p = adam_step(p, g, s)
-        return p[0]
+            adam_step(p, rng.uniform_array(6, -1, 1), s)
+        return p
 
     assert np.array_equal(run(), run())
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(DataError):
-        adam_step([np.zeros(2)], [np.zeros(3)], AdamState(lr=0.1))
+        adam_step(np.zeros(2), np.zeros(3), AdamState(lr=0.1))
     state = AdamState(lr=0.1)
-    adam_step([np.zeros(2)], [np.ones(2)], state)
+    adam_step(np.zeros(2), np.ones(2), state)
     with pytest.raises(DataError):
-        adam_step([np.zeros(3)], [np.ones(3)], state)
+        adam_step(np.zeros(3), np.ones(3), state)
 
 
 def _per_array_adam(params, grads, state, moments):
@@ -314,24 +314,119 @@ def _per_array_adam(params, grads, state, moments):
 
 
 def test_flat_adam_equals_per_array_update_bitwise():
+    """In place on one flat buffer (P,) and on a (C, P) stack with a rate per
+    row, across a mid-run lr drop: each row equals its own per-array run."""
     rng = Rng(0xADA)
     shapes = [(5, 7), (5,), (2, 5), (2,)]
-    flat = [rng.uniform_array(int(np.prod(s)), -1, 1).reshape(s) for s in shapes]
-    ref = [p.copy() for p in flat]
-    flat_state, ref_state, moments = AdamState(lr=2e-2), AdamState(lr=2e-2), {}
+    lrs = [(2e-2, 2e-3), (5e-2, 1e-3), (2e-2, 2e-3)]  # per row: before, after
+    model = MLP.initialized(1, 7, 5, 2)
+    assert [p.shape for p in model.params()] == shapes
+    refs = [[rng.uniform_array(int(np.prod(s)), -1, 1).reshape(s) for s in shapes]
+            for _ in lrs]
+    ref_states = [AdamState(lr=lr) for lr, _ in lrs]
+    moments = [{} for _ in lrs]
+    stack = np.stack([np.concatenate([p.ravel() for p in ref]) for ref in refs])
+    flat = stack[0].copy()
+    stack_state = AdamState(lr=np.array([lr for lr, _ in lrs]))
+    flat_state = AdamState(lr=lrs[0][0])
     for step in range(6):
         if step == 3:  # lr drop mid-run, moments kept
-            flat_state.lr = ref_state.lr = 2e-3
-        grads = [rng.uniform_array(int(np.prod(s)), -3, 3).reshape(s) for s in shapes]
-        grads[1][step % 5] = 0.0
-        flat = adam_step(flat, grads, flat_state)
-        ref = _per_array_adam(ref, grads, ref_state, moments)
-        for a, b in zip(flat, ref):
-            assert a.shape == b.shape
+            stack_state.lr = np.array([lr for _, lr in lrs])
+            flat_state.lr = lrs[0][1]
+            for state, (_, lr) in zip(ref_states, lrs):
+                state.lr = lr
+        grads = [[rng.uniform_array(int(np.prod(s)), -3, 3).reshape(s) for s in shapes]
+                 for _ in lrs]
+        for g in grads:
+            g[1][step % 5] = 0.0
+        stacked_grads = np.stack([np.concatenate([a.ravel() for a in g]) for g in grads])
+        adam_step(stack, stacked_grads, stack_state)
+        adam_step(flat, stacked_grads[0].copy(), flat_state)
+        for c in range(len(lrs)):
+            refs[c] = _per_array_adam(refs[c], grads[c], ref_states[c], moments[c])
+            for a, b in zip(model.views(stack[c]), refs[c]):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        for a, b in zip(model.views(flat), refs[0]):
             assert a.tobytes() == b.tobytes()
-    assert flat_state.t == ref_state.t == 6
-    assert flat_state.m.tobytes() == np.concatenate([m.ravel() for m in moments["m"]]).tobytes()
-    assert flat_state.v.tobytes() == np.concatenate([v.ravel() for v in moments["v"]]).tobytes()
+    assert stack_state.t == flat_state.t == ref_states[0].t == 6
+    for c in range(len(lrs)):
+        m = np.concatenate([a.ravel() for a in moments[c]["m"]])
+        v = np.concatenate([a.ravel() for a in moments[c]["v"]])
+        assert stack_state.m[c].tobytes() == m.tobytes()
+        assert stack_state.v[c].tobytes() == v.tobytes()
+    assert flat_state.m.tobytes() == stack_state.m[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# flat parameter buffers
+
+
+def _separate_arrays(seed, shapes=((5, 7), (5,), (2, 5), (2,))):
+    rng = Rng(seed)
+    return [rng.uniform_array(int(np.prod(s)), -1, 1).reshape(s) for s in shapes]
+
+
+def _assert_views_of_flat(model, arrays):
+    assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+    assert model.flat.tobytes() == np.concatenate([a.ravel() for a in arrays]).tobytes()
+    for p, a in zip(model.params(), arrays):
+        assert p.shape == a.shape
+        assert p.tobytes() == a.tobytes()
+        assert np.shares_memory(p, model.flat)
+
+
+def test_mlp_keeps_its_arrays_as_views_of_one_flat_buffer():
+    arrays = _separate_arrays(0xF1A7)
+    model = MLP(hidden=LinearLayer(arrays[0], arrays[1]),
+                out=LinearLayer(arrays[2], arrays[3]), seed=0)
+    _assert_views_of_flat(model, arrays)
+    assert not any(np.shares_memory(p, a) for p, a in zip(model.params(), arrays))
+
+    new = _separate_arrays(0xF1A8)
+    model.set_params(new)
+    _assert_views_of_flat(model, new)
+    with pytest.raises(DataError):
+        model.set_params([new[0], new[1], new[2], new[3][:1]])
+    with pytest.raises(DataError):
+        model.set_params(new[:3])
+
+    for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        _assert_views_of_flat(clone, new)
+        assert not np.shares_memory(clone.flat, model.flat)
+
+
+def test_mlp_views_lay_its_shapes_over_a_stack():
+    model = MLP.initialized(3, 7, 5, 2)
+    stack = np.arange(3 * model.flat.size, dtype=np.float64).reshape(3, -1)
+    for c in range(3):
+        for view, row_view in zip(model.views(stack), model.views(stack[c])):
+            assert view.shape == (3,) + row_view.shape
+            assert np.shares_memory(view, stack)
+            assert view[c].tobytes() == row_view.tobytes()
+
+
+def test_grad_check_bumps_copies_of_a_models_buffer():
+    """A loss that writes its arguments into the model it evaluates, and
+    returns views of one reused gradient buffer, is checked at the base
+    point with its analytic gradient there."""
+    model = MLP.initialized(5, 4, 3, 2)
+    base = model.flat.copy()
+    grad = np.empty_like(model.flat)
+    seen = []
+
+    def fn(params):
+        model.set_params(params)
+        seen.append(model.flat.copy())
+        np.multiply(model.flat, 2.0, out=grad)
+        return float(model.flat @ model.flat), model.views(grad)
+
+    assert grad_check(fn, model.params(), Rng(1), n_coords=12) < 1e-6
+    assert seen[0].tobytes() == base.tobytes()
+    for i, bumped in enumerate(seen[1:]):
+        changed = np.flatnonzero(bumped != base)
+        assert len(changed) == 1
+        assert np.isclose(bumped[changed[0]] - base[changed[0]], 1e-5 if i % 2 == 0 else -1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +546,7 @@ def test_model_checkpoint_round_trips_bitwise(tmp_path, make, files):
     assert type(loaded) is type(model)
     for a, b in zip(loaded.params(), model.params()):
         assert a.tobytes() == b.tobytes()
+        assert np.shares_memory(a, loaded.flat)
 
     def other_fields(m):
         return {f.name: getattr(m, f.name) for f in dataclasses.fields(m)

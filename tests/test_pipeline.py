@@ -10,6 +10,7 @@ import pytest
 from divseed.dataset import load_manifest
 from divseed.errors import ConfigError, DataError, NumericError
 from divseed.pipeline import (
+    _STREAM_LOC_BASE,
     PipelineConfig,
     EvalImage,
     ablation_seed,
@@ -36,6 +37,7 @@ from divseed.sampling import (
 from divseed.segmentation import new_segmentation_model, save_seg_checkpoint, SegConfig
 from divseed.tensor import FeatureGrid, NormState, save_json
 
+from reference_localizer import reference_train_localizer
 from reference_samplers import reference_supervision_set
 
 # small but real: big enough for localizers to train, small enough for CI
@@ -227,6 +229,28 @@ def test_train_localizers_jobs_equivalent(tiny_bench):
     for c in (0, 1):
         for pa, pb in zip(a[c].model.params(), b[c].model.params()):
             assert np.array_equal(pa, pb)
+
+
+def test_train_localizers_equal_the_per_class_loop_for_any_worker_count():
+    """Workers take contiguous groups of classes, each trained in lockstep;
+    every class equals its own per-class training for jobs 1, 2 and 3."""
+    cfg = PipelineConfig(seed=4, n_train=60, n_test=2, n_classes=4, image_size=32)
+    bench = make_benchmark(cfg)
+    dataset = [(r.features, r.tags) for r in bench.train_records]
+    runs = [
+        train_localizers(bench.train_records, [3, 0, 2, 1], cfg.loc_config(), cfg.seed, jobs)
+        for jobs in (1, 2, 3)
+    ]
+    for c in range(4):
+        params, losses, negatives, clamps, restarts = reference_train_localizer(
+            c, dataset, cfg.loc_config(), derive_seed(cfg.seed, _STREAM_LOC_BASE + c)
+        )
+        for results in runs:
+            assert list(results) == [0, 1, 2, 3]
+            r = results[c]
+            assert [p.tobytes() for p in r.model.params()] == [p.tobytes() for p in params]
+            assert (r.epoch_losses, r.negative_ids) == (losses, negatives)
+            assert (r.clamp_events, r.restarts) == (clamps, restarts)
 
 
 # ---------------------------------------------------------------------------

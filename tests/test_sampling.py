@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from divseed.rng import Rng
 from divseed.sampling import (
     BACKGROUND,
     FLAG_RANDOM_BG,
+    PointSet,
     SampledPoint,
     SamplingConfig,
     SupervisionRecord,
@@ -428,3 +430,29 @@ def test_points_jsonl_round_trip(tmp_path):
     path = tmp_path / "pts.jsonl"
     save_points(points, path)
     assert load_points(path) == points
+
+
+def _per_row_points_file(points) -> bytes:
+    """The points file as one json.dumps per point: the reference writer."""
+    return b"".join(
+        (json.dumps({"image": p.image_id, "loc": p.loc, "label": p.label, "rank": p.rank,
+                     "value": p.value, "flags": list(p.flags)}, sort_keys=True) + "\n"
+         ).encode()
+        for p in points
+    )
+
+
+def test_points_file_bytes_equal_the_per_row_writer(tmp_path):
+    points = PointSet.of([
+        SampledPoint('sc"ene\\00é\n', 3, 0, 1, 0.1 + 0.2),
+        SampledPoint("b", 7, BACKGROUND, 1, 0.0, flags=(FLAG_RANDOM_BG,)),
+        SampledPoint('sc"ene\\00é\n', 11, 2, 2, -1.5e-300),
+        SampledPoint("b", 0, 1, 1, 12345678.000000002),
+        SampledPoint("c", 5, BACKGROUND, 3, -0.0),
+    ])
+    path = tmp_path / "pts.jsonl"
+    save_points(points, path)
+    assert path.read_bytes() == _per_row_points_file(points)
+    assert load_points(path) == points
+    save_points([], path)
+    assert path.read_bytes() == b""
