@@ -111,12 +111,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}, want one of {STRATEGIES}"
             )
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.seg_batch < 1:
-            raise ConfigError("seg_batch must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        for name in ("k", "loc_hidden", "seg_hidden", "seg_epochs", "seg_batch", "jobs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

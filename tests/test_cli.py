@@ -230,15 +230,20 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert rc == 2
 
 
-# each failed with a traceback (exit 1) before the config checked it
+# each ended in a traceback (exit 1) or ran an untrained model before the
+# config checked it
 @pytest.mark.parametrize("doc", [
     {"loc_lr_schedule": [[1]]},
     {"loc_lr_schedule": "ab"},
     {"loc_lr_schedule": [[0, 0.01]]},
     {"seg_batch": 0},
     {"tau": "x"},
+    {"seg_hidden": -1},
+    {"loc_hidden": 0},
+    {"seg_epochs": 0},
 ], ids=["schedule-pair-too-short", "schedule-string", "schedule-no-epochs",
-        "seg-batch-zero", "tau-string"])
+        "seg-batch-zero", "tau-string", "seg-hidden-negative", "loc-hidden-zero",
+        "seg-epochs-zero"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
