@@ -194,7 +194,8 @@ def train_localizer(
     bit-identical model. A run that never leaves the chance-level loss
     plateau is retrained from a derived seed (see MAX_RESTARTS). Raises
     DataError without at least one positive and one negative; raises
-    NumericError if the loss goes non-finite. The one-class call of
+    NumericError (with the class and step) if the loss goes non-finite.
+    The one-class call of
     train_class_localizers.
     """
     return train_class_localizers([class_id], dataset, config, [seed])[0]
@@ -333,10 +334,15 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
             x = np.empty((len(rows),) + batch[rows[0]][0].grid.locations().shape)
             for j, row in enumerate(rows):
                 x[j] = batch[row][0].grid.locations()
-            lvs = _loss_and_grads(
-                p, pooling, x, [batch[row][1] for row in rows],
-                grad_views if whole else views(g),
-            )
+            try:
+                lvs = _loss_and_grads(
+                    p, pooling, x, [batch[row][1] for row in rows],
+                    grad_views if whole else views(g),
+                )
+            except NumericError as e:
+                ids = [runs[live[rows[j]]].model.class_id for j in _diverged(p, x)]
+                raise NumericError(f"class {', '.join(map(str, ids))}: "
+                                   f"non-finite loss at step {step + 1}: {e}") from e
             if not whole:
                 grads[rows] = g
             for row, lv in zip(rows, lvs):
@@ -345,6 +351,16 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
         adam_step(params, grads, state)
         step += 1
     return [run.result() for run in runs]
+
+
+def _diverged(params: list[np.ndarray], x: np.ndarray) -> list[int]:
+    """Indexes of the stacked models whose scores on their images are not
+    all finite (all of them if none is: then the loss itself diverged)."""
+    w1, b1, w2, b2 = params
+    with np.errstate(all="ignore"):
+        _, y = _forward_scores(LinearLayer(w1, b1), LinearLayer(w2, b2), x)
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2))).tolist()
+    return bad or list(range(len(x)))
 
 
 def _rows_by_shape(batch: list[tuple[FeatureGrid, int]]) -> list[list[int]]:

@@ -285,9 +285,9 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
     logits: (N, C+1); labels: (location, class) pairs, as a list of pairs or
     an (m, 2) integer array; duplicates are allowed and counted toward the
     mean. Gradient rows at unlabeled locations are exactly zero. An empty
-    label set gives loss 0 and an all-zero gradient. Locations in strictly
-    increasing order (each labeled once; a training batch labels every row)
-    are assigned their gradient rows; others accumulate them.
+    label set gives loss 0 and an all-zero gradient. When the labels are
+    locations 0 .. N-1 in order (a training batch labels every row once),
+    the logits are used as they are and the gradient is the rows' own.
     """
     logits = np.asarray(logits, dtype=np.float64)
     n, n_classes = logits.shape
@@ -300,8 +300,7 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
         raise DataError("masked CE: location index out of range")
     if cls.min() < 0 or cls.max() >= n_classes:
         raise DataError("masked CE: class index out of range")
-    once = bool(np.all(locs[1:] > locs[:-1]))  # each location labeled at most once
-    every_row = once and m == n  # then locs is 0 .. n-1
+    every_row = m == n and bool(np.all(locs[1:] > locs[:-1]))  # then locs is 0 .. n-1
     rows = logits if every_row else logits[locs]
     shifted = rows - rows.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
@@ -315,10 +314,7 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
         grad = row_grad
     else:
         grad = np.zeros_like(logits)
-        if once:
-            grad[locs] = row_grad  # equals adding into zeros: no entry is -0.0
-        else:
-            np.add.at(grad, locs, row_grad)  # accumulates duplicates
+        np.add.at(grad, locs, row_grad)  # accumulates duplicates
     return LossValue(loss=loss, grads={"logits": grad})
 
 
@@ -382,13 +378,12 @@ def grad_check(loss_fn, params: list[np.ndarray], rng: Rng, n_coords: int = 100,
     loss_fn(params) must return (loss, grads) with grads shaped like params.
     Checks a random subsample of at least n_coords coordinates (all of them
     if fewer exist); rel err = |ga - gf| / max(|ga|, |gf|, 1e-8). params
-    and the analytic grads are copied first, so a loss_fn that writes its
-    arguments into a model's buffer, or reuses a gradient buffer, changes
-    neither the base point nor the gradient checked against.
+    are copied first: a loss_fn given a model's own parameter views that
+    writes its arguments into that model (set_params) would otherwise move
+    the base point.
     """
     params = [np.array(p, dtype=np.float64) for p in params]
     loss0, analytic = loss_fn(params)
-    analytic = [np.array(g) for g in analytic]
     if not math.isfinite(loss0):
         raise NumericError("grad_check: non-finite loss")
     sizes = [p.size for p in params]

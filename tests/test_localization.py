@@ -393,6 +393,26 @@ def test_lockstep_models_do_not_alias():
             assert a is b or not np.shares_memory(a.flat, b.flat)
 
 
+def test_a_diverging_class_is_named_with_its_step(monkeypatch):
+    """In a lockstep group, the NumericError names the class whose scores
+    went non-finite and the step, not the whole group."""
+    from divseed.errors import NumericError
+
+    make = localization.new_localization_model
+
+    def poisoned(class_id, in_dim, config, seed):
+        model = make(class_id, in_dim, config, seed)
+        if class_id == 1:
+            model.out.weights[0, 0] = np.inf
+        return model
+
+    monkeypatch.setattr(localization, "new_localization_model", poisoned)
+    config = LocConfig(hidden=5, lr_schedule=LOCKSTEP_SCHEDULE)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=r"^class 1: non-finite loss at step 1: "):
+            train_class_localizers([0, 1, 2], multi_class_dataset(), config, [1, 2, 3])
+
+
 def test_a_schedule_without_epochs_is_a_data_error():
     with pytest.raises(DataError, match="no epoch"):
         LocConfig(lr_schedule=((0, 1e-2),))
