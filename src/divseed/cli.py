@@ -2,11 +2,12 @@
 
 Subcommands: gen-data, train-loc, sample, train-seg, predict, eval, ablate,
 add-class, gradcheck, render, run. A single JSON config drives `run` and
-`ablate`; individual stage commands take explicit flags. Flags always win
-over config-file values. `--jobs N` on `run` and `ablate`, else a `jobs` value
-in the config document, else the DIVSEED_JOBS environment variable, sizes the
-worker pool for per-class localizer training; N below 1 is a config error.
-Point sampling always runs in-process.
+`ablate`; individual stage commands take explicit flags, checked by the same
+stage configs as `run`'s before anything is read or written. Flags always
+win over config-file values. `--jobs N` on `run` and `ablate`, else a `jobs`
+value in the config document, else the DIVSEED_JOBS environment variable,
+sizes the worker pool for per-class localizer training; N below 1 is a
+config error. Point sampling always runs in-process.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 I/O or file-format error.
@@ -123,15 +124,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_loc(args) -> int:
+    config = LocConfig(hidden=args.hidden, pooling=args.pooling)
     manifest = load_manifest(args.data)
     records = manifest.load_records()
-    config = LocConfig(hidden=args.hidden, pooling=args.pooling)
-    result = train_localizer(
-        args.class_id,
-        [(r.features, r.tags) for r in records],
-        config,
-        seed=args.seed,
-    )
+    result = train_localizer(args.class_id, records, config, seed=args.seed)
     save_loc_checkpoint(args.out, result)
     print(
         f"class {args.class_id}: epochs={len(result.epoch_losses)} "
@@ -175,13 +171,13 @@ def _load_map_dir(map_dir: str) -> dict[str, dict[int, "ScoreMap"]]:
 
 
 def cmd_sample(args) -> int:
-    manifest = load_manifest(args.features)
-    records = manifest.load_records()
-    maps = _load_map_dir(args.in_dir)
     config = SamplingConfig(
         k=args.k, strategy=_strategy_name(args.strategy), tau=args.tau,
         spatial_scale=args.spatial_scale,
     )
+    manifest = load_manifest(args.features)
+    records = manifest.load_records()
+    maps = _load_map_dir(args.in_dir)
     # the scores come from the map directory, so no models are needed; an
     # image without exported maps (no positive tag) gets background only
     points = build_supervision_set(records, {}, config, args.seed, maps_by_image=maps)
@@ -191,13 +187,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_train_seg(args) -> int:
+    config = SegConfig(
+        hidden=args.hidden, lr=args.lr, epochs=args.epochs, batch_size=args.batch
+    )
     manifest = load_manifest(args.features)
     records = manifest.load_records()
     points = load_points(args.points)
     features = {r.image_id: augment_with_global(r.features) for r in records}
-    config = SegConfig(
-        hidden=args.hidden, lr=args.lr, epochs=args.epochs, batch_size=args.batch
-    )
     result = train_segmentation(points, features, manifest.classes, config, args.seed)
     save_seg_checkpoint(args.out, result, config)
     print(
@@ -272,6 +268,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_add_class(args) -> int:
+    loc_config = LocConfig(hidden=args.loc_hidden, pooling=args.pooling)
+    sampling_config = SamplingConfig(k=args.k, strategy=_strategy_name(args.strategy))
+    seg_config = SegConfig(hidden=args.seg_hidden, lr=args.lr, epochs=args.epochs,
+                           batch_size=args.batch)
     new_manifest = load_manifest(args.data)
     base_manifest = load_manifest(args.base_data)
     stats = base_manifest.load_stats()  # normalization stays frozen
@@ -285,19 +285,9 @@ def cmd_add_class(args) -> int:
             loc_models[model.class_id] = model
     points = load_points(args.points)
     features = {r.image_id: augment_with_global(r.features) for r in base_records}
-    seg_config = SegConfig(hidden=args.seg_hidden, lr=args.lr, epochs=args.epochs,
-                           batch_size=args.batch)
     result = add_class(
-        args.class_id,
-        new_records,
-        loc_models,
-        points,
-        features,
-        base_manifest.classes,
-        LocConfig(hidden=args.loc_hidden, pooling=args.pooling),
-        SamplingConfig(k=args.k, strategy=_strategy_name(args.strategy)),
-        seg_config,
-        seed=args.seed,
+        args.class_id, new_records, loc_models, points, features, base_manifest.classes,
+        loc_config, sampling_config, seg_config, seed=args.seed,
     )
     os.makedirs(args.out, exist_ok=True)
     save_loc_checkpoint(

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .localization import TagSet
-from .sampling import SupervisionRecord
+from .localization import SupervisionRecord, TagSet
 from .synthdata import (
     GRID_FACTOR,
     ExtractorSpec,

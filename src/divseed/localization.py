@@ -7,12 +7,17 @@ image ("pixel" or "global" softmax pooling, see nn) and pushed through
 binary cross-entropy. Adding a class later never touches other classes'
 models.
 
+A training set is a list of SupervisionRecords (image id, feature grid,
+tags). Both lockstep cores, this module's and sampling's, check it once at
+entry with check_records: every grid is unit-normalized and all share one
+(H, W, D), else a DataError names the first image at fault.
+
 One core, train_class_localizers, trains the localizers of several classes
 together, in lockstep. Each class keeps its own random stream (negatives,
 shuffles, initializer), its own ragged epochs and its own restarts; a step
-gathers the current image of every class still training into a (C, N, D)
-float64 stack, runs the stacked forward, pools and scores each class with
-scalar math, runs the stacked two-row backward into a (C, P) gradient
+stacks the current image of every class still training into one (C, N, D)
+float64 array, runs the stacked forward, pools and scores each class with
+scalar math, runs the stacked two-row backward into the (C, P) gradient
 buffer and takes one Adam step over the (C, P) parameter stack. A stacked
 matmul gives each slice the bits of its own product, so every class's model
 equals its one-class training bit for bit. train_localizer and
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .nn import (
     MLP,
     AdamState,
@@ -43,6 +48,8 @@ from .nn import (
     pixel_softmax_prob,
     pool_rows,
     relu_backward,
+    require_count,
+    require_rate,
     save_checkpoint,
 )
 from .rng import Rng, derive_seed
@@ -70,6 +77,36 @@ class TagSet:
 
     def __contains__(self, class_id: int) -> bool:
         return class_id in self.present
+
+
+@dataclass
+class SupervisionRecord:
+    """One training image: its id, its features and its image-level tags."""
+
+    image_id: str
+    features: FeatureGrid  # unit-normalized
+    tags: TagSet
+
+
+def check_records(records: list[SupervisionRecord]) -> None:
+    """The input contract of the lockstep cores: every record's features are
+    unit-normalized and all grids share the first one's (H, W, D). Raises
+    DataError naming the first image that breaks it."""
+    for rec in records:
+        f = rec.features
+        if f.norm_state != NormState.UNIT:
+            raise DataError(f"image {rec.image_id!r}: expected unit-normalized "
+                            f"features, got {f.norm_state.value}")
+        if f.grid.values.shape != records[0].features.grid.values.shape:
+            first = records[0]
+            raise DataError(f"image {rec.image_id!r}: grid shape {f.grid.values.shape} "
+                            f"differs from {first.features.grid.values.shape} of image "
+                            f"{first.image_id!r}")
+
+
+def check_grid(f: FeatureGrid, image_id: str = "") -> None:
+    """check_records for one image."""
+    check_records([SupervisionRecord(image_id, f, TagSet(image_id, frozenset()))])
 
 
 @dataclass(frozen=True)
@@ -111,9 +148,14 @@ class LocConfig:
 
     def __post_init__(self):
         if self.pooling not in POOLING_MODES:
-            raise DataError(f"unknown pooling mode {self.pooling!r}")
+            raise ConfigError(f"unknown pooling {self.pooling!r}, want one of {POOLING_MODES}")
+        require_count("localizer hidden size", self.hidden)
+        for epochs, lr in self.lr_schedule:
+            if epochs < 0:
+                raise ConfigError(f"lr_schedule epochs must be >= 0, got {epochs!r}")
+            require_rate("lr_schedule learning rate", lr)
         if sum(epochs for epochs, _ in self.lr_schedule) < 1:
-            raise DataError("lr_schedule runs no epoch")
+            raise ConfigError("lr_schedule runs no epoch")
 
 
 @dataclass
@@ -158,7 +200,7 @@ def score_batch(model: LocalizationModel, x: np.ndarray) -> np.ndarray:
 
 def score_image(model: LocalizationModel, f: FeatureGrid, image_id: str = "") -> ScoreMap:
     """Deterministic forward pass to fg/bg maps at feature-grid resolution."""
-    _require_unit(f)
+    check_grid(f, image_id)
     g = f.grid
     y = score_batch(model, g.locations().astype(np.float64)[None])[0]
     fg = np.ascontiguousarray(y[:, 0]).reshape(g.height, g.width)
@@ -175,14 +217,9 @@ def pooled_probability(model_pooling: str, fg: np.ndarray, bg: np.ndarray
     raise DataError(f"unknown pooling mode {model_pooling!r}")
 
 
-def _require_unit(f: FeatureGrid) -> None:
-    if f.norm_state != NormState.UNIT:
-        raise DataError(f"expected unit-normalized features, got {f.norm_state.value}")
-
-
 def train_localizer(
     class_id: int,
-    dataset: list[tuple[FeatureGrid, TagSet]],
+    records: list[SupervisionRecord],
     config: LocConfig,
     seed: int,
 ) -> LocTrainResult:
@@ -193,17 +230,17 @@ def train_localizer(
     replacement up to the positive count. Same seed and data give a
     bit-identical model. A run that never leaves the chance-level loss
     plateau is retrained from a derived seed (see MAX_RESTARTS). Raises
-    DataError without at least one positive and one negative; raises
-    NumericError (with the class and step) if the loss goes non-finite.
-    The one-class call of
+    DataError without at least one positive and one negative, or for
+    records that break check_records; raises NumericError (with the class
+    and step) if the loss goes non-finite. The one-class call of
     train_class_localizers.
     """
-    return train_class_localizers([class_id], dataset, config, [seed])[0]
+    return train_class_localizers([class_id], records, config, [seed])[0]
 
 
 def train_class_localizers(
     class_ids: list[int],
-    dataset: list[tuple[FeatureGrid, TagSet]],
+    records: list[SupervisionRecord],
     config: LocConfig,
     seeds: list[int],
 ) -> list[LocTrainResult]:
@@ -212,13 +249,12 @@ def train_class_localizers(
     bit. Classes whose run stays on the loss plateau are retrained together
     from their derived seeds, up to MAX_RESTARTS times.
     """
-    for f, _ in dataset:
-        _require_unit(f)
+    check_records(records)
     results: list[LocTrainResult | None] = [None] * len(class_ids)
     pending = range(len(class_ids))
     for attempt in range(MAX_RESTARTS + 1):
         trained = _train_lockstep([
-            _ClassRun.start(class_ids[i], dataset, config,
+            _ClassRun.start(class_ids[i], records, config,
                             derive_seed(seeds[i], 0x7E57A47 + attempt) if attempt else seeds[i])
             for i in pending
         ], config.pooling)
@@ -246,12 +282,12 @@ class _ClassRun:
     total: float = 0.0
 
     @classmethod
-    def start(cls, class_id: int, dataset: list[tuple[FeatureGrid, TagSet]],
+    def start(cls, class_id: int, records: list[SupervisionRecord],
               config: LocConfig, seed: int) -> "_ClassRun":
         """Balanced negatives, the initial model and the whole step plan,
         drawn from the class's stream in the order training uses them."""
-        positives = [f for f, t in dataset if class_id in t]
-        negative_pool = [(f, t) for f, t in dataset if class_id not in t]
+        positives = [r for r in records if class_id in r.tags]
+        negative_pool = [r for r in records if class_id not in r.tags]
         if not positives:
             raise DataError(f"class {class_id}: no positive images")
         if not negative_pool:
@@ -265,9 +301,9 @@ class _ClassRun:
             chosen = [rng.randint(len(negative_pool)) for _ in range(n_pos)]
         negatives = [negative_pool[i] for i in chosen]
 
-        in_dim = dataset[0][0].grid.depth
+        in_dim = records[0].features.grid.depth
         model = new_localization_model(class_id, in_dim, config, derive_seed(seed, 0x1417))
-        batches = [(f, 1) for f in positives] + [(f, 0) for f, _ in negatives]
+        batches = [(r.features, 1) for r in positives] + [(r.features, 0) for r in negatives]
         plan, epoch_lrs = [], []
         for epochs, lr in config.lr_schedule:
             for _ in range(epochs):
@@ -275,7 +311,7 @@ class _ClassRun:
                 rng.shuffle(order)
                 plan += order
                 epoch_lrs.append(lr)
-        return cls(model, batches, [t.image_id for _, t in negatives], plan, epoch_lrs)
+        return cls(model, batches, [r.image_id for r in negatives], plan, epoch_lrs)
 
     def batch(self, step: int) -> tuple[FeatureGrid, int]:
         return self.batches[self.plan[step]]
@@ -300,10 +336,11 @@ class _ClassRun:
 
 
 def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]:
-    """Train the runs' models together: step s takes every unfinished run's
-    s-th batch. Rows of the (C, P) parameter stack, its gradient buffer and
-    the Adam moments belong to the unfinished runs, in order; a finished
-    run's row is copied into its model and dropped. Adam keeps accumulated
+    """Train the runs' models together: step s stacks every unfinished run's
+    s-th image, all of one grid shape (check_records), into one (C, N, D)
+    array. Rows of the (C, P) parameter stack, its gradient buffer and the
+    Adam moments belong to the unfinished runs, in order; a finished run's
+    row is copied into its model and dropped. Adam keeps accumulated
     moments across each lr drop, like a lr scheduler."""
     if not runs:
         return []
@@ -327,26 +364,17 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
                 state.m, state.v = state.m[keep], state.v[keep]
             continue
         batch = [runs[i].batch(step) for i in live]
-        for rows in _rows_by_shape(batch):
-            whole = len(rows) == len(live)
-            p = param_views if whole else views(params[rows])
-            g = grads if whole else np.empty((len(rows), params.shape[1]))
-            x = np.empty((len(rows),) + batch[rows[0]][0].grid.locations().shape)
-            for j, row in enumerate(rows):
-                x[j] = batch[row][0].grid.locations()
-            try:
-                lvs = _loss_and_grads(
-                    p, pooling, x, [batch[row][1] for row in rows],
-                    grad_views if whole else views(g),
-                )
-            except NumericError as e:
-                ids = [runs[live[rows[j]]].model.class_id for j in _diverged(p, x)]
-                raise NumericError(f"class {', '.join(map(str, ids))}: "
-                                   f"non-finite loss at step {step + 1}: {e}") from e
-            if not whole:
-                grads[rows] = g
-            for row, lv in zip(rows, lvs):
-                runs[live[row]].record(step, lv)
+        x = np.stack([f.grid.locations() for f, _ in batch], dtype=np.float64)
+        try:
+            lvs = _loss_and_grads(
+                param_views, pooling, x, [label for _, label in batch], grad_views
+            )
+        except NumericError as e:
+            ids = [runs[live[j]].model.class_id for j in _diverged(param_views, x)]
+            raise NumericError(f"class {', '.join(map(str, ids))}: "
+                               f"non-finite loss at step {step + 1}: {e}") from e
+        for i, lv in zip(live, lvs):
+            runs[i].record(step, lv)
         state.lr = np.array([runs[i].lr(step) for i in live])
         adam_step(params, grads, state)
         step += 1
@@ -361,15 +389,6 @@ def _diverged(params: list[np.ndarray], x: np.ndarray) -> list[int]:
         _, y = _forward_scores(LinearLayer(w1, b1), LinearLayer(w2, b2), x)
     bad = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2))).tolist()
     return bad or list(range(len(x)))
-
-
-def _rows_by_shape(batch: list[tuple[FeatureGrid, int]]) -> list[list[int]]:
-    """Batch rows grouped by grid shape, so each group stacks into one array
-    (one group when all images share a size)."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for row, (f, _) in enumerate(batch):
-        groups.setdefault(f.grid.values.shape, []).append(row)
-    return list(groups.values())
 
 
 def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int

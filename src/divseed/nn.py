@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .rng import Rng
 from .tensor import load_tensor, save_json, save_tensor
 
@@ -456,6 +456,22 @@ def load_checkpoint(path, kind: str, names: tuple[str, str]) -> tuple[dict, dict
 
 def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def require_count(name: str, value) -> None:
+    """ConfigError unless value is at least 1."""
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value!r}")
+
+
+def require_rate(name: str, value) -> None:
+    """ConfigError unless value is a positive finite number."""
+    if not (is_number(value) and math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
 
 def meta_value(path, meta: dict, key: str, valid, want: str):

@@ -5,11 +5,13 @@ A pipeline run is: generate data -> train one localizer per class -> sample
 points -> train the segmentation head -> evaluate. Every stage's randomness
 comes from a stream derived from the single run seed, one stream per task
 (class, image, stage), so results are independent of scheduling and worker
-count. `jobs` fans out only localizer training, a contiguous group of
-classes per worker, each group trained in lockstep; points
-are sampled in-process by sampling's lockstep core and flow on as a
-`PointSet` of columns. Reports and artifact hashes are reproducible
-bit-for-bit from the config.
+count. The training split is one list of SupervisionRecords of one grid
+shape, the input both lockstep cores take. `jobs` fans out only localizer
+training: each worker receives the records once, when it starts, and
+trains a contiguous group of classes in lockstep; points are sampled
+in-process by sampling's lockstep core and flow on as a `PointSet` of
+columns. Reports and artifact hashes are reproducible bit-for-bit from the
+config.
 
 `run_variant` is the one sample -> train-seg -> eval sequence, for a run and
 for every ablation variant; `ablation_seed` is the one per-seed grid driver.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,20 +39,18 @@ from .dataset import write_dataset
 from .errors import ConfigError, DataError, DivseedError
 from .evaluation import ConfusionMatrix, EvalReport, accumulate, miou
 from .localization import (
-    POOLING_MODES,
     LocalizationModel,
     LocConfig,
     LocTrainResult,
+    SupervisionRecord,
     save_loc_checkpoint,
     train_class_localizers,
 )
-from .nn import is_int
+from .nn import is_int, is_number
 from .rng import derive_seed
 from .sampling import (
-    STRATEGIES,
     PointSet,
     SamplingConfig,
-    SupervisionRecord,
     build_supervision_set,
     save_points,
 )
@@ -94,26 +93,21 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # types here; the stage configs check the values, before any work
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and not is_int(value):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             if f.type.startswith("float") and not (
-                _is_number(value) or (value is None and f.type == "float | None")
+                is_number(value) or (value is None and f.type == "float | None")
             ):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
         object.__setattr__(self, "loc_lr_schedule", _lr_schedule(self.loc_lr_schedule))
-        if self.pooling not in POOLING_MODES:
-            raise ConfigError(
-                f"unknown pooling {self.pooling!r}, want one of {POOLING_MODES}"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}, want one of {STRATEGIES}"
-            )
-        for name in ("k", "loc_hidden", "seg_hidden", "seg_epochs", "seg_batch", "jobs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        self.loc_config()
+        self.sampling_config()
+        self.seg_config()
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -162,24 +156,16 @@ class PipelineConfig:
         return d
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _lr_schedule(schedule) -> tuple[tuple[int, float], ...]:
-    """loc_lr_schedule as (epochs, lr) tuples: a non-empty list of [integer
-    epochs >= 0, finite lr] pairs running at least one epoch in all, else a
-    ConfigError."""
+    """loc_lr_schedule as (epochs, lr) tuples: a non-empty list of [integer,
+    number] pairs, else a ConfigError. LocConfig checks the values."""
     want = "loc_lr_schedule must be a non-empty list of [epochs, lr] pairs"
     if not isinstance(schedule, (list, tuple)) or not schedule:
         raise ConfigError(f"{want}, got {schedule!r}")
     for pair in schedule:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and is_int(pair[0]) and pair[0] >= 0
-                and _is_number(pair[1]) and math.isfinite(pair[1])):
-            raise ConfigError(f"{want} with integer epochs >= 0 and a finite lr, got {pair!r}")
-    if sum(epochs for epochs, _ in schedule) < 1:
-        raise ConfigError("loc_lr_schedule must run at least one epoch")
+                and is_int(pair[0]) and is_number(pair[1])):
+            raise ConfigError(f"{want} with integer epochs and a number lr, got {pair!r}")
     return tuple((epochs, float(lr)) for epochs, lr in schedule)
 
 
@@ -275,10 +261,18 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
 # over processes
 
 
-def _loc_task(args):
-    class_ids, records, loc_config, seeds = args
-    dataset = [(r.features, r.tags) for r in records]
-    return train_class_localizers(class_ids, dataset, loc_config, seeds)
+# a pool worker's training records, set once as it starts (inherited, not
+# pickled, where workers are forked) rather than pickled into every task
+_worker_records: list[SupervisionRecord] = []
+
+
+def _set_worker_records(records: list[SupervisionRecord]) -> None:
+    global _worker_records
+    _worker_records = records
+
+
+def _train_worker_group(class_ids: list[int], loc_config: LocConfig, seeds: list[int]):
+    return train_class_localizers(class_ids, _worker_records, loc_config, seeds)
 
 
 def train_localizers(
@@ -295,13 +289,16 @@ def train_localizers(
     classes = sorted(set(class_ids))
     seeds = [derive_seed(seed, _STREAM_LOC_BASE + c) for c in classes]
     n_groups = max(1, min(jobs, len(classes)))
+    if n_groups == 1:
+        return dict(zip(classes, train_class_localizers(classes, records, loc_config, seeds)))
     cuts = [len(classes) * g // n_groups for g in range(n_groups + 1)]
-    tasks = [(classes[a:b], records, loc_config, seeds[a:b]) for a, b in zip(cuts, cuts[1:])]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            groups = list(pool.map(_loc_task, tasks))
-    else:
-        groups = [_loc_task(t) for t in tasks]
+    spans = list(zip(cuts, cuts[1:]))
+    with ProcessPoolExecutor(max_workers=n_groups, initializer=_set_worker_records,
+                             initargs=(records,)) as pool:
+        groups = list(pool.map(
+            _train_worker_group, [classes[a:b] for a, b in spans],
+            [loc_config] * n_groups, [seeds[a:b] for a, b in spans],
+        ))
     return dict(zip(classes, (r for group in groups for r in group)))
 
 

@@ -17,13 +17,15 @@ locations are excluded from later steps, and ties break toward the lowest
 flat location index. Point labels use -1 for background so the encoding
 survives growing the class universe.
 
-One lockstep core does the work. `build_supervision_set` takes the images a
-chunk of CHUNK at a time: it scores every (image, class) pair of the chunk
-with one forward pass per class, runs each greedy step for all pairs at once
-on (pairs, locations) arrays, then picks background points for all images
-at once. The per-pair samplers (`sample_diverse_fg`, `sample_diverse_bg`,
-`sample_top_k`, `sample_spatial`, `dense_pseudo_labels`) are one-pair calls
-of the same core. Points come back as a `PointSet` of parallel columns.
+One lockstep core does the work. `build_supervision_set` checks its records
+once (localization.check_records: unit features, one grid shape for the
+whole dataset), then takes them in slices of CHUNK: it scores every
+(image, class) pair of a chunk with one forward pass per class, runs each
+greedy step for all pairs at once on (pairs, locations) arrays, then picks
+background points for all images at once. The per-pair samplers
+(`sample_diverse_fg`, `sample_diverse_bg`, `sample_top_k`, `sample_spatial`,
+`dense_pseudo_labels`) are one-pair calls of the same steps. Points come
+back as a `PointSet` of parallel columns.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .localization import LocalizationModel, ScoreMap, TagSet, score_batch, score_image
+from .errors import ConfigError, DataError
+from .localization import (LocalizationModel, ScoreMap, SupervisionRecord, TagSet,
+                           check_grid, check_records, score_batch, score_image)
+from .nn import require_count, require_rate
 from .rng import Rng, derive_seed
-from .tensor import FeatureGrid, NormState
+from .tensor import FeatureGrid
 
 BACKGROUND = -1
 
@@ -155,12 +159,13 @@ class SamplingConfig:
     spatial_scale: float | None = None  # spatial mode; None = diagonal / 8
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DataError(f"k must be >= 1, got {self.k}")
+        require_count("k", self.k)
         if self.strategy not in STRATEGIES:
-            raise DataError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError(f"unknown strategy {self.strategy!r}, want one of {STRATEGIES}")
         if not math.isfinite(self.tau):
-            raise DataError("tau must be finite")
+            raise ConfigError(f"tau must be finite, got {self.tau!r}")
+        if self.spatial_scale is not None:
+            require_rate("spatial_scale", self.spatial_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +246,10 @@ def _background(feats: np.ndarray, k: int, max_sim: np.ndarray, available: np.nd
     )
 
 
-def _spatial_table(shape: tuple[int, int], scale: float) -> np.ndarray:
-    """(N, N): row i is spatial_similarity(shape, i, scale)."""
+def _spatial_table(shape: tuple[int, int], scale: float | None) -> np.ndarray:
+    """(N, N): row i is spatial_similarity(shape, i, scale or the default)."""
+    if scale is None:
+        scale = default_spatial_scale(shape)
     return np.stack(
         [spatial_similarity(shape, loc, scale) for loc in range(shape[0] * shape[1])]
     )
@@ -300,15 +307,10 @@ def _clamped_scores(sm: ScoreMap) -> np.ndarray:
     return np.maximum(sm.fg_flat(), 0.0)[None]
 
 
-def _unit_locations(f: FeatureGrid) -> np.ndarray:
-    if f.norm_state != NormState.UNIT:
-        raise DataError("sampling requires unit-normalized features")
-    return f.grid.locations().astype(np.float64)
-
-
 def sample_diverse_fg(sm: ScoreMap, f: FeatureGrid, k: int) -> list[SampledPoint]:
     """Greedy score-times-dissimilarity selection of k foreground points."""
-    feats = _unit_locations(f)
+    check_grid(f, sm.image_id)
+    feats = f.grid.locations().astype(np.float64)
     if feats.shape[0] != sm.fg.size:
         raise DataError("score map and feature grid shapes differ")
     picks, values, _ = _greedy_fg(_clamped_scores(sm), k, _feature_rows(feats[None]))
@@ -334,7 +336,8 @@ def sample_diverse_bg(
     An image with no foreground picks falls back to uniform random distinct
     locations (requires rng), flagged FLAG_RANDOM_BG with value 0.
     """
-    feats = _unit_locations(f)[None]
+    check_grid(f, fg_points[0].image_id if fg_points else "")
+    feats = f.grid.locations().astype(np.float64)[None]
     n = feats.shape[1]
     if not fg_points:
         if rng is None:
@@ -373,10 +376,7 @@ def default_spatial_scale(shape: tuple[int, int]) -> float:
 def sample_spatial(sm: ScoreMap, k: int, scale: float | None = None) -> list[SampledPoint]:
     """Same greedy recursion as sample_diverse_fg with similarity replaced by
     a Gaussian of euclidean grid distance."""
-    shape = sm.fg.shape
-    if scale is None:
-        scale = default_spatial_scale(shape)
-    table = _spatial_table(shape, scale)
+    table = _spatial_table(sm.fg.shape, scale)
     picks, values, _ = _greedy_fg(_clamped_scores(sm), k, table.__getitem__)
     return _rows(sm.image_id, sm.class_id, picks[0], values[0])
 
@@ -442,13 +442,6 @@ def dense_pseudo_labels(
 # whole-dataset supervision sets
 
 
-@dataclass
-class SupervisionRecord:
-    image_id: str
-    features: FeatureGrid  # unit-normalized
-    tags: TagSet
-
-
 def score_tagged_classes(
     rec: SupervisionRecord, models: dict[int, LocalizationModel]
 ) -> dict[int, ScoreMap]:
@@ -482,8 +475,9 @@ def build_supervision_set(
     chunking cannot change the result. Score maps may be passed in (e.g.
     read from files); by default they are computed here, and only then are
     models needed. An image's maps may lack a tagged class, or the image
-    may have no entry: it gets points from the maps it has. A map whose
-    shape differs from its image's feature grid is a DataError.
+    may have no entry: it gets points from the maps it has. Records that
+    break check_records, or a map whose shape differs from the feature
+    grid, are a DataError.
     """
     if maps_by_image is None:
         missing = sorted(
@@ -512,28 +506,8 @@ def sample_class_points(
     return _sample(tagged, config, seed, {c: model}, None)
 
 
-def _chunks(dataset: list[SupervisionRecord]):
-    """(start index, records): runs of at most CHUNK consecutive records of
-    one grid size."""
-    def size(rec):
-        g = rec.features.grid
-        return g.height, g.width, g.depth
-
-    start = 0
-    while start < len(dataset):
-        end = start + 1
-        while (end < len(dataset) and end - start < CHUNK
-               and size(dataset[end]) == size(dataset[start])):
-            end += 1
-        yield start, dataset[start:end]
-        start = end
-
-
-def _unit_stack(records: list[SupervisionRecord]) -> np.ndarray:
-    """(B, N, D) float64 locations of the records' unit features."""
-    for rec in records:
-        if rec.features.norm_state != NormState.UNIT:
-            raise DataError(f"sampling requires unit-normalized features ({rec.image_id})")
+def _stack(records: list[SupervisionRecord]) -> np.ndarray:
+    """(B, N, D) float64 locations of the records' features."""
     return np.stack([r.features.grid.locations() for r in records], dtype=np.float64)
 
 
@@ -592,19 +566,24 @@ def _point_set(records, blocks) -> PointSet:
 
 def _sample(dataset, config, seed, models, maps_by_image) -> PointSet:
     """The lockstep core behind build_supervision_set."""
+    check_records(dataset)
+    chunks = [dataset[start : start + CHUNK] for start in range(0, len(dataset), CHUNK)]
     if config.strategy != "dense":
-        tables: dict[tuple[int, int], np.ndarray] = {}  # spatial tables by grid shape
+        table = None
+        if config.strategy == "spatial" and dataset:
+            g = dataset[0].features.grid
+            table = _spatial_table((g.height, g.width), config.spatial_scale)
         return PointSet.concat([
-            _sample_chunk(start, records, config, seed, models, maps_by_image, tables)
-            for start, records in _chunks(dataset)
+            _sample_chunk(i * CHUNK, records, config, seed, models, maps_by_image, table)
+            for i, records in enumerate(chunks)
         ])
     # dense labels divide by a calibration over all maps, so score them first
     scored = [
         (records, _pair_scores(
             records, models, maps_by_image,
-            _unit_stack(records) if maps_by_image is None else None,
+            _stack(records) if maps_by_image is None else None,
         ))
-        for _, records in _chunks(dataset)
+        for records in chunks
     ]
     calibration = _calibration(
         np.concatenate([np.empty(0, np.int64)] + [c for _, (_, c, _) in scored]),
@@ -626,10 +605,10 @@ def _dense_chunk(records, pairs, tau, calibration) -> PointSet:
     )])
 
 
-def _sample_chunk(start, records, config, seed, models, maps_by_image, tables) -> PointSet:
+def _sample_chunk(start, records, config, seed, models, maps_by_image, table) -> PointSet:
     """k foreground points per pair, then k background points per image,
-    of the non-dense strategies."""
-    feats = _unit_stack(records)
+    of the non-dense strategies; table is the spatial strategy's."""
+    feats = _stack(records)
     b, n, _ = feats.shape
     k = config.k
     pair_image, pair_class, fg = _pair_scores(records, models, maps_by_image, feats)
@@ -643,14 +622,7 @@ def _sample_chunk(start, records, config, seed, models, maps_by_image, tables) -
             if config.strategy == "top_k":
                 picks, values = _top_k(scores, k)
             else:
-                g = records[0].features.grid
-                shape = (g.height, g.width)
-                if shape not in tables:
-                    scale = config.spatial_scale
-                    tables[shape] = _spatial_table(
-                        shape, default_spatial_scale(shape) if scale is None else scale
-                    )
-                picks, values, _ = _greedy_fg(scores, k, tables[shape].__getitem__)
+                picks, values, _ = _greedy_fg(scores, k, table.__getitem__)
             fg_sim = _fold(similarity, picks, np.zeros(scores.shape, dtype=np.float64))
         blocks.append(_block(pair_image, pair_class, picks, values))
         # an image's foreground max similarity is the max over its pairs'

@@ -24,6 +24,8 @@ from .localization import (
     LocalizationModel,
     LocConfig,
     LocTrainResult,
+    SupervisionRecord,
+    check_grid,
     train_localizer,
 )
 from .nn import (
@@ -39,6 +41,8 @@ from .nn import (
     meta_value,
     relu,
     relu_backward,
+    require_count,
+    require_rate,
     save_checkpoint,
 )
 from .rng import Rng, derive_seed
@@ -46,10 +50,9 @@ from .sampling import (
     BACKGROUND,
     PointSet,
     SamplingConfig,
-    SupervisionRecord,
     sample_class_points,
 )
-from .tensor import FeatureGrid, Grid, NormState, l2_normalize_locations
+from .tensor import FeatureGrid, Grid, l2_normalize_locations
 
 # checkpoint file names of the hidden and output layers: params/hidden_w.dstn ...
 _CHECKPOINT_LAYERS = ("hidden", "out")
@@ -65,8 +68,7 @@ class AugmentedFeatureGrid:
 
 def augment_with_global(f: FeatureGrid) -> AugmentedFeatureGrid:
     """Append the image's normalized mean feature vector at every location."""
-    if f.norm_state != NormState.UNIT:
-        raise DataError("augment_with_global expects unit-normalized features")
+    check_grid(f)
     locs = f.grid.locations().astype(np.float64)
     mean = locs.mean(axis=0)
     unit_mean, _ = l2_normalize_locations(mean[None, :])
@@ -106,6 +108,12 @@ class SegConfig:
     lr: float = 1e-3
     epochs: int = 2
     batch_size: int = 100
+
+    def __post_init__(self):
+        require_count("head hidden size", self.hidden)
+        require_count("head epochs", self.epochs)
+        require_count("head batch size", self.batch_size)
+        require_rate("head learning rate", self.lr)
 
 
 @dataclass
@@ -166,7 +174,7 @@ def train_segmentation(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            lv, _ = head_loss_and_grads(model, x[batch], y[batch], grads)
+            lv, _ = head_loss_and_grads(model, x[batch].astype(np.float64), y[batch], grads)
             if not np.isfinite(lv.loss):
                 raise NumericError(f"segmentation loss non-finite at batch {n_batches}")
             adam_step(model.flat, grad, state)
@@ -183,12 +191,13 @@ def train_segmentation(
 def _gather_points(points: PointSet,
                    features_by_image: dict[str, AugmentedFeatureGrid],
                    model: SegmentationModel) -> tuple[np.ndarray, np.ndarray]:
-    """(n, D) float64 point features and (n,) output indices, in point order:
-    one fancy-index per image, labels mapped through a per-label lookup."""
+    """(n, D) float32 point features as stored (training converts a batch)
+    and (n,) output indices, in point order: one fancy-index per image,
+    labels mapped through a per-label lookup."""
     points = PointSet.of(points)
     by_image = np.argsort(points.image, kind="stable")
     bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
-    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float64)
+    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float32)
     for c, image_id in enumerate(points.image_ids):
         rows = by_image[bounds[c] : bounds[c + 1]]
         x[rows] = features_by_image[image_id].grid.locations()[points.loc[rows]]
@@ -278,10 +287,7 @@ def add_class(
         raise DataError(f"class {new_class_id} already has a localization model")
 
     loc_result = train_localizer(
-        new_class_id,
-        [(rec.features, rec.tags) for rec in new_data],
-        loc_config,
-        seed=derive_seed(seed, 0xADD0 + new_class_id),
+        new_class_id, new_data, loc_config, seed=derive_seed(seed, 0xADD0 + new_class_id)
     )
 
     new_points = sample_class_points(

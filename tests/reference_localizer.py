@@ -18,21 +18,22 @@ from divseed.nn import bce_loss_and_grad
 from divseed.rng import Rng, derive_seed
 
 
-def reference_train_localizer(class_id, dataset, config, seed):
+def reference_train_localizer(class_id, records, config, seed):
     """(params, epoch_losses, negative_ids, clamp_events, restarts) of one
-    class; params are the four arrays hidden W, hidden b, out W, out b."""
-    run = _train_once(class_id, dataset, config, seed)
+    class trained on SupervisionRecords; params are the four arrays hidden
+    W, hidden b, out W, out b."""
+    run = _train_once(class_id, records, config, seed)
     attempt = 0
     while (run[1][-1] > localization.RESTART_LOSS_THRESHOLD
            and attempt < localization.MAX_RESTARTS):
         attempt += 1
-        run = _train_once(class_id, dataset, config, derive_seed(seed, 0x7E57A47 + attempt))
+        run = _train_once(class_id, records, config, derive_seed(seed, 0x7E57A47 + attempt))
     return run + (attempt,)
 
 
-def _train_once(class_id, dataset, config, seed):
-    positives = [(f, t) for f, t in dataset if class_id in t]
-    negative_pool = [(f, t) for f, t in dataset if class_id not in t]
+def _train_once(class_id, records, config, seed):
+    positives = [r for r in records if class_id in r.tags]
+    negative_pool = [r for r in records if class_id not in r.tags]
     if not positives or not negative_pool:
         raise DataError(f"class {class_id}: no positive or no negative images")
     rng = Rng(derive_seed(seed, 0x10C))
@@ -44,10 +45,10 @@ def _train_once(class_id, dataset, config, seed):
     negatives = [negative_pool[i] for i in chosen]
 
     model = new_localization_model(
-        class_id, dataset[0][0].grid.depth, config, derive_seed(seed, 0x1417)
+        class_id, records[0].features.grid.depth, config, derive_seed(seed, 0x1417)
     )
     params = [p.copy() for p in model.params()]
-    batches = [(f, 1) for f, _ in positives] + [(f, 0) for f, _ in negatives]
+    batches = [(r.features, 1) for r in positives] + [(r.features, 0) for r in negatives]
     epoch_losses, clamp_events, adam = [], 0, None
     for epochs, lr in config.lr_schedule:
         for _ in range(epochs):
@@ -64,7 +65,7 @@ def _train_once(class_id, dataset, config, seed):
                 clamp_events += clamped
                 total += loss
             epoch_losses.append(total / len(batches))
-    return params, epoch_losses, [t.image_id for _, t in negatives], clamp_events
+    return params, epoch_losses, [r.image_id for r in negatives], clamp_events
 
 
 def _loss_and_grads(params, pooling, x, label):

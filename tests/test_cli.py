@@ -253,6 +253,34 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
     assert not (tmp_path / "out").exists()  # rejected before any work
 
 
+# a stage command checks its flags with the stage config `run` uses; each
+# of these ended in a traceback, trained, or exited 3 or 0 before it did
+@pytest.mark.parametrize("argv", [
+    ["train-seg", "--batch", "0"],
+    ["train-seg", "--epochs", "0"],
+    ["add-class", "--class", "2", "--epochs", "0"],
+    ["train-seg", "--hidden", "0"],
+    ["train-loc", "--class", "0", "--hidden", "0"],
+    ["sample", "--strategy", "diverse", "--k", "0"],
+    ["sample", "--strategy", "spatial", "--spatial-scale", "0"],
+], ids=["train-seg-batch-zero", "train-seg-epochs-zero", "add-class-epochs-zero",
+        "train-seg-hidden-zero", "train-loc-hidden-zero", "sample-k-zero",
+        "sample-spatial-scale-zero"])
+def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv):
+    inputs = {
+        "train-seg": ["--points", workdir / "points.jsonl", "--features", workdir / "train"],
+        "add-class": ["--data", workdir / "new", "--base-data", workdir / "train",
+                      "--loc-dir", workdir / "loc", "--points", workdir / "points.jsonl"],
+        "train-loc": ["--data", workdir / "train"],
+        "sample": ["--in", workdir / "maps", "--features", workdir / "train"],
+    }[argv[0]]
+    out = tmp_path / "out"
+    rc = main(argv + [str(a) for a in inputs] + ["--out", str(out)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any output
+
+
 def test_invalid_config_json_is_config_error(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"k": 20,')

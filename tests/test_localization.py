@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from divseed import localization
-from divseed.errors import DataError
+from divseed.errors import ConfigError, DataError
 from divseed.localization import (
     LocConfig,
+    SupervisionRecord,
     TagSet,
     load_loc_checkpoint,
     localizer_loss_and_grads,
@@ -25,6 +26,7 @@ from divseed.nn import (
     relu_backward,
 )
 from divseed.rng import Rng
+from divseed.sampling import SamplingConfig, build_supervision_set
 from divseed.tensor import FeatureGrid, Grid, NormState
 
 from reference_localizer import reference_train_localizer
@@ -40,6 +42,10 @@ def image_probability(model, f):
 def unit_grid(vectors, shape):
     arr = np.asarray(vectors, dtype=np.float32).reshape(shape[0], shape[1], -1)
     return FeatureGrid(grid=Grid(arr), norm_state=NormState.UNIT)
+
+
+def record(image_id, features, present):
+    return SupervisionRecord(image_id, features, TagSet(image_id, frozenset(present)))
 
 
 def separable_dataset(n_pos=20, n_neg=20, h=4, w=4, d=8, seed=0, n_signal=3):
@@ -59,11 +65,7 @@ def separable_dataset(n_pos=20, n_neg=20, h=4, w=4, d=8, seed=0, n_signal=3):
                 v = signal + 0.25 * np.array(rng.uniform_array(d, -1, 1))
                 v[2] = abs(v[2])
                 vecs[s] = v / np.linalg.norm(v)
-        tags = frozenset({3}) if positive else frozenset()
-        data.append(
-            (unit_grid(vecs.astype(np.float32), (h, w)),
-             TagSet(image_id=f"im{i}", present=tags))
-        )
+        data.append(record(f"im{i}", unit_grid(vecs, (h, w)), {3} if positive else ()))
     return data
 
 
@@ -78,9 +80,9 @@ def test_separable_features_reach_full_train_accuracy(pooling):
     config = LocConfig(hidden=16, pooling=pooling, lr_schedule=TOY_SCHEDULE)
     result = train_localizer(3, data, config, seed=100)
     correct = 0
-    for f, tags in data:
-        p = image_probability(result.model, f)
-        correct += (p > 0.5) == (3 in tags)
+    for rec in data:
+        p = image_probability(result.model, rec.features)
+        correct += (p > 0.5) == (3 in rec.tags)
     assert correct == len(data)
     assert all(np.isfinite(l) for l in result.epoch_losses)
 
@@ -101,7 +103,8 @@ def test_heldout_positive_scores_above_negative():
         raw = [extract_features(s, spec) for s in train]
         stats = compute_norm_stats(raw)
         records = [
-            (normalize_features(f, stats), s.tags) for s, f in zip(train, raw)
+            SupervisionRecord(s.tags.image_id, normalize_features(f, stats), s.tags)
+            for s, f in zip(train, raw)
         ]
         result = train_localizer(0, records, LocConfig(), seed=seed)
         pos, neg = [], []
@@ -315,8 +318,8 @@ def multi_class_dataset(n=36, d=6, sizes=((4, 4),), seed=21):
         h, w = sizes[i % len(sizes)]
         vecs = rng.uniform_array(h * w * d, -1, 1).reshape(h * w, d)
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        present = frozenset(c for c in range(4) if rng.uniform() < 0.6 - 0.12 * c)
-        data.append((unit_grid(vecs, (h, w)), TagSet(image_id=f"im{i}", present=present)))
+        present = [c for c in range(4) if rng.uniform() < 0.6 - 0.12 * c]
+        data.append(record(f"im{i}", unit_grid(vecs, (h, w)), present))
     return data
 
 
@@ -343,7 +346,7 @@ def _assert_lockstep_equals_reference(data, class_ids, config, seeds):
 @pytest.mark.parametrize("class_ids", [[2], [1, 3], [0, 1, 2, 3]], ids=["C1", "C2", "C4"])
 def test_lockstep_equals_the_per_class_loop(pooling, class_ids):
     data = multi_class_dataset()
-    counts = [sum(c in t for _, t in data) for c in class_ids]
+    counts = [sum(c in r.tags for r in data) for c in class_ids]
     assert len(set(counts)) == len(counts)  # unequal positive counts
     config = LocConfig(hidden=5, pooling=pooling, lr_schedule=LOCKSTEP_SCHEDULE)
     seeds = [1000 + 7 * c for c in class_ids]
@@ -351,12 +354,46 @@ def test_lockstep_equals_the_per_class_loop(pooling, class_ids):
 
 
 @pytest.mark.parametrize("pooling", ["global", "pixel"])
-def test_lockstep_equals_the_per_class_loop_on_mixed_grid_sizes(pooling):
-    """Images of several sizes, one-location grids among them: a step stacks
-    each size separately."""
-    data = multi_class_dataset(sizes=((4, 4), (3, 2), (1, 1)), seed=5)
+@pytest.mark.parametrize("size", [(3, 2), (1, 1)], ids=["3x2", "1x1"])
+def test_lockstep_equals_the_per_class_loop_on_small_grids(pooling, size):
+    """Datasets of one small grid shape: a non-square grid, and one-location
+    grids, whose backward runs on a single row."""
+    data = multi_class_dataset(sizes=(size,), seed=5)
     config = LocConfig(hidden=4, pooling=pooling, lr_schedule=LOCKSTEP_SCHEDULE)
     _assert_lockstep_equals_reference(data, [0, 1, 2], config, [3, 4, 5])
+
+
+def _raw(rec):
+    return SupervisionRecord(rec.image_id, FeatureGrid(rec.features.grid), rec.tags)
+
+
+def _train_class_localizers(records):
+    train_class_localizers([0, 1], records, LocConfig(hidden=4), [1, 2])
+
+
+def _build_supervision_set(records):
+    config = LocConfig(hidden=4)
+    models = {c: new_localization_model(c, 6, config, seed=c) for c in range(4)}
+    build_supervision_set(records, models, SamplingConfig(k=2), seed=1)
+
+
+@pytest.mark.parametrize("consumer", [_train_class_localizers, _build_supervision_set],
+                         ids=["train_class_localizers", "build_supervision_set"])
+def test_records_of_one_grid_shape_and_unit_features_are_the_input(consumer):
+    """Both lockstep cores check their records once, at entry: a second grid
+    shape or raw features is a DataError naming the first image at fault."""
+    mixed = multi_class_dataset(n=8, sizes=((4, 4), (4, 4), (4, 4), (3, 2)))
+    with pytest.raises(DataError, match=r"^image 'im3': grid shape \(3, 2, 6\) differs "
+                                        r"from \(4, 4, 6\) of image 'im0'"):
+        consumer(mixed)
+    deeper = multi_class_dataset(n=8) + multi_class_dataset(n=1, d=7)
+    deeper[-1] = record("deep", deeper[-1].features, deeper[-1].tags.present)
+    with pytest.raises(DataError, match=r"^image 'deep': grid shape \(4, 4, 7\)"):
+        consumer(deeper)
+    raw = multi_class_dataset(n=8)
+    raw[5], raw[6] = _raw(raw[5]), _raw(raw[6])
+    with pytest.raises(DataError, match="^image 'im5': expected unit-normalized features"):
+        consumer(raw)
 
 
 @pytest.mark.parametrize("pooling", ["global", "pixel"])
@@ -383,8 +420,8 @@ def test_lockstep_models_do_not_alias():
     config = LocConfig(hidden=5, lr_schedule=LOCKSTEP_SCHEDULE)
     models = [r.model for r in train_class_localizers([0, 1, 2], data, config, [1, 2, 3])]
     before = [m.flat.tobytes() for m in models]
-    f, _ = data[0]
-    _, grads = localizer_loss_and_grads(models[1], f.grid.locations().astype(np.float64), 1)
+    x = data[0].features.grid.locations().astype(np.float64)
+    _, grads = localizer_loss_and_grads(models[1], x, 1)
     adam_step(models[1].flat, np.concatenate([g.ravel() for g in grads]), AdamState(lr=0.1))
     assert models[1].flat.tobytes() != before[1]
     assert [m.flat.tobytes() for m in (models[0], models[2])] == [before[0], before[2]]
@@ -413,6 +450,6 @@ def test_a_diverging_class_is_named_with_its_step(monkeypatch):
             train_class_localizers([0, 1, 2], multi_class_dataset(), config, [1, 2, 3])
 
 
-def test_a_schedule_without_epochs_is_a_data_error():
-    with pytest.raises(DataError, match="no epoch"):
+def test_a_schedule_without_epochs_is_a_config_error():
+    with pytest.raises(ConfigError, match="no epoch"):
         LocConfig(lr_schedule=((0, 1e-2),))

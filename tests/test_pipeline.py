@@ -236,14 +236,14 @@ def test_train_localizers_equal_the_per_class_loop_for_any_worker_count():
     every class equals its own per-class training for jobs 1, 2 and 3."""
     cfg = PipelineConfig(seed=4, n_train=60, n_test=2, n_classes=4, image_size=32)
     bench = make_benchmark(cfg)
-    dataset = [(r.features, r.tags) for r in bench.train_records]
     runs = [
         train_localizers(bench.train_records, [3, 0, 2, 1], cfg.loc_config(), cfg.seed, jobs)
         for jobs in (1, 2, 3)
     ]
     for c in range(4):
         params, losses, negatives, clamps, restarts = reference_train_localizer(
-            c, dataset, cfg.loc_config(), derive_seed(cfg.seed, _STREAM_LOC_BASE + c)
+            c, bench.train_records, cfg.loc_config(),
+            derive_seed(cfg.seed, _STREAM_LOC_BASE + c),
         )
         for results in runs:
             assert list(results) == [0, 1, 2, 3]

@@ -84,8 +84,9 @@ def _separable_points(n_images=6, d=6):
 
 
 def _per_point_gather(points, features, model):
-    """One row and one label lookup per point: the reference gather."""
-    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float64)
+    """One row and one label lookup per point: the reference gather, rows
+    kept float32 as the grids store them."""
+    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float32)
     y = np.empty(len(points), dtype=np.int64)
     for i, p in enumerate(points):
         x[i] = features[p.image_id].grid.locations()[p.loc]
@@ -106,7 +107,7 @@ def test_gather_equals_per_point_loop():
     model = new_segmentation_model(class_ids, 12, 6, SegConfig(hidden=4), seed=1)
     x, y = _gather_points(points, features, model)
     ref_x, ref_y = _per_point_gather(points, features, model)
-    assert x.tobytes() == ref_x.tobytes()
+    assert x.dtype == np.float32 and x.tobytes() == ref_x.tobytes()
     assert np.array_equal(y, ref_y)
     assert set(y.tolist()) == {0, 1, 2, 3}
     with pytest.raises(DataError):
