@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import pipeline
-from .dataset import load_manifest, write_dataset
+from .dataset import load_manifest, make_split
 from .errors import ConfigError, DataError, DivseedError, NumericError, TensorFormatError
 from .localization import (
     POOLING_MODES,
@@ -51,7 +51,7 @@ from .segmentation import (
     save_seg_checkpoint,
     train_segmentation,
 )
-from .synthdata import ExtractorSpec, generate_dataset
+from .synthdata import ExtractorSpec
 from .tensor import load_tensor, save_json, save_tensor
 
 EXIT_OK = 0
@@ -82,11 +82,11 @@ def _strategy_name(cli_name: str) -> str:
 
 
 def _load_json_object(path: str) -> dict:
-    """A config document: a JSON object, else a ConfigError."""
+    """A config document: a UTF-8 JSON object, else a ConfigError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: invalid JSON: {e}")
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object")
@@ -113,13 +113,19 @@ def _load_config(args) -> pipeline.PipelineConfig:
 
 
 def cmd_gen_data(args) -> int:
-    scenes = generate_dataset(
-        args.n, args.classes, args.size, args.size, args.seed, id_prefix=args.prefix
+    """With --stats-from, the split takes that training set's extractor and
+    stats, as `run` makes its test split; without, it derives its extractor
+    from --seed and computes its stats."""
+    if args.stats_from is None:
+        spec = ExtractorSpec(seed=derive_seed(args.seed, pipeline._STREAM_EXTRACTOR))
+        stats = None
+    else:
+        base = load_manifest(args.stats_from)
+        spec, stats = ExtractorSpec(seed=base.extractor_seed), base.load_stats()
+    scenes, _, _ = make_split(
+        args.n, args.classes, args.size, args.seed, args.prefix, spec, stats, args.out
     )
-    spec = ExtractorSpec(seed=derive_seed(args.seed, pipeline._STREAM_EXTRACTOR)
-                         if args.extractor_seed is None else args.extractor_seed)
-    manifest = write_dataset(args.out, scenes, spec, stats_from=args.stats_from)
-    print(f"wrote {len(scenes)} scenes -> {manifest}")
+    print(f"wrote {len(scenes)} scenes -> {args.out}")
     return EXIT_OK
 
 
@@ -274,9 +280,9 @@ def cmd_add_class(args) -> int:
                            batch_size=args.batch)
     new_manifest = load_manifest(args.data)
     base_manifest = load_manifest(args.base_data)
-    stats = base_manifest.load_stats()  # normalization stays frozen
-    new_records = new_manifest.load_records(stats)
-    base_records = base_manifest.load_records(stats)
+    new_manifest.check_made_from(base_manifest)  # normalization stays frozen
+    new_records = new_manifest.load_records()
+    base_records = base_manifest.load_records()
     loc_models = {}
     for name in sorted(os.listdir(args.loc_dir)):
         path = os.path.join(args.loc_dir, name)
@@ -390,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--prefix", default="scene")
     g.add_argument("--stats-from", default=None,
-                   help="reuse an existing stats.dstn instead of computing one")
-    g.add_argument("--extractor-seed", type=int, default=None)
+                   help="training dataset (directory or manifest) whose extractor "
+                        "and stats this split takes")
     g.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("train-loc", help="train one class's localizer")

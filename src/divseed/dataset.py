@@ -9,16 +9,16 @@ A dataset directory holds:
     features/<id>.dstn (H/4, W/4, D) raw extractor output
 
 Features are stored raw; consumers z-score + unit-normalize them against the
-manifest's stats file on load. Normalization stats are computed from the
-written set unless existing stats are passed in (test splits and added-class
-data reuse the training stats, which stay frozen).
+manifest's stats file on load. `make_split` builds every split, in memory and
+on disk: a training split computes its stats, and a split made from a
+training set (test splits, added-class data) takes that set's extractor and
+frozen stats.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +31,7 @@ from .synthdata import (
     SyntheticScene,
     downsample_mask,
     extract_features,
+    generate_dataset,
 )
 from .tensor import (
     FeatureGrid,
@@ -107,8 +108,8 @@ class Manifest:
         """Majority-vote downsampled mask at feature-grid resolution."""
         return downsample_mask(self.load_mask(entry), self.n_classes + 1)
 
-    def load_records(self, stats: NormStats | None = None) -> list[SupervisionRecord]:
-        stats = stats or self.load_stats()
+    def load_records(self) -> list[SupervisionRecord]:
+        stats = self.load_stats()
         return [
             SupervisionRecord(
                 image_id=e.image_id,
@@ -118,25 +119,45 @@ class Manifest:
             for e in self.entries
         ]
 
+    def check_made_from(self, base: "Manifest") -> None:
+        """DataError naming both manifests unless this dataset's features come
+        from base's extractor and its stats file holds base's stats."""
+        mine, theirs = (load_tensor(m.path(m.stats_path)) for m in (self, base))
+        if self.extractor_seed != base.extractor_seed or not np.array_equal(mine, theirs):
+            raise DataError(
+                f"{self.path(MANIFEST_NAME)} was not made from {base.path(MANIFEST_NAME)}: "
+                f"extractor seeds {self.extractor_seed} and {base.extractor_seed}, and the "
+                "stats, must both match"
+            )
+
+
+def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: ExtractorSpec,
+               stats: NormStats | None = None, out_dir: str | None = None
+               ) -> tuple[list[SyntheticScene], list[FeatureGrid], NormStats]:
+    """n size x size scenes from seed, ids prefixed by name; returns them
+    with their features from spec, unit-normalized in place by stats (else
+    by stats computed from them), and the stats. With out_dir the split is
+    also written there with its raw features as a dataset directory."""
+    scenes = generate_dataset(n, n_classes, size, size, seed, id_prefix=name)
+    features = [extract_features(s, spec) for s in scenes]
+    if stats is None:
+        stats = compute_norm_stats(features)
+    if out_dir is not None:
+        write_dataset(out_dir, scenes, spec, stats, features)
+    for i, f in enumerate(features):
+        features[i] = normalize_features(f, stats)
+    return scenes, features, stats
+
 
 def write_dataset(
     out_dir: str,
     scenes: list[SyntheticScene],
     spec: ExtractorSpec,
-    stats_from: str | NormStats | None = None,
-    features: list[FeatureGrid] | None = None,
+    stats: NormStats,
+    features: list[FeatureGrid],
 ) -> str:
-    """Write scenes + extracted features + stats + manifest; returns the
-    manifest path.
-
-    features are the scenes' raw extractor outputs, extracted here when not
-    given. stats_from stores existing stats instead of computing them from
-    these features: a NormStats, or the path of a stats tensor to copy.
-    """
-    if not scenes:
-        raise DataError("write_dataset: no scenes")
-    if features is None:
-        features = [extract_features(scene, spec) for scene in scenes]
+    """Write scenes, their raw features from spec, stats and a manifest;
+    returns the manifest path."""
     for sub in ("images", "masks", "features"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
@@ -161,13 +182,7 @@ def write_dataset(
             }
         )
 
-    stats_path = os.path.join(out_dir, STATS_NAME)
-    if stats_from is None:
-        stats_from = compute_norm_stats(features)
-    if isinstance(stats_from, NormStats):
-        save_tensor(np.stack([stats_from.mean, stats_from.std]), stats_path)
-    else:
-        shutil.copyfile(stats_from, stats_path)
+    save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
 
     n_classes = scenes[0].n_classes
     h, w, _ = scenes[0].image.shape
@@ -192,7 +207,7 @@ def write_dataset(
 
 def load_manifest(path: str) -> Manifest:
     """Read a manifest.json (or a directory containing one); DataError when
-    it is missing, not JSON, or lacks or mistypes a field."""
+    it is missing, not UTF-8 JSON, or lacks or mistypes a field."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     try:
@@ -200,7 +215,7 @@ def load_manifest(path: str) -> Manifest:
             doc = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"manifest not found: {path}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"manifest {path} is not valid JSON: {e}")
     root = os.path.dirname(os.path.abspath(path))
     try:

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes (see cli.EXIT_CODES).
+`cli.main` maps these onto process exit codes, the `EXIT_*` constants in
+cli.py: ConfigError 2, DataError 3, NumericError 4, TensorFormatError 5
+(like OSError), any other DivseedError 3.
 """
 
 

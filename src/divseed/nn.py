@@ -439,7 +439,7 @@ def load_checkpoint(path, kind: str, names: tuple[str, str]) -> tuple[dict, dict
     try:
         with open(os.path.join(path, "meta.json")) as fh:
             meta = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: meta.json is not valid JSON: {e}")
     if not isinstance(meta, dict) or meta.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} checkpoint")

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import write_dataset
+from .dataset import make_split
 from .errors import ConfigError, DataError, DivseedError
 from .evaluation import ConfusionMatrix, EvalReport, accumulate, miou
 from .localization import (
@@ -66,8 +66,8 @@ from .segmentation import (
     save_seg_checkpoint,
     train_segmentation,
 )
-from .synthdata import ExtractorSpec, downsample_mask, extract_features, generate_dataset
-from .tensor import FeatureGrid, compute_norm_stats, normalize_features, save_json
+from .synthdata import ExtractorSpec, check_dataset_size, downsample_mask
+from .tensor import FeatureGrid, NormStats, save_json
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,17 @@ class PipelineConfig:
     n_test: int = 100
     n_classes: int = 4
     image_size: int = 64
-    loc_hidden: int = 64
-    loc_lr_schedule: tuple[tuple[int, float], ...] = ((2, 2e-2), (1, 2e-3))
-    pooling: str = "global"
-    strategy: str = "diverse"
-    k: int = 20
-    tau: float = 0.2
-    spatial_scale: float | None = None
-    seg_hidden: int = 128
-    seg_lr: float = 1e-3
-    seg_epochs: int = 2
-    seg_batch: int = 100
+    loc_hidden: int = LocConfig.hidden
+    loc_lr_schedule: tuple[tuple[int, float], ...] = LocConfig.lr_schedule
+    pooling: str = LocConfig.pooling
+    strategy: str = SamplingConfig.strategy
+    k: int = SamplingConfig.k
+    tau: float = SamplingConfig.tau
+    spatial_scale: float | None = SamplingConfig.spatial_scale
+    seg_hidden: int = SegConfig.hidden
+    seg_lr: float = SegConfig.lr
+    seg_epochs: int = SegConfig.epochs
+    seg_batch: int = SegConfig.batch_size
     jobs: int = 1
 
     def __post_init__(self):
@@ -103,6 +103,8 @@ class PipelineConfig:
             ):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
         object.__setattr__(self, "loc_lr_schedule", _lr_schedule(self.loc_lr_schedule))
+        for n in (self.n_train, self.n_test):
+            check_dataset_size(n, self.n_classes, self.image_size, self.image_size)
         self.loc_config()
         self.sampling_config()
         self.seg_config()
@@ -197,7 +199,7 @@ class Benchmark:
     train_records: list[SupervisionRecord]
     test_images: list[EvalImage]
     extractor: ExtractorSpec
-    norm_stats: object  # NormStats, frozen from the training split
+    norm_stats: NormStats  # frozen from the training split
 
     @cached_property
     def train_features(self) -> dict[str, AugmentedFeatureGrid]:
@@ -210,42 +212,27 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
     """Generate train/test scenes and normalized features in memory.
 
     With data_dir, both splits are also written there as dataset directories
-    (data_dir/train, data_dir/test) sharing the training stats. Scenes and
-    raw features are not kept in the Benchmark.
+    (data_dir/train, data_dir/test) sharing the training extractor and stats.
+    Scenes and raw features are not kept in the Benchmark.
     """
     spec = ExtractorSpec(seed=derive_seed(config.seed, _STREAM_EXTRACTOR))
-    size = config.image_size
-    stats = None
 
-    def split(name, n, stream):
-        """(scene, unit features) pairs of one split; the training split,
-        made first, fixes the stats."""
-        nonlocal stats
-        scenes = generate_dataset(
-            n, config.n_classes, size, size,
-            derive_seed(config.seed, stream), id_prefix=name,
+    def split(name, n, stream, stats=None):
+        return make_split(
+            n, config.n_classes, config.image_size, derive_seed(config.seed, stream),
+            name, spec, stats, None if data_dir is None else os.path.join(data_dir, name),
         )
-        features = [extract_features(s, spec) for s in scenes]
-        if stats is None:
-            stats = compute_norm_stats(features)
-        if data_dir is not None:
-            write_dataset(os.path.join(data_dir, name), scenes, spec, stats, features)
-        # in place, so unit grids reuse the memory of the raw grids they replace
-        for i, f in enumerate(features):
-            features[i] = normalize_features(f, stats)
-        return zip(scenes, features)
 
+    scenes, features, stats = split("train", config.n_train, _STREAM_TRAIN_DATA)
     train_records = [
         SupervisionRecord(image_id=s.tags.image_id, features=f, tags=s.tags)
-        for s, f in split("train", config.n_train, _STREAM_TRAIN_DATA)
+        for s, f in zip(scenes, features)
     ]
+    del scenes  # the training scenes are not kept while the test split is made
+    scenes, features, _ = split("test", config.n_test, _STREAM_TEST_DATA, stats)
     test_images = [
-        EvalImage(
-            image_id=s.tags.image_id,
-            features=f,
-            truth=downsample_mask(s.mask, config.n_classes + 1),
-        )
-        for s, f in split("test", config.n_test, _STREAM_TEST_DATA)
+        EvalImage(s.tags.image_id, f, truth=downsample_mask(s.mask, config.n_classes + 1))
+        for s, f in zip(scenes, features)
     ]
     return Benchmark(
         n_classes=config.n_classes,
@@ -467,19 +454,14 @@ def new_class_records(
     """n_images scenes over one class more than the benchmark, with features
     from its extractor normalized by its frozen training stats: the data
     class addition learns class n_classes from."""
-    scenes = generate_dataset(
-        n_images, config.n_classes + 1, config.image_size, config.image_size,
-        seed=derive_seed(config.seed, _STREAM_ADD_CLASS_DATA), id_prefix="new",
+    scenes, features, _ = make_split(
+        n_images, config.n_classes + 1, config.image_size,
+        derive_seed(config.seed, _STREAM_ADD_CLASS_DATA), "new",
+        bench.extractor, bench.norm_stats,
     )
     return [
-        SupervisionRecord(
-            image_id=s.tags.image_id,
-            features=normalize_features(
-                extract_features(s, bench.extractor), bench.norm_stats
-            ),
-            tags=s.tags,
-        )
-        for s in scenes
+        SupervisionRecord(image_id=s.tags.image_id, features=f, tags=s.tags)
+        for s, f in zip(scenes, features)
     ]
 
 

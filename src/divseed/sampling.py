@@ -386,27 +386,13 @@ def sample_spatial(sm: ScoreMap, k: int, scale: float | None = None) -> list[Sam
 
 
 def _calibration(pair_class: np.ndarray, maxima: np.ndarray) -> dict[int, float]:
+    """Per-class normalizer: the mean of the maximum foreground scores of the
+    pairs of that class, so a calibrated present-class map peaks at 1 on
+    average. Non-positive means are floored at 1e-6."""
     return {
         int(c): max(float(np.mean(maxima[pair_class == c])), 1e-6)
         for c in np.unique(pair_class)
     }
-
-
-def compute_dense_calibration(
-    scoremaps_by_image: dict[str, dict[int, ScoreMap]]
-) -> dict[int, float]:
-    """Per-class normalizer: the mean over images containing the class of the
-    image's maximum foreground score, so a calibrated present-class map peaks
-    at 1 on average. Non-positive means are floored at 1e-6."""
-    pairs = [
-        (c, sm.fg_flat().max())
-        for maps in scoremaps_by_image.values()
-        for c, sm in maps.items()
-    ]
-    return _calibration(
-        np.array([c for c, _ in pairs], dtype=np.int64),
-        np.array([m for _, m in pairs], dtype=np.float64),
-    )
 
 
 def dense_pseudo_labels(
@@ -668,9 +654,10 @@ def _json_float(value: float) -> str:
 
 def load_points(path) -> PointSet:
     """Read a points file; DataError naming the file and line for a line
-    that is not JSON, lacks or mistypes a field, or names an unknown flag."""
+    that is not UTF-8 JSON, lacks or mistypes a field, or names an unknown
+    flag."""
     points = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # json.loads decodes, so a bad byte is a ValueError
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .localization import TagSet
 from .rng import Rng, derive_seed
 from .tensor import FeatureGrid, Grid
@@ -176,17 +176,25 @@ def generate_scene(seed: int, index: int, n_classes: int, h: int, w: int,
     )
 
 
+def check_dataset_size(n_images: int, n_classes: int, h: int, w: int) -> None:
+    """ConfigError unless a dataset of these sizes can be generated and have
+    its features extracted: at least one image, 1..MAX_CLASSES classes, and
+    dims that fit the shape size range and divide by GRID_FACTOR and by every
+    scale of the default extractor."""
+    if n_images < 1:
+        raise ConfigError(f"need at least one image, got {n_images}")
+    if not 1 <= n_classes <= MAX_CLASSES:
+        raise ConfigError(f"class count must be 1..{MAX_CLASSES}, got {n_classes}")
+    if SIZE_FRACTION[1] * min(h, w) < 2.0:
+        raise ConfigError(f"image {h}x{w} too small for the shape size range")
+    for factor in (GRID_FACTOR, *ExtractorSpec.scales):
+        if h % factor or w % factor:
+            raise ConfigError(f"image dims {h}x{w} must be divisible by {factor}")
+
+
 def generate_dataset(n_images: int, n_classes: int, h: int, w: int, seed: int,
                      id_prefix: str = "scene") -> list[SyntheticScene]:
-    if n_images < 1:
-        raise DataError("need at least one image")
-    if not 1 <= n_classes <= MAX_CLASSES:
-        raise DataError(f"class count must be 1..{MAX_CLASSES}, got {n_classes}")
-    min_dim = min(h, w)
-    if SIZE_FRACTION[1] * min_dim < 2.0:
-        raise DataError(f"image {h}x{w} too small for the shape size range")
-    if h % GRID_FACTOR or w % GRID_FACTOR:
-        raise DataError(f"image dims must be divisible by {GRID_FACTOR}")
+    check_dataset_size(n_images, n_classes, h, w)
     return [
         generate_scene(seed, i, n_classes, h, w, id_prefix) for i in range(n_images)
     ]

@@ -78,7 +78,6 @@ class Grid:
 
 class NormState(Enum):
     RAW = "raw"
-    STANDARDIZED = "standardized"
     UNIT = "unit"
 
 

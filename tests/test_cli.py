@@ -1,9 +1,12 @@
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from divseed.cli import main
+from divseed.cli import build_parser, main
 from divseed.dataset import load_manifest
 from divseed.sampling import load_points
 from divseed.tensor import load_tensor
@@ -21,8 +24,7 @@ def workdir(tmp_path_factory):
     rc = main([
         "gen-data", "--n", "12", "--classes", "2", "--size", "32",
         "--seed", "6", "--out", str(root / "test"), "--prefix", "te",
-        "--stats-from", str(root / "train" / "stats.dstn"),
-        "--extractor-seed", "1234",
+        "--stats-from", str(root / "train"),
     ])
     assert rc == 0
     return root
@@ -32,6 +34,57 @@ def test_gen_data_manifest(workdir):
     m = load_manifest(str(workdir / "train"))
     assert len(m.entries) == 60
     assert m.classes == [0, 1]
+    # a split made from a training set takes its extractor and stats
+    test = load_manifest(str(workdir / "test"))
+    assert test.extractor_seed == m.extractor_seed
+    stats = [(workdir / split / "stats.dstn").read_bytes() for split in ("train", "test")]
+    assert stats[0] == stats[1]
+
+
+def _files(root) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_gen_data_from_a_run_training_set_writes_its_test_split(tmp_path):
+    """gen-data with the run's test-split seed, --stats-from the run's
+    training set, writes the run's test split byte for byte."""
+    from divseed.pipeline import _STREAM_TEST_DATA
+    from divseed.rng import derive_seed
+
+    run = tmp_path / "run"
+    rc = main(["run", "--set", "n_train=20", "--set", "n_test=6", "--set", "n_classes=2",
+               "--set", "image_size=32", "--set", "seed=17", "--set", "seg_epochs=1",
+               "--out", str(run)])
+    assert rc == 0
+    rc = main([
+        "gen-data", "--n", "6", "--classes", "2", "--size", "32",
+        "--seed", str(derive_seed(17, _STREAM_TEST_DATA)), "--prefix", "test",
+        "--stats-from", str(run / "data" / "train"), "--out", str(tmp_path / "test"),
+    ])
+    assert rc == 0
+    assert _files(tmp_path / "test") == _files(run / "data" / "test")
+
+
+def _readme_commands() -> list[str]:
+    """Every `divseed ...` line of README's code blocks, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("divseed "):
+                commands.append(line.strip())
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_train_loc_sample_seg_predict_eval_chain(workdir):
@@ -148,7 +201,7 @@ def test_add_class_command(workdir):
     rc = main([
         "gen-data", "--n", "30", "--classes", "3", "--size", "32",
         "--seed", "44", "--out", str(workdir / "new"), "--prefix", "new",
-        "--stats-from", str(workdir / "train" / "stats.dstn"),
+        "--stats-from", str(workdir / "train"),
     ])
     assert rc == 0
     loc_dir = workdir / "loc"
@@ -172,6 +225,39 @@ def test_add_class_command(workdir):
     assert model.class_ids == (0, 1, 2)
     merged = load_points(workdir / "added" / "points.jsonl")
     assert len(merged) > len(load_points(workdir / "points.jsonl"))
+
+
+def _other_extractor(new):
+    doc = json.loads((new / "manifest.json").read_text())
+    doc["extractor"]["seed"] += 1
+    (new / "manifest.json").write_text(json.dumps(doc))
+
+
+def _other_stats(new):
+    from divseed.tensor import save_tensor
+
+    stats = load_tensor(new / "stats.dstn")
+    save_tensor(stats * [[1.0], [2.0]], new / "stats.dstn")
+
+
+@pytest.mark.parametrize("edit", [_other_extractor, _other_stats])
+def test_add_class_rejects_data_not_made_from_the_base(workdir, tmp_path, capsys, edit):
+    """New-class data made from the base set, then given another extractor
+    seed or other stats; rejected before any model or points file is read."""
+    new = tmp_path / "new"
+    assert main(["gen-data", "--n", "4", "--classes", "3", "--size", "32", "--seed", "44",
+                 "--stats-from", str(workdir / "train"), "--out", str(new)]) == 0
+    edit(new)
+    rc = main([
+        "add-class", "--class", "2", "--data", str(new),
+        "--base-data", str(workdir / "train"), "--loc-dir", str(workdir / "loc"),
+        "--points", str(workdir / "points.jsonl"), "--out", str(tmp_path / "added"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(new / "manifest.json") in err
+    assert str(workdir / "train" / "manifest.json") in err
+    assert not (tmp_path / "added").exists()
 
 
 def test_render_heatmap_and_points(workdir):
@@ -241,9 +327,14 @@ def test_unknown_config_key_is_config_error(tmp_path):
     {"seg_hidden": -1},
     {"loc_hidden": 0},
     {"seg_epochs": 0},
+    {"image_size": 30},
+    {"image_size": 36},
+    {"n_classes": 0},
+    {"n_test": 0},
 ], ids=["schedule-pair-too-short", "schedule-string", "schedule-no-epochs",
         "seg-batch-zero", "tau-string", "seg-hidden-negative", "loc-hidden-zero",
-        "seg-epochs-zero"])
+        "seg-epochs-zero", "image-size-30", "image-size-36", "classes-zero",
+        "test-images-zero"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps(doc))
@@ -263,9 +354,14 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
     ["train-loc", "--class", "0", "--hidden", "0"],
     ["sample", "--strategy", "diverse", "--k", "0"],
     ["sample", "--strategy", "spatial", "--spatial-scale", "0"],
+    ["gen-data", "--n", "4", "--classes", "2", "--size", "30"],
+    ["gen-data", "--n", "4", "--classes", "2", "--size", "36"],
+    ["gen-data", "--n", "0", "--classes", "2"],
+    ["gen-data", "--n", "4", "--classes", "9"],
 ], ids=["train-seg-batch-zero", "train-seg-epochs-zero", "add-class-epochs-zero",
         "train-seg-hidden-zero", "train-loc-hidden-zero", "sample-k-zero",
-        "sample-spatial-scale-zero"])
+        "sample-spatial-scale-zero", "gen-data-size-30", "gen-data-size-36",
+        "gen-data-n-zero", "gen-data-classes-nine"])
 def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv):
     inputs = {
         "train-seg": ["--points", workdir / "points.jsonl", "--features", workdir / "train"],
@@ -273,6 +369,7 @@ def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv
                       "--loc-dir", workdir / "loc", "--points", workdir / "points.jsonl"],
         "train-loc": ["--data", workdir / "train"],
         "sample": ["--in", workdir / "maps", "--features", workdir / "train"],
+        "gen-data": [],
     }[argv[0]]
     out = tmp_path / "out"
     rc = main(argv + [str(a) for a in inputs] + ["--out", str(out)])
@@ -281,10 +378,25 @@ def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv
     assert not out.exists()  # rejected before any output
 
 
+def _binary_file(path):
+    """A DSTN tensor whose bytes are not UTF-8 (0xc0 never is)."""
+    import numpy as np
+
+    from divseed.tensor import save_tensor
+
+    save_tensor(np.array([1.5, -2.25]), path)
+    with pytest.raises(UnicodeDecodeError):
+        path.read_text(encoding="utf-8")
+    return path
+
+
 def test_invalid_config_json_is_config_error(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"k": 20,')
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    binary = _binary_file(tmp_path / "c.dstn")
+    rc = main(["run", "--config", str(binary), "--out", str(tmp_path / "out")])
     assert rc == 2
 
 
@@ -295,6 +407,9 @@ def test_invalid_ablation_grid_json_is_config_error(tmp_path):
     assert rc == 2
     grid.write_text('{"base": [1], "variants": [{}]}')
     rc = main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "abl")])
+    assert rc == 2
+    binary = _binary_file(tmp_path / "grid.dstn")
+    rc = main(["ablate", "--grid", str(binary), "--out", str(tmp_path / "abl")])
     assert rc == 2
 
 
@@ -328,6 +443,21 @@ def test_manifest_entry_without_features_is_data_error(workdir, tmp_path, capsys
     rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
     assert rc == 3
     assert "manifest.json" in capsys.readouterr().err
+
+
+def test_binary_manifest_is_data_error(workdir, tmp_path, capsys):
+    binary = _binary_file(tmp_path / "m.dstn")
+    rc = main(["train-loc", "--class", "0", "--data", str(binary),
+               "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    assert "m.dstn" in capsys.readouterr().err
+    # --stats-from names the training set, not its stats file
+    rc = main(["gen-data", "--n", "4", "--classes", "2", "--size", "32",
+               "--stats-from", str(workdir / "train" / "stats.dstn"),
+               "--out", str(tmp_path / "test")])
+    assert rc == 3
+    assert "stats.dstn" in capsys.readouterr().err
+    assert not (tmp_path / "test").exists()
 
 
 def test_manifest_non_integer_tag_is_data_error(workdir, tmp_path, capsys):
@@ -370,6 +500,14 @@ def test_truncated_points_line_is_data_error(workdir, tmp_path, capsys):
     rc = _train_seg_on_edited_points(workdir, tmp_path, lambda line: line[: len(line) // 2])
     assert rc == 3
     assert "points.jsonl:2" in capsys.readouterr().err
+
+
+def test_binary_points_file_is_data_error(workdir, tmp_path, capsys):
+    binary = _binary_file(tmp_path / "points.dstn")
+    rc = main(["train-seg", "--points", str(binary), "--features", str(workdir / "train"),
+               "--out", str(tmp_path / "seg.ckpt")])
+    assert rc == 3
+    assert "points.dstn" in capsys.readouterr().err
 
 
 def test_point_without_label_is_data_error(workdir, tmp_path, capsys):

@@ -3,17 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from divseed.dataset import load_manifest, write_dataset
+from divseed.dataset import load_manifest, make_split
 from divseed.errors import DataError
-from divseed.synthdata import ExtractorSpec, generate_dataset
+from divseed.synthdata import ExtractorSpec
 from divseed.tensor import NormState, load_tensor
 
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    scenes = generate_dataset(6, 3, 32, 32, seed=5, id_prefix="tr")
-    write_dataset(str(out), scenes, ExtractorSpec(seed=2))
+    scenes, _, _ = make_split(6, 3, 32, 5, "tr", ExtractorSpec(seed=2), out_dir=str(out))
     return out, scenes
 
 
@@ -50,12 +49,12 @@ def test_grid_truth_matches_majority_downsample(dataset_dir):
 
 
 def test_stats_reuse_copies_file(tmp_path, dataset_dir):
+    """A split made with a training set's stats, as read back from its
+    stats.dstn, writes them byte for byte."""
     out, _ = dataset_dir
-    scenes = generate_dataset(3, 3, 32, 32, seed=9, id_prefix="te")
-    write_dataset(
-        str(tmp_path / "test"), scenes, ExtractorSpec(seed=2),
-        stats_from=str(out / "stats.dstn"),
-    )
+    base = load_manifest(str(out))
+    make_split(3, 3, 32, 9, "te", ExtractorSpec(seed=base.extractor_seed),
+               base.load_stats(), str(tmp_path / "test"))
     a = (out / "stats.dstn").read_bytes()
     b = (tmp_path / "test" / "stats.dstn").read_bytes()
     assert a == b

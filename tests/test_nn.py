@@ -562,6 +562,9 @@ def test_load_checkpoint_rejects_the_wrong_kind(tmp_path):
     (path / "meta.json").write_text('{"kind": "segm')
     with pytest.raises(DataError, match="not valid JSON"):
         load_seg_checkpoint(path)
+    (path / "meta.json").write_bytes(b'{"kind": "\xc0"}')  # not UTF-8
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_seg_checkpoint(path)
 
 
 _MISSING = object()

@@ -16,7 +16,6 @@ from divseed.sampling import (
     SamplingConfig,
     SupervisionRecord,
     build_supervision_set,
-    compute_dense_calibration,
     dense_pseudo_labels,
     load_points,
     sample_diverse_bg,
@@ -308,15 +307,6 @@ def test_dense_labels_missing_calibration():
     maps = {0: scoremap([[1.0]], class_id=0)}
     with pytest.raises(DataError):
         dense_pseudo_labels(maps, tau=0.2, calibration={})
-
-
-def test_dense_calibration_mean_of_image_maxima():
-    maps_by_image = {
-        "a": {0: scoremap([[1.0, 3.0]], class_id=0, image_id="a")},
-        "b": {0: scoremap([[5.0, 1.0]], class_id=0, image_id="b")},
-    }
-    calib = compute_dense_calibration(maps_by_image)
-    assert calib[0] == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divseed.errors import DataError
+from divseed.errors import ConfigError, DataError
 from divseed.synthdata import (
     GRID_FACTOR,
     MAX_CLASS_COVER,
@@ -56,14 +56,18 @@ def test_class_frequency_near_prior():
 
 
 def test_generate_dataset_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         generate_dataset(0, 2, 32, 32, seed=1)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         generate_dataset(1, 9, 32, 32, seed=1)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         generate_dataset(1, 2, 30, 30, seed=1)  # not divisible by 4
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="by 16"):
+        generate_dataset(1, 2, 36, 36, seed=1)  # not divisible by scale 16
+    with pytest.raises(ConfigError):
         generate_dataset(1, 2, 4, 4, seed=1)  # too small for shapes
+    with pytest.raises(ConfigError):
+        generate_dataset(1, 2, 0, 0, seed=1)  # divides by anything
 
 
 # ---------------------------------------------------------------------------
