@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Subcommands: gen-data, train-loc, sample, train-seg, predict, eval, ablate,
-add-class, gradcheck, render, run. A single JSON config drives `run` and
-`ablate`; individual stage commands take explicit flags, checked by the same
-stage configs as `run`'s before anything is read or written. Flags always
-win over config-file values. `--jobs N` on `run` and `ablate`, else a `jobs`
-value in the config document, else the DIVSEED_JOBS environment variable,
-sizes the worker pool for per-class localizer training; N below 1 is a
-config error. Point sampling always runs in-process.
+add-class, gradcheck, render, run. One JSON config document (`--config`,
+then `--set key=value` overrides) drives `run` and the stage commands
+train-loc, sample, train-seg, eval and add-class; an ablation grid's `base`
+is the config of `ablate`. Each stage command builds its stage config and
+derives its seed from the config exactly as `run` does, checked before
+anything is read or written, so the stage commands given a run's
+config.json reproduce that run's artifacts byte for byte. Stage commands
+take image sizes and classes from their manifests, never from the config's
+data keys. The `jobs` key sizes the worker pool for per-class localizer
+training in `run` and `ablate`.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 I/O or file-format error.
@@ -26,22 +29,18 @@ from . import pipeline
 from .dataset import load_manifest, make_split
 from .errors import ConfigError, DataError, DivseedError, NumericError, TensorFormatError
 from .localization import (
-    POOLING_MODES,
     LocalizationModel,
-    LocConfig,
     ScoreMap,
     load_loc_checkpoint,
     localizer_loss_and_grads,
     save_loc_checkpoint,
     score_image,
-    train_localizer,
 )
 from .nn import grad_check
 from .render import save_heatmap_pgm, save_label_ppm, save_overlay_ppm
 from .rng import Rng, derive_seed
-from .sampling import SamplingConfig, build_supervision_set, load_points, save_points
+from .sampling import build_supervision_set, load_points, save_points
 from .segmentation import (
-    SegConfig,
     SegmentationModel,
     add_class,
     augment_with_global,
@@ -61,26 +60,6 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
-def _with_jobs(args, doc: dict) -> dict:
-    """The config document with its worker count resolved: --jobs, else the
-    document's own `jobs`, else DIVSEED_JOBS, else 1. A DIVSEED_JOBS that is
-    not an integer >= 1 is a ConfigError."""
-    if getattr(args, "jobs", None) is not None:
-        return {**doc, "jobs": args.jobs}
-    if "jobs" in doc:
-        return doc
-    env = os.environ.get("DIVSEED_JOBS", "")
-    if not env:
-        return {**doc, "jobs": 1}
-    if not (env.isdigit() and int(env) > 0):
-        raise ConfigError(f"DIVSEED_JOBS must be an integer >= 1, got {env!r}")
-    return {**doc, "jobs": int(env)}
-
-
-def _strategy_name(cli_name: str) -> str:
-    return "top_k" if cli_name == "topk" else cli_name
-
-
 def _load_json_object(path: str) -> dict:
     """A config document: a UTF-8 JSON object, else a ConfigError."""
     with open(path) as fh:
@@ -94,10 +73,9 @@ def _load_json_object(path: str) -> dict:
 
 
 def _load_config(args) -> pipeline.PipelineConfig:
-    doc = {}
-    if getattr(args, "config", None):
-        doc = _load_json_object(args.config)
-    for item in getattr(args, "set", None) or []:
+    """The --config document with the --set overrides applied."""
+    doc = _load_json_object(args.config) if args.config else {}
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set wants key=value, got {item!r}")
         key, raw = item.split("=", 1)
@@ -105,7 +83,7 @@ def _load_config(args) -> pipeline.PipelineConfig:
             doc[key] = json.loads(raw)
         except json.JSONDecodeError:
             doc[key] = raw
-    return pipeline.PipelineConfig.from_dict(_with_jobs(args, doc))
+    return pipeline.PipelineConfig.from_dict(doc)
 
 
 # --------------------------------------------------------------------------
@@ -130,10 +108,11 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_loc(args) -> int:
-    config = LocConfig(hidden=args.hidden, pooling=args.pooling)
-    manifest = load_manifest(args.data)
-    records = manifest.load_records()
-    result = train_localizer(args.class_id, records, config, seed=args.seed)
+    config = _load_config(args)
+    records = load_manifest(args.data).load_records()
+    result = pipeline.train_localizers(
+        records, [args.class_id], config.loc_config(), config.seed
+    )[args.class_id]
     save_loc_checkpoint(args.out, result)
     print(
         f"class {args.class_id}: epochs={len(result.epoch_losses)} "
@@ -141,17 +120,12 @@ def cmd_train_loc(args) -> int:
     )
     if args.export_maps:
         os.makedirs(args.export_maps, exist_ok=True)
-        n = 0
-        for rec in records:
-            if args.class_id not in rec.tags:
-                continue
+        tagged = [rec for rec in records if args.class_id in rec.tags]
+        for rec in tagged:
             sm = score_image(result.model, rec.features, image_id=rec.image_id)
-            save_tensor(
-                np.stack([sm.fg, sm.bg]),
-                os.path.join(args.export_maps, f"{rec.image_id}__c{args.class_id}.dstn"),
-            )
-            n += 1
-        print(f"exported {n} score maps -> {args.export_maps}")
+            name = f"{rec.image_id}__c{args.class_id}.dstn"
+            save_tensor(np.stack([sm.fg, sm.bg]), os.path.join(args.export_maps, name))
+        print(f"exported {len(tagged)} score maps -> {args.export_maps}")
     return EXIT_OK
 
 
@@ -177,31 +151,31 @@ def _load_map_dir(map_dir: str) -> dict[str, dict[int, "ScoreMap"]]:
 
 
 def cmd_sample(args) -> int:
-    config = SamplingConfig(
-        k=args.k, strategy=_strategy_name(args.strategy), tau=args.tau,
-        spatial_scale=args.spatial_scale,
-    )
-    manifest = load_manifest(args.features)
-    records = manifest.load_records()
+    config = _load_config(args)
+    records = load_manifest(args.features).load_records()
     maps = _load_map_dir(args.in_dir)
     # the scores come from the map directory, so no models are needed; an
     # image without exported maps (no positive tag) gets background only
-    points = build_supervision_set(records, {}, config, args.seed, maps_by_image=maps)
+    points = build_supervision_set(
+        records, {}, config.sampling_config(), pipeline.sampling_seed(config.seed),
+        maps_by_image=maps,
+    )
     save_points(points, args.out)
     print(f"{len(points)} points -> {args.out}")
     return EXIT_OK
 
 
 def cmd_train_seg(args) -> int:
-    config = SegConfig(
-        hidden=args.hidden, lr=args.lr, epochs=args.epochs, batch_size=args.batch
-    )
+    config = _load_config(args)
+    seg_config = config.seg_config()
     manifest = load_manifest(args.features)
     records = manifest.load_records()
     points = load_points(args.points)
     features = {r.image_id: augment_with_global(r.features) for r in records}
-    result = train_segmentation(points, features, manifest.classes, config, args.seed)
-    save_seg_checkpoint(args.out, result, config)
+    result = train_segmentation(
+        points, features, manifest.classes, seg_config, pipeline.seg_seed(config.seed)
+    )
+    save_seg_checkpoint(args.out, result, seg_config)
     print(
         f"{len(points)} points, {result.wall_seconds:.1f}s, "
         f"final_loss={result.epoch_losses[-1]:.4f} -> {args.out}"
@@ -226,6 +200,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    config = _load_config(args)
     manifest = load_manifest(args.data)
     model = load_seg_checkpoint(args.model)
     stats = manifest.load_stats()
@@ -237,7 +212,9 @@ def cmd_eval(args) -> int:
         )
         for e in manifest.entries
     ]
-    report, _ = pipeline.evaluate_images(model, images, manifest.background_label)
+    report, _ = pipeline.evaluate_images(
+        model, images, manifest.background_label, config_echo=config.report_echo()
+    )
     save_json(report.to_dict(), args.out)
     print(f"miou={report.miou:.4f} -> {args.out}")
     return EXIT_OK
@@ -257,7 +234,7 @@ def cmd_ablate(args) -> int:
     base_doc = grid.get("base", {})
     if not isinstance(base_doc, dict):
         raise ConfigError(f"{args.grid}: base must be a JSON object")
-    base = pipeline.PipelineConfig.from_dict(_with_jobs(args, base_doc))
+    base = pipeline.PipelineConfig.from_dict(base_doc)
     variants = grid.get("variants", [])
     if not variants:
         raise ConfigError("ablation grid has no variants")
@@ -274,26 +251,22 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_add_class(args) -> int:
-    loc_config = LocConfig(hidden=args.loc_hidden, pooling=args.pooling)
-    sampling_config = SamplingConfig(k=args.k, strategy=_strategy_name(args.strategy))
-    seg_config = SegConfig(hidden=args.seg_hidden, lr=args.lr, epochs=args.epochs,
-                           batch_size=args.batch)
+    config = _load_config(args)
+    seg_config = config.seg_config()
     new_manifest = load_manifest(args.data)
     base_manifest = load_manifest(args.base_data)
     new_manifest.check_made_from(base_manifest)  # normalization stays frozen
     new_records = new_manifest.load_records()
     base_records = base_manifest.load_records()
-    loc_models = {}
-    for name in sorted(os.listdir(args.loc_dir)):
-        path = os.path.join(args.loc_dir, name)
-        if os.path.isdir(path):
-            model = load_loc_checkpoint(path)
-            loc_models[model.class_id] = model
+    paths = [os.path.join(args.loc_dir, name) for name in sorted(os.listdir(args.loc_dir))]
+    models = [load_loc_checkpoint(path) for path in paths if os.path.isdir(path)]
+    loc_models = {model.class_id: model for model in models}
     points = load_points(args.points)
     features = {r.image_id: augment_with_global(r.features) for r in base_records}
     result = add_class(
         args.class_id, new_records, loc_models, points, features, base_manifest.classes,
-        loc_config, sampling_config, seg_config, seed=args.seed,
+        config.loc_config(), config.sampling_config(), seg_config,
+        seed=pipeline.add_class_seed(config.seed),
     )
     os.makedirs(args.out, exist_ok=True)
     save_loc_checkpoint(
@@ -383,8 +356,13 @@ def cmd_render(args) -> int:
 # parser
 
 
+def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", default=None, help="JSON config document")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config key (wins over --config)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    loc, seg, sampling = LocConfig(), SegConfig(), SamplingConfig()
     p = argparse.ArgumentParser(prog="divseed", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -403,35 +381,24 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train-loc", help="train one class's localizer")
     t.add_argument("--class", dest="class_id", type=int, required=True)
     t.add_argument("--data", required=True, help="dataset manifest")
-    t.add_argument("--pooling", choices=POOLING_MODES, default=loc.pooling)
-    t.add_argument("--seed", type=int, default=7)
-    t.add_argument("--hidden", type=int, default=loc.hidden)
     t.add_argument("--out", required=True)
     t.add_argument("--export-maps", default=None,
                    help="also write score maps for positive images")
+    _add_config_args(t)
     t.set_defaults(fn=cmd_train_loc)
 
     s = sub.add_parser("sample", help="sample pseudo-label points from score maps")
-    s.add_argument("--strategy", choices=["diverse", "topk", "spatial", "dense"],
-                   required=True)
-    s.add_argument("--k", type=int, default=sampling.k)
-    s.add_argument("--tau", type=float, default=sampling.tau)
-    s.add_argument("--spatial-scale", type=float, default=None)
     s.add_argument("--in", dest="in_dir", required=True, help="score map directory")
     s.add_argument("--features", required=True, help="dataset manifest")
-    s.add_argument("--seed", type=int, default=7)
     s.add_argument("--out", required=True)
+    _add_config_args(s)
     s.set_defaults(fn=cmd_sample)
 
     ts = sub.add_parser("train-seg", help="train the segmentation head on points")
     ts.add_argument("--points", required=True)
     ts.add_argument("--features", required=True, help="dataset manifest")
-    ts.add_argument("--hidden", type=int, default=seg.hidden)
-    ts.add_argument("--lr", type=float, default=seg.lr)
-    ts.add_argument("--epochs", type=int, default=seg.epochs)
-    ts.add_argument("--batch", type=int, default=seg.batch_size)
-    ts.add_argument("--seed", type=int, default=7)
     ts.add_argument("--out", required=True)
+    _add_config_args(ts)
     ts.set_defaults(fn=cmd_train_seg)
 
     pr = sub.add_parser("predict", help="dense labels for one image")
@@ -446,14 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--out", required=True)
+    _add_config_args(ev)
     ev.set_defaults(fn=cmd_eval)
 
     r = sub.add_parser("run", help="full pipeline from a config")
-    r.add_argument("--config", default=None, help="JSON config document")
-    r.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a config key (flags win)")
     r.add_argument("--out", required=True)
-    r.add_argument("--jobs", type=int, default=None)
+    _add_config_args(r)
     r.set_defaults(fn=cmd_run)
 
     ab = sub.add_parser("ablate", help="run a config grid and tabulate mIoU")
@@ -462,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--seeds", type=int, default=5,
                     help="seed count when the grid lists none")
     ab.add_argument("--out", required=True, help="output prefix (.txt / .json)")
-    ab.add_argument("--jobs", type=int, default=None)
     ab.set_defaults(fn=cmd_ablate)
 
     ac = sub.add_parser("add-class", help="extend the system with one new class")
@@ -473,16 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory of existing localization checkpoints")
     ac.add_argument("--points", required=True, help="existing points.jsonl")
     ac.add_argument("--out", required=True)
-    ac.add_argument("--seed", type=int, default=7)
-    ac.add_argument("--pooling", choices=POOLING_MODES, default=loc.pooling)
-    ac.add_argument("--strategy", choices=["diverse", "topk", "spatial"],
-                    default="diverse")
-    ac.add_argument("--k", type=int, default=sampling.k)
-    ac.add_argument("--loc-hidden", type=int, default=loc.hidden)
-    ac.add_argument("--seg-hidden", type=int, default=seg.hidden)
-    ac.add_argument("--lr", type=float, default=seg.lr)
-    ac.add_argument("--epochs", type=int, default=seg.epochs)
-    ac.add_argument("--batch", type=int, default=seg.batch_size)
+    _add_config_args(ac)
     ac.set_defaults(fn=cmd_add_class)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient checks")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -182,6 +183,25 @@ _STREAM_ADD_CLASS_DATA = 0xADDDA7A
 _STREAM_ADD_CLASS = 0xADD
 
 
+# Every model-stage seed is derived from the run seed by one of these, in a
+# run, an ablation and a stage command alike.
+def loc_seed(seed: int, class_id: int) -> int:
+    """The seed of one class's localizer."""
+    return derive_seed(seed, _STREAM_LOC_BASE + class_id)
+
+
+def sampling_seed(seed: int) -> int:
+    return derive_seed(seed, _STREAM_SAMPLING)
+
+
+def seg_seed(seed: int) -> int:
+    return derive_seed(seed, _STREAM_SEG)
+
+
+def add_class_seed(seed: int) -> int:
+    return derive_seed(seed, _STREAM_ADD_CLASS)
+
+
 # ---------------------------------------------------------------------------
 # benchmark data, optionally written out as dataset directories
 
@@ -274,7 +294,7 @@ def train_localizers(
     per worker, and each group trains in lockstep; results are the same bits
     for any jobs."""
     classes = sorted(set(class_ids))
-    seeds = [derive_seed(seed, _STREAM_LOC_BASE + c) for c in classes]
+    seeds = [loc_seed(seed, c) for c in classes]
     n_groups = max(1, min(jobs, len(classes)))
     if n_groups == 1:
         return dict(zip(classes, train_class_localizers(classes, records, loc_config, seeds)))
@@ -346,16 +366,35 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+# the artifacts a run writes under its output directory, files and trees;
+# summary.json, which hashes them, comes last
+_RUN_LAYOUT = ("config.json", "data/train", "data/test", "loc", "points.jsonl",
+               "seg.ckpt", "report.json")
+
+
+def _clear_layout(root: str) -> None:
+    """Remove what an earlier run left at the run layout's paths, so a rerun
+    writes the tree a fresh run does; other entries under root stay."""
+    for rel in _RUN_LAYOUT + ("summary.json",):
+        path = os.path.join(root, rel)
+        if os.path.isdir(path) and not os.path.islink(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
+
+
 def _hash_tree(root: str) -> dict[str, str]:
-    """Content hash of every file under root except a summary.json left there
-    by an earlier run, which this run's summary replaces."""
+    """Content hash of every file of the run layout under root."""
     hashes = {}
-    for dirpath, _, files in os.walk(root):
-        for name in sorted(files):
-            full = os.path.join(dirpath, name)
-            rel = os.path.relpath(full, root)
-            if rel != "summary.json":
-                hashes[rel] = _sha256(full)
+    for rel in _RUN_LAYOUT:
+        path = os.path.join(root, rel)
+        if os.path.isfile(path):
+            hashes[rel] = _sha256(path)
+        for dirpath, dirnames, files in os.walk(path):
+            dirnames.sort()
+            for name in sorted(files):
+                full = os.path.join(dirpath, name)
+                hashes[os.path.relpath(full, root)] = _sha256(full)
     return hashes
 
 
@@ -380,9 +419,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> dict:
     per-stage wall-clock seconds and a content hash of every artifact file;
     everything except the timing section is reproducible from the config.
     config.json records the config without `jobs`, so the artifacts are the
-    same for any worker count.
+    same for any worker count. What an earlier run left at these paths is
+    removed first; other files under out_dir are kept and not hashed.
     """
     os.makedirs(out_dir, exist_ok=True)
+    _clear_layout(out_dir)
     save_json(config.report_echo(), os.path.join(out_dir, "config.json"))
     stages = []
     with _stage(stages, "gen-data"):
@@ -421,14 +462,14 @@ def run_variant(
     with _stage(stages, "sample"):
         points = sample_supervision(
             bench.train_records, models, config.sampling_config(),
-            derive_seed(config.seed, _STREAM_SAMPLING),
+            sampling_seed(config.seed),
         )
         if out_dir is not None:
             save_points(points, os.path.join(out_dir, "points.jsonl"))
     with _stage(stages, "train-seg"):
         seg_result = train_segmentation(
             points, bench.train_features, list(range(bench.n_classes)),
-            config.seg_config(), derive_seed(config.seed, _STREAM_SEG),
+            config.seg_config(), seg_seed(config.seed),
         )
         if out_dir is not None:
             save_seg_checkpoint(
@@ -504,7 +545,7 @@ class SeedRun:
             n, new_class_records(self.bench, cfg, n_images),
             self.models[cfg.pooling], first.points, self.bench.train_features,
             list(range(n)), cfg.loc_config(), cfg.sampling_config(),
-            cfg.seg_config(), seed=derive_seed(cfg.seed, _STREAM_ADD_CLASS),
+            cfg.seg_config(), seed=add_class_seed(cfg.seed),
         )
         report, _ = evaluate_images(added.seg_result.model, self.bench.test_images, n)
         return added, report

@@ -166,7 +166,7 @@ def train_segmentation(
     grad = np.empty_like(model.flat)
     grads = model.views(grad)
     epoch_losses = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = list(range(len(points)))
         rng.shuffle(order)
         order = np.array(order, dtype=np.int64)
@@ -174,9 +174,11 @@ def train_segmentation(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            lv, _ = head_loss_and_grads(model, x[batch].astype(np.float64), y[batch], grads)
-            if not np.isfinite(lv.loss):
-                raise NumericError(f"segmentation loss non-finite at batch {n_batches}")
+            try:
+                lv, _ = head_loss_and_grads(model, x[batch].astype(np.float64), y[batch], grads)
+            except NumericError as e:
+                raise NumericError(f"head: non-finite loss at epoch {epoch + 1}, "
+                                   f"batch {n_batches + 1}: {e}") from e
             adam_step(model.flat, grad, state)
             total += lv.loss
             n_batches += 1

@@ -65,6 +65,99 @@ def test_gen_data_from_a_run_training_set_writes_its_test_split(tmp_path):
     assert _files(tmp_path / "test") == _files(run / "data" / "test")
 
 
+# the tiny run the stage chains below reproduce
+TINY_RUN = ["--set", "n_train=80", "--set", "n_test=16", "--set", "n_classes=2",
+            "--set", "image_size=32", "--set", "seed=3"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ["strategy=diverse"], ["strategy=dense"], ["strategy=spatial"],
+    ["strategy=top_k", "pooling=pixel"],
+], ids=["diverse", "dense", "spatial", "top_k-pixel"])
+def test_stage_chain_reproduces_a_run(tmp_path, overrides):
+    """train-loc per class, sample, train-seg and eval, each given the run's
+    config.json, write the run's loc/, points.jsonl, seg.ckpt/ and
+    report.json byte for byte."""
+    run, chain, maps = tmp_path / "run", tmp_path / "chain", tmp_path / "maps"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["run", *TINY_RUN, *sets, "--out", str(run)]) == 0
+    config = ["--config", str(run / "config.json")]
+    train = str(run / "data" / "train")
+    for c in (0, 1):
+        assert main(["train-loc", "--class", str(c), "--data", train, *config,
+                     "--out", str(chain / "loc" / f"class_{c}"),
+                     "--export-maps", str(maps)]) == 0
+    assert main(["sample", "--in", str(maps), "--features", train, *config,
+                 "--out", str(chain / "points.jsonl")]) == 0
+    assert main(["train-seg", "--points", str(chain / "points.jsonl"), "--features", train,
+                 *config, "--out", str(chain / "seg.ckpt")]) == 0
+    assert main(["eval", "--model", str(chain / "seg.ckpt"),
+                 "--data", str(run / "data" / "test"), *config,
+                 "--out", str(chain / "report.json")]) == 0
+    produced = {rel: blob for rel, blob in _files(run).items()
+                if rel.split(os.sep)[0] in ("loc", "points.jsonl", "seg.ckpt", "report.json")}
+    assert len(produced) == 2 * 5 + 1 + 5 + 1
+    assert _files(chain) == produced
+
+
+@pytest.mark.parametrize("strategy", ["diverse", "dense"])
+def test_add_class_command_equals_the_in_memory_class_addition(tmp_path, strategy):
+    """gen-data makes the new-class split run_add_class makes in memory;
+    add-class, given the run's config.json, then writes the new localizer,
+    the merged points and the head that run_add_class returns, for any
+    strategy the config names."""
+    from divseed.localization import save_loc_checkpoint
+    from divseed.pipeline import (
+        _STREAM_ADD_CLASS_DATA, PipelineConfig, ablation_seed,
+    )
+    from divseed.rng import derive_seed
+    from divseed.sampling import save_points
+    from divseed.segmentation import save_seg_checkpoint
+
+    run = tmp_path / "run"
+    assert main(["run", *TINY_RUN, "--set", "seg_epochs=1", "--set", f"strategy={strategy}",
+                 "--out", str(run)]) == 0
+    cfg = PipelineConfig.from_dict(json.loads((run / "config.json").read_text()))
+    n_images, new = 30, tmp_path / "new"
+    assert main([
+        "gen-data", "--n", str(n_images), "--classes", "3", "--size", "32",
+        "--seed", str(derive_seed(cfg.seed, _STREAM_ADD_CLASS_DATA)), "--prefix", "new",
+        "--stats-from", str(run / "data" / "train"), "--out", str(new),
+    ]) == 0
+    assert main([
+        "add-class", "--class", "2", "--data", str(new),
+        "--base-data", str(run / "data" / "train"), "--loc-dir", str(run / "loc"),
+        "--points", str(run / "points.jsonl"), "--config", str(run / "config.json"),
+        "--out", str(tmp_path / "added"),
+    ]) == 0
+    added, _ = ablation_seed(cfg, [{}], cfg.seed).run_add_class(n_images)
+    expected = tmp_path / "expected"
+    save_loc_checkpoint(expected / "loc_class_2", added.loc_result)
+    save_points(added.merged_points, expected / "points.jsonl")
+    save_seg_checkpoint(expected / "seg.ckpt", added.seg_result, cfg.seg_config())
+    assert _files(tmp_path / "added") == _files(expected)
+
+
+def test_no_option_aliases_a_config_key():
+    """A setting has one name, its config key, set by --config or --set.
+    gen-data and gradcheck read no config; their --seed is their own."""
+    import argparse
+    import dataclasses
+
+    from divseed.pipeline import PipelineConfig
+
+    keys = {f.name for f in dataclasses.fields(PipelineConfig)}
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    aliases = {
+        (command, action.dest)
+        for command, subparser in sub.choices.items()
+        for action in subparser._actions
+        if action.option_strings and action.dest in keys
+    }
+    assert aliases == {("gen-data", "seed"), ("gradcheck", "seed")}
+
+
 def _readme_commands() -> list[str]:
     """Every `divseed ...` line of README's code blocks, continuations joined."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
@@ -92,7 +185,7 @@ def test_train_loc_sample_seg_predict_eval_chain(workdir):
     for c in (0, 1):
         rc = main([
             "train-loc", "--class", str(c), "--data", str(workdir / "train"),
-            "--pooling", "global", "--seed", "9", "--hidden", "32",
+            "--set", "pooling=global", "--set", "seed=9", "--set", "loc_hidden=32",
             "--out", str(workdir / "loc" / f"class_{c}"),
             "--export-maps", str(maps_dir),
         ])
@@ -100,9 +193,9 @@ def test_train_loc_sample_seg_predict_eval_chain(workdir):
         assert (workdir / "loc" / f"class_{c}" / "meta.json").exists()
 
     rc = main([
-        "sample", "--strategy", "diverse", "--k", "5",
+        "sample", "--set", "strategy=diverse", "--set", "k=5",
         "--in", str(maps_dir), "--features", str(workdir / "train"),
-        "--seed", "3", "--out", str(workdir / "points.jsonl"),
+        "--set", "seed=3", "--out", str(workdir / "points.jsonl"),
     ])
     assert rc == 0
     points = load_points(workdir / "points.jsonl")
@@ -117,7 +210,7 @@ def test_train_loc_sample_seg_predict_eval_chain(workdir):
 
     rc = main([
         "train-seg", "--points", str(workdir / "points.jsonl"),
-        "--features", str(workdir / "train"), "--seed", "4",
+        "--features", str(workdir / "train"), "--set", "seed=4",
         "--out", str(workdir / "seg.ckpt"),
     ])
     assert rc == 0
@@ -149,6 +242,7 @@ def test_sample_with_a_missing_class_map(workdir, tmp_path, strategy):
     import shutil
 
     from divseed.cli import _load_map_dir
+    from divseed.pipeline import sampling_seed
     from divseed.sampling import SamplingConfig
 
     from reference_samplers import reference_supervision_set
@@ -160,13 +254,13 @@ def test_sample_with_a_missing_class_map(workdir, tmp_path, strategy):
     os.remove(maps_dir / f"{both.image_id}__c1.dstn")
     out = tmp_path / "points.jsonl"
     rc = main([
-        "sample", "--strategy", strategy, "--k", "5", "--in", str(maps_dir),
-        "--features", str(workdir / "train"), "--seed", "3", "--out", str(out),
+        "sample", "--set", f"strategy={strategy}", "--set", "k=5", "--in", str(maps_dir),
+        "--features", str(workdir / "train"), "--set", "seed=3", "--out", str(out),
     ])
     assert rc == 0
     # the per-image loop the command used to run, as the reference
     expected = reference_supervision_set(
-        m.load_records(), {}, SamplingConfig(k=5, strategy=strategy), 3,
+        m.load_records(), {}, SamplingConfig(k=5, strategy=strategy), sampling_seed(3),
         maps_by_image=_load_map_dir(str(maps_dir)),
     )
     points = load_points(out)
@@ -174,7 +268,7 @@ def test_sample_with_a_missing_class_map(workdir, tmp_path, strategy):
     assert not [p for p in points if p.image_id == both.image_id and p.label == 1]
 
 
-@pytest.mark.parametrize("strategy", ["diverse", "topk", "spatial", "dense"])
+@pytest.mark.parametrize("strategy", ["diverse", "top_k", "spatial", "dense"])
 def test_misshaped_score_map_is_data_error(workdir, tmp_path, capsys, strategy):
     """Runs after the chain test: a 16x16 map for an image of an 8x8 grid."""
     import shutil
@@ -188,7 +282,7 @@ def test_misshaped_score_map_is_data_error(workdir, tmp_path, capsys, strategy):
     name = sorted(os.listdir(maps_dir))[0]
     save_tensor(np.zeros((2, 16, 16), dtype=np.float32), maps_dir / name)
     rc = main([
-        "sample", "--strategy", strategy, "--k", "5", "--in", str(maps_dir),
+        "sample", "--set", f"strategy={strategy}", "--set", "k=5", "--in", str(maps_dir),
         "--features", str(workdir / "train"), "--out", str(tmp_path / "p.jsonl"),
     ])
     assert rc == 3
@@ -213,7 +307,7 @@ def test_add_class_command(workdir):
         "add-class", "--class", "2", "--data", str(workdir / "new"),
         "--base-data", str(workdir / "train"), "--loc-dir", str(loc_dir),
         "--points", str(workdir / "points.jsonl"),
-        "--out", str(workdir / "added"), "--seed", "13", "--k", "5",
+        "--out", str(workdir / "added"), "--set", "seed=13", "--set", "k=5",
     ])
     assert rc == 0
     # existing localization checkpoints stay byte-identical
@@ -344,24 +438,25 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
     assert not (tmp_path / "out").exists()  # rejected before any work
 
 
-# a stage command checks its flags with the stage config `run` uses; each
-# of these ended in a traceback, trained, or exited 3 or 0 before it did
+# a stage command checks its config with the stage config `run` uses,
+# and gen-data its flags, before anything is read or written
 @pytest.mark.parametrize("argv", [
-    ["train-seg", "--batch", "0"],
-    ["train-seg", "--epochs", "0"],
-    ["add-class", "--class", "2", "--epochs", "0"],
-    ["train-seg", "--hidden", "0"],
-    ["train-loc", "--class", "0", "--hidden", "0"],
-    ["sample", "--strategy", "diverse", "--k", "0"],
-    ["sample", "--strategy", "spatial", "--spatial-scale", "0"],
+    ["train-seg", "--set", "seg_batch=0"],
+    ["train-seg", "--set", "seg_epochs=0"],
+    ["add-class", "--class", "2", "--set", "seg_epochs=0"],
+    ["train-seg", "--set", "seg_hidden=0"],
+    ["add-class", "--class", "2", "--set", "seg_hidden=0"],
+    ["train-loc", "--class", "0", "--set", "loc_hidden=0"],
+    ["sample", "--set", "k=0"],
+    ["sample", "--set", "strategy=spatial", "--set", "spatial_scale=0"],
     ["gen-data", "--n", "4", "--classes", "2", "--size", "30"],
     ["gen-data", "--n", "4", "--classes", "2", "--size", "36"],
     ["gen-data", "--n", "0", "--classes", "2"],
     ["gen-data", "--n", "4", "--classes", "9"],
 ], ids=["train-seg-batch-zero", "train-seg-epochs-zero", "add-class-epochs-zero",
-        "train-seg-hidden-zero", "train-loc-hidden-zero", "sample-k-zero",
-        "sample-spatial-scale-zero", "gen-data-size-30", "gen-data-size-36",
-        "gen-data-n-zero", "gen-data-classes-nine"])
+        "train-seg-hidden-zero", "add-class-hidden-zero", "train-loc-hidden-zero",
+        "sample-k-zero", "sample-spatial-scale-zero", "gen-data-size-30",
+        "gen-data-size-36", "gen-data-n-zero", "gen-data-classes-nine"])
 def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv):
     inputs = {
         "train-seg": ["--points", workdir / "points.jsonl", "--features", workdir / "train"],
@@ -423,7 +518,7 @@ def test_non_integer_map_class_suffix_is_data_error(workdir, tmp_path):
     maps_dir.mkdir()
     (maps_dir / "tr_00000__cx.dstn").write_bytes(b"")
     rc = main([
-        "sample", "--strategy", "diverse", "--in", str(maps_dir),
+        "sample", "--in", str(maps_dir),
         "--features", str(workdir / "train"), "--out", str(tmp_path / "p.jsonl"),
     ])
     assert rc == 3
@@ -568,55 +663,38 @@ def test_non_finite_model_is_numeric_error(workdir, tmp_path):
     assert rc == 4
 
 
-def test_jobs_env_fallback(monkeypatch, workdir, tmp_path):
+def test_jobs_env_fallback(monkeypatch, tmp_path):
+    """jobs is the config key alone: 1 without it, else the document's, the
+    --set override's or the ablation grid base's value."""
     import divseed.cli as cli
 
     captured = {}
-    real = cli.pipeline.run_pipeline
 
     def spy(config, out_dir):
         captured["jobs"] = config.jobs
         raise SystemExit(0)  # skip the actual run
 
     monkeypatch.setattr(cli.pipeline, "run_pipeline", spy)
-    monkeypatch.setenv("DIVSEED_JOBS", "3")
     with pytest.raises(SystemExit):
         main(["run", "--out", str(tmp_path / "o")])
-    assert captured["jobs"] == 3
-    # explicit flag wins over the environment
-    with pytest.raises(SystemExit):
-        main(["run", "--out", str(tmp_path / "o"), "--jobs", "2"])
-    assert captured["jobs"] == 2
-    # a config document's jobs wins over the environment, the flag over both
+    assert captured["jobs"] == 1
+    # a config document's jobs counts, and --set wins over it
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"jobs": 2}))
     for args, jobs in (
         (["--config", str(cfg)], 2), (["--set", "jobs=4"], 4),
-        (["--config", str(cfg), "--jobs", "1"], 1),
+        (["--config", str(cfg), "--set", "jobs=1"], 1),
     ):
         with pytest.raises(SystemExit):
             main(["run", "--out", str(tmp_path / "o")] + args)
         assert captured["jobs"] == jobs
-    # ablate resolves its worker count the same way, into the base config
+    # ablate takes it from the grid's base
     monkeypatch.setattr(cli.pipeline, "ablation_run", lambda base, *_, **__: spy(base, None))
-    for base, flag, jobs in (
-        ({}, [], 3), ({}, ["--jobs", "2"], 2),
-        ({"jobs": 2}, [], 2), ({"jobs": 2}, ["--jobs", "1"], 1),
-    ):
+    for base, jobs in (({}, 1), ({"jobs": 2}, 2)):
         grid = _tiny_grid(tmp_path, **base)
         with pytest.raises(SystemExit):
-            main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "a")] + flag)
+            main(["ablate", "--grid", str(grid), "--out", str(tmp_path / "a")])
         assert captured["jobs"] == jobs
-
-
-@pytest.mark.parametrize("command", ["run", "ablate"])
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_invalid_divseed_jobs_is_config_error(monkeypatch, tmp_path, capsys, command, value):
-    monkeypatch.setenv("DIVSEED_JOBS", value)
-    args = ["run"] if command == "run" else ["ablate", "--grid", str(_tiny_grid(tmp_path))]
-    rc = main(args + ["--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "DIVSEED_JOBS" in capsys.readouterr().err
 
 
 def _tiny_grid(tmp_path, **base):
@@ -630,8 +708,11 @@ def _tiny_grid(tmp_path, **base):
 @pytest.mark.parametrize("command", ["run", "ablate"])
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_config_error(tmp_path, capsys, command, jobs):
-    args = ["run"] if command == "run" else ["ablate", "--grid", str(_tiny_grid(tmp_path))]
-    rc = main(args + ["--out", str(tmp_path / "o"), "--jobs", jobs])
+    if command == "run":
+        args = ["run", "--set", f"jobs={jobs}"]
+    else:
+        args = ["ablate", "--grid", str(_tiny_grid(tmp_path, jobs=int(jobs)))]
+    rc = main(args + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
 

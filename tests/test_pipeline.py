@@ -349,6 +349,22 @@ def test_rerun_into_the_same_directory_hashes_the_same_artifacts(tmp_path):
     assert again["artifacts"] == first["artifacts"]
 
 
+@pytest.mark.slow
+def test_rerun_over_a_larger_run_writes_a_fresh_runs_tree(tmp_path):
+    """A 2-class run into the directory of a 3-class one: the stale class_2
+    localizer is gone, the artifacts equal a fresh run's, and a file the
+    run did not write stays and is not hashed."""
+    fresh = run_pipeline(TINY, str(tmp_path / "fresh"))
+    out = tmp_path / "reused"
+    run_pipeline(base_with(TINY, {"n_classes": 3, "k": 5}), str(out))
+    (out / "notes.txt").write_text("kept")
+    again = run_pipeline(TINY, str(out))
+    assert again["artifacts"] == fresh["artifacts"]
+    assert not (out / "loc" / "class_2").exists()
+    assert (out / "notes.txt").read_text() == "kept"
+    assert "notes.txt" not in again["artifacts"]
+
+
 @pytest.mark.parametrize("key", ["k", "seed", "n_train", "jobs"])
 @pytest.mark.parametrize("value", [2.5, "3", True])
 def test_int_fields_reject_other_types(key, value):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divseed.errors import DataError
+from divseed.errors import DataError, NumericError
 from divseed.localization import LocConfig, TagSet
 from divseed.rng import Rng
 from divseed.sampling import BACKGROUND, SampledPoint, SamplingConfig, SupervisionRecord
@@ -133,6 +133,17 @@ def test_training_deterministic():
     b = train_segmentation(points, features, [0, 1, 2], config, seed=9)
     for pa, pb in zip(a.model.params(), b.model.params()):
         assert np.array_equal(pa, pb)
+
+
+def test_diverging_head_names_epoch_and_batch():
+    """With a huge learning rate the first Adam step overflows the weights,
+    so the second batch's loss is not finite; the error says where."""
+    points, features = _separable_points()
+    config = SegConfig(hidden=16, lr=1e300, epochs=2, batch_size=16)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match=r"^head: non-finite loss at epoch 1, batch 2: "
+    ):
+        train_segmentation(points, features, [0, 1, 2], config, seed=3)
 
 
 def test_empty_points_error():
