@@ -186,10 +186,7 @@ def cmd_train_seg(args) -> int:
 def cmd_predict(args) -> int:
     manifest = load_manifest(args.data)
     model = load_seg_checkpoint(args.model)
-    entry = next((e for e in manifest.entries if e.image_id == args.image), None)
-    if entry is None:
-        raise DataError(f"image {args.image!r} not in manifest")
-    feats = manifest.load_unit_features(entry, manifest.load_stats())
+    feats = manifest.load_unit_features(manifest.entry(args.image), manifest.load_stats())
     labels, _ = predict(model, augment_with_global(feats))
     save_tensor(labels.astype(np.float32), args.out)
     print(f"labels -> {args.out}")
@@ -338,12 +335,7 @@ def cmd_render(args) -> int:
         if not (args.points and args.data and args.image):
             raise ConfigError("render points needs --points, --data and --image")
         manifest = load_manifest(args.data)
-        entry = next(
-            (e for e in manifest.entries if e.image_id == args.image), None
-        )
-        if entry is None:
-            raise DataError(f"image {args.image!r} not in manifest")
-        image = load_tensor(manifest.path(entry.image_path))
+        image = manifest.load_image(manifest.entry(args.image))
         points = [p for p in load_points(args.points) if p.image_id == args.image]
         gh, gw = manifest.grid_size
         cell = manifest.image_size[0] // gh

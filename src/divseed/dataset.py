@@ -1,13 +1,15 @@
 """On-disk dataset layout and the JSON manifest tying it together.
 
-A dataset directory holds:
+A dataset directory (manifest version 2) holds one stacked tensor per kind:
 
-    manifest.json      classes, sizes, extractor seed, per-image entries
-    stats.dstn         (2, D) tensor: row 0 feature means, row 1 stds
-    images/<id>.dstn   (H, W, 3) scene
-    masks/<id>.dstn    (H, W) labels as float32 (background = n_classes)
-    features/<id>.dstn (H/4, W/4, D) raw extractor output
+    manifest.json   classes, sizes, extractor seed, entries (id, tags)
+    stats.dstn      (2, D) tensor: row 0 feature means, row 1 stds
+    images.dstn     (N, H, W, 3) scenes
+    masks.dstn      (N, H, W) labels as float32 (background = n_classes)
+    features.dstn   (N, H/4, W/4, D) raw extractor output
 
+Row i of each tensor belongs to manifest entry i. A Manifest reads each
+tensor once, on first use, and checks its shape against the manifest.
 Features are stored raw; consumers z-score + unit-normalize them against the
 manifest's stats file on load. `make_split` builds every split, in memory and
 on disk: a training split computes its stats, and a split made from a
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,15 +48,17 @@ from .tensor import (
 )
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_VERSION = 2
 STATS_NAME = "stats.dstn"
+IMAGES_NAME = "images.dstn"
+MASKS_NAME = "masks.dstn"
+FEATURES_NAME = "features.dstn"
 
 
 @dataclass(frozen=True)
 class ManifestEntry:
     image_id: str
-    image_path: str
-    mask_path: str
-    features_path: str
+    row: int  # of each stacked tensor
     tags: frozenset[int]
 
     def tag_set(self) -> TagSet:
@@ -88,21 +93,46 @@ class Manifest:
             raise DataError(f"stats tensor must be (2, D), got {arr.shape}")
         return NormStats(mean=arr[0], std=arr[1])
 
-    def load_raw_features(self, entry: ManifestEntry) -> FeatureGrid:
-        arr = load_tensor(self.path(entry.features_path))
-        expected = (*self.grid_size, self.feature_depth)
+    def _load_stacked(self, name: str, row_shape: tuple[int, ...]) -> np.ndarray:
+        """The stacked tensor `name`; DataError naming it unless it holds one
+        row of row_shape per entry."""
+        arr = load_tensor(self.path(name))
+        expected = (len(self.entries), *row_shape)
         if arr.shape != expected:
             raise DataError(
-                f"{entry.features_path}: features of shape {arr.shape}, "
-                f"the manifest says {expected}"
+                f"{self.path(name)}: tensor of shape {arr.shape}, the manifest says {expected}"
             )
-        return FeatureGrid(grid=Grid(arr))
+        return arr
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        return self._load_stacked(IMAGES_NAME, (*self.image_size, 3))
+
+    @cached_property
+    def masks(self) -> np.ndarray:
+        return self._load_stacked(MASKS_NAME, self.image_size)
+
+    @cached_property
+    def raw_features(self) -> np.ndarray:
+        return self._load_stacked(FEATURES_NAME, (*self.grid_size, self.feature_depth))
+
+    def entry(self, image_id: str) -> ManifestEntry:
+        found = next((e for e in self.entries if e.image_id == image_id), None)
+        if found is None:
+            raise DataError(f"image {image_id!r} not in manifest")
+        return found
+
+    def load_image(self, entry: ManifestEntry) -> np.ndarray:
+        return self.images[entry.row]
+
+    def load_raw_features(self, entry: ManifestEntry) -> FeatureGrid:
+        return FeatureGrid(grid=Grid(self.raw_features[entry.row]))
 
     def load_unit_features(self, entry: ManifestEntry, stats: NormStats) -> FeatureGrid:
         return normalize_features(self.load_raw_features(entry), stats)
 
     def load_mask(self, entry: ManifestEntry) -> np.ndarray:
-        return load_tensor(self.path(entry.mask_path)).astype(np.int64)
+        return self.masks[entry.row].astype(np.int64)
 
     def load_grid_truth(self, entry: ManifestEntry) -> np.ndarray:
         """Majority-vote downsampled mask at feature-grid resolution."""
@@ -135,17 +165,15 @@ def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: Ex
                stats: NormStats | None = None, out_dir: str | None = None
                ) -> tuple[list[SyntheticScene], list[FeatureGrid], NormStats]:
     """n size x size scenes from seed, ids prefixed by name; returns them
-    with their features from spec, unit-normalized in place by stats (else
-    by stats computed from them), and the stats. With out_dir the split is
-    also written there with its raw features as a dataset directory."""
+    with their raw features from spec and the given stats (else stats
+    computed from the features). With out_dir the split is also written
+    there as a dataset directory."""
     scenes = generate_dataset(n, n_classes, size, size, seed, id_prefix=name)
     features = [extract_features(s, spec) for s in scenes]
     if stats is None:
         stats = compute_norm_stats(features)
     if out_dir is not None:
         write_dataset(out_dir, scenes, spec, stats, features)
-    for i, f in enumerate(features):
-        features[i] = normalize_features(f, stats)
     return scenes, features, stats
 
 
@@ -158,36 +186,18 @@ def write_dataset(
 ) -> str:
     """Write scenes, their raw features from spec, stats and a manifest;
     returns the manifest path."""
-    for sub in ("images", "masks", "features"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-
-    entries = []
-    for scene, feats in zip(scenes, features):
-        image_id = scene.tags.image_id
-        rel = {
-            "image": f"images/{image_id}.dstn",
-            "mask": f"masks/{image_id}.dstn",
-            "features": f"features/{image_id}.dstn",
-        }
-        save_tensor(scene.image, os.path.join(out_dir, rel["image"]))
-        save_tensor(scene.mask.astype(np.float32), os.path.join(out_dir, rel["mask"]))
-        save_tensor(feats.grid.values, os.path.join(out_dir, rel["features"]))
-        entries.append(
-            {
-                "id": image_id,
-                "image": rel["image"],
-                "mask": rel["mask"],
-                "features": rel["features"],
-                "tags": sorted(scene.tags.present),
-            }
-        )
-
+    os.makedirs(out_dir, exist_ok=True)
+    save_tensor(np.stack([s.image for s in scenes]), os.path.join(out_dir, IMAGES_NAME))
+    save_tensor(np.stack([s.mask for s in scenes]).astype(np.float32),
+                os.path.join(out_dir, MASKS_NAME))
+    save_tensor(np.stack([f.grid.values for f in features]),
+                os.path.join(out_dir, FEATURES_NAME))
     save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
 
     n_classes = scenes[0].n_classes
     h, w, _ = scenes[0].image.shape
     doc = {
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "classes": list(range(n_classes)),
         "image_size": [h, w],
         "grid_size": [h // GRID_FACTOR, w // GRID_FACTOR],
@@ -198,7 +208,9 @@ def write_dataset(
             "dims_per_scale": spec.dims_per_scale,
         },
         "norm_stats": STATS_NAME,
-        "images": entries,
+        "images": [
+            {"id": s.tags.image_id, "tags": sorted(s.tags.present)} for s in scenes
+        ],
     }
     manifest_path = os.path.join(out_dir, MANIFEST_NAME)
     save_json(doc, manifest_path)
@@ -206,8 +218,9 @@ def write_dataset(
 
 
 def load_manifest(path: str) -> Manifest:
-    """Read a manifest.json (or a directory containing one); DataError when
-    it is missing, not UTF-8 JSON, or lacks or mistypes a field."""
+    """Read a version-2 manifest.json (or a directory containing one);
+    DataError when it is missing, not UTF-8 JSON, of another version, lacks
+    or mistypes a field, or repeats an image id."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     try:
@@ -219,16 +232,22 @@ def load_manifest(path: str) -> Manifest:
         raise DataError(f"manifest {path} is not valid JSON: {e}")
     root = os.path.dirname(os.path.abspath(path))
     try:
+        if doc["version"] != MANIFEST_VERSION:
+            raise DataError(
+                f"manifest {path} is version {doc['version']!r}, and only version "
+                f"{MANIFEST_VERSION} (one stacked tensor per kind) is read; "
+                "regenerate the dataset with `divseed gen-data`"
+            )
         entries = [
             ManifestEntry(
-                image_id=e["id"],
-                image_path=e["image"],
-                mask_path=e["mask"],
-                features_path=e["features"],
-                tags=frozenset(int(t) for t in e["tags"]),
+                image_id=e["id"], row=row, tags=frozenset(int(t) for t in e["tags"])
             )
-            for e in doc["images"]
+            for row, e in enumerate(doc["images"])
         ]
+        ids = [e.image_id for e in entries]
+        if len(set(ids)) != len(ids):
+            repeated = next(i for i in ids if ids.count(i) > 1)
+            raise DataError(f"manifest {path} lists image {repeated!r} more than once")
         return Manifest(
             root=root,
             classes=[int(c) for c in doc["classes"]],

@@ -68,7 +68,7 @@ from .segmentation import (
     train_segmentation,
 )
 from .synthdata import ExtractorSpec, check_dataset_size, downsample_mask
-from .tensor import FeatureGrid, NormStats, save_json
+from .tensor import FeatureGrid, NormStats, normalize_features, save_json
 
 
 @dataclass(frozen=True)
@@ -238,10 +238,13 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
     spec = ExtractorSpec(seed=derive_seed(config.seed, _STREAM_EXTRACTOR))
 
     def split(name, n, stream, stats=None):
-        return make_split(
+        scenes, features, stats = make_split(
             n, config.n_classes, config.image_size, derive_seed(config.seed, stream),
             name, spec, stats, None if data_dir is None else os.path.join(data_dir, name),
         )
+        for i, f in enumerate(features):  # in place: raw grids are freed as we go
+            features[i] = normalize_features(f, stats)
+        return scenes, features, stats
 
     scenes, features, stats = split("train", config.n_train, _STREAM_TRAIN_DATA)
     train_records = [
@@ -501,7 +504,10 @@ def new_class_records(
         bench.extractor, bench.norm_stats,
     )
     return [
-        SupervisionRecord(image_id=s.tags.image_id, features=f, tags=s.tags)
+        SupervisionRecord(
+            image_id=s.tags.image_id, features=normalize_features(f, bench.norm_stats),
+            tags=s.tags,
+        )
         for s, f in zip(scenes, features)
     ]
 

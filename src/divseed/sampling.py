@@ -41,7 +41,7 @@ from .localization import (LocalizationModel, ScoreMap, SupervisionRecord, TagSe
                            check_grid, check_records, score_batch, score_image)
 from .nn import require_count, require_rate
 from .rng import Rng, derive_seed
-from .tensor import FeatureGrid
+from .tensor import FeatureGrid, atomic_write
 
 BACKGROUND = -1
 
@@ -640,7 +640,7 @@ def save_points(points, path) -> None:
     points = PointSet.of(points)
     ids = [json.dumps(image_id) for image_id in points.image_ids]
     flags = [json.dumps(list(names)) for names in _FLAG_NAMES]
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.writelines(
             f'{{"flags": {flags[f]}, "image": {ids[i]}, "label": {label}, '
             f'"loc": {loc}, "rank": {rank}, "value": {_json_float(value)}}}\n'

@@ -23,6 +23,7 @@ grid, and concatenated channel-wise into a small hypercolumn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,11 +228,18 @@ class ExtractorSpec:
     def depth(self) -> int:
         return self.dims_per_scale * len(self.scales)
 
-    def projection(self, scale: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = Rng(derive_seed(self.seed, scale))
-        p = rng.uniform_array(self.dims_per_scale * 3, -2.0, 2.0)
-        b = rng.uniform_array(self.dims_per_scale, -1.0, 1.0)
-        return p.reshape(self.dims_per_scale, 3), b
+    @cached_property
+    def projections(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """(P, b) per scale, drawn once per spec; read-only."""
+        out = {}
+        for scale in self.scales:
+            rng = Rng(derive_seed(self.seed, scale))
+            p = rng.uniform_array(self.dims_per_scale * 3, -2.0, 2.0)
+            b = rng.uniform_array(self.dims_per_scale, -1.0, 1.0)
+            p = p.reshape(self.dims_per_scale, 3)
+            p.flags.writeable = b.flags.writeable = False
+            out[scale] = (p, b)
+        return out
 
 
 def nearest_indices(src_size: int, dst_size: int) -> np.ndarray:
@@ -256,7 +264,7 @@ def extract_features(scene: SyntheticScene, spec: ExtractorSpec) -> FeatureGrid:
         if h % s or w % s:
             raise DataError(f"image dims {h}x{w} not divisible by scale {s}")
         pooled = _avg_pool(img, s)
-        p, b = spec.projection(s)
+        p, b = spec.projections[s]
         feat = np.maximum(pooled @ p.T + b, 0.0)
         rows = nearest_indices(h // s, gh)
         cols = nearest_indices(w // s, gw)

@@ -1,5 +1,6 @@
 """Dense float grids, two-stage feature normalization, the DSTN file format,
-and the JSON artifact writer.
+the JSON artifact writer, and the atomic writer behind every tensor, JSON
+and points file.
 
 A Grid is an H x W x depth block of float32 values, location-major: the flat
 location index of (row, col) is row * width + col, with the channel axis
@@ -18,7 +19,9 @@ DSTN tensor file format (bit-exact, no padding, no footer):
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -160,18 +163,34 @@ def normalize_features(f: FeatureGrid, stats: NormStats) -> FeatureGrid:
     )
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside path for writing. On a clean exit it
+    replaces path in one rename; on an exception it is removed, and a file
+    already at path is left as it was."""
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_tensor(array: np.ndarray, path) -> None:
     """Write a 1..4-d float array in the DSTN format described above."""
-    arr = np.ascontiguousarray(array, dtype=np.float32)
+    arr = np.ascontiguousarray(array, dtype="<f4")
     if not 1 <= arr.ndim <= 4:
         raise TensorFormatError(f"DSTN supports 1..4 dims, got {arr.ndim}")
     if any(d > 0xFFFFFFFF for d in arr.shape):
         raise TensorFormatError(f"dimension overflow in shape {arr.shape}")
     header = MAGIC + struct.pack("<BBB", _FORMAT_VERSION, _DTYPE_F32, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+        fh.write(arr.data)
 
 
 def load_tensor(path) -> np.ndarray:
@@ -194,16 +213,16 @@ def load_tensor(path) -> np.ndarray:
         raise TensorFormatError(f"{path}: truncated dims")
     dims = struct.unpack(f"<{ndim}I", blob[7:dim_end])
     count = int(np.prod([int(d) for d in dims], dtype=np.int64))
-    payload = blob[dim_end:]
-    if len(payload) != 4 * count:
+    if len(blob) - dim_end != 4 * count:
         raise TensorFormatError(
-            f"{path}: payload is {len(payload)} bytes, expected {4 * count}"
+            f"{path}: payload is {len(blob) - dim_end} bytes, expected {4 * count}"
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).astype(np.float32)
+    payload = np.frombuffer(blob, dtype="<f4", count=count, offset=dim_end)
+    return payload.reshape(dims).astype(np.float32)
 
 
 def save_json(doc, path) -> None:
     """Write a JSON artifact: 2-space indent, sorted keys, trailing newline."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

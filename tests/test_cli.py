@@ -533,11 +533,54 @@ def _edited_manifest(workdir, tmp_path, edit):
     return tmp_path
 
 
+def _split_with_edited_tensor(workdir, tmp_path, split, name, edit):
+    """A copy of a split whose stacked tensor `name` is replaced by
+    edit(tensor); returns the copy's directory and the edited file."""
+    import shutil
+
+    from divseed.tensor import save_tensor
+
+    data = tmp_path / split
+    shutil.copytree(workdir / split, data)
+    save_tensor(edit(load_tensor(data / name)), data / name)
+    return data, data / name
+
+
 def test_manifest_entry_without_features_is_data_error(workdir, tmp_path, capsys):
-    data = _edited_manifest(workdir, tmp_path, lambda doc: doc["images"][3].pop("features"))
+    """The last entry has no row in features.dstn: the tensor's first
+    dimension differs from the entry count."""
+    data, path = _split_with_edited_tensor(
+        workdir, tmp_path, "train", "features.dstn", lambda t: t[:-1]
+    )
     rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
     assert rc == 3
-    assert "manifest.json" in capsys.readouterr().err
+    assert f"{path}: tensor of shape (59, 8, 8, 48)" in capsys.readouterr().err
+
+
+def test_manifest_with_a_repeated_image_id_is_data_error(workdir, tmp_path, capsys):
+    def repeat_id(doc):
+        doc["images"][1]["id"] = doc["images"][0]["id"]
+
+    data = _edited_manifest(workdir, tmp_path, repeat_id)
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_version_1_manifest_is_data_error(workdir, tmp_path, capsys):
+    """A manifest of the per-image layout is named and sent to gen-data."""
+    def to_version_1(doc):
+        doc["version"] = 1
+        for e in doc["images"]:
+            e.update(image=f"images/{e['id']}.dstn", mask=f"masks/{e['id']}.dstn",
+                     features=f"features/{e['id']}.dstn")
+
+    data = _edited_manifest(workdir, tmp_path, to_version_1)
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.json'} is version 1" in err
+    assert "gen-data" in err
 
 
 def test_binary_manifest_is_data_error(workdir, tmp_path, capsys):
@@ -564,18 +607,49 @@ def test_manifest_non_integer_tag_is_data_error(workdir, tmp_path, capsys):
 
 
 def test_features_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
-    import shutil
+    """A row count that matches but trailing dims that differ from the
+    manifest's grid_size and feature_depth exit 3 naming the file."""
+    data, path = _split_with_edited_tensor(
+        workdir, tmp_path, "train", "features.dstn", lambda t: t[..., :-1]
+    )
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    assert f"{path}: tensor of shape (60, 8, 8, 47)" in capsys.readouterr().err
 
-    from divseed.tensor import save_tensor
+
+def test_masks_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
+    """Runs after the chain test (eval needs its seg.ckpt)."""
+    data, path = _split_with_edited_tensor(
+        workdir, tmp_path, "test", "masks.dstn", lambda t: t[:, :-4]
+    )
+    rc = main(["eval", "--model", str(workdir / "seg.ckpt"), "--data", str(data),
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 3
+    assert f"{path}: tensor of shape (12, 28, 32)" in capsys.readouterr().err
+
+
+def test_images_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
+    """Runs after the chain test (render needs its points.jsonl)."""
+    data, path = _split_with_edited_tensor(
+        workdir, tmp_path, "train", "images.dstn", lambda t: t[..., :1]
+    )
+    image_id = load_points(workdir / "points.jsonl")[0].image_id
+    rc = main(["render", "--kind", "points", "--points", str(workdir / "points.jsonl"),
+               "--data", str(data), "--image", image_id, "--out", str(tmp_path / "p.ppm")])
+    assert rc == 3
+    assert f"{path}: tensor of shape (60, 32, 32, 1)" in capsys.readouterr().err
+
+
+def test_truncated_stacked_tensor_is_format_error(workdir, tmp_path, capsys):
+    import shutil
 
     data = tmp_path / "train"
     shutil.copytree(workdir / "train", data)
-    m = load_manifest(str(data))
-    feats = load_tensor(data / m.entries[5].features_path)
-    save_tensor(feats[:, :-1], data / m.entries[5].features_path)
+    blob = (data / "features.dstn").read_bytes()
+    (data / "features.dstn").write_bytes(blob[: len(blob) // 2])
     rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
-    assert rc == 3
-    assert m.entries[5].features_path in capsys.readouterr().err
+    assert rc == 5
+    assert "features.dstn" in capsys.readouterr().err
 
 
 def _train_seg_on_edited_points(workdir, tmp_path, edit):

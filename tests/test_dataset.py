@@ -1,38 +1,56 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from divseed.dataset import load_manifest, make_split
 from divseed.errors import DataError
-from divseed.synthdata import ExtractorSpec
-from divseed.tensor import NormState, load_tensor
+from divseed.synthdata import ExtractorSpec, extract_features
+from divseed.tensor import NormState
 
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    scenes, _, _ = make_split(6, 3, 32, 5, "tr", ExtractorSpec(seed=2), out_dir=str(out))
-    return out, scenes
+    scenes, features, _ = make_split(6, 3, 32, 5, "tr", ExtractorSpec(seed=2), out_dir=str(out))
+    return out, scenes, features
 
 
 def test_manifest_round_trip(dataset_dir):
-    out, scenes = dataset_dir
+    """Row i of each stacked tensor holds entry i's image, mask and raw
+    extracted features, bit for bit."""
+    out, scenes, _ = dataset_dir
     m = load_manifest(str(out))
     assert m.classes == [0, 1, 2]
     assert m.image_size == (32, 32)
     assert m.grid_size == (8, 8)
     assert m.feature_depth == 48
+    assert sorted(os.listdir(out)) == [
+        "features.dstn", "images.dstn", "manifest.json", "masks.dstn", "stats.dstn",
+    ]
     assert [e.image_id for e in m.entries] == [s.tags.image_id for s in scenes]
-    for e, s in zip(m.entries, scenes):
+    spec = ExtractorSpec(seed=m.extractor_seed)
+    for row, (e, s) in enumerate(zip(m.entries, scenes)):
+        assert e.row == row
         assert e.tags == s.tags.present
+        assert m.load_image(e).tobytes() == s.image.tobytes()
         assert np.array_equal(m.load_mask(e), s.mask)
-        img = load_tensor(m.path(e.image_path))
-        assert np.array_equal(img, s.image)
+        expected = extract_features(s, spec).grid.values
+        assert m.load_raw_features(e).grid.values.tobytes() == expected.tobytes()
+
+
+def test_make_split_returns_raw_features(dataset_dir):
+    """Normalizing is left to the callers that need unit features."""
+    out, _, features = dataset_dir
+    m = load_manifest(str(out))
+    assert all(f.norm_state is NormState.RAW for f in features)
+    for e, f in zip(m.entries, features):
+        assert np.array_equal(m.load_raw_features(e).grid.values, f.grid.values)
 
 
 def test_records_are_unit_normalized(dataset_dir):
-    out, _ = dataset_dir
+    out, _, _ = dataset_dir
     m = load_manifest(str(out))
     records = m.load_records()
     assert all(r.features.norm_state is NormState.UNIT for r in records)
@@ -41,7 +59,7 @@ def test_records_are_unit_normalized(dataset_dir):
 
 
 def test_grid_truth_matches_majority_downsample(dataset_dir):
-    out, scenes = dataset_dir
+    out, _, _ = dataset_dir
     m = load_manifest(str(out))
     truth = m.load_grid_truth(m.entries[0])
     assert truth.shape == (8, 8)
@@ -51,7 +69,7 @@ def test_grid_truth_matches_majority_downsample(dataset_dir):
 def test_stats_reuse_copies_file(tmp_path, dataset_dir):
     """A split made with a training set's stats, as read back from its
     stats.dstn, writes them byte for byte."""
-    out, _ = dataset_dir
+    out, _, _ = dataset_dir
     base = load_manifest(str(out))
     make_split(3, 3, 32, 9, "te", ExtractorSpec(seed=base.extractor_seed),
                base.load_stats(), str(tmp_path / "test"))
@@ -66,7 +84,8 @@ def test_missing_manifest_raises(tmp_path):
 
 
 def test_manifest_is_sorted_json(dataset_dir):
-    out, _ = dataset_dir
+    out, _, _ = dataset_dir
     doc = json.loads((out / "manifest.json").read_text())
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert set(doc) >= {"classes", "image_size", "grid_size", "images", "norm_stats"}
+    assert all(set(e) == {"id", "tags"} for e in doc["images"])

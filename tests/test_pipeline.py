@@ -365,6 +365,19 @@ def test_rerun_over_a_larger_run_writes_a_fresh_runs_tree(tmp_path):
     assert "notes.txt" not in again["artifacts"]
 
 
+def test_artifact_paths_do_not_grow_with_the_dataset(tmp_path):
+    """A split is one file per kind, so a run on twice the images writes the
+    same set of files."""
+    paths = {}
+    for n_train in (20, 40):
+        out = tmp_path / str(n_train)
+        run_pipeline(base_with(TINY, {"n_train": n_train, "seg_epochs": 1}), str(out))
+        paths[n_train] = set(_files(out))
+    assert paths[20] == paths[40]
+    # 5 files per split, 5 per localizer and the head; config, points, report, summary
+    assert len(paths[20]) == 2 * 5 + TINY.n_classes * 5 + 5 + 4
+
+
 @pytest.mark.parametrize("key", ["k", "seed", "n_train", "jobs"])
 @pytest.mark.parametrize("value", [2.5, "3", True])
 def test_int_fields_reject_other_types(key, value):

@@ -102,6 +102,22 @@ def test_extraction_deterministic_and_depth():
     assert (a.grid.height, a.grid.width) == (8, 8)
 
 
+def test_projections_are_drawn_once_per_spec():
+    """One read-only (P, b) per scale, built on first use; a used spec and
+    a fresh equal one extract the same bits."""
+    scenes = generate_dataset(2, 2, 32, 32, seed=9)
+    spec = ExtractorSpec(seed=17)
+    first = [extract_features(s, spec).grid.values for s in scenes]
+    projections = spec.projections
+    assert spec.projections is projections
+    assert sorted(projections) == list(spec.scales)
+    for p, b in projections.values():
+        assert p.shape == (spec.dims_per_scale, 3) and b.shape == (spec.dims_per_scale,)
+        assert not (p.flags.writeable or b.flags.writeable)
+    fresh = [extract_features(s, ExtractorSpec(seed=17)).grid.values for s in scenes]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, fresh))
+
+
 def test_feature_change_footprint():
     """Recoloring pixels inside one region only moves features whose pooled
     source cells intersect that region."""

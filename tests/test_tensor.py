@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -10,10 +11,12 @@ from divseed.tensor import (
     FeatureGrid,
     Grid,
     NormState,
+    atomic_write,
     compute_norm_stats,
     l2_normalize_locations,
     load_tensor,
     normalize_features,
+    save_json,
     save_tensor,
 )
 
@@ -192,3 +195,52 @@ def test_dstn_truncated_payload(tmp_path):
 def test_dstn_rejects_bad_ndim(tmp_path):
     with pytest.raises(TensorFormatError):
         save_tensor(np.zeros((2, 2, 2, 2, 2), dtype=np.float32), tmp_path / "x.dstn")
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_write_raising_partway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "t.dstn"
+    save_tensor(np.arange(4, dtype=np.float32), path)
+    old = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_write(path, "wb") as fh:
+            fh.write(b"DSTN\x01")
+            raise RuntimeError("crash mid-write")
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["t.dstn"]
+    # a JSON document that fails to serialize halfway leaves the old one too
+    doc = tmp_path / "d.json"
+    save_json({"a": 1}, doc)
+    with pytest.raises(TypeError):
+        save_json({"a": 2, "b": object()}, doc)
+    assert doc.read_text() == '{\n  "a": 1\n}\n'
+    assert sorted(os.listdir(tmp_path)) == ["d.json", "t.dstn"]
+
+
+def test_writers_replace_the_file_only_when_complete(tmp_path, monkeypatch):
+    """save_tensor, save_json and save_points all go through atomic_write:
+    with the final rename failing, the old file stays and no temporary is
+    left."""
+    from divseed import tensor
+    from divseed.sampling import save_points
+
+    writers = {
+        "t.dstn": lambda p: save_tensor(np.ones(3, dtype=np.float32), p),
+        "d.json": lambda p: save_json({"a": 2}, p),
+        "p.jsonl": lambda p: save_points([], p),
+    }
+    for name in writers:
+        (tmp_path / name).write_bytes(b"old")
+
+    def no_rename(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(tensor.os, "replace", no_rename)
+    for name, write in writers.items():
+        with pytest.raises(OSError):
+            write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path)) == sorted(writers)
