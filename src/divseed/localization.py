@@ -64,9 +64,6 @@ POOLING_MODES = ("global", "pixel")
 RESTART_LOSS_THRESHOLD = 0.5
 MAX_RESTARTS = 4
 
-# checkpoint file names of the hidden and output layers: params/layer1_w.dstn ...
-_CHECKPOINT_LAYERS = ("layer1", "layer2")
-
 
 @dataclass(frozen=True)
 class TagSet:
@@ -451,12 +448,12 @@ def _gradient_rows(trace: PoolingTrace, n_locations: int) -> list[int]:
 
 
 def save_loc_checkpoint(path, result: LocTrainResult) -> None:
-    """Checkpoint directory: params as DSTN tensors + JSON sidecar."""
+    """Checkpoint directory (nn.save_checkpoint) with the training log in its
+    meta."""
     m = result.model
     save_checkpoint(
         path,
         m,
-        _CHECKPOINT_LAYERS,
         meta={
             "kind": "localization",
             "class_id": m.class_id,
@@ -464,12 +461,15 @@ def save_loc_checkpoint(path, result: LocTrainResult) -> None:
             "epoch_losses": result.epoch_losses,
             "negative_ids": result.negative_ids,
             "clamp_events": result.clamp_events,
+            "restarts": result.restarts,
         },
     )
 
 
 def load_loc_checkpoint(path) -> LocalizationModel:
-    fields, meta = load_checkpoint(path, "localization", _CHECKPOINT_LAYERS)
+    """DataError unless the checkpoint's output layer gives the two maps."""
+    fields, meta = load_checkpoint(path, "localization")
+    meta_value(path, meta, "out_dim", lambda v: v == 2, "2, a foreground and a background map")
     return LocalizationModel(
         **fields,
         class_id=meta_value(path, meta, "class_id", is_int, "an integer"),

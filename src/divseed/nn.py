@@ -4,18 +4,20 @@ Everything here operates on (N, dim) float64 arrays where N is the number of
 grid locations; receptive field is always 1x1, so a "layer" is a plain affine
 map applied at every location. Both models (the per-class localizer and the
 segmentation head) are an MLP: a hidden layer, a ReLU, an output layer. MLP
-holds the layers, their initializer and their checkpoint format; each model
-module runs its own forward and backward chain through linear_fwd,
-linear_backward and relu_backward. Losses return a LossValue carrying the
-scalar loss and gradients w.r.t. their direct inputs.
+holds the layers and their initializer; a checkpoint is an MLP's flat buffer
+as one params.dstn tensor beside a meta.json that records its dimensions
+(save_checkpoint). Each model module runs its own forward and backward chain
+through linear_fwd, linear_backward and relu_backward. Losses return a
+LossValue carrying the scalar loss and gradients w.r.t. their direct inputs.
 
 An MLP keeps its four parameter arrays as views into one flat float64
-buffer, `MLP.flat`; `MLP.views` lays the same shapes over any buffer of that
-length, such as a gradient buffer, or over a (C, P) stack of them with a
-leading class axis. Write parameters through `set_params` or in place; a
-rebound layer array is no longer part of the buffer. The layer ops take
-such stacked layers too: (C, out, in) weights map (C, N, in) inputs slice by
-slice, and a stacked matmul gives each slice the bits of its own product.
+buffer, `MLP.flat`, in the one layout `MLP.layout` states; `MLP.views` lays
+the same shapes over any buffer of that length, such as a gradient buffer,
+or over a (C, P) stack of them with a leading class axis. Write parameters
+through `set_params` or in place; a rebound layer array is no longer part of
+the buffer. The layer ops take such stacked layers too: (C, out, in) weights
+map (C, N, in) inputs slice by slice, and a stacked matmul gives each slice
+the bits of its own product.
 
 The localizer's max-pooled loss sends its gradient through at most two
 locations, so its backward (localization.localizer_loss_and_grads) runs the
@@ -115,15 +117,28 @@ class MLP:
     def params(self) -> list[np.ndarray]:
         return self.hidden.params() + self.out.params()
 
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """(in_dim, hidden, out_dim)."""
+        return self.hidden.in_dim, self.hidden.out_dim, self.out.out_dim
+
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Arrays shaped like params() over consecutive spans of flat's last
         axis: (P,) gives the shapes themselves, (C, P) each with a leading C."""
-        views, start = [], 0
-        for p in self.params():
-            stop = start + p.size
-            views.append(flat[..., start:stop].reshape(flat.shape[:-1] + p.shape))
-            start = stop
-        return views
+        return self.layout(flat, *self.dims)
+
+    @staticmethod
+    def layout(flat: np.ndarray, in_dim: int, hidden: int, out_dim: int) -> list[np.ndarray]:
+        """views() of an MLP of these dimensions; DataError unless flat's last
+        axis holds exactly its hidden*(in_dim+1) + out_dim*(hidden+1)
+        parameters."""
+        shapes = ((hidden, in_dim), (hidden,), (out_dim, hidden), (out_dim,))
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat.shape[-1] != sum(sizes):
+            raise DataError(f"{flat.shape[-1]} parameters, want {sum(sizes)} for in_dim "
+                            f"{in_dim}, hidden {hidden}, out_dim {out_dim}")
+        spans = np.split(flat, np.cumsum(sizes[:-1]), axis=-1)
+        return [span.reshape(flat.shape[:-1] + shape) for span, shape in zip(spans, shapes)]
 
     def set_params(self, params: list[np.ndarray]) -> None:
         """Copy params, shaped like params(), into the buffer."""
@@ -413,28 +428,28 @@ def grad_check(loss_fn, params: list[np.ndarray], rng: Rng, n_coords: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints: one DSTN file per parameter array + a JSON sidecar
+# checkpoints: the flat parameter buffer as one DSTN tensor + a JSON sidecar
 
 
-def save_checkpoint(path, model: MLP, names: tuple[str, str], meta: dict) -> None:
-    """Write a checkpoint directory: params/<name>_w.dstn and <name>_b.dstn
-    for the hidden and output layers under the two given names, plus
-    meta.json holding meta and the model's in_dim, hidden and seed."""
-    os.makedirs(os.path.join(path, "params"), exist_ok=True)
-    for name, layer in zip(names, (model.hidden, model.out)):
-        save_tensor(layer.weights, os.path.join(path, "params", f"{name}_w.dstn"))
-        save_tensor(layer.bias, os.path.join(path, "params", f"{name}_b.dstn"))
-    meta = {**meta, "in_dim": model.hidden.in_dim, "hidden": model.hidden.out_dim,
-            "seed": model.seed}
+def save_checkpoint(path, model: MLP, meta: dict) -> None:
+    """Write a checkpoint directory: params.dstn, the model's flat buffer
+    (params() in order) as one (P,) float32 tensor, and meta.json holding
+    meta and the model's in_dim, hidden, out_dim and seed."""
+    os.makedirs(path, exist_ok=True)
+    save_tensor(model.flat, os.path.join(path, "params.dstn"))
+    in_dim, hidden, out_dim = model.dims
+    meta = {**meta, "in_dim": in_dim, "hidden": hidden, "out_dim": out_dim, "seed": model.seed}
     save_json(meta, os.path.join(path, "meta.json"))
 
 
-def load_checkpoint(path, kind: str, names: tuple[str, str]) -> tuple[dict, dict]:
+def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
     """Read a checkpoint written by save_checkpoint with meta["kind"] == kind.
 
     Returns the MLP fields (hidden, out, seed), with float64 parameters, and
-    the meta document; DataError for another kind, an unreadable meta or a
-    seed that is not an integer.
+    the meta document. DataError for another kind, an unreadable meta, a
+    seed that is not an integer, a dimension that is not an integer >= 1, or
+    a params.dstn that is not one axis of exactly the parameters those
+    dimensions give.
     """
     try:
         with open(os.path.join(path, "meta.json")) as fh:
@@ -443,15 +458,18 @@ def load_checkpoint(path, kind: str, names: tuple[str, str]) -> tuple[dict, dict
         raise DataError(f"{path}: meta.json is not valid JSON: {e}")
     if not isinstance(meta, dict) or meta.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} checkpoint")
-
-    def layer(name):
-        w, b = (load_tensor(os.path.join(path, "params", f"{name}_{part}.dstn"))
-                for part in ("w", "b"))
-        return LinearLayer(weights=w.astype(np.float64), bias=b.astype(np.float64))
-
-    hidden, out = names
+    dims = [meta_value(path, meta, key, lambda v: is_int(v) and v >= 1, "an integer >= 1")
+            for key in ("in_dim", "hidden", "out_dim")]
     seed = meta_value(path, meta, "seed", is_int, "an integer")
-    return {"hidden": layer(hidden), "out": layer(out), "seed": seed}, meta
+    params = os.path.join(path, "params.dstn")
+    flat = load_tensor(params)
+    if flat.ndim != 1:
+        raise DataError(f"{params}: shape {flat.shape}, want one axis")
+    try:
+        w1, b1, w2, b2 = MLP.layout(flat, *dims)
+    except DataError as e:
+        raise DataError(f"{params}: {e}") from None
+    return {"hidden": LinearLayer(w1, b1), "out": LinearLayer(w2, b2), "seed": seed}, meta
 
 
 def is_int(value) -> bool:

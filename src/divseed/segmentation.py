@@ -54,9 +54,6 @@ from .sampling import (
 )
 from .tensor import FeatureGrid, Grid, l2_normalize_locations
 
-# checkpoint file names of the hidden and output layers: params/hidden_w.dstn ...
-_CHECKPOINT_LAYERS = ("hidden", "out")
-
 
 @dataclass(frozen=True)
 class AugmentedFeatureGrid:
@@ -195,14 +192,21 @@ def _gather_points(points: PointSet,
                    model: SegmentationModel) -> tuple[np.ndarray, np.ndarray]:
     """(n, D) float32 point features as stored (training converts a batch)
     and (n,) output indices, in point order: one fancy-index per image,
-    labels mapped through a per-label lookup."""
+    labels mapped through a per-label lookup. DataError for a point whose
+    loc is outside its image's grid."""
     points = PointSet.of(points)
     by_image = np.argsort(points.image, kind="stable")
     bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
     x = np.empty((len(points), model.hidden.in_dim), dtype=np.float32)
     for c, image_id in enumerate(points.image_ids):
         rows = by_image[bounds[c] : bounds[c + 1]]
-        x[rows] = features_by_image[image_id].grid.locations()[points.loc[rows]]
+        grid = features_by_image[image_id].grid
+        locs = points.loc[rows]
+        outside = locs[(locs < 0) | (locs >= grid.n_locations)]
+        if outside.size:
+            raise DataError(f"image {image_id!r}: point loc {int(outside[0])} is outside "
+                            f"its grid of {grid.n_locations} locations")
+        x[rows] = grid.locations()[locs]
     labels, inverse = np.unique(points.label, return_inverse=True)
     lookup = np.array([model.label_to_index(int(c)) for c in labels], dtype=np.int64)
     return x, lookup[inverse]
@@ -323,7 +327,6 @@ def save_seg_checkpoint(path, result: SegTrainResult, config: SegConfig) -> None
     save_checkpoint(
         path,
         m,
-        _CHECKPOINT_LAYERS,
         meta={
             "kind": "segmentation",
             "class_ids": list(m.class_ids),
@@ -337,12 +340,17 @@ def save_seg_checkpoint(path, result: SegTrainResult, config: SegConfig) -> None
 
 
 def load_seg_checkpoint(path) -> SegmentationModel:
-    fields, meta = load_checkpoint(path, "segmentation", _CHECKPOINT_LAYERS)
+    """DataError unless the checkpoint's output layer has one output per
+    class in class_ids plus background."""
+    fields, meta = load_checkpoint(path, "segmentation")
+    class_ids = meta_value(
+        path, meta, "class_ids",
+        lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers",
+    )
+    meta_value(path, meta, "out_dim", lambda v: v == len(class_ids) + 1,
+               f"{len(class_ids) + 1}, one output per class in class_ids plus background")
     return SegmentationModel(
         **fields,
-        class_ids=tuple(meta_value(
-            path, meta, "class_ids",
-            lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers",
-        )),
+        class_ids=tuple(class_ids),
         global_dim=meta_value(path, meta, "global_dim", is_int, "an integer"),
     )

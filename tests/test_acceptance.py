@@ -331,7 +331,7 @@ def grid(tmp_path_factory):
                                negative_ids=[]),
             )
         hashes_before = {
-            c: (ckpt_dir / f"class_{c}" / "params" / "layer2_w.dstn").read_bytes()
+            c: (ckpt_dir / f"class_{c}" / "params.dstn").read_bytes()
             for c in sorted(models)
         }
         params_before = {
@@ -339,7 +339,7 @@ def grid(tmp_path_factory):
         }
         added, added_report = run.run_add_class(ADD_CLASS_IMAGES)
         hashes_after = {
-            c: (ckpt_dir / f"class_{c}" / "params" / "layer2_w.dstn").read_bytes()
+            c: (ckpt_dir / f"class_{c}" / "params.dstn").read_bytes()
             for c in sorted(models)
         }
         params_same = all(

@@ -96,7 +96,7 @@ def test_stage_chain_reproduces_a_run(tmp_path, overrides):
                  "--out", str(chain / "report.json")]) == 0
     produced = {rel: blob for rel, blob in _files(run).items()
                 if rel.split(os.sep)[0] in ("loc", "points.jsonl", "seg.ckpt", "report.json")}
-    assert len(produced) == 2 * 5 + 1 + 5 + 1
+    assert len(produced) == 2 * 2 + 1 + 2 + 1
     assert _files(chain) == produced
 
 
@@ -300,7 +300,7 @@ def test_add_class_command(workdir):
     assert rc == 0
     loc_dir = workdir / "loc"
     before = {
-        p: (loc_dir / p / "params" / "layer1_w.dstn").read_bytes()
+        p: (loc_dir / p / "params.dstn").read_bytes()
         for p in os.listdir(loc_dir)
     }
     rc = main([
@@ -312,7 +312,7 @@ def test_add_class_command(workdir):
     assert rc == 0
     # existing localization checkpoints stay byte-identical
     for p, blob in before.items():
-        assert (loc_dir / p / "params" / "layer1_w.dstn").read_bytes() == blob
+        assert (loc_dir / p / "params.dstn").read_bytes() == blob
     from divseed.segmentation import load_seg_checkpoint
 
     model = load_seg_checkpoint(workdir / "added" / "seg.ckpt")
@@ -665,6 +665,16 @@ def _train_seg_on_edited_points(workdir, tmp_path, edit):
     ])
 
 
+@pytest.mark.parametrize("loc", [1_000_000, -1])
+def test_point_outside_the_grid_is_data_error(workdir, tmp_path, capsys, loc):
+    line = (workdir / "points.jsonl").read_text().splitlines()[1]
+    rc = _train_seg_on_edited_points(workdir, tmp_path,
+                                     lambda text: json.dumps({**json.loads(text), "loc": loc}))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert json.loads(line)["image"] in err and str(loc) in err
+
+
 def test_truncated_points_line_is_data_error(workdir, tmp_path, capsys):
     rc = _train_seg_on_edited_points(workdir, tmp_path, lambda line: line[: len(line) // 2])
     assert rc == 3
@@ -724,9 +734,9 @@ def test_non_finite_model_is_numeric_error(workdir, tmp_path):
 
     broken = tmp_path / "broken.ckpt"
     shutil.copytree(workdir / "seg.ckpt", broken)
-    w = load_tensor(broken / "params" / "hidden_w.dstn")
-    w[0, 0] = np.inf
-    save_tensor(w, broken / "params" / "hidden_w.dstn")
+    flat = load_tensor(broken / "params.dstn")
+    flat[0] = np.inf
+    save_tensor(flat, broken / "params.dstn")
     m = load_manifest(str(workdir / "train"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -735,6 +745,85 @@ def test_non_finite_model_is_numeric_error(workdir, tmp_path):
             "--image", m.entries[0].image_id, "--out", str(tmp_path / "p.dstn"),
         ])
     assert rc == 4
+
+
+def _edited_head(workdir, tmp_path, edit):
+    """A copy of the chain test's seg.ckpt, changed in place by edit(dir)."""
+    import shutil
+
+    head = tmp_path / "seg.ckpt"
+    shutil.copytree(workdir / "seg.ckpt", head)
+    edit(head)
+    return head
+
+
+def _edit_meta(change):
+    def edit(head):
+        meta = json.loads((head / "meta.json").read_text())
+        change(meta)
+        (head / "meta.json").write_text(json.dumps(meta))
+    return edit
+
+
+def _eval_and_predict(workdir, tmp_path, head):
+    """Exit codes of eval and predict given the head at head."""
+    image_id = load_manifest(str(workdir / "train")).entries[0].image_id
+    return [
+        main(["eval", "--model", str(head), "--data", str(workdir / "test"),
+              "--out", str(tmp_path / "report.json")]),
+        main(["predict", "--model", str(head), "--data", str(workdir / "train"),
+              "--image", image_id, "--out", str(tmp_path / "p.dstn")]),
+    ]
+
+
+def test_head_whose_class_ids_disagree_with_its_outputs_is_data_error(workdir, tmp_path,
+                                                                      capsys):
+    head = _edited_head(workdir, tmp_path, _edit_meta(lambda m: m["class_ids"].append(2)))
+    assert _eval_and_predict(workdir, tmp_path, head) == [3, 3]
+    err = capsys.readouterr().err
+    assert str(head / "meta.json") in err and "'out_dim'" in err
+
+
+@pytest.mark.parametrize("edit", ["short", "long"])
+def test_head_params_of_the_wrong_length_are_data_error(workdir, tmp_path, capsys, edit):
+    import numpy as np
+
+    from divseed.tensor import save_tensor
+
+    def resize(head):
+        flat = load_tensor(head / "params.dstn")
+        save_tensor(flat[:-1] if edit == "short" else np.append(flat, 0.0), head / "params.dstn")
+
+    head = _edited_head(workdir, tmp_path, resize)
+    assert _eval_and_predict(workdir, tmp_path, head) == [3, 3]
+    assert str(head / "params.dstn") in capsys.readouterr().err
+
+
+def test_head_in_the_per_layer_layout_is_data_error(workdir, tmp_path, capsys):
+    """The earlier layout, one params/<layer>_{w,b}.dstn file per array, has
+    no out_dim in its meta and no reader."""
+    from divseed.segmentation import load_seg_checkpoint
+    from divseed.tensor import save_tensor
+
+    def per_layer(head):
+        model = load_seg_checkpoint(head)
+        (head / "params.dstn").unlink()
+        (head / "params").mkdir()
+        for name, layer in (("hidden", model.hidden), ("out", model.out)):
+            save_tensor(layer.weights, head / "params" / f"{name}_w.dstn")
+            save_tensor(layer.bias, head / "params" / f"{name}_b.dstn")
+        _edit_meta(lambda m: m.pop("out_dim"))(head)
+
+    head = _edited_head(workdir, tmp_path, per_layer)
+    assert _eval_and_predict(workdir, tmp_path, head) == [3, 3]
+    err = capsys.readouterr().err
+    assert str(head / "meta.json") in err and "missing key 'out_dim'" in err
+
+
+def test_head_without_params_is_io_error(workdir, tmp_path, capsys):
+    head = _edited_head(workdir, tmp_path, lambda head: (head / "params.dstn").unlink())
+    assert _eval_and_predict(workdir, tmp_path, head) == [5, 5]
+    assert "params.dstn" in capsys.readouterr().err
 
 
 def test_jobs_env_fallback(monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,14 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(
         model.hidden.weights, result.model.hidden.weights.astype(np.float32)
     )
+
+
+def test_checkpoint_records_restarts(tmp_path, monkeypatch):
+    monkeypatch.setattr(localization, "RESTART_LOSS_THRESHOLD", -1.0)
+    result = train_localizer(3, separable_dataset(n_pos=4, n_neg=4), LocConfig(hidden=8), seed=9)
+    save_loc_checkpoint(tmp_path / "ck", result)
+    meta = json.loads((tmp_path / "ck" / "meta.json").read_text())
+    assert meta["restarts"] == localization.MAX_RESTARTS
 
 
 # ---------------------------------------------------------------------------

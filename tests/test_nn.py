@@ -42,7 +42,7 @@ from divseed.segmentation import (
     load_seg_checkpoint,
     save_seg_checkpoint,
 )
-from divseed.tensor import Grid
+from divseed.tensor import Grid, load_tensor, save_tensor
 
 
 def sigmoid(u):
@@ -506,9 +506,10 @@ def _f32_params(model, seed):
 
 def test_checkpoint_round_trip(tmp_path):
     model = _f32_params(MLP.initialized(9, 4, 3, 2), 1)
-    save_checkpoint(tmp_path / "ck", model, ("a", "b"), {"kind": "test", "note": [1]})
-    fields, meta = load_checkpoint(tmp_path / "ck", "test", ("a", "b"))
-    assert meta == {"kind": "test", "note": [1], "in_dim": 4, "hidden": 3, "seed": 9}
+    save_checkpoint(tmp_path / "ck", model, {"kind": "test", "note": [1]})
+    fields, meta = load_checkpoint(tmp_path / "ck", "test")
+    assert meta == {"kind": "test", "note": [1], "in_dim": 4, "hidden": 3, "out_dim": 2,
+                    "seed": 9}
     loaded = MLP(**fields)
     assert loaded.seed == 9
     for a, b in zip(loaded.params(), model.params()):
@@ -528,16 +529,17 @@ def _seg_checkpoint():
     return model, save, load_seg_checkpoint
 
 
-# the file names under params/ are part of the checkpoint format
-@pytest.mark.parametrize("make, files", [
-    (_loc_checkpoint, ["layer1_b.dstn", "layer1_w.dstn", "layer2_b.dstn", "layer2_w.dstn"]),
-    (_seg_checkpoint, ["hidden_b.dstn", "hidden_w.dstn", "out_b.dstn", "out_w.dstn"]),
-], ids=["localization", "segmentation"])
-def test_model_checkpoint_round_trips_bitwise(tmp_path, make, files):
+# the file names are part of the checkpoint format
+@pytest.mark.parametrize("make", [_loc_checkpoint, _seg_checkpoint],
+                         ids=["localization", "segmentation"])
+def test_model_checkpoint_round_trips_bitwise(tmp_path, make):
     model, save, load = make()
     _f32_params(model, 2)
     save(tmp_path / "ck", model)
-    assert sorted(os.listdir(tmp_path / "ck" / "params")) == files
+    assert sorted(os.listdir(tmp_path / "ck")) == ["meta.json", "params.dstn"]
+    # params.dstn is the flat buffer: params() in order, as one float32 axis
+    assert load_tensor(tmp_path / "ck" / "params.dstn").tobytes() == \
+        model.flat.astype(np.float32).tobytes()
     loaded = load(tmp_path / "ck")
     assert type(loaded) is type(model)
     for a, b in zip(loaded.params(), model.params()):
@@ -585,6 +587,11 @@ _MISSING = object()
     (_seg_checkpoint, "class_ids", [0, "2"]),
     (_seg_checkpoint, "global_dim", _MISSING),
     (_seg_checkpoint, "global_dim", 3.0),
+] + [
+    (make, key, value)
+    for make in (_loc_checkpoint, _seg_checkpoint)
+    for key in ("in_dim", "hidden", "out_dim")
+    for value in (_MISSING, 2.5, 0)
 ], ids=lambda v: "missing" if v is _MISSING else None)
 def test_bad_checkpoint_meta_is_data_error_naming_file_and_key(tmp_path, make, key, value):
     model, save, load = make()
@@ -600,3 +607,38 @@ def test_bad_checkpoint_meta_is_data_error_naming_file_and_key(tmp_path, make, k
         load(tmp_path / "ck")
     assert str(meta_path) in str(err.value)
     assert repr(key) in str(err.value)
+
+
+def test_output_width_must_fit_the_model_kind(tmp_path):
+    """A localizer has two outputs and a head one per class plus background,
+    else a DataError names meta.json and out_dim."""
+    model = LocalizationModel.initialized(3, 6, 5, 3, class_id=2, pooling="pixel")
+    save_loc_checkpoint(tmp_path / "loc", LocTrainResult(model, [0.5], ["x"]))
+    model, save, _ = _seg_checkpoint()
+    save(tmp_path / "seg", model)
+    meta_path = tmp_path / "seg" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["class_ids"].append(3)
+    meta_path.write_text(json.dumps(meta))
+    for path, load in ((tmp_path / "loc", load_loc_checkpoint),
+                       (tmp_path / "seg", load_seg_checkpoint)):
+        with pytest.raises(DataError) as err:
+            load(path)
+        assert str(path / "meta.json") in str(err.value)
+        assert "'out_dim'" in str(err.value)
+
+
+@pytest.mark.parametrize("make", [_loc_checkpoint, _seg_checkpoint],
+                         ids=["localization", "segmentation"])
+@pytest.mark.parametrize("shape", ["short", "long", "two-axis"])
+def test_params_of_the_wrong_size_are_data_error_naming_the_file(tmp_path, make, shape):
+    model, save, load = make()
+    save(tmp_path / "ck", model)
+    params = tmp_path / "ck" / "params.dstn"
+    flat = load_tensor(params)
+    edited = {"short": flat[:-1], "long": np.append(flat, 1.0),
+              "two-axis": flat.reshape(1, -1)}[shape]
+    save_tensor(edited, params)
+    with pytest.raises(DataError) as err:
+        load(tmp_path / "ck")
+    assert str(params) in str(err.value)

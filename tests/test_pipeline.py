@@ -374,8 +374,8 @@ def test_artifact_paths_do_not_grow_with_the_dataset(tmp_path):
         run_pipeline(base_with(TINY, {"n_train": n_train, "seg_epochs": 1}), str(out))
         paths[n_train] = set(_files(out))
     assert paths[20] == paths[40]
-    # 5 files per split, 5 per localizer and the head; config, points, report, summary
-    assert len(paths[20]) == 2 * 5 + TINY.n_classes * 5 + 5 + 4
+    # 5 files per split, 2 per localizer and the head; config, points, report, summary
+    assert len(paths[20]) == 2 * 5 + TINY.n_classes * 2 + 2 + 4
 
 
 @pytest.mark.parametrize("key", ["k", "seed", "n_train", "jobs"])
