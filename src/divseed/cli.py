@@ -233,10 +233,13 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"{args.grid}: base must be a JSON object")
     base = pipeline.PipelineConfig.from_dict(base_doc)
     variants = grid.get("variants", [])
-    if not variants:
-        raise ConfigError("ablation grid has no variants")
-    seeds = grid.get("seeds") or [derive_seed(base.seed, i) % 10**6
-                                  for i in range(args.seeds)]
+    if not (isinstance(variants, list) and variants
+            and all(isinstance(v, dict) for v in variants)):
+        raise ConfigError(f"{args.grid}: variants must be a non-empty list of objects")
+    seeds = grid.get("seeds", [])
+    if not isinstance(seeds, list):
+        raise ConfigError(f"{args.grid}: seeds must be a list")
+    seeds = seeds or [derive_seed(base.seed, i) % 10**6 for i in range(args.seeds)]
     summary = pipeline.ablation_run(base, variants, seeds, log=print)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_json(summary, args.out + ".json")
@@ -329,8 +332,7 @@ def cmd_render(args) -> int:
     elif args.kind == "labels":
         if not args.input or args.background_index is None:
             raise ConfigError("render labels needs --in and --background-index")
-        labels = load_tensor(args.input).astype(np.int64)
-        save_label_ppm(labels, args.background_index, args.out)
+        save_label_ppm(load_tensor(args.input), args.background_index, args.out)
     elif args.kind == "points":
         if not (args.points and args.data and args.image):
             raise ConfigError("render points needs --points, --data and --image")

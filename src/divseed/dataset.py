@@ -220,7 +220,8 @@ def write_dataset(
 def load_manifest(path: str) -> Manifest:
     """Read a version-2 manifest.json (or a directory containing one);
     DataError when it is missing, not UTF-8 JSON, of another version, lacks
-    or mistypes a field, or repeats an image id."""
+    or mistypes a field (norm_stats must be a string), or repeats an image
+    id."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     try:
@@ -244,6 +245,9 @@ def load_manifest(path: str) -> Manifest:
             )
             for row, e in enumerate(doc["images"])
         ]
+        if not isinstance(doc["norm_stats"], str):
+            raise DataError(f"manifest {path}: norm_stats must be a file name, "
+                            f"got {doc['norm_stats']!r}")
         ids = [e.image_id for e in entries]
         if len(set(ids)) != len(ids):
             repeated = next(i for i in ids if ids.count(i) > 1)

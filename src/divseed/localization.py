@@ -34,24 +34,24 @@ from .errors import ConfigError, DataError, NumericError
 from .nn import (
     MLP,
     AdamState,
-    LinearLayer,
     LossValue,
     PoolingTrace,
     adam_step,
     bce_loss_and_grad,
     global_softmax_prob,
     is_int,
-    linear_backward,
-    linear_fwd,
     load_checkpoint,
     meta_value,
+    mlp_backward,
+    mlp_forward,
     pixel_softmax_prob,
     pool_rows,
-    relu_backward,
     require_count,
     require_rate,
     save_checkpoint,
 )
+# not called here: perfbench/perftrace.py traces nn ops by the module binding them (NN_OPS)
+from .nn import linear_backward, linear_fwd, relu_backward  # noqa: F401
 from .rng import Rng, derive_seed
 from .tensor import FeatureGrid, NormState
 
@@ -171,15 +171,6 @@ def new_localization_model(class_id: int, in_dim: int, config: LocConfig, seed: 
     )
 
 
-def _forward_scores(hidden: LinearLayer, out: LinearLayer, x: np.ndarray):
-    """x: (N, D) float64, or (C, N, D) for stacked layers -> (hidden
-    activations, (..., N, 2) scores). The ReLU runs in place: an activation
-    is > 0 exactly where its pre-activation is, so it serves relu_backward."""
-    a1 = linear_fwd(hidden, x)
-    np.maximum(a1, 0.0, out=a1)
-    return a1, linear_fwd(out, a1)
-
-
 def score_batch(model: LocalizationModel, x: np.ndarray) -> np.ndarray:
     """One forward pass over the locations of B images of one grid size.
 
@@ -188,7 +179,7 @@ def score_batch(model: LocalizationModel, x: np.ndarray) -> np.ndarray:
     any score is non-finite.
     """
     b, n, d = x.shape
-    _, y = _forward_scores(model.hidden, model.out, x.reshape(b * n, d))
+    _, y = mlp_forward(model.params(), x.reshape(b * n, d))
     scores = y.astype(np.float32).reshape(b, n, 2)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite score map")
@@ -381,9 +372,8 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
 def _diverged(params: list[np.ndarray], x: np.ndarray) -> list[int]:
     """Indexes of the stacked models whose scores on their images are not
     all finite (all of them if none is: then the loss itself diverged)."""
-    w1, b1, w2, b2 = params
     with np.errstate(all="ignore"):
-        _, y = _forward_scores(LinearLayer(w1, b1), LinearLayer(w2, b2), x)
+        _, y = mlp_forward(params, x)
     bad = np.flatnonzero(~np.isfinite(y).all(axis=(1, 2))).tolist()
     return bad or list(range(len(x)))
 
@@ -414,9 +404,7 @@ def _loss_and_grads(params: list[np.ndarray], pooling: str, x: np.ndarray,
     images; labels: C presence labels. Writes each model's gradients into
     the stacked arrays grads and returns the C pooled BCE values.
     """
-    w1, b1, w2, b2 = params
-    hidden, out = LinearLayer(w1, b1), LinearLayer(w2, b2)
-    a1, y = _forward_scores(hidden, out, x)
+    a1, y = mlp_forward(params, x)
     n_models, n = x.shape[:2]
     lvs = []
     rows = np.empty((n_models, min(n, 2)), dtype=np.int64)
@@ -429,10 +417,7 @@ def _loss_and_grads(params: list[np.ndarray], pooling: str, x: np.ndarray,
         dy[c, :, 1] = lv.grads["bg"][rows[c]]
         lvs.append(lv)
     picked = np.arange(n_models)[:, None], rows
-    gw1, gb1, gw2, gb2 = grads
-    _, _, da1 = linear_backward(out, a1[picked], dy, out=(gw2, gb2))
-    dh1 = relu_backward(a1[picked], da1)
-    linear_backward(hidden, x[picked], dh1, input_grad=False, out=(gw1, gb1))
+    mlp_backward(params, x[picked], a1[picked], dy, grads)
     return lvs
 
 

@@ -6,8 +6,8 @@ map applied at every location. Both models (the per-class localizer and the
 segmentation head) are an MLP: a hidden layer, a ReLU, an output layer. MLP
 holds the layers and their initializer; a checkpoint is an MLP's flat buffer
 as one params.dstn tensor beside a meta.json that records its dimensions
-(save_checkpoint). Each model module runs its own forward and backward chain
-through linear_fwd, linear_backward and relu_backward. Losses return a
+(save_checkpoint). Both models run mlp_forward/mlp_backward, the one chain
+of linear_fwd, ReLU, linear_backward and relu_backward. Losses return a
 LossValue carrying the scalar loss and gradients w.r.t. their direct inputs.
 
 An MLP keeps its four parameter arrays as views into one flat float64
@@ -20,11 +20,11 @@ map (C, N, in) inputs slice by slice, and a stacked matmul gives each slice
 the bits of its own product.
 
 The localizer's max-pooled loss sends its gradient through at most two
-locations, so its backward (localization.localizer_loss_and_grads) runs the
-chain on those rows only, always as a two-row product: when both argmaxes
-are one location, a neighbouring row with zero gradient is added. A two-row
-product gives the same bits as the full-grid chain; a one-row product takes
-a matrix-vector path that rounds differently.
+locations, so its backward (localization.localizer_loss_and_grads) runs
+mlp_backward on those rows only, always as a two-row product: when both
+argmaxes are one location, a neighbouring row with zero gradient is added.
+A two-row product gives the same bits as the full-grid chain; a one-row
+product takes a matrix-vector path that rounds differently.
 
 adam_step is the one Adam: it updates a flat parameter buffer, or a (C, P)
 stack of them with a learning rate per row, in place, using the same
@@ -81,7 +81,6 @@ def init_linear(rng: Rng, in_dim: int, out_dim: int) -> LinearLayer:
     return LinearLayer(weights=w, bias=np.zeros(out_dim, dtype=np.float64))
 
 
-# No forward/backward here: perfbench traces the nn ops per model module.
 @dataclass
 class MLP:
     """Per-location network: hidden layer, ReLU, output layer. params() lists
@@ -180,6 +179,27 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dy * (x > 0.0)
+
+
+def mlp_forward(params: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden activations a1, outputs y) at x: (N, in_dim), or (C, N, in_dim)
+    for a (C, P) stack's views. The ReLU runs in place, so a1 is its own mask
+    for mlp_backward: a1 > 0 exactly where its pre-activation is."""
+    w1, b1, w2, b2 = params
+    a1 = linear_fwd(LinearLayer(w1, b1), x)
+    np.maximum(a1, 0.0, out=a1)
+    return a1, linear_fwd(LinearLayer(w2, b2), a1)
+
+
+def mlp_backward(params: list[np.ndarray], x: np.ndarray, a1: np.ndarray, dy: np.ndarray,
+                 grads: list[np.ndarray]) -> None:
+    """Write into grads, shaped like params, the gradients for upstream dy at
+    the outputs of mlp_forward's a1 at x, or of rows of both."""
+    w1, b1, w2, b2 = params
+    dw1, db1, dw2, db2 = grads
+    _, _, da1 = linear_backward(LinearLayer(w2, b2), a1, dy, out=(dw2, db2))
+    linear_backward(LinearLayer(w1, b1), x, relu_backward(a1, da1), input_grad=False,
+                    out=(dw1, db1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .sampling import BACKGROUND, SampledPoint
+from .tensor import _require_finite
 
 #: RGB per class index; background is (0, 0, 0) in label maps and white in
 #: point overlays
@@ -52,8 +53,10 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def heatmap_bytes(values: np.ndarray) -> np.ndarray:
-    """Min-max scale a float map to 0..255; a constant map becomes 128."""
+    """Min-max scale a float map to 0..255; a constant map becomes 128.
+    NumericError for a non-finite value."""
     v = np.asarray(values, dtype=np.float64)
+    _require_finite(v, "heatmap")
     lo, hi = float(v.min()), float(v.max())
     if hi == lo:
         return np.full(v.shape, 128, dtype=np.uint8)
@@ -69,8 +72,13 @@ def class_color(index: int) -> tuple[int, int, int]:
 
 
 def label_map_rgb(labels: np.ndarray, background_index: int) -> np.ndarray:
-    """Indexed-color render of a label-index grid."""
+    """Indexed-color render of a label-index grid. NumericError for a
+    non-finite value, DataError for another non-integer or out-of-range one."""
     lab = np.asarray(labels)
+    _require_finite(lab, "label map")
+    if np.any((lab != np.round(lab)) | (np.abs(lab) >= 2**31)):
+        raise DataError("cannot render labels that are not integers below 2**31")
+    lab = lab.astype(np.int64)
     out = np.zeros(lab.shape + (3,), dtype=np.uint8)
     for idx in np.unique(lab):
         color = BG_LABEL_COLOR if idx == background_index else class_color(int(idx))

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .localization import (LocalizationModel, ScoreMap, SupervisionRecord, TagSet,
                            check_grid, check_records, score_batch, score_image)
-from .nn import require_count, require_rate
+from .nn import is_int, require_count, require_rate
 from .rng import Rng, derive_seed
 from .tensor import FeatureGrid, atomic_write
 
@@ -652,32 +652,46 @@ def _json_float(value: float) -> str:
     return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
+def _is_int64(v) -> bool:
+    return is_int(v) and -(2**63) <= v < 2**63
+
+
+#: a points line's fields in SampledPoint order: (key, check, what it must be)
+_POINT_FIELDS = (
+    ("image", lambda v: isinstance(v, str), "a string"),
+    ("loc", _is_int64, "an integer"),
+    ("label", _is_int64, "an integer"),
+    ("rank", _is_int64, "an integer"),
+    ("value", lambda v: isinstance(v, float) or _is_int64(v), "a number"),
+    ("flags", lambda v: isinstance(v, list) and all(f in FLAGS for f in v)
+     and len(set(v)) == len(v), f"a list of distinct names from {list(FLAGS)}"),
+)
+
+
 def load_points(path) -> PointSet:
     """Read a points file; DataError naming the file and line for a line
-    that is not UTF-8 JSON, lacks or mistypes a field, or names an unknown
-    flag."""
+    that is not a UTF-8 JSON object, or lacks or mistypes a field: image a
+    string, loc, label and rank integers, value a number (bools are
+    neither), flags (optional) a list of known names."""
     points = []
     with open(path, "rb") as fh:  # json.loads decodes, so a bad byte is a ValueError
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}: malformed point"
             try:
                 d = json.loads(line)
-                flags = tuple(d.get("flags", []))
-                unknown = sorted(set(flags) - set(FLAGS))
-                if unknown:
-                    raise ValueError(f"unknown flags {unknown}")
-                points.append(
-                    SampledPoint(
-                        image_id=d["image"],
-                        loc=int(d["loc"]),
-                        label=int(d["label"]),
-                        rank=int(d["rank"]),
-                        value=float(d["value"]),
-                        flags=flags,
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: malformed point: {type(e).__name__} {e}")
+            except ValueError as e:
+                raise DataError(f"{where}: {type(e).__name__} {e}")
+            if not isinstance(d, dict):
+                raise DataError(f"{where}: not a JSON object")
+            d = {"flags": [], **d}
+            for key, valid, want in _POINT_FIELDS:
+                if key not in d:
+                    raise DataError(f"{where}: missing key {key!r}")
+                if not valid(d[key]):
+                    raise DataError(f"{where}: {key!r} must be {want}, got {d[key]!r}")
+            image, loc, label, rank, value, flags = (d[key] for key, _, _ in _POINT_FIELDS)
+            points.append(SampledPoint(image, loc, label, rank, float(value), tuple(flags)))
     return PointSet.of(points)

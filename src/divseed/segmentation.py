@@ -34,17 +34,17 @@ from .nn import (
     LossValue,
     adam_step,
     is_int,
-    linear_backward,
-    linear_fwd,
     load_checkpoint,
     masked_ce_loss_and_grad,
     meta_value,
-    relu,
-    relu_backward,
+    mlp_backward,
+    mlp_forward,
     require_count,
     require_rate,
     save_checkpoint,
 )
+# not called here: perfbench/perftrace.py traces nn ops by the module binding them (NN_OPS)
+from .nn import linear_backward, linear_fwd  # noqa: F401
 from .rng import Rng, derive_seed
 from .sampling import (
     BACKGROUND,
@@ -68,7 +68,7 @@ def augment_with_global(f: FeatureGrid) -> AugmentedFeatureGrid:
     check_grid(f)
     locs = f.grid.locations().astype(np.float64)
     mean = locs.mean(axis=0)
-    unit_mean, _ = l2_normalize_locations(mean[None, :])
+    unit_mean = l2_normalize_locations(mean[None, :])
     tiled = np.broadcast_to(unit_mean[0], (locs.shape[0], locs.shape[1]))
     stacked = np.concatenate([locs, tiled], axis=1).astype(np.float32)
     h, w, d = f.grid.height, f.grid.width, f.grid.depth
@@ -222,16 +222,11 @@ def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
 
     xb: (m, D) float64 point features; yb: (m,) output indices, one per row.
     """
-    h1 = linear_fwd(model.hidden, xb)
-    a1 = relu(h1)
-    logits = linear_fwd(model.out, a1)
+    a1, logits = mlp_forward(model.params(), xb)
     lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
     if grads is None:
         grads = model.views(np.empty_like(model.flat))
-    dw1, db1, dw2, db2 = grads
-    _, _, da1 = linear_backward(model.out, a1, lv.grads["logits"], out=(dw2, db2))
-    dh1 = relu_backward(h1, da1)
-    linear_backward(model.hidden, xb, dh1, input_grad=False, out=(dw1, db1))
+    mlp_backward(model.params(), xb, a1, lv.grads["logits"], grads)
     return lv, grads
 
 
@@ -245,7 +240,7 @@ def predict(model: SegmentationModel, af: AugmentedFeatureGrid
             f"predict: feature depth {g.depth} != model input {model.hidden.in_dim}"
         )
     x = g.locations().astype(np.float64)
-    logits = linear_fwd(model.out, relu(linear_fwd(model.hidden, x)))
+    _, logits = mlp_forward(model.params(), x)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)

@@ -22,7 +22,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -90,7 +90,6 @@ class FeatureGrid:
 
     grid: Grid
     norm_state: NormState = NormState.RAW
-    zero_vector_count: int = 0  # locations left at norm 0 by unit scaling
 
 
 @dataclass(frozen=True)
@@ -99,23 +98,21 @@ class NormStats:
 
     mean: np.ndarray  # (D,) float64 holding float32 values
     std: np.ndarray  # (D,) float64 holding float32 values
-    epsilon: float = STD_EPSILON
-    clamped_dims: tuple[int, ...] = field(default_factory=tuple)
 
     @property
     def depth(self) -> int:
         return self.mean.shape[0]
 
     def divisors(self) -> np.ndarray:
-        """std with near-zero entries clamped to epsilon."""
-        return np.maximum(self.std, self.epsilon)
+        """std with near-zero entries clamped to STD_EPSILON."""
+        return np.maximum(self.std, STD_EPSILON)
 
 
 def compute_norm_stats(features: list[FeatureGrid] | tuple[FeatureGrid, ...]) -> NormStats:
     """Mean and population std per dimension over all locations of all grids.
 
-    Dimensions with std below epsilon are flagged; their divisor is clamped
-    rather than dropped so the feature depth stays stable. Both are rounded
+    A dimension with std below STD_EPSILON keeps its place, with the divisor
+    clamped (divisors), so the feature depth stays stable. Both are rounded
     to float32, the precision stats.dstn stores, so stats used in memory and
     stats read back from disk normalize features identically.
     """
@@ -129,21 +126,17 @@ def compute_norm_stats(features: list[FeatureGrid] | tuple[FeatureGrid, ...]) ->
     std = np.sqrt(np.mean((stacked - mean) ** 2, axis=0))  # divide-by-N
     mean = mean.astype(np.float32).astype(np.float64)
     std = std.astype(np.float32).astype(np.float64)
-    clamped = tuple(int(i) for i in np.nonzero(std < STD_EPSILON)[0])
-    return NormStats(mean=mean, std=std, clamped_dims=clamped)
+    return NormStats(mean=mean, std=std)
 
 
-def l2_normalize_locations(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Scale each location vector to unit norm; exact-zero vectors stay zero.
-
-    Returns (normalized array, number of zero vectors left untouched).
-    """
+def l2_normalize_locations(values: np.ndarray) -> np.ndarray:
+    """Scale each location vector to unit norm; exact-zero vectors stay zero."""
     flat = values.reshape(-1, values.shape[-1]).astype(np.float64)
     norms = np.linalg.norm(flat, axis=1)
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     out = flat / safe[:, None]
-    return out.reshape(values.shape), int(zero.sum())
+    return out.reshape(values.shape)
 
 
 def normalize_features(f: FeatureGrid, stats: NormStats) -> FeatureGrid:
@@ -155,12 +148,8 @@ def normalize_features(f: FeatureGrid, stats: NormStats) -> FeatureGrid:
             f"normalize_features: stats depth {stats.depth} != grid depth {f.grid.depth}"
         )
     z = (f.grid.values.astype(np.float64) - stats.mean) / stats.divisors()
-    unit, n_zero = l2_normalize_locations(z)
-    return FeatureGrid(
-        grid=Grid(unit.astype(np.float32)),
-        norm_state=NormState.UNIT,
-        zero_vector_count=n_zero,
-    )
+    unit = l2_normalize_locations(z)
+    return FeatureGrid(grid=Grid(unit.astype(np.float32)), norm_state=NormState.UNIT)
 
 
 @contextmanager

@@ -383,6 +383,33 @@ def test_render_labels(workdir):
     assert rc == 0
 
 
+def _render(tmp_path, kind, values):
+    import numpy as np
+
+    from divseed.tensor import save_tensor
+
+    save_tensor(np.array(values, dtype=np.float32), tmp_path / "in.dstn")
+    return main([
+        "render", "--kind", kind, "--in", str(tmp_path / "in.dstn"),
+        "--background-index", "2", "--out", str(tmp_path / "out.img"),
+    ])
+
+
+@pytest.mark.parametrize("kind", ["heatmap", "labels"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_render_of_non_finite_input_is_numeric_error(tmp_path, capsys, kind, bad):
+    assert _render(tmp_path, kind, [[0.0, 1.0], [bad, 2.0]]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.img").exists()
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, 2.0**40])
+def test_render_of_non_integer_labels_is_data_error(tmp_path, capsys, bad):
+    assert _render(tmp_path, "labels", [[0.0, 1.0], [bad, 2.0]]) == 3
+    assert "labels" in capsys.readouterr().err
+    assert not (tmp_path / "out.img").exists()
+
+
 def test_gradcheck_command(capsys):
     rc = main(["gradcheck", "--seed", "11"])
     out = capsys.readouterr().out
@@ -508,6 +535,27 @@ def test_invalid_ablation_grid_json_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", [
+    {"variants": {"k": 5}},
+    {"variants": [5]},
+    {"variants": [{}, []]},
+    {"variants": []},
+    {},
+    {"variants": [{}], "seeds": 5},
+    {"variants": [{}], "seeds": "1"},
+    {"variants": [{}], "seeds": {"1": 1}},
+], ids=["variants-object", "variants-number", "variants-list", "variants-empty",
+        "variants-missing", "seeds-number", "seeds-string", "seeds-object"])
+def test_malformed_ablation_grid_is_config_error(tmp_path, capsys, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"base": {"n_train": 10}, **grid}))
+    rc = main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and ("variants" in err or "seeds" in err)
+    assert not (tmp_path / "abl.json").exists()
+
+
 def test_non_integer_set_value_is_config_error(tmp_path):
     rc = main(["run", "--set", "k=2.5", "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -606,6 +654,17 @@ def test_manifest_non_integer_tag_is_data_error(workdir, tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stats", [5, None, ["stats.dstn"], {"path": "stats.dstn"}],
+                         ids=["number", "null", "list", "object"])
+def test_manifest_norm_stats_that_is_not_a_string_is_data_error(workdir, tmp_path, capsys,
+                                                                stats):
+    data = _edited_manifest(workdir, tmp_path, lambda doc: doc.update(norm_stats=stats))
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "norm_stats" in err
+
+
 def test_features_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
     """A row count that matches but trailing dims that differ from the
     manifest's grid_size and feature_depth exit 3 naming the file."""
@@ -698,6 +757,45 @@ def test_point_without_label_is_data_error(workdir, tmp_path, capsys):
     rc = _train_seg_on_edited_points(workdir, tmp_path, drop_label)
     assert rc == 3
     assert "points.jsonl:2" in capsys.readouterr().err
+
+
+_MALFORMED_POINTS = {
+    "array": lambda d: [d],
+    "image-list": lambda d: {**d, "image": []},
+    "image-number": lambda d: {**d, "image": 7},
+    "loc-float": lambda d: {**d, "loc": 1.5},
+    "loc-bool": lambda d: {**d, "loc": True},
+    "loc-string": lambda d: {**d, "loc": "7"},
+    "label-bool": lambda d: {**d, "label": False},
+    "rank-float": lambda d: {**d, "rank": 2.0},
+    "value-string": lambda d: {**d, "value": "0.5"},
+    "value-bool": lambda d: {**d, "value": True},
+    "flags-string": lambda d: {**d, "flags": "random_bg_fallback"},
+    "flags-unknown": lambda d: {**d, "flags": ["nope"]},
+    "flags-repeated": lambda d: {**d, "flags": ["random_bg_fallback"] * 2},
+}
+
+
+@pytest.mark.parametrize("command", ["train-seg", "add-class"])
+@pytest.mark.parametrize("edit", list(_MALFORMED_POINTS))
+def test_malformed_point_field_is_data_error(workdir, tmp_path, capsys, command, edit):
+    """Runs after the chain test: points.jsonl with its second line edited."""
+    lines = (workdir / "points.jsonl").read_text().splitlines()
+    lines[1] = json.dumps(_MALFORMED_POINTS[edit](json.loads(lines[1])))
+    bad = tmp_path / "points.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    if command == "train-seg":
+        argv = ["train-seg", "--features", str(workdir / "train")]
+    else:
+        new = tmp_path / "new"
+        assert main(["gen-data", "--n", "4", "--classes", "3", "--size", "32", "--seed", "44",
+                     "--stats-from", str(workdir / "train"), "--out", str(new)]) == 0
+        argv = ["add-class", "--class", "2", "--data", str(new),
+                "--base-data", str(workdir / "train"), "--loc-dir", str(workdir / "loc")]
+    rc = main(argv + ["--points", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert f"{bad}:2: malformed point" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_manifest_is_data_error(tmp_path):

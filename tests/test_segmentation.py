@@ -5,11 +5,13 @@ from divseed.errors import DataError, NumericError
 from divseed.localization import LocConfig, TagSet
 from divseed.rng import Rng
 from divseed.sampling import BACKGROUND, SampledPoint, SamplingConfig, SupervisionRecord
+from divseed.nn import linear_backward, linear_fwd, masked_ce_loss_and_grad, relu, relu_backward
 from divseed.segmentation import (
     SegConfig,
     _gather_points,
     add_class,
     augment_with_global,
+    head_loss_and_grads,
     load_seg_checkpoint,
     new_segmentation_model,
     predict,
@@ -112,6 +114,35 @@ def test_gather_equals_per_point_loop():
     assert set(y.tolist()) == {0, 1, 2, 3}
     with pytest.raises(DataError):
         _gather_points(points + [SampledPoint("im0", 0, 7, 1, 0.5)], features, model)
+
+
+def _chain_loss_and_grads(model, xb, yb):
+    """The head's loss and backward layer by layer: the reference chain."""
+    h1 = linear_fwd(model.hidden, xb)
+    a1 = relu(h1)
+    logits = linear_fwd(model.out, a1)
+    lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
+    dw2, db2, da1 = linear_backward(model.out, a1, lv.grads["logits"])
+    dh1 = relu_backward(h1, da1)
+    dw1, db1, _ = linear_backward(model.hidden, xb, dh1)
+    return lv.loss, [dw1, db1, dw2, db2]
+
+
+@pytest.mark.parametrize("m", [1, 7, 100])
+def test_head_backward_equals_the_layer_chain(m):
+    for seed in range(6):
+        model = new_segmentation_model((4, 0, 2), 12, 6, SegConfig(hidden=16), seed)
+        rng = Rng(900 + seed)
+        model.hidden.bias[:] = rng.uniform_array(16, -0.3, 0.3)  # mixed ReLU mask
+        model.out.bias[:] = rng.uniform_array(4, -0.3, 0.3)
+        xb = rng.uniform_array(m * 12, -1, 1).reshape(m, 12)
+        yb = np.array([rng.randint(4) for _ in range(m)], dtype=np.int64)
+        lv, grads = head_loss_and_grads(model, xb, yb)
+        loss, chain = _chain_loss_and_grads(model, xb, yb)
+        assert lv.loss == loss
+        for a, b in zip(grads, chain):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
 
 
 def test_separable_points_reach_full_accuracy():

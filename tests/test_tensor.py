@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from divseed.errors import DataError, TensorFormatError
 from divseed.tensor import (
+    STD_EPSILON,
     FeatureGrid,
     Grid,
     NormState,
@@ -51,15 +52,14 @@ def test_stats_two_values():
     stats = compute_norm_stats([fgrid([[[1.0], [3.0]]])])
     assert stats.mean[0] == pytest.approx(2.0)
     assert stats.std[0] == pytest.approx(1.0)  # population: sqrt(((1)^2+(1)^2)/2)
-    assert stats.clamped_dims == ()
+    assert stats.divisors()[0] == stats.std[0]  # not clamped
 
 
 def test_stats_constant_values_flagged():
     stats = compute_norm_stats([fgrid(np.full((2, 2, 3), 5.0))])
     assert np.allclose(stats.mean, 5.0)
     assert np.allclose(stats.std, 0.0)
-    assert stats.clamped_dims == (0, 1, 2)
-    assert np.all(stats.divisors() == stats.epsilon)
+    assert np.all(stats.divisors() == STD_EPSILON)
 
 
 def test_stats_two_constant_grids():
@@ -105,8 +105,7 @@ def test_normalize_mean_vector_stays_zero():
     stats = compute_norm_stats([fgrid(base)])
     exact_mean = np.tile(stats.mean.astype(np.float32), (1, 2, 1))
     out = normalize_features(fgrid(exact_mean), stats)
-    assert out.zero_vector_count == 2
-    assert np.all(out.grid.values == 0.0)
+    assert np.all(out.grid.values == 0.0)  # both locations
 
 
 def test_normalize_postcondition_norms():
@@ -132,8 +131,8 @@ def test_normalize_rejects_wrong_state_and_depth():
 def test_unit_stage_idempotent(seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(4, 4, 6))
-    once, _ = l2_normalize_locations(vals)
-    twice, _ = l2_normalize_locations(once.astype(np.float32).astype(np.float64))
+    once = l2_normalize_locations(vals)
+    twice = l2_normalize_locations(once.astype(np.float32).astype(np.float64))
     assert np.max(np.abs(twice - once)) < 1e-6
 
 
