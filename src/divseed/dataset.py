@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DataError
 from .localization import SupervisionRecord, TagSet
+from .nn import is_int
 from .synthdata import (
     GRID_FACTOR,
     ExtractorSpec,
@@ -217,11 +218,52 @@ def write_dataset(
     return manifest_path
 
 
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(is_int(x) for x in v)
+
+
+def _is_size(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(is_int(x) and x >= 1 for x in v)
+
+
+#: a manifest's fields: (key, check, what it must be); a dot reaches into an
+#: object
+_MANIFEST_FIELDS = (
+    ("classes", _is_int_list, "a list of integers"),
+    ("image_size", _is_size, "two integers >= 1"),
+    ("grid_size", _is_size, "two integers >= 1"),
+    ("feature_depth", lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    ("extractor.seed", is_int, "an integer"),
+    ("norm_stats", lambda v: isinstance(v, str), "a file name"),
+    ("images", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+     "a list of objects"),
+)
+#: each entry of its images list
+_ENTRY_FIELDS = (
+    ("id", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    ("tags", _is_int_list, "a list of integers"),
+)
+
+
+def _check_fields(doc: dict, fields, where: str) -> None:
+    """DataError naming where and the key unless each field is present and
+    passes its check."""
+    for key, valid, want in fields:
+        value = doc
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise DataError(f"{where}: missing key {key!r}")
+            value = value[part]
+        if not valid(value):
+            raise DataError(f"{where}: {key!r} must be {want}, got {value!r}")
+
+
 def load_manifest(path: str) -> Manifest:
     """Read a version-2 manifest.json (or a directory containing one);
     DataError when it is missing, not UTF-8 JSON, of another version, lacks
-    or mistypes a field (norm_stats must be a string), or repeats an image
-    id."""
+    or mistypes a field (_MANIFEST_FIELDS, and _ENTRY_FIELDS per image; bools
+    are not integers), tags an image with a class it does not list, or
+    repeats an image id."""
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     try:
@@ -232,35 +274,36 @@ def load_manifest(path: str) -> Manifest:
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"manifest {path} is not valid JSON: {e}")
     root = os.path.dirname(os.path.abspath(path))
-    try:
-        if doc["version"] != MANIFEST_VERSION:
-            raise DataError(
-                f"manifest {path} is version {doc['version']!r}, and only version "
-                f"{MANIFEST_VERSION} (one stacked tensor per kind) is read; "
-                "regenerate the dataset with `divseed gen-data`"
-            )
-        entries = [
-            ManifestEntry(
-                image_id=e["id"], row=row, tags=frozenset(int(t) for t in e["tags"])
-            )
-            for row, e in enumerate(doc["images"])
-        ]
-        if not isinstance(doc["norm_stats"], str):
-            raise DataError(f"manifest {path}: norm_stats must be a file name, "
-                            f"got {doc['norm_stats']!r}")
-        ids = [e.image_id for e in entries]
-        if len(set(ids)) != len(ids):
-            repeated = next(i for i in ids if ids.count(i) > 1)
-            raise DataError(f"manifest {path} lists image {repeated!r} more than once")
-        return Manifest(
-            root=root,
-            classes=[int(c) for c in doc["classes"]],
-            image_size=tuple(int(v) for v in doc["image_size"]),
-            grid_size=tuple(int(v) for v in doc["grid_size"]),
-            feature_depth=int(doc["feature_depth"]),
-            extractor_seed=int(doc["extractor"]["seed"]),
-            stats_path=doc["norm_stats"],
-            entries=entries,
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path}: not a JSON object")
+    if doc.get("version") != MANIFEST_VERSION:
+        raise DataError(
+            f"manifest {path} is version {doc.get('version')!r}, and only version "
+            f"{MANIFEST_VERSION} (one stacked tensor per kind) is read; "
+            "regenerate the dataset with `divseed gen-data`"
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"manifest {path} is malformed: {type(e).__name__} {e}")
+    _check_fields(doc, _MANIFEST_FIELDS, f"manifest {path}")
+    for row, e in enumerate(doc["images"]):
+        where = f"manifest {path}: images[{row}]"
+        _check_fields(e, _ENTRY_FIELDS, where)
+        if not set(doc["classes"]).issuperset(e["tags"]):
+            raise DataError(f"{where}: 'tags' {e['tags']!r} name a class not in "
+                            f"'classes' {doc['classes']!r}")
+    entries = [
+        ManifestEntry(image_id=e["id"], row=row, tags=frozenset(e["tags"]))
+        for row, e in enumerate(doc["images"])
+    ]
+    ids = [e.image_id for e in entries]
+    if len(set(ids)) != len(ids):
+        repeated = next(i for i in ids if ids.count(i) > 1)
+        raise DataError(f"manifest {path} lists image {repeated!r} more than once")
+    return Manifest(
+        root=root,
+        classes=doc["classes"],
+        image_size=tuple(doc["image_size"]),
+        grid_size=tuple(doc["grid_size"]),
+        feature_depth=doc["feature_depth"],
+        extractor_seed=doc["extractor"]["seed"],
+        stats_path=doc["norm_stats"],
+        entries=entries,
+    )

@@ -47,6 +47,22 @@ def derive_seed(seed: int, stream: int) -> int:
     return mix64((seed & _MASK64) ^ mix64(stream))
 
 
+# (k * _GOLDEN) mod 2^64 for k = 1, 2, ...: the counter steps of a bulk draw.
+# Read-only and a pure function of its length, so every stream in the process
+# can share it; next_u64_array grows it on demand, nothing builds it at import.
+_steps = np.empty(0, dtype=np.uint64)
+
+
+def _counter_steps(n: int) -> np.ndarray:
+    global _steps
+    if n > len(_steps):
+        steps = np.arange(1, max(n, 2 * len(_steps)) + 1, dtype=np.uint64)
+        steps *= np.uint64(_GOLDEN)  # wraps mod 2^64, as array ops do silently
+        steps.flags.writeable = False
+        _steps = steps
+    return _steps[:n]
+
+
 class Rng:
     """Counter-based splitmix64 stream."""
 
@@ -61,20 +77,34 @@ class Rng:
 
     def next_u64_array(self, n: int) -> np.ndarray:
         """n draws at once; bit-identical to n next_u64() calls."""
-        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        # state_(count+i) = base + i * golden; base in Python ints, so no
+        # numpy scalar overflows
+        base = (self.seed + self._count * _GOLDEN) & _MASK64
         self._count += n
-        z = (np.uint64(self.seed) + ks * np.uint64(_GOLDEN))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z = _counter_steps(n) + np.uint64(base)
+        t = z >> np.uint64(30)
+        z ^= t
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         u = self.next_u64() >> 11
         return low + (high - low) * (u * 2.0 ** -53)
 
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        u = (self.next_u64_array(n) >> np.uint64(11)).astype(np.float64)
-        return low + (high - low) * (u * 2.0 ** -53)
+        """n uniform() draws at once, with the same float operations."""
+        z = self.next_u64_array(n)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0 ** -53
+        u *= high - low
+        u += low
+        return u
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), exact via rejection sampling."""

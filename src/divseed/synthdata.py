@@ -23,7 +23,7 @@ grid, and concatenated channel-wise into a small hypercolumn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -80,20 +80,31 @@ class SyntheticScene:
 def _box_blur(a: np.ndarray, radius: int) -> np.ndarray:
     """Separable moving average with edge clamping."""
     for axis in (0, 1):
-        pad = [(0, 0)] * a.ndim
-        pad[axis] = (radius, radius)
-        padded = np.pad(a, pad, mode="edge")
+        n = a.shape[axis]
+        # edge padding: index -radius .. n + radius - 1, clamped into the array
+        padded = a.take(np.clip(np.arange(-radius, n + radius), 0, n - 1), axis=axis)
         csum = np.cumsum(padded, axis=axis)
-        lead = np.take(csum, range(2 * radius, padded.shape[axis]), axis=axis)
-        lag = np.take(csum, range(0, padded.shape[axis] - 2 * radius), axis=axis)
-        a = (lead - lag) / (2 * radius)
+        window = [slice(None)] * a.ndim
+        window[axis] = slice(2 * radius, None)
+        lead = csum[tuple(window)]
+        window[axis] = slice(0, n)
+        a = lead - csum[tuple(window)]
+        a /= 2 * radius
     return a
+
+
+@cache
+def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column coordinates of every pixel, float64, read-only."""
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    ys.flags.writeable = xs.flags.writeable = False
+    return ys, xs
 
 
 def _shape_fraction(kind: int, cy: float, cx: float, radius: float,
                     h: int, w: int) -> np.ndarray:
     """Scaled distance field: <=1 inside the shape, <=CORE_FRACTION in the core."""
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    ys, xs = _pixel_grid(h, w)
     if kind == 0:  # circle
         return np.hypot(ys - cy, xs - cx) / radius
     if kind == 1:  # square
@@ -119,10 +130,16 @@ def _shape_fraction(kind: int, cy: float, cx: float, radius: float,
 
 def _render_scene(rng: Rng, n_classes: int, h: int, w: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    noise = rng.uniform_array(h * w * 3).reshape(h, w, 3)
-    blotches = _box_blur(noise, radius=3)
-    image = BG_BASE + BG_AMPLITUDE * (blotches - 0.5) * 4.0
-    image += BG_FINE_NOISE * (rng.uniform_array(h * w * 3).reshape(h, w, 3) - 0.5)
+    noise = rng.uniform_array(2 * h * w * 3).reshape(2, h, w, 3)
+    image = _box_blur(noise[0], radius=3)  # BG_BASE + BG_AMPLITUDE * (b - 0.5) * 4
+    image -= 0.5
+    image *= BG_AMPLITUDE
+    image *= 4.0
+    image += BG_BASE
+    fine = noise[1]  # BG_FINE_NOISE * (u - 0.5)
+    fine -= 0.5
+    fine *= BG_FINE_NOISE
+    image += fine
     mask = np.full((h, w), n_classes, dtype=np.int64)
 
     n_shapes = rng.randint(MAX_SHAPES + 1)
@@ -134,25 +151,24 @@ def _render_scene(rng: Rng, n_classes: int, h: int, w: int
         cx = rng.uniform(radius, w - 1 - radius)
         frac = _shape_fraction(class_id % 3, cy, cx, radius, h, w)
         inside = frac <= 1.0
-        core = frac <= CORE_FRACTION
         core_tone, rim_tone = CLASS_TONES[class_id]
         core_color = np.array(core_tone) + rng.uniform_array(3, -TONE_JITTER, TONE_JITTER)
         rim_color = np.array(rim_tone) + rng.uniform_array(3, -TONE_JITTER, TONE_JITTER)
-        colors = np.where(core[:, :, None], core_color, rim_color)
-        n_inside = int(inside.sum())
+        core = frac[inside] <= CORE_FRACTION
+        n_inside = len(core)
         texel = rng.uniform_array(n_inside * 3, -PIXEL_NOISE, PIXEL_NOISE).reshape(n_inside, 3)
-        image[inside] = colors[inside] + texel
+        texel += np.where(core[:, None], core_color, rim_color)
+        image[inside] = texel
         mask[inside] = class_id
-    return np.clip(image, 0.0, 1.0), mask
+    np.clip(image, 0.0, 1.0, out=image)
+    return image, mask
 
 
-def _coverage_ok(mask: np.ndarray, n_classes: int) -> bool:
-    total = mask.size
-    for c in range(n_classes):
-        count = int((mask == c).sum())
-        if count and not (MIN_CLASS_COVER * total <= count <= MAX_CLASS_COVER * total):
-            return False
-    return True
+def _coverage_ok(counts: np.ndarray, total: int) -> bool:
+    """Every class present (count > 0) covers its allowed share of pixels."""
+    present = counts[counts > 0]
+    return bool(np.all((MIN_CLASS_COVER * total <= present)
+                       & (present <= MAX_CLASS_COVER * total)))
 
 
 def generate_scene(seed: int, index: int, n_classes: int, h: int, w: int,
@@ -162,11 +178,12 @@ def generate_scene(seed: int, index: int, n_classes: int, h: int, w: int,
     for attempt in range(_MAX_ATTEMPTS):
         rng = Rng(derive_seed(scene_seed, attempt))
         image, mask = _render_scene(rng, n_classes, h, w)
-        if _coverage_ok(mask, n_classes):
+        counts = np.bincount(mask.ravel(), minlength=n_classes + 1)[:n_classes]
+        if _coverage_ok(counts, mask.size):
             break
     else:
         raise DataError(f"scene {index}: no valid layout in {_MAX_ATTEMPTS} attempts")
-    present = frozenset(int(c) for c in np.unique(mask) if c < n_classes)
+    present = frozenset(np.flatnonzero(counts).tolist())
     image_id = f"{id_prefix}_{index:05d}"
     return SyntheticScene(
         image=image.astype(np.float32),
@@ -242,35 +259,43 @@ class ExtractorSpec:
         return out
 
 
+@cache
 def nearest_indices(src_size: int, dst_size: int) -> np.ndarray:
-    """Cell-center nearest-neighbor source index for each destination cell."""
-    return (((np.arange(dst_size) + 0.5) * src_size) // dst_size).astype(np.int64)
+    """Cell-center nearest-neighbor source index for each destination cell;
+    read-only."""
+    idx = (((np.arange(dst_size) + 0.5) * src_size) // dst_size).astype(np.int64)
+    idx.flags.writeable = False
+    return idx
 
 
 def _avg_pool(image: np.ndarray, s: int) -> np.ndarray:
+    if s == 1:
+        return image  # the mean of one pixel, x / 1
     h, w, c = image.shape
     return image.reshape(h // s, s, w // s, s, c).mean(axis=(1, 3))
 
 
 def extract_features(scene: SyntheticScene, spec: ExtractorSpec) -> FeatureGrid:
-    """Raw (unnormalized) feature grid at 1/4 image resolution."""
+    """Raw (unnormalized) feature grid at 1/4 image resolution, C-ordered."""
     h, w, _ = scene.image.shape
     if h % GRID_FACTOR or w % GRID_FACTOR:
         raise DataError(f"image dims {h}x{w} not divisible by {GRID_FACTOR}")
     gh, gw = h // GRID_FACTOR, w // GRID_FACTOR
-    parts = []
+    out = np.empty((gh, gw, spec.depth), dtype=np.float32)
     img = scene.image.astype(np.float64)
-    for s in spec.scales:
+    for i, s in enumerate(spec.scales):
         if h % s or w % s:
             raise DataError(f"image dims {h}x{w} not divisible by scale {s}")
-        pooled = _avg_pool(img, s)
-        p, b = spec.projections[s]
-        feat = np.maximum(pooled @ p.T + b, 0.0)
         rows = nearest_indices(h // s, gh)
         cols = nearest_indices(w // s, gw)
-        parts.append(feat[rows][:, cols])
-    stacked = np.concatenate(parts, axis=2).astype(np.float32)
-    return FeatureGrid(grid=Grid(stacked))
+        p, b = spec.projections[s]
+        # only the sampled cells are projected: per cell the same products
+        # and sums as projecting every pooled cell
+        feat = _avg_pool(img, s)[rows][:, cols] @ p.T
+        feat += b
+        np.maximum(feat, 0.0, out=feat)
+        out[:, :, i * spec.dims_per_scale:(i + 1) * spec.dims_per_scale] = feat
+    return FeatureGrid(grid=Grid(out))
 
 
 def downsample_mask(mask: np.ndarray, n_labels: int, factor: int = GRID_FACTOR

@@ -121,22 +121,29 @@ def compute_norm_stats(features: list[FeatureGrid] | tuple[FeatureGrid, ...]) ->
     depths = {f.grid.depth for f in features}
     if len(depths) != 1:
         raise DataError(f"compute_norm_stats: mismatched depths {sorted(depths)}")
-    stacked = np.concatenate([f.grid.locations() for f in features]).astype(np.float64)
+    stacked = np.concatenate([f.grid.locations() for f in features], dtype=np.float64)
     mean = stacked.mean(axis=0)
-    std = np.sqrt(np.mean((stacked - mean) ** 2, axis=0))  # divide-by-N
+    stacked -= mean  # centred and squared in place
+    np.square(stacked, out=stacked)
+    std = np.sqrt(np.mean(stacked, axis=0))  # divide-by-N
     mean = mean.astype(np.float32).astype(np.float64)
     std = std.astype(np.float32).astype(np.float64)
     return NormStats(mean=mean, std=std)
 
 
+def _unit_rows(flat: np.ndarray) -> None:
+    """In place: scale each row of a C-ordered (N, D) float64 array to unit
+    norm; exact-zero rows stay zero."""
+    norms = np.linalg.norm(flat, axis=1)
+    norms[norms == 0.0] = 1.0
+    flat /= norms[:, None]
+
+
 def l2_normalize_locations(values: np.ndarray) -> np.ndarray:
     """Scale each location vector to unit norm; exact-zero vectors stay zero."""
     flat = values.reshape(-1, values.shape[-1]).astype(np.float64)
-    norms = np.linalg.norm(flat, axis=1)
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    out = flat / safe[:, None]
-    return out.reshape(values.shape)
+    _unit_rows(flat)
+    return flat.reshape(values.shape)
 
 
 def normalize_features(f: FeatureGrid, stats: NormStats) -> FeatureGrid:
@@ -147,9 +154,11 @@ def normalize_features(f: FeatureGrid, stats: NormStats) -> FeatureGrid:
         raise DataError(
             f"normalize_features: stats depth {stats.depth} != grid depth {f.grid.depth}"
         )
-    z = (f.grid.values.astype(np.float64) - stats.mean) / stats.divisors()
-    unit = l2_normalize_locations(z)
-    return FeatureGrid(grid=Grid(unit.astype(np.float32)), norm_state=NormState.UNIT)
+    z = np.array(f.grid.values, dtype=np.float64, order="C")  # edited in place
+    z -= stats.mean
+    z /= stats.divisors()
+    _unit_rows(z.reshape(-1, z.shape[-1]))
+    return FeatureGrid(grid=Grid(z.astype(np.float32)), norm_state=NormState.UNIT)
 
 
 @contextmanager

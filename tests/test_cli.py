@@ -665,6 +665,56 @@ def test_manifest_norm_stats_that_is_not_a_string_is_data_error(workdir, tmp_pat
     assert "manifest.json" in err and "norm_stats" in err
 
 
+def _set_entry(row, **fields):
+    return lambda doc: doc["images"][row].update(fields)
+
+
+def _set_seed(seed):
+    return lambda doc: doc["extractor"].update(seed=seed)
+
+
+# (edit, the key the error names, the entry it names or None)
+MANIFEST_FIELD_EDITS = {
+    "tag-half": (_set_entry(0, tags=[0.5]), "tags", 0),
+    "tag-bool": (_set_entry(3, tags=[True]), "tags", 3),
+    "tags-not-list": (_set_entry(1, tags=0), "tags", 1),
+    "tag-not-a-class": (_set_entry(5, tags=[0, 7]), "tags", 5),
+    "tag-negative": (_set_entry(2, tags=[-1]), "tags", 2),
+    "id-number": (_set_entry(2, id=5), "id", 2),
+    "id-empty": (_set_entry(0, id=""), "id", 0),
+    "id-missing": (lambda doc: doc["images"][4].pop("id"), "id", 4),
+    "entry-not-object": (lambda doc: doc["images"].__setitem__(1, ["x"]), "images", None),
+    "image-size-float": (lambda doc: doc.update(image_size=[32.7, 32]), "image_size", None),
+    "image-size-zero": (lambda doc: doc.update(image_size=[0, 32]), "image_size", None),
+    "image-size-one-dim": (lambda doc: doc.update(image_size=[32]), "image_size", None),
+    "grid-size-float": (lambda doc: doc.update(grid_size=[8, 8.0]), "grid_size", None),
+    "grid-size-negative": (lambda doc: doc.update(grid_size=[8, -8]), "grid_size", None),
+    "classes-float": (lambda doc: doc.update(classes=[0, 1.5]), "classes", None),
+    "classes-bool": (lambda doc: doc.update(classes=[0, True]), "classes", None),
+    "depth-zero": (lambda doc: doc.update(feature_depth=0), "feature_depth", None),
+    "depth-float": (lambda doc: doc.update(feature_depth=48.0), "feature_depth", None),
+    "seed-float": (_set_seed(1.5), "extractor.seed", None),
+    "seed-string": (_set_seed("7"), "extractor.seed", None),
+    "seed-bool": (_set_seed(True), "extractor.seed", None),
+    "seed-missing": (lambda doc: doc["extractor"].pop("seed"), "extractor.seed", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_FIELD_EDITS))
+def test_mistyped_manifest_field_is_data_error(workdir, tmp_path, capsys, case):
+    """Each manifest field is checked by type before use; the error names
+    the file, the entry and the key."""
+    edit, key, row = MANIFEST_FIELD_EDITS[case]
+    data = _edited_manifest(workdir, tmp_path, edit)
+    rc = main(["train-loc", "--class", "0", "--data", str(data), "--out", str(tmp_path / "ck")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(data / "manifest.json") in err and repr(key) in err
+    if row is not None:
+        assert f"images[{row}]" in err
+    assert not (tmp_path / "ck").exists()
+
+
 def test_features_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
     """A row count that matches but trailing dims that differ from the
     manifest's grid_size and feature_depth exit 3 naming the file."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from divseed import rng as rng_module
 from divseed.rng import Rng, derive_seed, mix64
 
 
@@ -24,15 +25,56 @@ def test_known_splitmix_values():
     assert seen == expect
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, 500))
-def test_array_matches_scalar(seed, n):
+# seeds anywhere, and seeds within 2^20 of 2^64, where the stream wraps at once
+SEEDS = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=2**64 - 2**20, max_value=2**64 - 1),
+)
+
+
+@given(SEEDS, st.integers(0, 40), st.lists(st.tuples(st.booleans(), st.integers(1, 500)),
+                                            min_size=1, max_size=6))
+def test_array_matches_scalar(seed, start, calls):
+    """Bulk draws, from any stream position and interleaved with scalar
+    draws, equal the scalar stream."""
     scalar = Rng(seed)
     vec = Rng(seed)
-    a = np.array([scalar.next_u64() for _ in range(n)], dtype=np.uint64)
-    b = vec.next_u64_array(n)
-    assert np.array_equal(a, b)
+    for _ in range(start):
+        assert scalar.next_u64() == vec.next_u64()
+    for bulk, n in calls:
+        a = np.array([scalar.next_u64() for _ in range(n)], dtype=np.uint64)
+        b = vec.next_u64_array(n) if bulk else np.array(
+            [vec.next_u64() for _ in range(n)], dtype=np.uint64)
+        assert np.array_equal(a, b)
     # streams stay aligned afterwards
     assert scalar.next_u64() == vec.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0xC0FFEE, 2**64 - 2**20])
+def test_array_longer_than_any_before_matches_scalar(seed):
+    """A draw longer than every earlier one grows the counter-step table; the
+    grown table's draws equal the scalar stream."""
+    n = len(rng_module._steps) + 7
+    scalar, vec = Rng(seed), Rng(seed)
+    scalar.next_u64(), vec.next_u64()
+    b = vec.next_u64_array(n)
+    assert len(rng_module._steps) >= n
+    a = np.array([scalar.next_u64() for _ in range(n)], dtype=np.uint64)
+    assert np.array_equal(a, b)
+    assert scalar.next_u64() == vec.next_u64()
+
+
+# (low, high) of every bulk uniform draw: the scene renderer's background
+# noise, tone jitter and pixel noise, and the extractor's projections
+@pytest.mark.parametrize("low,high", [(0.0, 1.0), (-0.12, 0.12), (-0.10, 0.10),
+                                      (-2.0, 2.0), (-1.0, 1.0), (-1, 1)])
+@pytest.mark.parametrize("seed", [3, 2**64 - 5])
+def test_uniform_array_matches_scalar(seed, low, high):
+    scalar, vec = Rng(seed), Rng(seed)
+    for n in (1, 3, 48, 1000):
+        a = np.array([scalar.uniform(low, high) for _ in range(n)])
+        b = vec.uniform_array(n, low, high)
+        assert a.tobytes() == b.tobytes()
 
 
 def test_uniform_range():

@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from divseed.dataset import make_split
 from divseed.errors import ConfigError, DataError
 from divseed.synthdata import (
     GRID_FACTOR,
@@ -15,6 +19,10 @@ from divseed.synthdata import (
     nearest_indices,
 )
 from divseed.localization import TagSet
+from divseed.pipeline import PipelineConfig, make_benchmark
+from divseed.rng import derive_seed
+from divseed.tensor import normalize_features
+from reference_synthdata import reference_extract_features
 
 
 def test_generation_deterministic():
@@ -181,3 +189,115 @@ def test_downsample_tie_goes_to_lowest_label():
 def test_downsample_shape_check():
     with pytest.raises(DataError):
         downsample_mask(np.zeros((5, 8), dtype=np.int64), n_labels=2, factor=4)
+
+
+# ---------------------------------------------------------------------------
+# generated bits, pinned: a rewrite of generation, extraction or the stats
+# must leave every image, mask, feature and stat exactly as it was
+
+
+def _sha(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def _split_digests(n_classes, seed, name):
+    spec = ExtractorSpec(seed=derive_seed(seed, 1))
+    scenes, features, stats = make_split(16, n_classes, 64, seed, name, spec)
+    return {
+        "images": _sha(np.stack([s.image for s in scenes])),
+        "masks": _sha(np.stack([s.mask for s in scenes])),
+        "tags": "|".join("".join(map(str, sorted(s.tags.present))) for s in scenes),
+        "features": _sha(np.stack([f.grid.values for f in features])),
+        "stats": _sha(np.stack([stats.mean, stats.std])),
+    }
+
+
+# digests of the bits the generator, the extractor (see
+# tests/reference_synthdata.py) and the stats gave before they were optimized
+PINNED_SPLITS = {
+    (4, 2024, "train"): {
+        "images": "19b7ad326cf900d8d9b4911198ad8ade53a6b7b9c75fb467f0a577faf0176dc1",
+        "masks": "7307a29f77eaacee24507e6b0a9e3225e7a85157d6668b1769099466524df1be",
+        "tags": "012|0|02||3|01|3|013|01||013|01|||03|2",
+        "features": "7bc7ec3db7d6fc5d258c7e959704e32bdcc84a4afbbacc6bbd26e99563619390",
+        "stats": "a15253bc91d9188e69a639a1628c95a428ce667808a9c18e3a72c4cea38cda2d",
+    },
+    # the shape of the added-class split: one class more
+    (5, 77, "new"): {
+        "images": "ad556dc42cfbbd61b080884281d76eaf5d11a4a5b65b1ba1f82e59690a5918d8",
+        "masks": "8f7e2dc94f0b8677ef05cc5dddbcd1831857f5b7c7d67f9ce0b5c93b00f2b624",
+        "tags": "03|02|2||12|03|13|1|134|4|4|12|24|012|1|02",
+        "features": "e5f1b2bfbd584ae989ec5eb0294535dd9ba5b4a8d69aa9008b52d2b91d7f635d",
+        "stats": "ea4a20f6c4fd4009eab0a725c43d6e44e2196c5e41e2b19e57b97f6b18dbd1a3",
+    },
+}
+
+
+@pytest.mark.parametrize("n_classes,seed,name", sorted(PINNED_SPLITS))
+def test_make_split_bits_are_pinned(n_classes, seed, name):
+    assert _split_digests(n_classes, seed, name) == PINNED_SPLITS[n_classes, seed, name]
+
+
+def test_benchmark_bits_are_pinned():
+    config = PipelineConfig(seed=5, n_train=12, n_test=6, n_classes=3, image_size=32)
+    bench = make_benchmark(config)
+    got = {
+        "train": _sha(np.stack([r.features.grid.values for r in bench.train_records])),
+        "test": _sha(np.stack([e.features.grid.values for e in bench.test_images])),
+        "truth": _sha(np.stack([e.truth for e in bench.test_images])),
+        "stats": _sha(np.stack([bench.norm_stats.mean, bench.norm_stats.std])),
+    }
+    assert got == {
+        "train": "8dad7bbeae48ce7cf9fc161556ac34bc35a9920f4d26054f975bf02d29716516",
+        "test": "a4b6b268394b1ca915c8503185758717b26db505d2f8021d5764c1202acd5ec5",
+        "truth": "a91ae4a424a1c30e7b1596e1db2cb7af7095b6ad18ac72ce67fb59ae5fc1a455",
+        "stats": "88301a0ecdd5221eafbec6e40c71ef104fac60f17890a16b483749a0d774182e",
+    }
+
+
+def _image_with_edge_values(seed, size, p_zero, p_one, p_tiny):
+    rng = np.random.default_rng(seed)
+    image = rng.random((size, size, 3), dtype=np.float32)
+    pick = rng.random(image.shape)
+    tiny = rng.uniform(0.0, 1e-7, image.shape).astype(np.float32)
+    tiny[rng.random(image.shape) < 0.1] = np.float32(1e-40)  # subnormal
+    image[pick < p_tiny] = tiny[pick < p_tiny]
+    image[(pick >= p_tiny) & (pick < p_tiny + p_zero)] = 0.0
+    image[(pick >= p_tiny + p_zero) & (pick < p_tiny + p_zero + p_one)] = 1.0
+    return image
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([16, 32, 64]),
+    st.floats(0.0, 0.3),
+    st.floats(0.0, 0.3),
+    st.floats(0.0, 0.3),
+)
+def test_extractor_equals_the_reference_bit_for_bit(seed, spec_seed, size, p_zero, p_one,
+                                                    p_tiny):
+    """Projecting only the grid's sampled cells of each pooled image gives
+    the bits of projecting every pooled cell (4,096 pixels at scale 1),
+    including at exact 0s, 1s and near-zero inputs."""
+    image = _image_with_edge_values(seed, size, p_zero, p_one, p_tiny)
+    scene = SyntheticScene(
+        image=image, mask=np.zeros((size, size), dtype=np.int64),
+        tags=TagSet(image_id="x", present=frozenset()), n_classes=1, seed=0,
+    )
+    spec = ExtractorSpec(seed=spec_seed)
+    got = extract_features(scene, spec).grid.values
+    want = reference_extract_features(scene, spec).grid.values
+    assert got.tobytes() == want.tobytes()
+
+
+def test_raw_and_unit_grids_are_c_contiguous():
+    """Feature grids are stored location-major, so Grid.locations() and the
+    normalization's reshape are views, not copies."""
+    scenes, features, stats = make_split(3, 2, 32, 1, "c", ExtractorSpec(seed=2))
+    for raw in features:
+        unit = normalize_features(raw, stats)
+        for grid in (raw.grid, unit.grid):
+            assert grid.values.flags.c_contiguous
+            assert np.shares_memory(grid.locations(), grid.values)
