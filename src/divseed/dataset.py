@@ -186,14 +186,13 @@ def write_dataset(
     features: list[FeatureGrid],
 ) -> str:
     """Write scenes, their raw features from spec, stats and a manifest;
-    returns the manifest path."""
+    returns the manifest path. Each tensor is written part by part, so no
+    stacked copy of the split is made."""
     os.makedirs(out_dir, exist_ok=True)
-    save_tensor(np.stack([s.image for s in scenes]), os.path.join(out_dir, IMAGES_NAME))
-    save_tensor(np.stack([s.mask for s in scenes]).astype(np.float32),
-                os.path.join(out_dir, MASKS_NAME))
-    save_tensor(np.stack([f.grid.values for f in features]),
-                os.path.join(out_dir, FEATURES_NAME))
-    save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
+    save_tensor([s.image for s in scenes], os.path.join(out_dir, IMAGES_NAME))
+    save_tensor([s.mask for s in scenes], os.path.join(out_dir, MASKS_NAME))
+    save_tensor([f.grid.values for f in features], os.path.join(out_dir, FEATURES_NAME))
+    save_tensor([stats.mean, stats.std], os.path.join(out_dir, STATS_NAME))
 
     n_classes = scenes[0].n_classes
     h, w, _ = scenes[0].image.shape

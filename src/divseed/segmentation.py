@@ -1,11 +1,13 @@
 """Per-location multi-class segmentation trained on sampled points only.
 
-The classifier is a hidden-ReLU-(C+1) per-location network over features
-augmented with a per-image global descriptor (the L2-normalized spatial mean
-of the unit feature grid, replicated at every location). Training touches
-only the sparse sampled points; it never sees ground-truth masks. Growing the
-class universe re-instantiates and retrains just this head, leaving all
-localization models alone.
+The classifier is a hidden-ReLU-(C+1) per-location network. Its input at a
+location is the unit feature vector there followed by the image's global
+descriptor (the L2-normalized spatial mean of the unit feature grid), the
+global-context appending of ParseNet. The descriptor is stored once per
+image; the (H, W, 2D) input grid is built only where a whole image is
+predicted. Training touches only the sparse sampled points; it never sees
+ground-truth masks. Growing the class universe re-instantiates and retrains
+just this head, leaving all localization models alone.
 
 Label spaces: sampled points carry class ids with -1 for background; the
 model maps ids onto output indices via its ordered class universe, with
@@ -57,24 +59,39 @@ from .tensor import FeatureGrid, Grid, l2_normalize_locations
 
 @dataclass(frozen=True)
 class AugmentedFeatureGrid:
-    """Unit feature grid with the image-level descriptor appended per location."""
+    """A unit feature grid and its image-level descriptor: the head's input
+    at each location is the location's vector followed by the descriptor."""
 
-    grid: Grid  # depth = base depth + global_dim
-    global_dim: int
+    features: FeatureGrid  # unit
+    descriptor: np.ndarray  # (global_dim,) float32
+
+    @property
+    def global_dim(self) -> int:
+        return self.descriptor.shape[0]
+
+    @property
+    def depth(self) -> int:
+        return self.features.grid.depth + self.global_dim
+
+    def locations(self, dtype=np.float32) -> np.ndarray:
+        """(H*W, depth) head inputs in location order, as dtype."""
+        locs = self.features.grid.locations()
+        tiled = np.broadcast_to(self.descriptor, (locs.shape[0], self.global_dim))
+        return np.concatenate([locs, tiled], axis=1, dtype=dtype)
+
+    @property
+    def grid(self) -> Grid:
+        """The (H, W, depth) input grid, built on each use."""
+        g = self.features.grid
+        return Grid(self.locations().reshape(g.height, g.width, self.depth))
 
 
 def augment_with_global(f: FeatureGrid) -> AugmentedFeatureGrid:
-    """Append the image's normalized mean feature vector at every location."""
+    """Pair a unit grid with its normalized mean feature vector."""
     check_grid(f)
-    locs = f.grid.locations().astype(np.float64)
-    mean = locs.mean(axis=0)
+    mean = f.grid.locations().astype(np.float64).mean(axis=0)
     unit_mean = l2_normalize_locations(mean[None, :])
-    tiled = np.broadcast_to(unit_mean[0], (locs.shape[0], locs.shape[1]))
-    stacked = np.concatenate([locs, tiled], axis=1).astype(np.float32)
-    h, w, d = f.grid.height, f.grid.width, f.grid.depth
-    return AugmentedFeatureGrid(
-        grid=Grid(stacked.reshape(h, w, 2 * d)), global_dim=d
-    )
+    return AugmentedFeatureGrid(features=f, descriptor=unit_mean[0].astype(np.float32))
 
 
 @dataclass
@@ -138,9 +155,11 @@ def train_segmentation(
     """Train the per-location head on the pooled point set (a PointSet, or a
     list of SampledPoint rows).
 
-    Points are gathered into one (n, D) matrix, shuffled with the seeded
-    stream each epoch, and consumed in batches of config.batch_size under
-    mean softmax cross-entropy. Ground-truth masks are not an input.
+    Points are gathered as (n, D) feature rows plus an image index, shuffled
+    with the seeded stream each epoch, and consumed in batches of
+    config.batch_size under mean softmax cross-entropy; each batch's
+    [rows | descriptors] is assembled in one reused float64 buffer.
+    Ground-truth masks are not an input.
     """
     if not points:
         raise DataError("train_segmentation: empty point set")
@@ -151,12 +170,13 @@ def train_segmentation(
         raise DataError(f"points reference images without features: {missing[:5]}")
 
     first = next(iter(features_by_image.values()))
-    in_dim = first.grid.depth
     model = new_segmentation_model(
-        class_ids, in_dim, first.global_dim, config, derive_seed(seed, 0x5E6)
+        class_ids, first.depth, first.global_dim, config, derive_seed(seed, 0x5E6)
     )
 
-    x, y = _gather_points(points, features_by_image, model)
+    rows, image, descriptors, y = _gather_points(points, features_by_image, model)
+    d = rows.shape[1]
+    buffer = np.empty((min(config.batch_size, len(points)), model.hidden.in_dim))
 
     rng = Rng(derive_seed(seed, 0x5EC0))
     state = AdamState(lr=config.lr)
@@ -171,8 +191,11 @@ def train_segmentation(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
+            xb = buffer[: len(batch)]
+            xb[:, :d] = rows[batch]
+            xb[:, d:] = descriptors[image[batch]]
             try:
-                lv, _ = head_loss_and_grads(model, x[batch].astype(np.float64), y[batch], grads)
+                lv, _ = head_loss_and_grads(model, xb, y[batch], grads)
             except NumericError as e:
                 raise NumericError(f"head: non-finite loss at epoch {epoch + 1}, "
                                    f"batch {n_batches + 1}: {e}") from e
@@ -189,27 +212,32 @@ def train_segmentation(
 
 def _gather_points(points: PointSet,
                    features_by_image: dict[str, AugmentedFeatureGrid],
-                   model: SegmentationModel) -> tuple[np.ndarray, np.ndarray]:
-    """(n, D) float32 point features as stored (training converts a batch)
-    and (n,) output indices, in point order: one fancy-index per image,
+                   model: SegmentationModel
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """In point order: (n, D) float32 unit feature rows as stored, (n,) image
+    indices into the (k, global_dim) float32 descriptors of
+    points.image_ids, and (n,) output indices. A point's head input is its
+    row followed by its image's descriptor. One fancy-index per image,
     labels mapped through a per-label lookup. DataError for a point whose
     loc is outside its image's grid."""
     points = PointSet.of(points)
     by_image = np.argsort(points.image, kind="stable")
     bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
-    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float32)
-    for c, image_id in enumerate(points.image_ids):
-        rows = by_image[bounds[c] : bounds[c + 1]]
-        grid = features_by_image[image_id].grid
-        locs = points.loc[rows]
+    augmented = [features_by_image[image_id] for image_id in points.image_ids]
+    rows = np.empty((len(points), model.hidden.in_dim - model.global_dim), dtype=np.float32)
+    for c, (image_id, af) in enumerate(zip(points.image_ids, augmented)):
+        at = by_image[bounds[c] : bounds[c + 1]]
+        grid = af.features.grid
+        locs = points.loc[at]
         outside = locs[(locs < 0) | (locs >= grid.n_locations)]
         if outside.size:
             raise DataError(f"image {image_id!r}: point loc {int(outside[0])} is outside "
                             f"its grid of {grid.n_locations} locations")
-        x[rows] = grid.locations()[locs]
+        rows[at] = grid.locations()[locs]
+    descriptors = np.stack([af.descriptor for af in augmented])
     labels, inverse = np.unique(points.label, return_inverse=True)
     lookup = np.array([model.label_to_index(int(c)) for c in labels], dtype=np.int64)
-    return x, lookup[inverse]
+    return rows, points.image, descriptors, lookup[inverse]
 
 
 def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
@@ -234,12 +262,12 @@ def predict(model: SegmentationModel, af: AugmentedFeatureGrid
             ) -> tuple[np.ndarray, Grid]:
     """Dense prediction: (H, W) argmax label indices (background = C, ties to
     the lowest index) and the (H, W, C+1) softmax probability grid."""
-    g = af.grid
-    if g.depth != model.hidden.in_dim:
+    if af.depth != model.hidden.in_dim:
         raise DataError(
-            f"predict: feature depth {g.depth} != model input {model.hidden.in_dim}"
+            f"predict: feature depth {af.depth} != model input {model.hidden.in_dim}"
         )
-    x = g.locations().astype(np.float64)
+    g = af.features.grid
+    x = af.locations(np.float64)
     _, logits = mlp_forward(model.params(), x)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)

@@ -19,6 +19,7 @@ DSTN tensor file format (bit-exact, no padding, no footer):
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -115,20 +116,35 @@ def compute_norm_stats(features: list[FeatureGrid] | tuple[FeatureGrid, ...]) ->
     clamped (divisors), so the feature depth stays stable. Both are rounded
     to float32, the precision stats.dstn stores, so stats used in memory and
     stats read back from disk normalize features identically.
+
+    Columns are summed in float64 grid by grid, in row order: the additions
+    numpy's axis-0 reduce makes on the concatenated locations, without
+    building that (N, D) copy.
     """
     if len(features) == 0:
         raise DataError("compute_norm_stats: no feature grids given")
     depths = {f.grid.depth for f in features}
     if len(depths) != 1:
         raise DataError(f"compute_norm_stats: mismatched depths {sorted(depths)}")
-    stacked = np.concatenate([f.grid.locations() for f in features], dtype=np.float64)
-    mean = stacked.mean(axis=0)
-    stacked -= mean  # centred and squared in place
-    np.square(stacked, out=stacked)
-    std = np.sqrt(np.mean(stacked, axis=0))  # divide-by-N
+    blocks = [f.grid.locations() for f in features]
+    if depths == {1}:  # numpy adds a single column pairwise, not row by row
+        blocks = [np.concatenate(blocks)]
+    n = sum(len(b) for b in blocks)
+    mean = _row_order_sum(b.astype(np.float64) for b in blocks) / n
+    std = np.sqrt(_row_order_sum(np.square(b - mean) for b in blocks) / n)  # divide-by-N
     mean = mean.astype(np.float32).astype(np.float64)
     std = std.astype(np.float32).astype(np.float64)
     return NormStats(mean=mean, std=std)
+
+
+def _row_order_sum(blocks) -> np.ndarray:
+    """Column sums of the row concatenation of C-ordered (m, D) float64
+    blocks, D > 1, with the running total carried as the first row of the
+    next block's reduce."""
+    total = None
+    for b in blocks:
+        total = np.add.reduce(b if total is None else np.concatenate([total[None], b]), axis=0)
+    return total
 
 
 def _unit_rows(flat: np.ndarray) -> None:
@@ -177,46 +193,58 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def save_tensor(array: np.ndarray, path) -> None:
-    """Write a 1..4-d float array in the DSTN format described above."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
-    if not 1 <= arr.ndim <= 4:
-        raise TensorFormatError(f"DSTN supports 1..4 dims, got {arr.ndim}")
-    if any(d > 0xFFFFFFFF for d in arr.shape):
-        raise TensorFormatError(f"dimension overflow in shape {arr.shape}")
-    header = MAGIC + struct.pack("<BBB", _FORMAT_VERSION, _DTYPE_F32, arr.ndim)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+def save_tensor(array, path) -> None:
+    """Write a 1..4-d float array in the DSTN format described above. A list
+    of equal-shape arrays is written as their stack, one part at a time."""
+    if isinstance(array, list):
+        shapes = {np.shape(p) for p in array}
+        if len(shapes) != 1:
+            raise TensorFormatError(f"parts to stack need one shape, got {sorted(shapes)}")
+        shape, parts = (len(array), *shapes.pop()), array
+    else:
+        shape, parts = np.shape(array), [array]
+    if not 1 <= len(shape) <= 4:
+        raise TensorFormatError(f"DSTN supports 1..4 dims, got {len(shape)}")
+    if any(d > 0xFFFFFFFF for d in shape):
+        raise TensorFormatError(f"dimension overflow in shape {shape}")
+    header = MAGIC + struct.pack("<BBB", _FORMAT_VERSION, _DTYPE_F32, len(shape))
+    header += struct.pack(f"<{len(shape)}I", *shape)
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.data)
+        for part in parts:
+            fh.write(np.ascontiguousarray(part, dtype="<f4").data)
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read a DSTN file back into a float32 array (exact round trip)."""
+    """Read a DSTN file back into a float32 array (exact round trip). The
+    payload is read once, straight into the array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise TensorFormatError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 7:
-        raise TensorFormatError(f"{path}: truncated header")
-    version, dtype_code, ndim = struct.unpack("<BBB", blob[4:7])
-    if version != _FORMAT_VERSION:
-        raise TensorFormatError(f"{path}: unsupported version {version}")
-    if dtype_code != _DTYPE_F32:
-        raise TensorFormatError(f"{path}: unsupported dtype code {dtype_code}")
-    if not 1 <= ndim <= 4:
-        raise TensorFormatError(f"{path}: bad ndim {ndim}")
-    dim_end = 7 + 4 * ndim
-    if len(blob) < dim_end:
-        raise TensorFormatError(f"{path}: truncated dims")
-    dims = struct.unpack(f"<{ndim}I", blob[7:dim_end])
-    count = int(np.prod([int(d) for d in dims], dtype=np.int64))
-    if len(blob) - dim_end != 4 * count:
-        raise TensorFormatError(
-            f"{path}: payload is {len(blob) - dim_end} bytes, expected {4 * count}"
-        )
-    payload = np.frombuffer(blob, dtype="<f4", count=count, offset=dim_end)
-    return payload.reshape(dims).astype(np.float32)
+        head = fh.read(7)
+        if head[:4] != MAGIC:
+            raise TensorFormatError(f"{path}: bad magic {head[:4]!r}")
+        if len(head) < 7:
+            raise TensorFormatError(f"{path}: truncated header")
+        version, dtype_code, ndim = struct.unpack("<BBB", head[4:7])
+        if version != _FORMAT_VERSION:
+            raise TensorFormatError(f"{path}: unsupported version {version}")
+        if dtype_code != _DTYPE_F32:
+            raise TensorFormatError(f"{path}: unsupported dtype code {dtype_code}")
+        if not 1 <= ndim <= 4:
+            raise TensorFormatError(f"{path}: bad ndim {ndim}")
+        raw_dims = fh.read(4 * ndim)
+        if len(raw_dims) < 4 * ndim:
+            raise TensorFormatError(f"{path}: truncated dims")
+        dims = struct.unpack(f"<{ndim}I", raw_dims)
+        count = math.prod(dims)  # a Python int: cannot wrap
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 4 * count:
+            raise TensorFormatError(
+                f"{path}: payload is {payload} bytes, expected {4 * count}"
+            )
+        flat = np.empty(count, dtype="<f4")
+        if fh.readinto(flat.data.cast("B")) != payload:
+            raise TensorFormatError(f"{path}: payload shorter than its {payload} bytes")
+    return flat.reshape(dims).astype(np.float32, copy=False)
 
 
 def save_json(doc, path) -> None:

@@ -10,6 +10,7 @@ from divseed.cli import build_parser, main
 from divseed.dataset import load_manifest
 from divseed.sampling import load_points
 from divseed.tensor import load_tensor
+from test_tensor import MALFORMED_DSTN
 
 
 @pytest.fixture(scope="module")
@@ -862,6 +863,17 @@ def test_bad_tensor_file_is_io_error(tmp_path):
     rc = main(["render", "--kind", "heatmap", "--in", str(bad),
                "--out", str(tmp_path / "x.pgm")])
     assert rc == 5
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DSTN))
+def test_malformed_tensor_file_exits_5(tmp_path, capsys, case):
+    bad = tmp_path / "bad.dstn"
+    bad.write_bytes(MALFORMED_DSTN[case][0])
+    rc = main(["render", "--kind", "heatmap", "--in", str(bad),
+               "--out", str(tmp_path / "x.pgm")])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert MALFORMED_DSTN[case][1] in err and "Traceback" not in err
 
 
 def test_missing_class_in_data_is_data_error(workdir, tmp_path):

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from divseed.dataset import load_manifest, make_split
+from divseed.dataset import load_manifest, make_split, write_dataset
 from divseed.errors import DataError
 from divseed.synthdata import ExtractorSpec, extract_features
 from divseed.tensor import NormState
+from test_tensor import _traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,18 @@ def test_stats_reuse_copies_file(tmp_path, dataset_dir):
     a = (out / "stats.dstn").read_bytes()
     b = (tmp_path / "test" / "stats.dstn").read_bytes()
     assert a == b
+
+
+def test_write_dataset_stacks_nothing(tmp_path):
+    """Each tensor is written part by part: the peak stays below the
+    smallest stacked tensor, the (N, H, W) float32 masks."""
+    spec = ExtractorSpec(seed=2)
+    scenes, features, stats = make_split(40, 3, 32, 5, "tr", spec)
+    masks_bytes = 40 * 32 * 32 * 4
+    _, peak = _traced_peak(write_dataset, str(tmp_path), scenes, spec, stats, features)
+    assert peak < masks_bytes / 2
+    masks = load_manifest(str(tmp_path)).masks
+    assert masks.tobytes() == np.stack([s.mask for s in scenes]).astype(np.float32).tobytes()
 
 
 def test_missing_manifest_raises(tmp_path):

@@ -4,7 +4,13 @@ import pytest
 from divseed.errors import DataError, NumericError
 from divseed.localization import LocConfig, TagSet
 from divseed.rng import Rng
-from divseed.sampling import BACKGROUND, SampledPoint, SamplingConfig, SupervisionRecord
+from divseed.sampling import (
+    BACKGROUND,
+    PointSet,
+    SampledPoint,
+    SamplingConfig,
+    SupervisionRecord,
+)
 from divseed.nn import linear_backward, linear_fwd, masked_ce_loss_and_grad, relu, relu_backward
 from divseed.segmentation import (
     SegConfig,
@@ -18,7 +24,8 @@ from divseed.segmentation import (
     save_seg_checkpoint,
     train_segmentation,
 )
-from divseed.tensor import FeatureGrid, Grid, NormState
+from divseed.tensor import FeatureGrid, Grid, NormState, l2_normalize_locations
+from test_tensor import _traced_peak
 
 
 def unit_features(seed, h=4, w=4, d=6):
@@ -57,6 +64,27 @@ def test_augment_permutation_invariant_descriptor():
     assert np.allclose(af.grid.values[0, 0, 6:], af2.grid.values[0, 0, 6:])
 
 
+def _stacked_augment(f):
+    """The augmented grid built whole: each location's vector with the
+    normalized mean appended, cast to float32 at the end."""
+    locs = f.grid.locations().astype(np.float64)
+    unit_mean = l2_normalize_locations(locs.mean(axis=0)[None, :])
+    tiled = np.broadcast_to(unit_mean[0], locs.shape)
+    stacked = np.concatenate([locs, tiled], axis=1).astype(np.float32)
+    return stacked.reshape(f.grid.height, f.grid.width, 2 * f.grid.depth)
+
+
+def test_augmented_grid_equals_the_stacked_build():
+    for seed in range(20):
+        f = unit_features(300 + seed, h=1 + seed % 5, w=2 + seed % 3, d=1 + seed % 7)
+        af = augment_with_global(f)
+        assert af.features is f and af.descriptor.dtype == np.float32
+        assert af.depth == af.grid.depth == 2 * f.grid.depth
+        assert af.grid.values.tobytes() == _stacked_augment(f).tobytes()
+        assert af.locations(np.float64).tobytes() == \
+            _stacked_augment(f).reshape(-1, af.depth).astype(np.float64).tobytes()
+
+
 def test_augment_requires_unit():
     raw = FeatureGrid(grid=Grid(np.ones((2, 2, 3), dtype=np.float32)))
     with pytest.raises(DataError):
@@ -86,8 +114,8 @@ def _separable_points(n_images=6, d=6):
 
 
 def _per_point_gather(points, features, model):
-    """One row and one label lookup per point: the reference gather, rows
-    kept float32 as the grids store them."""
+    """One augmented row and one label lookup per point: the reference
+    gather, rows kept float32 as the grids store them."""
     x = np.empty((len(points), model.hidden.in_dim), dtype=np.float32)
     y = np.empty(len(points), dtype=np.int64)
     for i, p in enumerate(points):
@@ -107,13 +135,33 @@ def test_gather_equals_per_point_loop():
         points.append(SampledPoint(image_id, rng.randint(16), label[rng.randint(4)], 1, 0.5))
     points += points[:30]  # exact duplicates
     model = new_segmentation_model(class_ids, 12, 6, SegConfig(hidden=4), seed=1)
-    x, y = _gather_points(points, features, model)
+    rows, image, descriptors, y = _gather_points(points, features, model)
     ref_x, ref_y = _per_point_gather(points, features, model)
-    assert x.dtype == np.float32 and x.tobytes() == ref_x.tobytes()
+    assert rows.dtype == descriptors.dtype == np.float32
+    assert rows.shape == (len(points), 6) and descriptors.shape == (25, 6)
+    x = np.concatenate([rows, descriptors[image]], axis=1)
+    assert x.tobytes() == ref_x.tobytes()
+    for i, p in enumerate(points):
+        assert descriptors[image[i]].tobytes() == features[p.image_id].descriptor.tobytes()
     assert np.array_equal(y, ref_y)
     assert set(y.tolist()) == {0, 1, 2, 3}
     with pytest.raises(DataError):
         _gather_points(points + [SampledPoint("im0", 0, 7, 1, 0.5)], features, model)
+
+
+def test_training_holds_no_point_matrix():
+    """The head trains on (n, D) rows plus an image index: its peak stays
+    below the (n, 2D) float32 matrix of augmented points."""
+    features = {f"im{i}": augment_with_global(unit_features(400 + i, h=8, w=8, d=48))
+                for i in range(40)}
+    rng = Rng(0x7A3)
+    points = PointSet.of(
+        SampledPoint(f"im{rng.randint(40)}", rng.randint(64), rng.randint(3) - 1, 1, 0.5)
+        for _ in range(6000)
+    )
+    _, peak = _traced_peak(train_segmentation, points, features, (0, 1),
+                           SegConfig(hidden=8, epochs=1), 5)
+    assert peak < len(points) * 96 * 4  # the old (n, 2D) float32 matrix
 
 
 def _chain_loss_and_grads(model, xb, yb):

@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from divseed.tensor import (
     FeatureGrid,
     Grid,
     NormState,
+    _row_order_sum,
     atomic_write,
     compute_norm_stats,
     l2_normalize_locations,
@@ -85,6 +87,73 @@ def test_stats_permutation_invariant(seed):
     shuffled = vals.reshape(12, 5)[perm].reshape(3, 4, 5)
     b = compute_norm_stats([fgrid(shuffled), fgrid(vals[::-1].copy())])
     assert np.allclose(a.mean, b.mean) and np.allclose(a.std, b.std)
+
+
+def _stacked_norm_stats(features):
+    """compute_norm_stats on the concatenated locations: the reference the
+    streamed sums must equal bit for bit."""
+    stacked = np.concatenate([f.grid.locations() for f in features], dtype=np.float64)
+    mean = stacked.mean(axis=0)
+    stacked -= mean
+    np.square(stacked, out=stacked)
+    std = np.sqrt(np.mean(stacked, axis=0))
+    return mean.astype(np.float32).astype(np.float64), std.astype(np.float32).astype(np.float64)
+
+
+def _adversarial_grids(seed, n, depth):
+    """n grids of varied sizes, magnitudes from 1e-3 to 1e4 per grid and per
+    column, mixed signs, one constant column, one of signed zeros."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    for _ in range(n):
+        h, w = rng.integers(1, 6, size=2)
+        vals = rng.normal(size=(h, w, depth)) * 10.0 ** rng.uniform(-3, 4)
+        vals *= 10.0 ** rng.uniform(-3, 4, size=depth)
+        vals += rng.choice([-1e4, 0.0, 1e3]) * rng.integers(0, 2, size=depth)
+        if depth > 2:
+            vals[..., 1] = 7.25
+            vals[..., 2] = -0.0
+        grids.append(fgrid(vals))
+    return grids
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5, 48])
+def test_streamed_stats_equal_the_stacked_reduce(depth):
+    for seed in range(12):
+        grids = _adversarial_grids(seed, 40 + seed, depth)
+        stats = compute_norm_stats(grids)
+        mean, std = _stacked_norm_stats(grids)
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+
+
+@pytest.mark.parametrize("depth", [2, 5, 48])
+def test_row_order_sum_equals_the_axis0_reduce_in_float64(depth):
+    """Below the float32 rounding of the stats: the streamed column sums are
+    the axis-0 reduce of the concatenation, bit for bit."""
+    for seed in range(12):
+        blocks = [f.grid.locations().astype(np.float64)
+                  for f in _adversarial_grids(seed, 40, depth)]
+        want = np.add.reduce(np.concatenate(blocks), axis=0)
+        assert _row_order_sum(iter(blocks)).tobytes() == want.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes tracemalloc saw allocated during fn(*args))."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_norm_stats_hold_no_copy_of_the_split():
+    rng = np.random.default_rng(3)
+    grids = [fgrid(rng.normal(size=(8, 8, 48))) for _ in range(200)]
+    copy_bytes = 200 * 64 * 48 * 8  # one (N, D) float64 copy
+    _, peak = _traced_peak(compute_norm_stats, grids)
+    assert peak < copy_bytes / 4
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +238,8 @@ def test_dstn_round_trip_identity(tmp_path_factory, vals):
 
 def test_dstn_round_trip_1d_and_4d(tmp_path):
     for arr in (np.arange(5, dtype=np.float32),
-                np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2)):
+                np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2),
+                np.zeros((2, 0, 3), dtype=np.float32)):
         p = tmp_path / "x.dstn"
         save_tensor(arr, p)
         assert np.array_equal(load_tensor(p), arr)
@@ -194,6 +264,54 @@ def test_dstn_truncated_payload(tmp_path):
 def test_dstn_rejects_bad_ndim(tmp_path):
     with pytest.raises(TensorFormatError):
         save_tensor(np.zeros((2, 2, 2, 2, 2), dtype=np.float32), tmp_path / "x.dstn")
+
+
+def test_dstn_parts_write_their_stack(tmp_path):
+    parts = [np.arange(6, dtype=np.float32).reshape(2, 3) * i for i in range(4)]
+    parts[1] = parts[1].astype(np.int64)  # converted part by part
+    save_tensor(parts, tmp_path / "parts.dstn")
+    save_tensor(np.stack(parts).astype(np.float32), tmp_path / "stack.dstn")
+    assert (tmp_path / "parts.dstn").read_bytes() == (tmp_path / "stack.dstn").read_bytes()
+    for bad in ([parts[0], parts[1][:1]], [], [np.zeros((2, 2, 2, 2))]):
+        with pytest.raises(TensorFormatError):
+            save_tensor(bad, tmp_path / "bad.dstn")
+    assert sorted(os.listdir(tmp_path)) == ["parts.dstn", "stack.dstn"]
+
+
+def _header(ndim, dims, version=1, dtype_code=1):
+    return b"DSTN" + bytes([version, dtype_code, ndim]) + struct.pack(f"<{len(dims)}I", *dims)
+
+
+#: every malformed DSTN file: its bytes and the error's wording
+MALFORMED_DSTN = {
+    "bad-magic": (b"NOPE" + bytes(20), "bad magic"),
+    "truncated-header": (b"DSTN\x01", "truncated header"),
+    "bad-version": (_header(1, [1], version=2) + bytes(4), "unsupported version"),
+    "bad-dtype": (_header(1, [1], dtype_code=2) + bytes(4), "unsupported dtype"),
+    "bad-ndim": (_header(5, [1] * 5) + bytes(4), "bad ndim"),
+    "truncated-dims": (_header(3, [2, 2]), "truncated dims"),
+    "short-payload": (_header(2, [2, 2]) + bytes(13), "payload is 13 bytes, expected 16"),
+    "trailing-bytes": (_header(1, [2]) + bytes(9), "payload is 9 bytes, expected 8"),
+    # 65536**4 wraps to 0 in int64: 23 bytes that once passed as an empty payload
+    "wrapped-dims": (_header(4, [65536] * 4), "payload is 0 bytes, expected 73786976294838206464"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DSTN))
+def test_malformed_dstn_is_format_error(tmp_path, case):
+    blob, wording = MALFORMED_DSTN[case]
+    p = tmp_path / "t.dstn"
+    p.write_bytes(blob)
+    with pytest.raises(TensorFormatError, match=wording):
+        load_tensor(p)
+
+
+def test_load_reads_the_payload_once(tmp_path):
+    arr = np.random.default_rng(0).normal(size=(64, 32, 16)).astype(np.float32)
+    save_tensor(arr, tmp_path / "t.dstn")
+    back, peak = _traced_peak(load_tensor, tmp_path / "t.dstn")
+    assert back.tobytes() == arr.tobytes() and back.flags.writeable
+    assert peak < 1.25 * arr.nbytes  # one array, no bytes blob beside it
 
 
 # ---------------------------------------------------------------------------
