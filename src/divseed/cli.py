@@ -100,10 +100,8 @@ def cmd_gen_data(args) -> int:
     else:
         base = load_manifest(args.stats_from)
         spec, stats = ExtractorSpec(seed=base.extractor_seed), base.load_stats()
-    scenes, _, _ = make_split(
-        args.n, args.classes, args.size, args.seed, args.prefix, spec, stats, args.out
-    )
-    print(f"wrote {len(scenes)} scenes -> {args.out}")
+    make_split(args.n, args.classes, args.size, args.seed, args.prefix, spec, stats, args.out)
+    print(f"wrote {args.n} scenes -> {args.out}")
     return EXIT_OK
 
 
@@ -337,7 +335,7 @@ def cmd_render(args) -> int:
         if not (args.points and args.data and args.image):
             raise ConfigError("render points needs --points, --data and --image")
         manifest = load_manifest(args.data)
-        image = manifest.load_image(manifest.entry(args.image))
+        image = manifest.images[manifest.entry(args.image).row]
         points = [p for p in load_points(args.points) if p.image_id == args.image]
         gh, gw = manifest.grid_size
         cell = manifest.image_size[0] // gh

@@ -12,15 +12,16 @@ Row i of each tensor belongs to manifest entry i. A Manifest reads each
 tensor once, on first use, and checks its shape against the manifest.
 Features are stored raw; consumers z-score + unit-normalize them against the
 manifest's stats file on load. `make_split` builds every split, in memory and
-on disk: a training split computes its stats, and a split made from a
-training set (test splits, added-class data) takes that set's extractor and
-frozen stats.
+on disk, one scene at a time: a training split computes its stats, and a
+split made from a training set (test splits, added-class data) takes that
+set's extractor and frozen stats.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,10 +33,10 @@ from .nn import is_int
 from .synthdata import (
     GRID_FACTOR,
     ExtractorSpec,
-    SyntheticScene,
+    check_dataset_size,
     downsample_mask,
     extract_features,
-    generate_dataset,
+    generate_scene,
 )
 from .tensor import (
     FeatureGrid,
@@ -46,6 +47,7 @@ from .tensor import (
     normalize_features,
     save_json,
     save_tensor,
+    tensor_rows,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -111,7 +113,10 @@ class Manifest:
 
     @cached_property
     def masks(self) -> np.ndarray:
-        return self._load_stacked(MASKS_NAME, self.image_size)
+        masks = self._load_stacked(MASKS_NAME, self.image_size)
+        if masks.size and not 0 <= masks.min() <= masks.max() <= self.background_label:
+            raise DataError(f"{self.path(MASKS_NAME)}: labels outside 0..{self.background_label}")
+        return masks
 
     @cached_property
     def raw_features(self) -> np.ndarray:
@@ -123,21 +128,15 @@ class Manifest:
             raise DataError(f"image {image_id!r} not in manifest")
         return found
 
-    def load_image(self, entry: ManifestEntry) -> np.ndarray:
-        return self.images[entry.row]
-
     def load_raw_features(self, entry: ManifestEntry) -> FeatureGrid:
         return FeatureGrid(grid=Grid(self.raw_features[entry.row]))
 
     def load_unit_features(self, entry: ManifestEntry, stats: NormStats) -> FeatureGrid:
         return normalize_features(self.load_raw_features(entry), stats)
 
-    def load_mask(self, entry: ManifestEntry) -> np.ndarray:
-        return self.masks[entry.row].astype(np.int64)
-
     def load_grid_truth(self, entry: ManifestEntry) -> np.ndarray:
         """Majority-vote downsampled mask at feature-grid resolution."""
-        return downsample_mask(self.load_mask(entry), self.n_classes + 1)
+        return downsample_mask(self.masks[entry.row].astype(np.int64), self.n_classes + 1)
 
     def load_records(self) -> list[SupervisionRecord]:
         stats = self.load_stats()
@@ -164,43 +163,48 @@ class Manifest:
 
 def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: ExtractorSpec,
                stats: NormStats | None = None, out_dir: str | None = None
-               ) -> tuple[list[SyntheticScene], list[FeatureGrid], NormStats]:
-    """n size x size scenes from seed, ids prefixed by name; returns them
-    with their raw features from spec and the given stats (else stats
-    computed from the features). With out_dir the split is also written
-    there as a dataset directory."""
-    scenes = generate_dataset(n, n_classes, size, size, seed, id_prefix=name)
-    features = [extract_features(s, spec) for s in scenes]
-    if stats is None:
-        stats = compute_norm_stats(features)
+               ) -> tuple[list[TagSet], list[FeatureGrid], list[np.ndarray], NormStats]:
+    """n size x size scenes from seed, ids prefixed by name, made one at a
+    time; returns their tags, raw features from spec and grid-resolution
+    truth, and the given stats (else stats computed from the features). With
+    out_dir each scene is also appended to the split's stacked tensors there,
+    which replace the old files only after the last row and the stats, so a
+    failure leaves an earlier split whole; write_dataset follows."""
+    check_dataset_size(n, n_classes, size, size)
+    tags, features, truth = [], [], []
+    with ExitStack() as files:
+        rows = []
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            grid = size // GRID_FACTOR
+            rows = [files.enter_context(tensor_rows(os.path.join(out_dir, f), (n, *row)))
+                    for f, row in ((IMAGES_NAME, (size, size, 3)), (MASKS_NAME, (size, size)),
+                                   (FEATURES_NAME, (grid, grid, spec.depth)))]
+        for i in range(n):
+            scene = generate_scene(seed, i, n_classes, size, size, name)
+            raw = extract_features(scene, spec)
+            for append, row in zip(rows, (scene.image, scene.mask, raw.grid.values)):
+                append(row)
+            tags.append(scene.tags)
+            features.append(raw)
+            truth.append(downsample_mask(scene.mask, n_classes + 1))
+        if stats is None:
+            stats = compute_norm_stats(features)
     if out_dir is not None:
-        write_dataset(out_dir, scenes, spec, stats, features)
-    return scenes, features, stats
+        write_dataset(out_dir, tags, n_classes, size, spec, stats)
+    return tags, features, truth, stats
 
 
-def write_dataset(
-    out_dir: str,
-    scenes: list[SyntheticScene],
-    spec: ExtractorSpec,
-    stats: NormStats,
-    features: list[FeatureGrid],
-) -> str:
-    """Write scenes, their raw features from spec, stats and a manifest;
-    returns the manifest path. Each tensor is written part by part, so no
-    stacked copy of the split is made."""
-    os.makedirs(out_dir, exist_ok=True)
-    save_tensor([s.image for s in scenes], os.path.join(out_dir, IMAGES_NAME))
-    save_tensor([s.mask for s in scenes], os.path.join(out_dir, MASKS_NAME))
-    save_tensor([f.grid.values for f in features], os.path.join(out_dir, FEATURES_NAME))
-    save_tensor([stats.mean, stats.std], os.path.join(out_dir, STATS_NAME))
-
-    n_classes = scenes[0].n_classes
-    h, w, _ = scenes[0].image.shape
+def write_dataset(out_dir: str, tags: list[TagSet], n_classes: int, size: int,
+                  spec: ExtractorSpec, stats: NormStats) -> None:
+    """Write a split's stats.dstn and manifest.json beside its stacked
+    tensors (make_split writes those scene by scene)."""
+    save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
     doc = {
         "version": MANIFEST_VERSION,
         "classes": list(range(n_classes)),
-        "image_size": [h, w],
-        "grid_size": [h // GRID_FACTOR, w // GRID_FACTOR],
+        "image_size": [size, size],
+        "grid_size": [size // GRID_FACTOR, size // GRID_FACTOR],
         "feature_depth": spec.depth,
         "extractor": {
             "seed": spec.seed,
@@ -208,13 +212,9 @@ def write_dataset(
             "dims_per_scale": spec.dims_per_scale,
         },
         "norm_stats": STATS_NAME,
-        "images": [
-            {"id": s.tags.image_id, "tags": sorted(s.tags.present)} for s in scenes
-        ],
+        "images": [{"id": t.image_id, "tags": sorted(t.present)} for t in tags],
     }
-    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
-    save_json(doc, manifest_path)
-    return manifest_path
+    save_json(doc, os.path.join(out_dir, MANIFEST_NAME))
 
 
 def _is_int_list(v) -> bool:

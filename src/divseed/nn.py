@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -454,12 +455,23 @@ def grad_check(loss_fn, params: list[np.ndarray], rng: Rng, n_coords: int = 100,
 def save_checkpoint(path, model: MLP, meta: dict) -> None:
     """Write a checkpoint directory: params.dstn, the model's flat buffer
     (params() in order) as one (P,) float32 tensor, and meta.json holding
-    meta and the model's in_dim, hidden, out_dim and seed."""
-    os.makedirs(path, exist_ok=True)
-    save_tensor(model.flat, os.path.join(path, "params.dstn"))
+    meta and the model's in_dim, hidden, out_dim and seed. Both go into a
+    temporary directory beside path, which then takes path's place, so a
+    failed write leaves the old pair (or none), never a mix."""
+    path = os.path.normpath(path)
+    tmp, old = f"{path}.tmp{os.getpid()}", f"{path}.old{os.getpid()}"
     in_dim, hidden, out_dim = model.dims
     meta = {**meta, "in_dim": in_dim, "hidden": hidden, "out_dim": out_dim, "seed": model.seed}
-    save_json(meta, os.path.join(path, "meta.json"))
+    try:
+        os.makedirs(tmp)
+        save_tensor(model.flat, os.path.join(tmp, "params.dstn"))
+        save_json(meta, os.path.join(tmp, "meta.json"))
+        if os.path.isdir(path):
+            os.rename(path, old)
+        os.rename(tmp, path)
+    finally:
+        for leftover in (tmp, old):
+            shutil.rmtree(leftover, ignore_errors=True)
 
 
 def load_checkpoint(path, kind: str) -> tuple[dict, dict]:

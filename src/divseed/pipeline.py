@@ -67,7 +67,7 @@ from .segmentation import (
     save_seg_checkpoint,
     train_segmentation,
 )
-from .synthdata import ExtractorSpec, check_dataset_size, downsample_mask
+from .synthdata import ExtractorSpec, check_dataset_size
 from .tensor import FeatureGrid, NormStats, normalize_features, save_json
 
 
@@ -238,32 +238,19 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
     spec = ExtractorSpec(seed=derive_seed(config.seed, _STREAM_EXTRACTOR))
 
     def split(name, n, stream, stats=None):
-        scenes, features, stats = make_split(
+        tags, features, truth, stats = make_split(
             n, config.n_classes, config.image_size, derive_seed(config.seed, stream),
             name, spec, stats, None if data_dir is None else os.path.join(data_dir, name),
         )
         for i, f in enumerate(features):  # in place: raw grids are freed as we go
             features[i] = normalize_features(f, stats)
-        return scenes, features, stats
+        return zip(tags, features, truth), stats
 
-    scenes, features, stats = split("train", config.n_train, _STREAM_TRAIN_DATA)
-    train_records = [
-        SupervisionRecord(image_id=s.tags.image_id, features=f, tags=s.tags)
-        for s, f in zip(scenes, features)
-    ]
-    del scenes  # the training scenes are not kept while the test split is made
-    scenes, features, _ = split("test", config.n_test, _STREAM_TEST_DATA, stats)
-    test_images = [
-        EvalImage(s.tags.image_id, f, truth=downsample_mask(s.mask, config.n_classes + 1))
-        for s, f in zip(scenes, features)
-    ]
-    return Benchmark(
-        n_classes=config.n_classes,
-        train_records=train_records,
-        test_images=test_images,
-        extractor=spec,
-        norm_stats=stats,
-    )
+    train, stats = split("train", config.n_train, _STREAM_TRAIN_DATA)
+    train_records = [SupervisionRecord(t.image_id, f, t) for t, f, _ in train]
+    test, _ = split("test", config.n_test, _STREAM_TEST_DATA, stats)
+    test_images = [EvalImage(t.image_id, f, truth) for t, f, truth in test]
+    return Benchmark(config.n_classes, train_records, test_images, spec, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +485,14 @@ def new_class_records(
     """n_images scenes over one class more than the benchmark, with features
     from its extractor normalized by its frozen training stats: the data
     class addition learns class n_classes from."""
-    scenes, features, _ = make_split(
+    tags, features, _, _ = make_split(
         n_images, config.n_classes + 1, config.image_size,
         derive_seed(config.seed, _STREAM_ADD_CLASS_DATA), "new",
         bench.extractor, bench.norm_stats,
     )
     return [
-        SupervisionRecord(
-            image_id=s.tags.image_id, features=normalize_features(f, bench.norm_stats),
-            tags=s.tags,
-        )
-        for s, f in zip(scenes, features)
+        SupervisionRecord(t.image_id, normalize_features(f, bench.norm_stats), t)
+        for t, f in zip(tags, features)
     ]
 
 

@@ -69,12 +69,6 @@ class SyntheticScene:
     image: np.ndarray  # (H, W, 3) float32 in [0, 1]
     mask: np.ndarray  # (H, W) int64 class ids, background = n_classes
     tags: TagSet
-    n_classes: int
-    seed: int
-
-    @property
-    def background_label(self) -> int:
-        return self.n_classes
 
 
 def _box_blur(a: np.ndarray, radius: int) -> np.ndarray:
@@ -189,8 +183,6 @@ def generate_scene(seed: int, index: int, n_classes: int, h: int, w: int,
         image=image.astype(np.float32),
         mask=mask,
         tags=TagSet(image_id=image_id, present=present),
-        n_classes=n_classes,
-        seed=scene_seed,
     )
 
 
@@ -269,10 +261,13 @@ def nearest_indices(src_size: int, dst_size: int) -> np.ndarray:
 
 
 def _avg_pool(image: np.ndarray, s: int) -> np.ndarray:
+    """Mean of each s x s block, bit for bit mean(axis=(1, 3)) of the blocks
+    view: that adds a block's terms one at a time in row-major order."""
     if s == 1:
         return image  # the mean of one pixel, x / 1
     h, w, c = image.shape
-    return image.reshape(h // s, s, w // s, s, c).mean(axis=(1, 3))
+    blocks = image.reshape(h // s, s, w // s, s, c).transpose(0, 2, 4, 1, 3)
+    return np.add.accumulate(blocks.reshape(h // s, w // s, c, -1), axis=-1)[..., -1] / (s * s)
 
 
 def extract_features(scene: SyntheticScene, spec: ExtractorSpec) -> FeatureGrid:
@@ -298,14 +293,22 @@ def extract_features(scene: SyntheticScene, spec: ExtractorSpec) -> FeatureGrid:
     return FeatureGrid(grid=Grid(out))
 
 
+@cache
+def _cell_index(h: int, w: int, factor: int) -> np.ndarray:
+    """The flat factor x factor cell index of every pixel, read-only."""
+    idx = (np.arange(h)[:, None] // factor) * (w // factor) + np.arange(w) // factor
+    idx.flags.writeable = False
+    return idx
+
+
 def downsample_mask(mask: np.ndarray, n_labels: int, factor: int = GRID_FACTOR
                     ) -> np.ndarray:
-    """Majority label per factor x factor cell; ties go to the lowest label."""
+    """Majority label per factor x factor cell; ties go to the lowest label.
+    Every label must be in 0..n_labels - 1 (Manifest.masks checks a file's)."""
     h, w = mask.shape
     if h % factor or w % factor:
         raise DataError(f"mask dims {h}x{w} not divisible by {factor}")
-    blocks = mask.reshape(h // factor, factor, w // factor, factor)
-    counts = np.stack(
-        [(blocks == lab).sum(axis=(1, 3)) for lab in range(n_labels)], axis=2
-    )
-    return counts.argmax(axis=2)
+    cells = _cell_index(h, w, factor)
+    counts = np.bincount((cells * n_labels + mask).ravel(),
+                         minlength=mask.size // factor**2 * n_labels)
+    return counts.reshape(h // factor, w // factor, n_labels).argmax(axis=2)

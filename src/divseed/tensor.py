@@ -194,15 +194,16 @@ def atomic_write(path, mode: str = "w"):
 
 
 def save_tensor(array, path) -> None:
-    """Write a 1..4-d float array in the DSTN format described above. A list
-    of equal-shape arrays is written as their stack, one part at a time."""
-    if isinstance(array, list):
-        shapes = {np.shape(p) for p in array}
-        if len(shapes) != 1:
-            raise TensorFormatError(f"parts to stack need one shape, got {sorted(shapes)}")
-        shape, parts = (len(array), *shapes.pop()), array
-    else:
-        shape, parts = np.shape(array), [array]
+    """Write a 1..4-d float array in the DSTN format described above."""
+    with tensor_rows(path, np.shape(array)) as append:
+        append(array)
+
+
+@contextmanager
+def tensor_rows(path, shape):
+    """Write a DSTN tensor of shape row by row: yields a function appending
+    an array of the next rows as float32. Through atomic_write, the file
+    replaces path only once the rows fill the shape."""
     if not 1 <= len(shape) <= 4:
         raise TensorFormatError(f"DSTN supports 1..4 dims, got {len(shape)}")
     if any(d > 0xFFFFFFFF for d in shape):
@@ -211,8 +212,9 @@ def save_tensor(array, path) -> None:
     header += struct.pack(f"<{len(shape)}I", *shape)
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        for part in parts:
-            fh.write(np.ascontiguousarray(part, dtype="<f4").data)
+        yield lambda rows: fh.write(np.ascontiguousarray(rows, dtype="<f4").data)
+        if fh.tell() != len(header) + 4 * math.prod(shape):
+            raise TensorFormatError(f"{path}: the rows written do not fill shape {shape}")
 
 
 def load_tensor(path) -> np.ndarray:

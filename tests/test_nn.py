@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from divseed import nn
 from divseed.errors import DataError
 from divseed.localization import (
     LocalizationModel,
@@ -42,7 +43,7 @@ from divseed.segmentation import (
     load_seg_checkpoint,
     save_seg_checkpoint,
 )
-from divseed.tensor import Grid, load_tensor, save_tensor
+from divseed.tensor import Grid, atomic_write, load_tensor, save_tensor
 
 
 def sigmoid(u):
@@ -551,6 +552,34 @@ def test_model_checkpoint_round_trips_bitwise(tmp_path, make):
                 if f.name not in ("hidden", "out")}
 
     assert other_fields(loaded) == other_fields(model)
+
+
+@pytest.mark.parametrize("make,where", [(_loc_checkpoint, "loc/class_2"),
+                                        (_seg_checkpoint, "seg.ckpt")],
+                         ids=["localization", "segmentation"])
+def test_a_failed_checkpoint_write_keeps_the_old_pair(tmp_path, monkeypatch, make, where):
+    """save_json raising halfway through meta.json, after params.dstn is
+    written, leaves the earlier checkpoint loading unchanged (or, with none
+    before, none) and no temporary directory beside it."""
+    model, save, load = make()
+    path = tmp_path / where
+    save(path, _f32_params(model, 2))
+    before = {name: (path / name).read_bytes() for name in ("meta.json", "params.dstn")}
+    params_before = [p.tobytes() for p in model.params()]
+
+    def half_json(doc, json_path):
+        with atomic_write(json_path) as fh:
+            fh.write('{"kind": ')
+            raise OSError("disk full")
+
+    monkeypatch.setattr(nn, "save_json", half_json)
+    for target in (path, tmp_path / "fresh.ckpt"):
+        with pytest.raises(OSError, match="disk full"):
+            save(target, _f32_params(model, 3))
+    assert {name: (path / name).read_bytes() for name in before} == before
+    assert [p.tobytes() for p in load(path).params()] == params_before
+    assert not (tmp_path / "fresh.ckpt").exists()
+    assert sorted(os.listdir(path.parent)) == [path.name]
 
 
 def test_load_checkpoint_rejects_the_wrong_kind(tmp_path):

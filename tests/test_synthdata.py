@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divseed.dataset import make_split
+from divseed.dataset import load_manifest, make_split
 from divseed.errors import ConfigError, DataError
 from divseed.synthdata import (
     GRID_FACTOR,
@@ -12,6 +12,7 @@ from divseed.synthdata import (
     MIN_CLASS_COVER,
     ExtractorSpec,
     SyntheticScene,
+    _avg_pool,
     downsample_mask,
     expected_class_frequency,
     extract_features,
@@ -36,7 +37,7 @@ def test_generation_deterministic():
 
 def test_tags_match_mask_exactly():
     for scene in generate_dataset(30, 4, 32, 32, seed=3):
-        in_mask = {int(c) for c in np.unique(scene.mask) if c < scene.n_classes}
+        in_mask = {int(c) for c in np.unique(scene.mask) if c < 4}
         assert scene.tags.present == in_mask
 
 
@@ -89,8 +90,6 @@ def constant_scene(value=(0.3, 0.5, 0.7), h=32, w=32):
         image=image,
         mask=mask,
         tags=TagSet(image_id="const", present=frozenset()),
-        n_classes=2,
-        seed=0,
     )
 
 
@@ -137,10 +136,7 @@ def test_feature_change_footprint():
     changed[10:14, 20:26] = True
     image2 = scene.image.copy()
     image2[changed] = np.float32(1.0) - image2[changed]
-    scene2 = SyntheticScene(
-        image=image2, mask=scene.mask, tags=scene.tags,
-        n_classes=scene.n_classes, seed=scene.seed,
-    )
+    scene2 = SyntheticScene(image=image2, mask=scene.mask, tags=scene.tags)
     other = extract_features(scene2, spec)
 
     diff = np.any(base.grid.values != other.grid.values, axis=2)
@@ -158,10 +154,7 @@ def test_feature_change_footprint():
 
 def test_extract_features_requires_divisible_dims():
     scene = constant_scene(h=32, w=32)
-    bad = SyntheticScene(
-        image=scene.image[:30], mask=scene.mask[:30], tags=scene.tags,
-        n_classes=2, seed=0,
-    )
+    bad = SyntheticScene(image=scene.image[:30], mask=scene.mask[:30], tags=scene.tags)
     with pytest.raises(DataError):
         extract_features(bad, ExtractorSpec(seed=1))
 
@@ -191,6 +184,34 @@ def test_downsample_shape_check():
         downsample_mask(np.zeros((5, 8), dtype=np.int64), n_labels=2, factor=4)
 
 
+def _per_label_downsample(mask, n_labels, factor):
+    """downsample_mask as first written: one block count per label."""
+    h, w = mask.shape
+    blocks = mask.reshape(h // factor, factor, w // factor, factor)
+    counts = np.stack([(blocks == lab).sum(axis=(1, 3)) for lab in range(n_labels)], axis=2)
+    return counts.argmax(axis=2)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 9),
+    st.integers(2, 9),
+    st.sampled_from([1, 2, 4]),
+    st.integers(1, 16),
+    st.integers(1, 16),
+)
+def test_downsample_equals_the_per_label_count(seed, n_labels, n_used, factor, gh, gw):
+    """The same labels, ties to the lowest included: with 2 used labels and
+    2 x 2 cells, about a third of the cells tie."""
+    rng = np.random.default_rng(seed)
+    used = rng.choice(n_labels, size=min(n_used, n_labels), replace=False)
+    mask = rng.choice(used, size=(gh * factor, gw * factor)).astype(np.int64)
+    got = downsample_mask(mask, n_labels, factor)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _per_label_downsample(mask, n_labels, factor))
+
+
 # ---------------------------------------------------------------------------
 # generated bits, pinned: a rewrite of generation, extraction or the stats
 # must leave every image, mask, feature and stat exactly as it was
@@ -200,13 +221,16 @@ def _sha(arr):
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def _split_digests(n_classes, seed, name):
+def _split_digests(n_classes, seed, name, out_dir):
+    """Images and masks as written to out_dir, masks as the int64 labels
+    they were generated as; the rest as make_split returns them."""
     spec = ExtractorSpec(seed=derive_seed(seed, 1))
-    scenes, features, stats = make_split(16, n_classes, 64, seed, name, spec)
+    tags, features, _, stats = make_split(16, n_classes, 64, seed, name, spec, out_dir=out_dir)
+    written = load_manifest(out_dir)
     return {
-        "images": _sha(np.stack([s.image for s in scenes])),
-        "masks": _sha(np.stack([s.mask for s in scenes])),
-        "tags": "|".join("".join(map(str, sorted(s.tags.present))) for s in scenes),
+        "images": _sha(written.images),
+        "masks": _sha(written.masks.astype(np.int64)),
+        "tags": "|".join("".join(map(str, sorted(t.present))) for t in tags),
         "features": _sha(np.stack([f.grid.values for f in features])),
         "stats": _sha(np.stack([stats.mean, stats.std])),
     }
@@ -234,8 +258,9 @@ PINNED_SPLITS = {
 
 
 @pytest.mark.parametrize("n_classes,seed,name", sorted(PINNED_SPLITS))
-def test_make_split_bits_are_pinned(n_classes, seed, name):
-    assert _split_digests(n_classes, seed, name) == PINNED_SPLITS[n_classes, seed, name]
+def test_make_split_bits_are_pinned(tmp_path, n_classes, seed, name):
+    assert _split_digests(n_classes, seed, name, str(tmp_path)) == PINNED_SPLITS[
+        n_classes, seed, name]
 
 
 def test_benchmark_bits_are_pinned():
@@ -284,7 +309,7 @@ def test_extractor_equals_the_reference_bit_for_bit(seed, spec_seed, size, p_zer
     image = _image_with_edge_values(seed, size, p_zero, p_one, p_tiny)
     scene = SyntheticScene(
         image=image, mask=np.zeros((size, size), dtype=np.int64),
-        tags=TagSet(image_id="x", present=frozenset()), n_classes=1, seed=0,
+        tags=TagSet(image_id="x", present=frozenset()),
     )
     spec = ExtractorSpec(seed=spec_seed)
     got = extract_features(scene, spec).grid.values
@@ -292,10 +317,35 @@ def test_extractor_equals_the_reference_bit_for_bit(seed, spec_seed, size, p_zer
     assert got.tobytes() == want.tobytes()
 
 
+def _mean_pool(image, s):
+    """_avg_pool as first written: numpy's mean over each s x s block."""
+    h, w, c = image.shape
+    return image.reshape(h // s, s, w // s, s, c).mean(axis=(1, 3))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([16, 32, 48, 64, 128]),
+    st.sampled_from([16, 32, 64]),
+    st.sampled_from([2, 4, 8, 16]),
+    st.booleans(),
+)
+def test_avg_pool_equals_the_mean_bit_for_bit(seed, h, w, scale, wide):
+    """The accumulate adds each block's terms in the mean's order, also for
+    signed values whose magnitudes span 1e-8..1e8, where another order
+    rounds differently."""
+    rng = np.random.default_rng(seed)
+    image = rng.random((h, w, 3))
+    if wide:
+        image *= rng.choice([-1.0, 1.0], image.shape) * 10.0 ** rng.integers(-8, 9, image.shape)
+    assert _avg_pool(image, scale).tobytes() == _mean_pool(image, scale).tobytes()
+
+
 def test_raw_and_unit_grids_are_c_contiguous():
     """Feature grids are stored location-major, so Grid.locations() and the
     normalization's reshape are views, not copies."""
-    scenes, features, stats = make_split(3, 2, 32, 1, "c", ExtractorSpec(seed=2))
+    _, features, _, stats = make_split(3, 2, 32, 1, "c", ExtractorSpec(seed=2))
     for raw in features:
         unit = normalize_features(raw, stats)
         for grid in (raw.grid, unit.grid):

@@ -21,6 +21,7 @@ from divseed.tensor import (
     normalize_features,
     save_json,
     save_tensor,
+    tensor_rows,
 )
 
 
@@ -266,16 +267,23 @@ def test_dstn_rejects_bad_ndim(tmp_path):
         save_tensor(np.zeros((2, 2, 2, 2, 2), dtype=np.float32), tmp_path / "x.dstn")
 
 
-def test_dstn_parts_write_their_stack(tmp_path):
-    parts = [np.arange(6, dtype=np.float32).reshape(2, 3) * i for i in range(4)]
-    parts[1] = parts[1].astype(np.int64)  # converted part by part
-    save_tensor(parts, tmp_path / "parts.dstn")
-    save_tensor(np.stack(parts).astype(np.float32), tmp_path / "stack.dstn")
-    assert (tmp_path / "parts.dstn").read_bytes() == (tmp_path / "stack.dstn").read_bytes()
-    for bad in ([parts[0], parts[1][:1]], [], [np.zeros((2, 2, 2, 2))]):
+def test_dstn_rows_write_their_stack(tmp_path):
+    rows = [np.arange(6, dtype=np.float32).reshape(2, 3) * i for i in range(4)]
+    rows[1] = rows[1].astype(np.int64)  # converted row by row
+    with tensor_rows(tmp_path / "rows.dstn", (4, 2, 3)) as append:
+        for row in rows:
+            append(row)
+        assert not (tmp_path / "rows.dstn").exists()  # in place only after the last row
+    save_tensor(np.stack(rows).astype(np.float32), tmp_path / "stack.dstn")
+    assert (tmp_path / "rows.dstn").read_bytes() == (tmp_path / "stack.dstn").read_bytes()
+    # a row of another shape, a row too many, a row missing, five dims
+    for shape, bad in (((2, 2, 3), [rows[0], rows[1][:1]]), ((1, 2, 3), rows[:2]),
+                       ((3, 2, 3), rows[:2]), ((1, 1, 1, 1, 1), [])):
         with pytest.raises(TensorFormatError):
-            save_tensor(bad, tmp_path / "bad.dstn")
-    assert sorted(os.listdir(tmp_path)) == ["parts.dstn", "stack.dstn"]
+            with tensor_rows(tmp_path / "bad.dstn", shape) as append:
+                for row in bad:
+                    append(row)
+    assert sorted(os.listdir(tmp_path)) == ["rows.dstn", "stack.dstn"]
 
 
 def _header(ndim, dims, version=1, dtype_code=1):
