@@ -42,12 +42,13 @@ from .tensor import (
     FeatureGrid,
     Grid,
     NormStats,
+    atomic_write,
     compute_norm_stats,
     load_tensor,
     normalize_features,
-    save_json,
     save_tensor,
     tensor_rows,
+    write_json,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -168,8 +169,9 @@ def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: Ex
     time; returns their tags, raw features from spec and grid-resolution
     truth, and the given stats (else stats computed from the features). With
     out_dir each scene is also appended to the split's stacked tensors there,
-    which replace the old files only after the last row and the stats, so a
-    failure leaves an earlier split whole; write_dataset follows."""
+    which replace the old files only after the last row, the stats and
+    write_dataset, so a failure before those renames leaves an earlier split
+    whole."""
     check_dataset_size(n, n_classes, size, size)
     tags, features, truth = [], [], []
     with ExitStack() as files:
@@ -190,16 +192,17 @@ def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: Ex
             truth.append(downsample_mask(scene.mask, n_classes + 1))
         if stats is None:
             stats = compute_norm_stats(features)
-    if out_dir is not None:
-        write_dataset(out_dir, tags, n_classes, size, spec, stats)
+        if out_dir is not None:
+            write_dataset(out_dir, tags, n_classes, size, spec, stats)
     return tags, features, truth, stats
 
 
 def write_dataset(out_dir: str, tags: list[TagSet], n_classes: int, size: int,
                   spec: ExtractorSpec, stats: NormStats) -> None:
     """Write a split's stats.dstn and manifest.json beside its stacked
-    tensors (make_split writes those scene by scene)."""
-    save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
+    tensors (make_split writes those scene by scene and renames them after
+    this). The manifest is written in full before stats.dstn and replaces
+    its old file after it, so a failed write changes neither."""
     doc = {
         "version": MANIFEST_VERSION,
         "classes": list(range(n_classes)),
@@ -214,7 +217,10 @@ def write_dataset(out_dir: str, tags: list[TagSet], n_classes: int, size: int,
         "norm_stats": STATS_NAME,
         "images": [{"id": t.image_id, "tags": sorted(t.present)} for t in tags],
     }
-    save_json(doc, os.path.join(out_dir, MANIFEST_NAME))
+    with atomic_write(os.path.join(out_dir, MANIFEST_NAME)) as fh:
+        write_json(doc, fh)
+        fh.flush()
+        save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
 
 
 def _is_int_list(v) -> bool:

@@ -457,21 +457,35 @@ def save_checkpoint(path, model: MLP, meta: dict) -> None:
     (params() in order) as one (P,) float32 tensor, and meta.json holding
     meta and the model's in_dim, hidden, out_dim and seed. Both go into a
     temporary directory beside path, which then takes path's place, so a
-    failed write leaves the old pair (or none), never a mix."""
+    failed write leaves the old pair (or none), never a mix. ConfigError,
+    touching nothing, if path exists and is not a directory holding only
+    those two files."""
     path = os.path.normpath(path)
+    if os.path.lexists(path) and (os.path.islink(path) or not os.path.isdir(path)
+                                  or not set(os.listdir(path)) <= {"meta.json", "params.dstn"}):
+        raise ConfigError(f"{path} exists and is not a checkpoint directory; not replacing it")
     tmp, old = f"{path}.tmp{os.getpid()}", f"{path}.old{os.getpid()}"
     in_dim, hidden, out_dim = model.dims
     meta = {**meta, "in_dim": in_dim, "hidden": hidden, "out_dim": out_dim, "seed": model.seed}
+    os.makedirs(tmp)
+    moved = False
     try:
-        os.makedirs(tmp)
         save_tensor(model.flat, os.path.join(tmp, "params.dstn"))
         save_json(meta, os.path.join(tmp, "meta.json"))
         if os.path.isdir(path):
             os.rename(path, old)
-        os.rename(tmp, path)
+            moved = True
+        try:
+            os.rename(tmp, path)
+        except OSError:
+            if moved:
+                moved = False  # keep old if it cannot go back either
+                os.rename(old, path)
+            raise
     finally:
-        for leftover in (tmp, old):
-            shutil.rmtree(leftover, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        if moved:
+            shutil.rmtree(old, ignore_errors=True)
 
 
 def load_checkpoint(path, kind: str) -> tuple[dict, dict]:

@@ -250,7 +250,12 @@ def load_tensor(path) -> np.ndarray:
 
 
 def save_json(doc, path) -> None:
-    """Write a JSON artifact: 2-space indent, sorted keys, trailing newline."""
+    """Write a JSON artifact (write_json) through atomic_write."""
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(doc, fh)
+
+
+def write_json(doc, fh) -> None:
+    """A JSON artifact's text: 2-space indent, sorted keys, trailing newline."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")

@@ -127,11 +127,13 @@ def test_written_split_bytes_are_pinned(tmp_path):
     assert _file_digests(tmp_path) == PINNED_FILES
 
 
-@pytest.mark.parametrize("fails", ["first-scene", "eighth-scene", "stats"])
+@pytest.mark.parametrize("fails", ["first-scene", "eighth-scene", "stats", "manifest",
+                                   "stats-file"])
 def test_a_split_failing_partway_leaves_the_earlier_split(tmp_path, monkeypatch, fails):
-    """An exception while a scene is made, or after the last row while the
-    stats are computed, leaves the split already in out_dir byte for byte
-    as it was, with no temporary file beside it."""
+    """An exception while a scene is made, after the last row while the
+    stats are computed, or while manifest.json or stats.dstn is written,
+    leaves the split already in out_dir byte for byte as it was, with no
+    temporary file beside it."""
     make_split(12, 3, 32, 5, "tr", ExtractorSpec(seed=2), out_dir=str(tmp_path))
     made = []
 
@@ -141,11 +143,18 @@ def test_a_split_failing_partway_leaves_the_earlier_split(tmp_path, monkeypatch,
             raise RuntimeError("crashed")
         return extract_features(scene, spec)
 
-    def stats(features):
+    def crash(*args):
+        raise RuntimeError("crashed")
+
+    def half_json(doc, fh):
+        fh.write('{"classes": ')
         raise RuntimeError("crashed")
 
     monkeypatch.setattr(dataset, "extract_features", extract)
-    monkeypatch.setattr(dataset, "compute_norm_stats", stats)
+    hooks = {"stats": ("compute_norm_stats", crash), "manifest": ("write_json", half_json),
+             "stats-file": ("save_tensor", crash)}
+    if fails in hooks:
+        monkeypatch.setattr(dataset, *hooks[fails])
     with pytest.raises(RuntimeError, match="crashed"):
         make_split(12, 4, 32, 9, "other", ExtractorSpec(seed=3), out_dir=str(tmp_path))
     assert _file_digests(tmp_path) == PINNED_FILES

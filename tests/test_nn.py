@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from divseed import nn
-from divseed.errors import DataError
+from divseed.errors import ConfigError, DataError
 from divseed.localization import (
     LocalizationModel,
     LocTrainResult,
@@ -580,6 +580,43 @@ def test_a_failed_checkpoint_write_keeps_the_old_pair(tmp_path, monkeypatch, mak
     assert [p.tobytes() for p in load(path).params()] == params_before
     assert not (tmp_path / "fresh.ckpt").exists()
     assert sorted(os.listdir(path.parent)) == [path.name]
+
+
+def test_a_checkpoint_is_not_written_over_other_files(tmp_path):
+    """A path that is a file, or a directory holding anything beyond a
+    checkpoint's two files, is refused with ConfigError and left as it was."""
+    model = _f32_params(MLP.initialized(9, 4, 3, 2), 1)
+    ck = tmp_path / "ck"
+    save_checkpoint(ck, model, {"kind": "test"})
+    (ck / "notes.txt").write_text("kept\n")
+    (tmp_path / "file").write_text("kept\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    for target in (ck, tmp_path / "file", tmp_path):
+        with pytest.raises(ConfigError, match="not a checkpoint directory"):
+            save_checkpoint(target, model, {"kind": "test"})
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_a_failed_swap_puts_the_old_checkpoint_back(tmp_path, monkeypatch):
+    """When the new directory cannot be renamed into place, the old one is
+    renamed back, and nothing else is left beside it."""
+    model = _f32_params(MLP.initialized(9, 4, 3, 2), 1)
+    ck = tmp_path / "ck"
+    save_checkpoint(ck, model, {"kind": "test"})
+    before = {name: (ck / name).read_bytes() for name in ("meta.json", "params.dstn")}
+    rename = os.rename
+
+    def failing_rename(src, dst):
+        if os.fspath(src).endswith(f".tmp{os.getpid()}"):
+            raise OSError("rename failed")
+        rename(src, dst)
+
+    monkeypatch.setattr(nn.os, "rename", failing_rename)
+    with pytest.raises(OSError, match="rename failed"):
+        save_checkpoint(ck, _f32_params(model, 3), {"kind": "test"})
+    monkeypatch.undo()
+    assert {name: (ck / name).read_bytes() for name in ("meta.json", "params.dstn")} == before
+    assert os.listdir(tmp_path) == ["ck"]
 
 
 def test_load_checkpoint_rejects_the_wrong_kind(tmp_path):
