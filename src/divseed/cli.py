@@ -9,8 +9,10 @@ derives its seed from the config exactly as `run` does, checked before
 anything is read or written, so the stage commands given a run's
 config.json reproduce that run's artifacts byte for byte. Stage commands
 take image sizes and classes from their manifests, never from the config's
-data keys. The `jobs` key sizes the worker pool for per-class localizer
-training in `run` and `ablate`.
+data keys. `sample` and `add-class` read a `--loc-dir` of localizer
+checkpoints through one loader; `train-loc --export-maps` writes score maps
+for `render --kind heatmap` only. The `jobs` key sizes the worker pool for
+per-class localizer training in `run` and `ablate`.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 I/O or file-format error.
@@ -30,7 +32,6 @@ from .dataset import load_manifest, make_split
 from .errors import ConfigError, DataError, DivseedError, NumericError, TensorFormatError
 from .localization import (
     LocalizationModel,
-    ScoreMap,
     load_loc_checkpoint,
     localizer_loss_and_grads,
     save_loc_checkpoint,
@@ -39,7 +40,7 @@ from .localization import (
 from .nn import grad_check
 from .render import save_heatmap_pgm, save_label_ppm, save_overlay_ppm
 from .rng import Rng, derive_seed
-from .sampling import build_supervision_set, load_points, save_points
+from .sampling import load_points, save_points
 from .segmentation import (
     SegmentationModel,
     add_class,
@@ -127,36 +128,32 @@ def cmd_train_loc(args) -> int:
     return EXIT_OK
 
 
-def _load_map_dir(map_dir: str) -> dict[str, dict[int, "ScoreMap"]]:
-    maps: dict[str, dict[int, ScoreMap]] = {}
-    names = sorted(n for n in os.listdir(map_dir) if n.endswith(".dstn"))
-    for name in names:
-        stem = name[: -len(".dstn")]
-        if "__c" not in stem:
-            raise DataError(f"score map file {name!r} not named <image>__c<class>.dstn")
-        image_id, suffix = stem.rsplit("__c", 1)
-        try:
-            cid = int(suffix)
-        except ValueError:
-            raise DataError(f"score map file {name!r}: class {suffix!r} is not an integer")
-        arr = load_tensor(os.path.join(map_dir, name))
-        if arr.ndim != 3 or arr.shape[0] != 2:
-            raise DataError(f"{name}: expected a (2, H, W) tensor, got {arr.shape}")
-        maps.setdefault(image_id, {})[cid] = ScoreMap(
-            class_id=cid, image_id=image_id, fg=arr[0], bg=arr[1]
-        )
-    return maps
+def _load_loc_dir(loc_dir: str, feature_depth: int) -> dict[int, LocalizationModel]:
+    """The localizer checkpoints in the subdirectories of loc_dir, by class.
+    DataError naming both directories when two hold the same class, or
+    naming a checkpoint whose in_dim is not the features' depth."""
+    models, paths = {}, {}
+    for path in [os.path.join(loc_dir, name) for name in sorted(os.listdir(loc_dir))]:
+        if not os.path.isdir(path):
+            continue
+        model = load_loc_checkpoint(path)
+        c = model.class_id
+        if c in paths:
+            raise DataError(f"{paths[c]} and {path} both hold a localizer of class {c}")
+        if model.dims[0] != feature_depth:
+            raise DataError(f"{path}: in_dim {model.dims[0]} differs from the "
+                            f"features' depth {feature_depth}")
+        models[c], paths[c] = model, path
+    return models
 
 
 def cmd_sample(args) -> int:
     config = _load_config(args)
-    records = load_manifest(args.features).load_records()
-    maps = _load_map_dir(args.in_dir)
-    # the scores come from the map directory, so no models are needed; an
-    # image without exported maps (no positive tag) gets background only
-    points = build_supervision_set(
-        records, {}, config.sampling_config(), pipeline.sampling_seed(config.seed),
-        maps_by_image=maps,
+    manifest = load_manifest(args.features)
+    models = _load_loc_dir(args.loc_dir, manifest.feature_depth)
+    points = pipeline.sample_supervision(
+        manifest.load_records(), models, config.sampling_config(),
+        pipeline.sampling_seed(config.seed),
     )
     save_points(points, args.out)
     print(f"{len(points)} points -> {args.out}")
@@ -256,9 +253,7 @@ def cmd_add_class(args) -> int:
     new_manifest.check_made_from(base_manifest)  # normalization stays frozen
     new_records = new_manifest.load_records()
     base_records = base_manifest.load_records()
-    paths = [os.path.join(args.loc_dir, name) for name in sorted(os.listdir(args.loc_dir))]
-    models = [load_loc_checkpoint(path) for path in paths if os.path.isdir(path)]
-    loc_models = {model.class_id: model for model in models}
+    loc_models = _load_loc_dir(args.loc_dir, base_manifest.feature_depth)
     points = load_points(args.points)
     features = {r.image_id: augment_with_global(r.features) for r in base_records}
     result = add_class(
@@ -375,12 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--data", required=True, help="dataset manifest")
     t.add_argument("--out", required=True)
     t.add_argument("--export-maps", default=None,
-                   help="also write score maps for positive images")
+                   help="also write the (2, H, W) score map of every image tagged with "
+                        "the class, <image>__c<class>.dstn, for render --kind heatmap")
     _add_config_args(t)
     t.set_defaults(fn=cmd_train_loc)
 
-    s = sub.add_parser("sample", help="sample pseudo-label points from score maps")
-    s.add_argument("--in", dest="in_dir", required=True, help="score map directory")
+    s = sub.add_parser("sample", help="sample pseudo-label points from the localizers' scores")
+    s.add_argument("--loc-dir", required=True,
+                   help="directory of localization checkpoints, one per tagged class")
     s.add_argument("--features", required=True, help="dataset manifest")
     s.add_argument("--out", required=True)
     _add_config_args(s)

@@ -172,14 +172,17 @@ def new_localization_model(class_id: int, in_dim: int, config: LocConfig, seed: 
 
 
 def score_batch(model: LocalizationModel, x: np.ndarray) -> np.ndarray:
-    """One forward pass over the locations of B images of one grid size.
+    """One forward pass over the locations of B images of one grid size,
+    with the parameters rounded to the float32 a checkpoint stores: a model
+    scores the same bits before and after a checkpoint round trip.
 
     x: (B, N, D) float64 unit features -> (B, N, 2) float32 fg/bg scores,
     each image's equal bit for bit to its own forward pass. NumericError if
     any score is non-finite.
     """
     b, n, d = x.shape
-    _, y = mlp_forward(model.params(), x.reshape(b * n, d))
+    params = model.views(model.flat.astype(np.float32).astype(np.float64))
+    _, y = mlp_forward(params, x.reshape(b * n, d))
     scores = y.astype(np.float32).reshape(b, n, 2)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite score map")

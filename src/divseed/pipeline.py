@@ -53,6 +53,7 @@ from .sampling import (
     PointSet,
     SamplingConfig,
     build_supervision_set,
+    pair_scores,
     save_points,
 )
 from .segmentation import (
@@ -305,10 +306,9 @@ def sample_supervision(
     sampling_config: SamplingConfig,
     seed: int,
 ) -> PointSet:
-    """The sample stage: build_supervision_set over the training records, in
-    this process. Scoring is one forward pass per class over a chunk of
-    images, cheaper than starting a worker pool."""
-    return build_supervision_set(records, models, sampling_config, seed)
+    """The sample stage, in this process: the pair_scores of the training
+    records under the localizers, then build_supervision_set from them."""
+    return build_supervision_set(records, pair_scores(records, models), sampling_config, seed)
 
 
 # ---------------------------------------------------------------------------

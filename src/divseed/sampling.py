@@ -17,12 +17,15 @@ locations are excluded from later steps, and ties break toward the lowest
 flat location index. Point labels use -1 for background so the encoding
 survives growing the class universe.
 
-One lockstep core does the work. `build_supervision_set` checks its records
-once (localization.check_records: unit features, one grid shape for the
-whole dataset), then takes them in slices of CHUNK: it scores every
-(image, class) pair of a chunk with one forward pass per class, runs each
-greedy step for all pairs at once on (pairs, locations) arrays, then picks
-background points for all images at once. The per-pair samplers
+Scoring and sampling are separate steps. `pair_scores` runs the
+localizers: one forward pass per class over a slice of CHUNK images gives
+the raw foreground scores of every tagged (image, class) pair.
+`build_supervision_set` samples from those scores and the records alone;
+it checks the records once (localization.check_records: unit features, one
+grid shape for the whole dataset) and the scores against them, then takes
+the images in slices of CHUNK: each greedy step runs for all pairs of a
+slice at once on (pairs, locations) arrays, then background points are
+picked for all its images at once. The per-pair samplers
 (`sample_diverse_fg`, `sample_diverse_bg`, `sample_top_k`, `sample_spatial`,
 `dense_pseudo_labels`) are one-pair calls of the same steps. Points come
 back as a `PointSet` of parallel columns.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -442,36 +446,87 @@ def image_stream(seed: int, index: int) -> Rng:
     return Rng(derive_seed(seed, 0x5A3F0000 + index))
 
 
+class PairScores(NamedTuple):
+    """Raw foreground scores of every tagged (image, class) pair of a list
+    of records, image by image, classes ascending."""
+
+    image: np.ndarray  # (P,) int64 index into the records
+    class_id: np.ndarray  # (P,) int64
+    fg: np.ndarray  # (P, N) float64
+
+
+def _tagged_pairs(records: list[SupervisionRecord]):
+    """check_records, then the image index and class id of every tagged pair
+    and the grid's location count."""
+    check_records(records)
+    pairs = [(i, c) for i, rec in enumerate(records) for c in sorted(rec.tags.present)]
+    return (np.array([i for i, _ in pairs], dtype=np.int64),
+            np.array([c for _, c in pairs], dtype=np.int64),
+            records[0].features.grid.n_locations if records else 0)
+
+
+def pair_scores(
+    records: list[SupervisionRecord], models: dict[int, LocalizationModel]
+) -> PairScores:
+    """Score every tagged pair of records: CHUNK images at a time, one
+    forward pass per class, each row the bits of its pair's score_image.
+    DataError for records that break check_records or a tagged class
+    without a model."""
+    image, class_id, n = _tagged_pairs(records)
+    missing = sorted(set(class_id.tolist()) - set(models))
+    if missing:
+        raise DataError(f"no localization model for tagged classes {missing}")
+    fg = np.empty((image.shape[0], n), dtype=np.float64)
+    for start in range(0, len(records), CHUNK):
+        lo, hi = np.searchsorted(image, [start, start + CHUNK]).tolist()
+        for c in np.unique(class_id[lo:hi]).tolist():
+            rows = lo + np.flatnonzero(class_id[lo:hi] == c)
+            x = _stack([records[i] for i in image[rows].tolist()])
+            fg[rows] = score_batch(models[c], x)[:, :, 0]
+    return PairScores(image, class_id, fg)
+
+
 def build_supervision_set(
-    dataset: list[SupervisionRecord],
-    models: dict[int, LocalizationModel],
+    records: list[SupervisionRecord],
+    scores: PairScores,
     config: SamplingConfig,
     seed: int,
-    maps_by_image: dict[str, dict[int, ScoreMap]] | None = None,
 ) -> PointSet:
-    """Run the configured sampler over every training image.
+    """Run the configured sampler over every record, from the pair_scores
+    of the records.
 
     For each image and each tagged class: k foreground points; then k
     background points from the pooled foreground picks (the dense strategy
-    instead labels every location once via the threshold rule). Images with
-    an empty tag set get k flagged random background points (dense: all
-    background). Points come image by image; within an image, foreground
-    points by class then rank, then background. Deterministic given the
-    seed; per-image randomness is an independent derived stream, so the
-    chunking cannot change the result. Score maps may be passed in (e.g.
-    read from files); by default they are computed here, and only then are
-    models needed. An image's maps may lack a tagged class, or the image
-    may have no entry: it gets points from the maps it has. Records that
-    break check_records, or a map whose shape differs from the feature
-    grid, are a DataError.
+    instead labels every location once via the threshold rule, calibrated
+    over all pairs). Images with an empty tag set get k flagged random
+    background points (dense: all background). Points come image by image;
+    within an image, foreground points by class then rank, then background.
+    Deterministic given the seed; per-image randomness is an independent
+    derived stream, so the chunking cannot change the result. DataError for
+    records that break check_records, or scores that are not one row of the
+    grid's locations for each tagged pair of the records, in order.
     """
-    if maps_by_image is None:
-        missing = sorted(
-            {c for rec in dataset for c in rec.tags.present} - set(models)
-        )
-        if missing:
-            raise DataError(f"no localization model for tagged classes {missing}")
-    return _sample(dataset, config, seed, models, maps_by_image)
+    image, class_id, n = _tagged_pairs(records)
+    if not (np.array_equal(scores.image, image) and np.array_equal(scores.class_id, class_id)):
+        raise DataError(f"scores of {len(scores.image)} pairs are not the records' "
+                        f"{len(image)} tagged (image, class) pairs in order")
+    if scores.fg.shape != (len(image), n):
+        raise DataError(f"scores of shape {scores.fg.shape}, want {(len(image), n)}")
+    chunks = [(start, records[start : start + CHUNK]) for start in range(0, len(records), CHUNK)]
+    if config.strategy == "dense":
+        calibration = _calibration(class_id, scores.fg.max(axis=1, initial=-np.inf))
+        return PointSet.concat([
+            _dense_chunk(chunk, _chunk_scores(scores, start, len(chunk)), config.tau, calibration)
+            for start, chunk in chunks
+        ])
+    table = None
+    if config.strategy == "spatial" and records:
+        g = records[0].features.grid
+        table = _spatial_table((g.height, g.width), config.spatial_scale)
+    return PointSet.concat([
+        _sample_chunk(start, chunk, _chunk_scores(scores, start, len(chunk)), config, seed, table)
+        for start, chunk in chunks
+    ])
 
 
 def sample_class_points(
@@ -489,7 +544,7 @@ def sample_class_points(
         for r in records
         if c in r.tags
     ]
-    return _sample(tagged, config, seed, {c: model}, None)
+    return build_supervision_set(tagged, pair_scores(tagged, {c: model}), config, seed)
 
 
 def _stack(records: list[SupervisionRecord]) -> np.ndarray:
@@ -497,37 +552,11 @@ def _stack(records: list[SupervisionRecord]) -> np.ndarray:
     return np.stack([r.features.grid.locations() for r in records], dtype=np.float64)
 
 
-def _pair_scores(records, models, maps_by_image, feats):
-    """Image index, class id and raw fg scores (P, N) float64 of every
-    (image, class) pair of the chunk, image by image, classes ascending:
-    the pairs with a given map, else the tagged pairs scored with one
-    forward pass per class over feats (B, N, D)."""
-    g = records[0].features.grid
-    shape = (g.height, g.width)
-    pairs, fg = [], []
-    for b, rec in enumerate(records):
-        if maps_by_image is None:
-            pairs += [(b, c) for c in sorted(rec.tags.present)]
-            continue
-        maps = maps_by_image.get(rec.image_id, {})
-        for c in sorted(maps):
-            if maps[c].fg.shape != shape:
-                raise DataError(
-                    f"score map of image {rec.image_id!r}, class {c}: shape "
-                    f"{maps[c].fg.shape} differs from its feature grid {shape}"
-                )
-            pairs.append((b, c))
-            fg.append(maps[c].fg_flat())
-    pair_image = np.array([b for b, _ in pairs], dtype=np.int64)
-    pair_class = np.array([c for _, c in pairs], dtype=np.int64)
-    if maps_by_image is not None:
-        fg = np.array(fg, dtype=np.float64).reshape(len(pairs), g.n_locations)
-        return pair_image, pair_class, fg
-    scores = np.empty((len(pairs), g.n_locations), dtype=np.float64)
-    for c in np.unique(pair_class).tolist():
-        rows = np.flatnonzero(pair_class == c)
-        scores[rows] = score_batch(models[c], feats[pair_image[rows]])[:, :, 0]
-    return pair_image, pair_class, scores
+def _chunk_scores(scores: PairScores, start: int, b: int):
+    """Image index within the chunk, class id and raw fg scores (P, N) of
+    the pairs of images start..start+b-1."""
+    lo, hi = np.searchsorted(scores.image, [start, start + b]).tolist()
+    return scores.image[lo:hi] - start, scores.class_id[lo:hi], scores.fg[lo:hi]
 
 
 def _block(image, label, picks, values, flags=0):
@@ -550,36 +579,6 @@ def _point_set(records, blocks) -> PointSet:
     return PointSet(tuple(r.image_id for r in records), *(c[order] for c in columns))
 
 
-def _sample(dataset, config, seed, models, maps_by_image) -> PointSet:
-    """The lockstep core behind build_supervision_set."""
-    check_records(dataset)
-    chunks = [dataset[start : start + CHUNK] for start in range(0, len(dataset), CHUNK)]
-    if config.strategy != "dense":
-        table = None
-        if config.strategy == "spatial" and dataset:
-            g = dataset[0].features.grid
-            table = _spatial_table((g.height, g.width), config.spatial_scale)
-        return PointSet.concat([
-            _sample_chunk(i * CHUNK, records, config, seed, models, maps_by_image, table)
-            for i, records in enumerate(chunks)
-        ])
-    # dense labels divide by a calibration over all maps, so score them first
-    scored = [
-        (records, _pair_scores(
-            records, models, maps_by_image,
-            _stack(records) if maps_by_image is None else None,
-        ))
-        for records in chunks
-    ]
-    calibration = _calibration(
-        np.concatenate([np.empty(0, np.int64)] + [c for _, (_, c, _) in scored]),
-        np.concatenate([np.empty(0)] + [fg.max(axis=1) for _, (_, _, fg) in scored]),
-    )
-    return PointSet.concat([
-        _dense_chunk(records, pairs, config.tau, calibration) for records, pairs in scored
-    ])
-
-
 def _dense_chunk(records, pairs, tau, calibration) -> PointSet:
     """Every location of every image, in location order."""
     pair_image, pair_class, fg = pairs
@@ -591,13 +590,13 @@ def _dense_chunk(records, pairs, tau, calibration) -> PointSet:
     )])
 
 
-def _sample_chunk(start, records, config, seed, models, maps_by_image, table) -> PointSet:
+def _sample_chunk(start, records, pairs, config, seed, table) -> PointSet:
     """k foreground points per pair, then k background points per image,
     of the non-dense strategies; table is the spatial strategy's."""
     feats = _stack(records)
     b, n, _ = feats.shape
     k = config.k
-    pair_image, pair_class, fg = _pair_scores(records, models, maps_by_image, feats)
+    pair_image, pair_class, fg = pairs
     blocks = []
     if pair_image.shape[0]:
         scores = np.maximum(fg, 0.0)

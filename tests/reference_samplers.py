@@ -83,24 +83,22 @@ def naive_top_k(scores, k):
 # point. The lockstep core must give the same points, value for value.
 
 
-def reference_supervision_set(dataset, models, config, seed, maps_by_image=None):
+def reference_supervision_set(dataset, models, config, seed):
     from divseed.errors import DataError
     from divseed.sampling import image_stream, score_tagged_classes
 
-    if maps_by_image is None:
-        missing = sorted({c for rec in dataset for c in rec.tags.present} - set(models))
-        if missing:
-            raise DataError(f"no localization model for tagged classes {missing}")
-        maps_by_image = {rec.image_id: score_tagged_classes(rec, models) for rec in dataset}
+    missing = sorted({c for rec in dataset for c in rec.tags.present} - set(models))
+    if missing:
+        raise DataError(f"no localization model for tagged classes {missing}")
+    maps_of = {rec.image_id: score_tagged_classes(rec, models) for rec in dataset}
     calibration = {}
     if config.strategy == "dense":
-        calibration = reference_dense_calibration(maps_by_image)
+        calibration = reference_dense_calibration(maps_of)
     points = []
     for index, rec in enumerate(dataset):
         points.extend(
             reference_sample_image(
-                rec, maps_by_image.get(rec.image_id, {}), config, calibration,
-                image_stream(seed, index),
+                rec, maps_of[rec.image_id], config, calibration, image_stream(seed, index)
             )
         )
     return points
@@ -149,9 +147,9 @@ def reference_sample_image(rec, maps, config, calibration, rng):
     return fg_points + bg_points
 
 
-def reference_dense_calibration(scoremaps_by_image):
+def reference_dense_calibration(maps_of):
     maxima = {}
-    for maps in scoremaps_by_image.values():
+    for maps in maps_of.values():
         for c, sm in maps.items():
             maxima.setdefault(c, []).append(float(sm.fg_flat().max()))
     return {c: max(float(np.mean(v)), 1e-6) for c, v in maxima.items()}

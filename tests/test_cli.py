@@ -78,17 +78,19 @@ TINY_RUN = ["--set", "n_train=80", "--set", "n_test=16", "--set", "n_classes=2",
 def test_stage_chain_reproduces_a_run(tmp_path, overrides):
     """train-loc per class, sample, train-seg and eval, each given the run's
     config.json, write the run's loc/, points.jsonl, seg.ckpt/ and
-    report.json byte for byte."""
-    run, chain, maps = tmp_path / "run", tmp_path / "chain", tmp_path / "maps"
+    report.json byte for byte; so does sample from the run's own loc/."""
+    run, chain = tmp_path / "run", tmp_path / "chain"
     sets = [arg for item in overrides for arg in ("--set", item)]
     assert main(["run", *TINY_RUN, *sets, "--out", str(run)]) == 0
     config = ["--config", str(run / "config.json")]
     train = str(run / "data" / "train")
+    assert main(["sample", "--loc-dir", str(run / "loc"), "--features", train, *config,
+                 "--out", str(tmp_path / "points.jsonl")]) == 0
+    assert (tmp_path / "points.jsonl").read_bytes() == (run / "points.jsonl").read_bytes()
     for c in (0, 1):
         assert main(["train-loc", "--class", str(c), "--data", train, *config,
-                     "--out", str(chain / "loc" / f"class_{c}"),
-                     "--export-maps", str(maps)]) == 0
-    assert main(["sample", "--in", str(maps), "--features", train, *config,
+                     "--out", str(chain / "loc" / f"class_{c}")]) == 0
+    assert main(["sample", "--loc-dir", str(chain / "loc"), "--features", train, *config,
                  "--out", str(chain / "points.jsonl")]) == 0
     assert main(["train-seg", "--points", str(chain / "points.jsonl"), "--features", train,
                  *config, "--out", str(chain / "seg.ckpt")]) == 0
@@ -195,7 +197,7 @@ def test_train_loc_sample_seg_predict_eval_chain(workdir):
 
     rc = main([
         "sample", "--set", "strategy=diverse", "--set", "k=5",
-        "--in", str(maps_dir), "--features", str(workdir / "train"),
+        "--loc-dir", str(workdir / "loc"), "--features", str(workdir / "train"),
         "--set", "seed=3", "--out", str(workdir / "points.jsonl"),
     ])
     assert rc == 0
@@ -237,58 +239,64 @@ def test_train_loc_sample_seg_predict_eval_chain(workdir):
 
 
 @pytest.mark.parametrize("strategy", ["diverse", "dense"])
-def test_sample_with_a_missing_class_map(workdir, tmp_path, strategy):
-    """Runs after the chain test: an image whose map directory lacks one of
-    its tagged classes gets points from the maps it has, with no error."""
+def test_sample_names_a_tagged_class_without_a_checkpoint(workdir, tmp_path, capsys, strategy):
+    """Runs after the chain test: a --loc-dir without class 1's checkpoint."""
     import shutil
 
-    from divseed.cli import _load_map_dir
-    from divseed.pipeline import sampling_seed
-    from divseed.sampling import SamplingConfig
-
-    from reference_samplers import reference_supervision_set
-
-    m = load_manifest(str(workdir / "train"))
-    both = next(e for e in m.entries if e.tags == {0, 1})
-    maps_dir = tmp_path / "maps"
-    shutil.copytree(workdir / "maps", maps_dir)
-    os.remove(maps_dir / f"{both.image_id}__c1.dstn")
+    loc = tmp_path / "loc"
+    shutil.copytree(workdir / "loc" / "class_0", loc / "class_0")
     out = tmp_path / "points.jsonl"
     rc = main([
-        "sample", "--set", f"strategy={strategy}", "--set", "k=5", "--in", str(maps_dir),
+        "sample", "--set", f"strategy={strategy}", "--set", "k=5", "--loc-dir", str(loc),
         "--features", str(workdir / "train"), "--set", "seed=3", "--out", str(out),
     ])
-    assert rc == 0
-    # the per-image loop the command used to run, as the reference
-    expected = reference_supervision_set(
-        m.load_records(), {}, SamplingConfig(k=5, strategy=strategy), sampling_seed(3),
-        maps_by_image=_load_map_dir(str(maps_dir)),
-    )
-    points = load_points(out)
-    assert points == expected
-    assert not [p for p in points if p.image_id == both.image_id and p.label == 1]
+    assert rc == 3
+    assert "no localization model for tagged classes [1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("strategy", ["diverse", "top_k", "spatial", "dense"])
-def test_misshaped_score_map_is_data_error(workdir, tmp_path, capsys, strategy):
-    """Runs after the chain test: a 16x16 map for an image of an 8x8 grid."""
+def test_sample_names_a_checkpoint_of_another_depth(workdir, tmp_path, capsys):
+    """Runs after the chain test: class 1's localizer takes 40 features, the
+    manifest's grids hold 48."""
     import shutil
 
-    import numpy as np
+    from divseed.localization import LocTrainResult, new_localization_model, save_loc_checkpoint
+    from divseed.pipeline import PipelineConfig
 
-    from divseed.tensor import save_tensor
-
-    maps_dir = tmp_path / "maps"
-    shutil.copytree(workdir / "maps", maps_dir)
-    name = sorted(os.listdir(maps_dir))[0]
-    save_tensor(np.zeros((2, 16, 16), dtype=np.float32), maps_dir / name)
-    rc = main([
-        "sample", "--set", f"strategy={strategy}", "--set", "k=5", "--in", str(maps_dir),
-        "--features", str(workdir / "train"), "--out", str(tmp_path / "p.jsonl"),
-    ])
+    loc = tmp_path / "loc"
+    shutil.copytree(workdir / "loc" / "class_0", loc / "class_0")
+    model = new_localization_model(1, 40, PipelineConfig().loc_config(), seed=1)
+    save_loc_checkpoint(loc / "class_1", LocTrainResult(model, [0.5], []))
+    rc = main(["sample", "--loc-dir", str(loc), "--features", str(workdir / "train"),
+               "--out", str(tmp_path / "points.jsonl")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert name.split("__c")[0] in err and "(16, 16)" in err and "(8, 8)" in err
+    assert f"{loc / 'class_1'}: in_dim 40 differs from the features' depth 48" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "add-class"])
+def test_two_checkpoints_of_one_class_are_data_error(workdir, tmp_path, capsys, command):
+    """Runs after the chain test: the class_0.old<pid> directory a killed
+    checkpoint write leaves beside class_0 holds class 0 too."""
+    import shutil
+
+    loc = tmp_path / "loc"
+    shutil.copytree(workdir / "loc", loc)
+    shutil.copytree(loc / "class_0", loc / "class_0.old123")
+    if command == "sample":
+        argv = ["sample", "--features", str(workdir / "train")]
+    else:
+        new = tmp_path / "new"
+        assert main(["gen-data", "--n", "4", "--classes", "3", "--size", "32", "--seed", "44",
+                     "--stats-from", str(workdir / "train"), "--out", str(new)]) == 0
+        argv = ["add-class", "--class", "2", "--data", str(new),
+                "--base-data", str(workdir / "train"),
+                "--points", str(workdir / "points.jsonl")]
+    out = tmp_path / "out"
+    assert main(argv + ["--loc-dir", str(loc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{loc / 'class_0'} and {loc / 'class_0.old123'} both hold a localizer of class 0" in err
+    assert not out.exists()
 
 
 def test_add_class_command(workdir):
@@ -491,7 +499,7 @@ def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv
         "add-class": ["--data", workdir / "new", "--base-data", workdir / "train",
                       "--loc-dir", workdir / "loc", "--points", workdir / "points.jsonl"],
         "train-loc": ["--data", workdir / "train"],
-        "sample": ["--in", workdir / "maps", "--features", workdir / "train"],
+        "sample": ["--loc-dir", workdir / "loc", "--features", workdir / "train"],
         "gen-data": [],
     }[argv[0]]
     out = tmp_path / "out"
@@ -560,17 +568,6 @@ def test_malformed_ablation_grid_is_config_error(tmp_path, capsys, grid):
 def test_non_integer_set_value_is_config_error(tmp_path):
     rc = main(["run", "--set", "k=2.5", "--out", str(tmp_path / "out")])
     assert rc == 2
-
-
-def test_non_integer_map_class_suffix_is_data_error(workdir, tmp_path):
-    maps_dir = tmp_path / "maps"
-    maps_dir.mkdir()
-    (maps_dir / "tr_00000__cx.dstn").write_bytes(b"")
-    rc = main([
-        "sample", "--in", str(maps_dir),
-        "--features", str(workdir / "train"), "--out", str(tmp_path / "p.jsonl"),
-    ])
-    assert rc == 3
 
 
 def _edited_manifest(workdir, tmp_path, edit):

@@ -224,6 +224,11 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(
         model.hidden.weights, result.model.hidden.weights.astype(np.float32)
     )
+    # which scoring already rounds to: the loaded model scores the same bits
+    for rec in data:
+        before, after = score_image(result.model, rec.features), score_image(model, rec.features)
+        assert before.fg.tobytes() == after.fg.tobytes()
+        assert before.bg.tobytes() == after.bg.tobytes()
 
 
 def test_checkpoint_records_restarts(tmp_path, monkeypatch):

@@ -21,6 +21,7 @@ from divseed.pipeline import (
     make_benchmark,
     run_pipeline,
     run_variant,
+    sample_supervision,
     summarize_ablation,
     train_localizers,
 )
@@ -31,6 +32,7 @@ from divseed.sampling import (
     SamplingConfig,
     SupervisionRecord,
     build_supervision_set,
+    pair_scores,
     save_points,
     score_tagged_classes,
 )
@@ -170,25 +172,34 @@ def test_supervision_set_equals_the_per_image_loop(
     tiny_bench, tiny_models, tiny_pixel_models, pooling, strategy
 ):
     """The lockstep core gives the points of the per-image loop, value for
-    value: over chunks (80 images is no multiple of CHUNK), untagged images
-    (the random-background fallback) and maps lacking a tagged class."""
+    value: over chunks (80 images is no multiple of CHUNK) and untagged
+    images (the random-background fallback)."""
     models = tiny_models if pooling == "global" else tiny_pixel_models
     records = tiny_bench.train_records
     assert len(records) % CHUNK and any(not r.tags.present for r in records)
     seed = derive_seed(TINY.seed, 0x5A3F)
+    scores = pair_scores(records, models)
     for k in (1, 5, 20):
         config = SamplingConfig(k=k, strategy=strategy)
-        points = build_supervision_set(records, models, config, seed)
+        points = build_supervision_set(records, scores, config, seed)
         assert list(points) == reference_supervision_set(records, models, config, seed)
-    # as `divseed sample` passes them: every third two-class image lacks class 1
-    maps = {r.image_id: score_tagged_classes(r, models) for r in records}
-    dropped = [r.image_id for r in records if len(r.tags.present) == 2][::3]
-    for image_id in dropped:
-        del maps[image_id][1]
-    assert dropped
-    config = SamplingConfig(k=5, strategy=strategy)
-    points = build_supervision_set(records, {}, config, seed, maps_by_image=maps)
-    assert list(points) == reference_supervision_set(records, {}, config, seed, maps)
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+def test_pair_scores_equal_the_per_image_score_maps(
+    tiny_bench, tiny_models, tiny_pixel_models, pooling
+):
+    """Scoring a chunk of images per class gives each tagged pair the bits
+    of its own score_image, pair by pair in record order."""
+    models = tiny_models if pooling == "global" else tiny_pixel_models
+    records = tiny_bench.train_records
+    scores = pair_scores(records, models)
+    maps = [(i, sm) for i, r in enumerate(records)
+            for sm in score_tagged_classes(r, models).values()]
+    assert scores.image.tolist() == [i for i, _ in maps]
+    assert scores.class_id.tolist() == [sm.class_id for _, sm in maps]
+    assert scores.fg.dtype == np.float64
+    assert scores.fg.tobytes() == np.stack([sm.fg_flat() for _, sm in maps]).tobytes()
 
 
 def test_supervision_set_errors_match_the_per_image_loop(tiny_bench, tiny_models):
@@ -216,7 +227,7 @@ def test_supervision_set_errors_match_the_per_image_loop(tiny_bench, tiny_models
             if strategy == "dense" and "locations" in message:
                 continue  # dense labeling takes no k
             config = SamplingConfig(strategy=strategy, **overrides)
-            for sampler in (build_supervision_set, reference_supervision_set):
+            for sampler in (sample_supervision, reference_supervision_set):
                 with pytest.raises(error, match=message), np.errstate(all="ignore"):
                     sampler(dataset, models, config, 1)
 

@@ -11,12 +11,15 @@ from divseed.rng import Rng
 from divseed.sampling import (
     BACKGROUND,
     FLAG_RANDOM_BG,
+    STRATEGIES,
+    PairScores,
     PointSet,
     SampledPoint,
     SamplingConfig,
     SupervisionRecord,
     build_supervision_set,
     dense_pseudo_labels,
+    pair_scores,
     load_points,
     sample_diverse_bg,
     sample_diverse_fg,
@@ -329,37 +332,22 @@ def _toy_records(n_images=3, n=16, d=4, tagged=((0, 1), (1,), ())):
     return records
 
 
-class _FixedModel:
-    """Stand-in localizer producing deterministic pseudo scores."""
-
-    def __init__(self, class_id):
-        self.class_id = class_id
-        self.pooling = "global"
-
-
-def _fake_maps(records, class_ids):
-    maps = {}
-    for rec in records:
-        n = rec.features.grid.n_locations
-        per_class = {}
-        for c in sorted(rec.tags.present):
-            r = Rng(7000 + 31 * c + hash(rec.image_id) % 1000)
-            per_class[c] = ScoreMap(
-                class_id=c,
-                image_id=rec.image_id,
-                fg=r.uniform_array(n, 0, 1).reshape(rec.features.grid.height, -1).astype(np.float32),
-                bg=np.zeros((rec.features.grid.height, rec.features.grid.width), dtype=np.float32),
-            )
-        maps[rec.image_id] = per_class
-    return maps
+def _fake_scores(records):
+    """Uniform pseudo scores in [0, 1) for every tagged pair of records."""
+    pairs = [(i, c) for i, rec in enumerate(records) for c in sorted(rec.tags.present)]
+    n = records[0].features.grid.n_locations
+    return PairScores(
+        np.array([i for i, _ in pairs], dtype=np.int64).reshape(-1),
+        np.array([c for _, c in pairs], dtype=np.int64).reshape(-1),
+        np.array([Rng(7000 + 31 * c + i).uniform_array(n, 0, 1) for i, c in pairs]
+                 ).reshape(len(pairs), n),
+    )
 
 
 def test_build_supervision_set_counts():
     records = _toy_records()
-    models = {0: _FixedModel(0), 1: _FixedModel(1)}
-    maps = _fake_maps(records, [0, 1])
     cfg = SamplingConfig(k=3, strategy="diverse")
-    points = build_supervision_set(records, models, cfg, seed=5, maps_by_image=maps)
+    points = build_supervision_set(records, _fake_scores(records), cfg, seed=5)
     by_image = {}
     for p in points:
         by_image.setdefault(p.image_id, []).append(p)
@@ -375,37 +363,60 @@ def test_build_supervision_set_counts():
 
 
 def test_build_supervision_set_empty_dataset():
-    assert build_supervision_set([], {}, SamplingConfig(), seed=1) == []
+    assert build_supervision_set([], pair_scores([], {}), SamplingConfig(), seed=1) == []
 
 
 def test_build_supervision_set_missing_model():
+    """Its scores come from pair_scores, which wants a model per tagged class."""
     records = _toy_records(tagged=((0,),))
-    with pytest.raises(DataError):
-        build_supervision_set(records, {}, SamplingConfig(), seed=1)
+    with pytest.raises(DataError, match=r"no localization model for tagged classes \[0\]"):
+        pair_scores(records, {})
 
 
 def test_build_supervision_set_deterministic():
     records = _toy_records()
-    models = {0: _FixedModel(0), 1: _FixedModel(1)}
-    maps = _fake_maps(records, [0, 1])
     cfg = SamplingConfig(k=2, strategy="diverse")
-    a = build_supervision_set(records, models, cfg, seed=5, maps_by_image=maps)
-    b = build_supervision_set(records, models, cfg, seed=5, maps_by_image=maps)
+    a = build_supervision_set(records, _fake_scores(records), cfg, seed=5)
+    b = build_supervision_set(records, _fake_scores(records), cfg, seed=5)
     assert a == b
 
 
 def test_dense_supervision_labels_every_location():
     records = _toy_records(tagged=((0,), ()))
-    models = {0: _FixedModel(0)}
-    maps = _fake_maps(records, [0])
     cfg = SamplingConfig(k=2, strategy="dense", tau=0.2)
-    points = build_supervision_set(records, models, cfg, seed=5, maps_by_image=maps)
+    points = build_supervision_set(records, _fake_scores(records), cfg, seed=5)
     per_image = {}
     for p in points:
         per_image.setdefault(p.image_id, []).append(p)
     for recs in per_image.values():
         assert len(recs) == 16  # every grid location labeled exactly once
         assert len({p.loc for p in recs}) == 16
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s._replace(class_id=s.class_id[::-1].copy()),
+    lambda s: s._replace(image=s.image[1:], class_id=s.class_id[1:], fg=s.fg[1:]),
+    lambda s: s._replace(image=s.image + 1),
+], ids=["classes-swapped", "pair-missing", "images-shifted"])
+def test_scores_of_other_pairs_are_data_error(edit):
+    """Scores must hold the records' tagged pairs, image by image, classes
+    ascending."""
+    records = _toy_records()
+    scores = edit(_fake_scores(records))
+    with pytest.raises(DataError, match="not the records' 3 tagged"):
+        build_supervision_set(records, scores, SamplingConfig(k=2), seed=5)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_scores_of_another_width_are_data_error(strategy):
+    """A score row per tagged pair, as wide as the grid (16 locations here),
+    checked before any strategy reads the rows."""
+    records = _toy_records()
+    scores = _fake_scores(records)
+    for fg in (scores.fg[:, :8], np.tile(scores.fg, 2)):
+        with pytest.raises(DataError, match=rf"shape \(3, {fg.shape[1]}\), want \(3, 16\)"):
+            build_supervision_set(records, scores._replace(fg=fg),
+                                  SamplingConfig(k=2, strategy=strategy), seed=5)
 
 
 # ---------------------------------------------------------------------------
