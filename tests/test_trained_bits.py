@@ -15,8 +15,11 @@ import divseed
 from divseed.pipeline import PipelineConfig, ablation_seed, variant_name
 
 # three classes so the lockstep drops runs of unequal length one by one;
-# 60 images give point counts that are no multiple of the head's batch
-CONFIG = PipelineConfig(seed=23, n_train=60, n_test=12, n_classes=3, image_size=32)
+# 60 images give point counts that are no multiple of the head's batch; the
+# longer lr schedule and the small head batch take both trainers past step
+# 356, where Adam's first bias correction rounds to 1
+CONFIG = PipelineConfig(seed=23, n_train=60, n_test=12, n_classes=3, image_size=32,
+                        loc_lr_schedule=((6, 2e-2), (2, 2e-3)), seg_batch=10)
 VARIANTS = [
     {"strategy": "diverse"},
     {"strategy": "top_k"},
@@ -55,39 +58,39 @@ def trained_digests() -> dict[str, str]:
 # the bits of the steps before they moved into preallocated workspaces
 PINNED = {
     "loc[global]":
-        "0c7bad24d358b347aeab9f205e4aaaa00a41aeedc0f29a19f4da8250994d86d2",
+        "0eece20e2ddeaca79f57c1809588173a81fa8e49f35ff72cbb93b4d2431776aa",
     "loc[pixel]":
-        "a3ca09a687b7040e0e5315d68c651809d1575d58aeb1a94faed5affa767dfcfd",
+        "9e57f8e340c33741bac325f5c1159af9c6ec3ba298367b55aa35657a7d9b1934",
     "points[strategy=diverse]":
-        "8bc2d8524d820f7cda10e303dec6f2e60e0fa507eda78d3aec77aae9a75b8862",
+        "5066ac21f8ac7e44c49bfdad954d758b4ce4c59663d7bc3067749430ea519ad9",
     "head[strategy=diverse]":
-        "4f29a6a458f1db0581bb617ef6b2527588b29e6964495174409ad1353b2dfd3e",
+        "94455bfaa6189dc5c503052b8db0350a0a0e3e95a00a50bf564c490dd917f71d",
     "miou[strategy=diverse]":
-        "0.48842394223976093",
+        "0.5264862375134883",
     "points[strategy=top_k]":
-        "f8160ff893b9518f4e60149748a2606059ca59cb5525ac4e6cba7b41ef881884",
+        "45cb3b4d22b59fc1ddcebf170faf55b545515c0312c7c2f4ec6aef92e5ae3f11",
     "head[strategy=top_k]":
-        "bd55d069a967b1a8ad2fd762b143a256a127f928d519fc224508299158d30df6",
+        "a3d5279bea101a0557405caec09b4af7630dfb0c79e49d6c66ff02e7f9bd14f7",
     "miou[strategy=top_k]":
-        "0.5099496532187388",
+        "0.558435044371731",
     "points[strategy=spatial]":
-        "9dc7f30f4baa4ed307485686d588e20fdb2a10c441a5dfc07ca7a76c7896ceb2",
+        "379b4e4fec217c8560f0aede07748192219684eb61c904b2772f9e350c1b1994",
     "head[strategy=spatial]":
-        "45d97ef954e02a0ea25831acdef524a1b9f5cceb2499a5dab6659fcd89819a02",
+        "98dfbd28aaff2c775a1565534aced90167970347c38991fe3530ea3ed25da537",
     "miou[strategy=spatial]":
-        "0.506192198176856",
+        "0.5633999032421887",
     "points[strategy=dense]":
-        "2095b416b3694bbdb97d856a41e217904219473a689984f9827b500e6cc2d778",
+        "70cabdd0c2401dd8452cedc0f45cb785fba66d073380c420470c43ac11f935f6",
     "head[strategy=dense]":
-        "f30a0bff406bf967591c025d61e4824b7025e14fa0c8e5e9ad76f0b2cff2519e",
+        "7bb0a9a951de061756384abed44d5fa7e8748547c4126c97d579e44b58704ea9",
     "miou[strategy=dense]":
-        "0.4013038772821381",
+        "0.6094420600858369",
     "points[pooling=pixel,strategy=diverse]":
-        "e7dccac5b550fdd45ce005ce1bb35c1aa8b10f93622004e98208c691b8cbbc35",
+        "5b200c9aebcbd0c8dd3406dd3b5d02951fb464cd0d061361c5bf3054736299cc",
     "head[pooling=pixel,strategy=diverse]":
-        "c0897718f19d126ab80d27ac0da7cc8f55cfc4ad942bb71ea6a01ccc9e5efc10",
+        "8c4a48cdcd135f6a2c20815b614f436ba7e2ca9f959e2040004f9cf057669d37",
     "miou[pooling=pixel,strategy=diverse]":
-        "0.2818960700316633",
+        "0.3415921924172128",
 }
 
 
