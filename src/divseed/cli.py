@@ -42,6 +42,7 @@ from .render import save_heatmap_pgm, save_label_ppm, save_overlay_ppm
 from .rng import Rng, derive_seed
 from .sampling import load_points, save_points
 from .segmentation import (
+    HeadWorkspace,
     SegmentationModel,
     add_class,
     augment_with_global,
@@ -301,7 +302,8 @@ def cmd_gradcheck(args) -> int:
         derive_seed(args.seed, 4), d, h, 4, class_ids=(0, 1, 2), global_dim=0
     )
     labels = np.arange(0, n, 2) % 4
-    err = check(head, lambda m: head_loss_and_grads(m, x[::2], labels), 3)
+    ws = HeadWorkspace(head, len(labels))
+    err = check(head, lambda m: head_loss_and_grads(m, x[::2], labels, ws), 3)
     checks.append(("masked-ce", err))
 
     failures = 0

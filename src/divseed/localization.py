@@ -37,7 +37,7 @@ from .nn import (
     LossValue,
     PoolingTrace,
     adam_step,
-    bce_loss_and_grad,
+    bce_pooled,
     global_softmax_prob,
     is_int,
     load_checkpoint,
@@ -51,7 +51,7 @@ from .nn import (
     save_checkpoint,
 )
 # not called here: perfbench/perftrace.py traces nn ops by the module binding them (NN_OPS)
-from .nn import linear_backward, linear_fwd, relu_backward  # noqa: F401
+from .nn import bce_loss_and_grad, linear_backward, linear_fwd, relu_backward  # noqa: F401
 from .rng import Rng, derive_seed
 from .tensor import FeatureGrid, NormState
 
@@ -171,18 +171,20 @@ def new_localization_model(class_id: int, in_dim: int, config: LocConfig, seed: 
     )
 
 
-def score_batch(model: LocalizationModel, x: np.ndarray) -> np.ndarray:
+def score_batch(model: LocalizationModel, x: np.ndarray,
+                out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """One forward pass over the locations of B images of one grid size,
     with the parameters rounded to the float32 a checkpoint stores: a model
     scores the same bits before and after a checkpoint round trip.
 
     x: (B, N, D) float64 unit features -> (B, N, 2) float32 fg/bg scores,
-    each image's equal bit for bit to its own forward pass. NumericError if
-    any score is non-finite.
+    each image's equal bit for bit to its own forward pass. out, when given,
+    holds the forward's (B * N, hidden) and (B * N, 2) float64 activations.
+    NumericError if any score is non-finite.
     """
     b, n, d = x.shape
     params = model.views(model.flat.astype(np.float32).astype(np.float64))
-    _, y = mlp_forward(params, x.reshape(b * n, d))
+    _, y = mlp_forward(params, x.reshape(b * n, d), out=out)
     scores = y.astype(np.float32).reshape(b, n, 2)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite score map")
@@ -340,6 +342,8 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
     params = np.stack([run.model.flat for run in runs])
     grads = np.empty_like(params)
     param_views, grad_views = views(params), views(grads)
+    n = runs[0].batches[0][0].grid.n_locations
+    ws = StepWorkspace(len(runs), n, runs[0].model.dims)
     state = AdamState(lr=0.0)
     step = 0
     while live:
@@ -351,14 +355,13 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
             live = [live[row] for row in keep]
             params, grads = params[keep], grads[keep]
             param_views, grad_views = views(params), views(grads)
-            if state.m is not None:
-                state.m, state.v = state.m[keep], state.v[keep]
+            state.keep(keep)
             continue
         batch = [runs[i].batch(step) for i in live]
-        x = np.stack([f.grid.locations() for f, _ in batch], dtype=np.float64)
+        x = ws.images([f for f, _ in batch])
         try:
             lvs = _loss_and_grads(
-                param_views, pooling, x, [label for _, label in batch], grad_views
+                param_views, pooling, x, [label for _, label in batch], grad_views, ws
             )
         except NumericError as e:
             ids = [runs[live[j]].model.class_id for j in _diverged(param_views, x)]
@@ -391,36 +394,75 @@ def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int
     its fg/bg argmax locations only, so the backward runs on those rows
     alone; the result equals the full-grid chain bit for bit (see nn).
     """
+    x = np.asarray(x, dtype=np.float64)
     grad = np.empty_like(model.flat)
     (lv,) = _loss_and_grads(
-        [p[None] for p in model.params()], model.pooling,
-        np.asarray(x, dtype=np.float64)[None], [label], model.views(grad[None]),
+        [p[None] for p in model.params()], model.pooling, x[None], [label],
+        model.views(grad[None]), StepWorkspace(1, x.shape[0], model.dims),
     )
     return lv, model.views(grad)
 
 
+class StepWorkspace:
+    """The arrays a lockstep step writes, for up to `size` models of these
+    (in_dim, hidden, out_dim) on images of n locations: the (size, n, in_dim)
+    float64 images x, the forward's activations and outputs, and the
+    two-row backward's rows, inputs, upstream gradients, hidden gradient
+    and ReLU mask. A step of C models uses the first C of each. Made once
+    per lockstep."""
+
+    def __init__(self, size: int, n: int, dims: tuple[int, int, int]):
+        in_dim, hidden, out_dim = dims
+        r = min(n, 2)
+        self.x = np.empty((size, n, in_dim))
+        self.a1 = np.empty((size, n, hidden))
+        self.y = np.empty((size, n, out_dim))
+        self.rows = np.empty((size, r), dtype=np.int64)
+        self.x_rows = np.empty((size, r, in_dim))
+        self.a1_rows = np.empty((size, r, hidden))
+        self.dy = np.empty((size, r, out_dim))
+        self.da1 = np.empty((size, r, hidden))
+        self.mask = np.empty((size, r, hidden), dtype=bool)
+
+    def images(self, features: list[FeatureGrid]) -> np.ndarray:
+        """The first len(features) rows of x, holding their locations."""
+        x = self.x[: len(features)]
+        for row, f in enumerate(features):
+            x[row] = f.grid.locations()
+        return x
+
+
 def _loss_and_grads(params: list[np.ndarray], pooling: str, x: np.ndarray,
-                    labels: list[int], grads: list[np.ndarray]) -> list[LossValue]:
-    """One lockstep step's losses for C models and C images.
+                    labels: list[int], grads: list[np.ndarray], ws: StepWorkspace
+                    ) -> list[LossValue]:
+    """One lockstep step's losses for C models and C images, in ws.
 
     params: the stacked (C, ...) parameter arrays; x: (C, N, D) float64
     images; labels: C presence labels. Writes each model's gradients into
-    the stacked arrays grads and returns the C pooled BCE values.
+    the stacked arrays grads and returns the C pooled BCE values (loss and
+    clamp events). A model's score gradient is p - label at the pooled fg
+    location's fg score, its negation at the bg location's bg score, as
+    nn.bce_loss_and_grad routes it.
     """
-    a1, y = mlp_forward(params, x)
     n_models, n = x.shape[:2]
+    a1, y = mlp_forward(params, x, out=(ws.a1[:n_models], ws.y[:n_models]))
+    rows, dy = ws.rows[:n_models], ws.dy[:n_models]
+    dy.fill(0.0)
     lvs = []
-    rows = np.empty((n_models, min(n, 2)), dtype=np.int64)
-    dy = np.empty((n_models, rows.shape[1], 2))
-    pooled = pool_rows(pooling, y)
-    for c, ((p, trace), label) in enumerate(zip(pooled, labels)):
-        lv = bce_loss_and_grad(p, label, trace, n_locations=n)
-        rows[c] = _gradient_rows(trace, n)
-        dy[c, :, 0] = lv.grads["fg"][rows[c]]
-        dy[c, :, 1] = lv.grads["bg"][rows[c]]
-        lvs.append(lv)
-    picked = np.arange(n_models)[:, None], rows
-    mlp_backward(params, x[picked], a1[picked], dy, grads)
+    for c, ((p, trace), label) in enumerate(zip(pool_rows(pooling, y), labels)):
+        loss, g, events = bce_pooled(p, label)
+        pair = _gradient_rows(trace, n)
+        rows[c] = pair
+        dy[c, pair.index(trace.fg_loc), 0] = 0.0 + g  # the bits of d_fg[fg_loc] += g
+        dy[c, pair.index(trace.bg_loc), 1] = 0.0 - g  # and of d_bg[bg_loc] -= g
+        lvs.append(LossValue(loss=loss, clamp_events=events))
+    at = (rows + n * np.arange(n_models)[:, None]).ravel()  # into the (C * N) rows
+    x_rows, a1_rows = ws.x_rows[:n_models], ws.a1_rows[:n_models]
+    for stack, out in ((x, x_rows), (a1, a1_rows)):  # in range: mode="clip" never clips
+        np.take(stack.reshape(-1, stack.shape[2]), at, axis=0,
+                out=out.reshape(-1, out.shape[2]), mode="clip")
+    mlp_backward(params, x_rows, a1_rows, dy, grads,
+                 out=(ws.da1[:n_models], ws.mask[:n_models]))
     return lvs
 
 

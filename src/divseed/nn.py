@@ -151,26 +151,29 @@ class MLP:
             view[...] = p
 
 
-def linear_fwd(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
-    """x: (N, in_dim) -> (N, out_dim); a stacked layer maps (C, N, in_dim)."""
+def linear_fwd(layer: LinearLayer, x: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """x: (N, in_dim) -> (N, out_dim); a stacked layer maps (C, N, in_dim).
+    The result is written into out when given."""
     if x.shape[-1] != layer.in_dim:
         raise DataError(f"linear: input depth {x.shape[-1]} != in_dim {layer.in_dim}")
-    y = x @ np.swapaxes(layer.weights, -1, -2)
+    y = np.matmul(x, layer.weights.swapaxes(-1, -2), out=out)
     y += layer.bias[..., None, :]
     return y
 
 
 def linear_backward(
     layer: LinearLayer, x: np.ndarray, dy: np.ndarray, input_grad: bool = True,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Returns (dW, db, dx) for upstream gradient dy of shape (N, out_dim), or
-    (C, N, out_dim) for a stacked layer; dW and db are written into out when
-    given; dx is None when input_grad is False (a first layer needs none)."""
-    dw_out, db_out = out or (None, None)
-    dw = np.matmul(np.swapaxes(dy, -1, -2), x, out=dw_out)
+    (C, N, out_dim) for a stacked layer, each written into its array of out
+    where that is given; dx is None when input_grad is False (a first layer
+    needs none)."""
+    dw_out, db_out, dx_out = out or (None, None, None)
+    dw = np.matmul(dy.swapaxes(-1, -2), x, out=dw_out)
     db = dy.sum(axis=-2, out=db_out)
-    dx = dy @ layer.weights if input_grad else None
+    dx = np.matmul(dy, layer.weights, out=dx_out) if input_grad else None
     return dw, db, dx
 
 
@@ -178,29 +181,40 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return dy * (x > 0.0)
+def relu_backward(x: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
+                  mask: np.ndarray | None = None) -> np.ndarray:
+    """dy times (x > 0), into out (which may be dy) and the mask into mask
+    when given."""
+    return np.multiply(dy, np.greater(x, 0.0, out=mask), out=out)
 
 
-def mlp_forward(params: list[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mlp_forward(params: list[np.ndarray], x: np.ndarray,
+                out: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """(hidden activations a1, outputs y) at x: (N, in_dim), or (C, N, in_dim)
-    for a (C, P) stack's views. The ReLU runs in place, so a1 is its own mask
-    for mlp_backward: a1 > 0 exactly where its pre-activation is."""
+    for a (C, P) stack's views, written into out's two arrays when given. The
+    ReLU runs in place, so a1 is its own mask for mlp_backward: a1 > 0
+    exactly where its pre-activation is."""
     w1, b1, w2, b2 = params
-    a1 = linear_fwd(LinearLayer(w1, b1), x)
+    a1_out, y_out = out or (None, None)
+    a1 = linear_fwd(LinearLayer(w1, b1), x, out=a1_out)
     np.maximum(a1, 0.0, out=a1)
-    return a1, linear_fwd(LinearLayer(w2, b2), a1)
+    return a1, linear_fwd(LinearLayer(w2, b2), a1, out=y_out)
 
 
 def mlp_backward(params: list[np.ndarray], x: np.ndarray, a1: np.ndarray, dy: np.ndarray,
-                 grads: list[np.ndarray]) -> None:
+                 grads: list[np.ndarray],
+                 out: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """Write into grads, shaped like params, the gradients for upstream dy at
-    the outputs of mlp_forward's a1 at x, or of rows of both."""
+    the outputs of mlp_forward's a1 at x, or of rows of both. out, when
+    given, holds a float64 and a bool array shaped like a1, for the hidden
+    layer's upstream gradient (masked in place) and the ReLU mask."""
     w1, b1, w2, b2 = params
     dw1, db1, dw2, db2 = grads
-    _, _, da1 = linear_backward(LinearLayer(w2, b2), a1, dy, out=(dw2, db2))
-    linear_backward(LinearLayer(w1, b1), x, relu_backward(a1, da1), input_grad=False,
-                    out=(dw1, db1))
+    da1_out, mask = out or (None, None)
+    _, _, da1 = linear_backward(LinearLayer(w2, b2), a1, dy, out=(dw2, db2, da1_out))
+    linear_backward(LinearLayer(w1, b1), x, relu_backward(a1, da1, out=da1, mask=mask),
+                    input_grad=False, out=(dw1, db1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +317,20 @@ def bce_loss_and_grad(p: float, label: int, trace: PoolingTrace, n_locations: in
     argmax locations and zero elsewhere. p is clamped away from {0, 1} for
     the log only; clamp events are counted.
     """
-    clamped = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    events = int(clamped != p)
-    loss = -(label * math.log(clamped) + (1 - label) * math.log(1.0 - clamped))
-    g = p - label  # d loss / d pooled-logit, exact for unclamped sigmoid
+    loss, g, events = bce_pooled(p, label)
     d_fg = np.zeros(n_locations, dtype=np.float64)
     d_bg = np.zeros(n_locations, dtype=np.float64)
     d_fg[trace.fg_loc] += g
     d_bg[trace.bg_loc] -= g
     return LossValue(loss=loss, grads={"fg": d_fg, "bg": d_bg}, clamp_events=events)
+
+
+def bce_pooled(p: float, label: int) -> tuple[float, float, int]:
+    """bce_loss_and_grad's scalars: the loss, dL/du = p - label at the pooled
+    logit u, and the clamp events (0 or 1)."""
+    clamped = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    loss = -(label * math.log(clamped) + (1 - label) * math.log(1.0 - clamped))
+    return loss, p - label, int(clamped != p)  # p - label: exact for unclamped sigmoid
 
 
 def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | np.ndarray
@@ -337,15 +356,7 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
     if cls.min() < 0 or cls.max() >= n_classes:
         raise DataError("masked CE: class index out of range")
     every_row = m == n and bool(np.all(locs[1:] > locs[:-1]))  # then locs is 0 .. n-1
-    rows = logits if every_row else logits[locs]
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted - log_z[:, None]
-    picked = np.arange(m), cls
-    loss = -float(log_probs[picked].sum() / m)  # the mean's bits, without its overhead
-    row_grad = np.exp(log_probs)
-    row_grad[picked] -= 1.0
-    row_grad /= m
+    loss, row_grad = softmax_ce_rows(logits if every_row else logits[locs], cls)
     if every_row:
         grad = row_grad
     else:
@@ -354,15 +365,34 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
     return LossValue(loss=loss, grads={"logits": grad})
 
 
+def softmax_ce_rows(logits: np.ndarray, cls: np.ndarray, out: np.ndarray | None = None,
+                    rows: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of the rows of logits (m, K), row i against
+    class cls[i] in 0 .. K-1, and its gradient w.r.t. the logits, written into
+    out (which may be logits itself) when given. rows, when given, is
+    arange(m)."""
+    m = logits.shape[0]
+    grad = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    log_z = np.log(np.exp(grad).sum(axis=1))
+    grad -= log_z[:, None]  # the log-probabilities
+    picked = np.arange(m) if rows is None else rows, cls
+    loss = -float(grad[picked].sum() / m)  # the mean's bits, without its overhead
+    np.exp(grad, out=grad)
+    grad[picked] -= 1.0
+    grad /= m
+    return loss, grad
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam state; m and v are shaped like the parameter
-    buffer, allocated by the first step. lr is a number, or for a (C, P)
-    stack a (C,) array with one rate per row."""
+    """Bias-corrected Adam state; m and v, and the two scratch buffers a step
+    keeps its intermediate results in, are shaped like the parameter buffer,
+    allocated by the first step. lr is a number, or for a (C, P) stack a (C,)
+    array with one rate per row."""
 
     lr: float | np.ndarray
     t: int = 0
@@ -371,36 +401,51 @@ class AdamState:
     eps: float = 1e-8
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only these rows of a (C, P) stack's moments; the scratch
+        shrinks with them (its contents do not carry over a step)."""
+        if self.m is not None:
+            self.m, self.v = self.m[rows], self.v[rows]
+            self.scratch = tuple(s[: len(rows)] for s in self.scratch)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One update of a flat float64 parameter buffer (P,), or of a (C, P)
-    stack of them, in place; advances the state."""
+    stack of them, in place; advances the state. Allocates nothing after the
+    first step."""
     if params.shape != grads.shape:
         raise DataError(f"adam_step: shape mismatch {params.shape} vs {grads.shape}")
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
+        state.scratch = np.empty_like(params), np.empty_like(params)
     elif state.m.shape != params.shape:
         raise DataError(f"adam_step: parameters {params.shape}, state holds {state.m.shape}")
     state.t += 1
     t = state.t
     m, v, g = state.m, state.v, grads
+    a, b = state.scratch
     # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
     m *= state.beta1
-    m += (1 - state.beta1) * g
+    m += np.multiply(1 - state.beta1, g, out=a)
     v *= state.beta2
-    gg = (1 - state.beta2) * g
-    gg *= g
-    v += gg
+    np.multiply(1 - state.beta2, g, out=a)
+    a *= g
+    v += a
     # p - lr * m_hat / (sqrt(v_hat) + eps)
-    denom = v / (1 - state.beta2 ** t)
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    step = m / (1 - state.beta1 ** t)
-    step *= state.lr if np.ndim(state.lr) == 0 else np.asarray(state.lr)[:, None]
-    step /= denom
-    params -= step
+    np.divide(v, 1 - state.beta2 ** t, out=a)
+    np.sqrt(a, out=a)
+    a += state.eps
+    c1 = 1 - state.beta1 ** t
+    # from the step where 1 - beta1 ** t rounds to 1.0 (t = 356 for 0.9), m_hat = m / 1.0
+    # has m's own bits
+    m_hat = m if c1 == 1.0 else np.divide(m, c1, out=b)
+    np.multiply(m_hat, state.lr if np.ndim(state.lr) == 0 else np.asarray(state.lr)[:, None],
+                out=b)
+    b /= a
+    params -= b
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +461,12 @@ def grad_check(loss_fn, params: list[np.ndarray], rng: Rng, n_coords: int = 100,
     if fewer exist); rel err = |ga - gf| / max(|ga|, |gf|, 1e-8). params
     are copied first: a loss_fn given a model's own parameter views that
     writes its arguments into that model (set_params) would otherwise move
-    the base point.
+    the base point. The analytic gradients are copied too, so a loss_fn may
+    write every call's gradients into one workspace.
     """
     params = [np.array(p, dtype=np.float64) for p in params]
     loss0, analytic = loss_fn(params)
+    analytic = [np.array(g, dtype=np.float64) for g in analytic]
     if not math.isfinite(loss0):
         raise NumericError("grad_check: non-finite loss")
     sizes = [p.size for p in params]

@@ -62,8 +62,10 @@ _FLAG_NAMES = [
     for mask in range(1 << len(FLAGS))
 ]
 
-#: images sampled in lockstep; the points do not depend on it
-CHUNK = 32
+#: images sampled in lockstep; the points do not depend on it. Small enough
+#: that a chunk's float64 pair features (about 15 pairs of 256 x 48 on the
+#: default grids) stay in a core's L2 cache across the greedy steps.
+CHUNK = 12
 
 
 @dataclass(frozen=True)
@@ -177,11 +179,17 @@ class SamplingConfig:
 # locations each
 
 
-def _feature_rows(feats: np.ndarray):
+def _feature_rows(feats: np.ndarray, out: np.ndarray | None = None):
     """Similarity rows for feats (P, N, D): picks (P,) -> |feats[p] .
-    feats[p, picks[p]]| as (P, N), one matrix-vector product per row."""
+    feats[p, picks[p]]| as (P, N), one matrix-vector product per row, each
+    call's written into out, a (P, N, 1) float64 array, when given."""
     ar = np.arange(feats.shape[0])
-    return lambda picks: np.abs(np.matmul(feats, feats[ar, picks][:, :, None]))[:, :, 0]
+
+    def rows(picks):
+        sim = np.matmul(feats, feats[ar, picks][:, :, None], out=out)
+        return np.abs(sim, out=sim)[:, :, 0]
+
+    return rows
 
 
 def _greedy(k, similarity, objective, max_sim, available, lowest=False):
@@ -238,15 +246,17 @@ def _fold(similarity, picks: np.ndarray, max_sim: np.ndarray) -> np.ndarray:
     return max_sim
 
 
-def _background(feats: np.ndarray, k: int, max_sim: np.ndarray, available: np.ndarray):
+def _background(feats: np.ndarray, k: int, max_sim: np.ndarray, available: np.ndarray,
+                sim: np.ndarray | None = None):
     """k background points per image (P, N, D), each minimizing its max
     similarity to the foreground picks (folded into max_sim, taken out of
-    available) and to background points already chosen."""
+    available) and to background points already chosen; sim is
+    _feature_rows' out."""
     free = available.sum(axis=1)
     if (free < k).any():
         raise DataError(f"k={k} exceeds {free[free < k][0]} free locations")
     return _greedy(
-        k, _feature_rows(feats), lambda max_sim: max_sim, max_sim, available, lowest=True
+        k, _feature_rows(feats, sim), lambda max_sim: max_sim, max_sim, available, lowest=True
     )
 
 
@@ -477,12 +487,21 @@ def pair_scores(
     if missing:
         raise DataError(f"no localization model for tagged classes {missing}")
     fg = np.empty((image.shape[0], n), dtype=np.float64)
+    if not records:
+        return PairScores(image, class_id, fg)
+    # one set of chunk buffers for the call: the images of a class, and the
+    # activations of the widest model
+    x_buf = np.empty((min(CHUNK, len(records)), n, records[0].features.grid.depth))
+    hidden = max((models[c].dims[1] for c in set(class_id.tolist())), default=0)
+    a1_buf, y_buf = np.empty(x_buf.shape[0] * n * hidden), np.empty(x_buf.shape[0] * n * 2)
     for start in range(0, len(records), CHUNK):
         lo, hi = np.searchsorted(image, [start, start + CHUNK]).tolist()
         for c in np.unique(class_id[lo:hi]).tolist():
             rows = lo + np.flatnonzero(class_id[lo:hi] == c)
-            x = _stack([records[i] for i in image[rows].tolist()])
-            fg[rows] = score_batch(models[c], x)[:, :, 0]
+            x = _fill(x_buf, records, image[rows].tolist())
+            bn, h = x.shape[0] * n, models[c].dims[1]
+            out = a1_buf[: bn * h].reshape(bn, h), y_buf[: bn * 2].reshape(bn, 2)
+            fg[rows] = score_batch(models[c], x, out)[:, :, 0]
     return PairScores(image, class_id, fg)
 
 
@@ -523,8 +542,10 @@ def build_supervision_set(
     if config.strategy == "spatial" and records:
         g = records[0].features.grid
         table = _spatial_table((g.height, g.width), config.spatial_scale)
+    bufs = _ChunkBuffers(records, image) if records else None
     return PointSet.concat([
-        _sample_chunk(start, chunk, _chunk_scores(scores, start, len(chunk)), config, seed, table)
+        _sample_chunk(start, chunk, _chunk_scores(scores, start, len(chunk)), config, seed,
+                      table, bufs)
         for start, chunk in chunks
     ])
 
@@ -547,9 +568,28 @@ def sample_class_points(
     return build_supervision_set(tagged, pair_scores(tagged, {c: model}), config, seed)
 
 
-def _stack(records: list[SupervisionRecord]) -> np.ndarray:
-    """(B, N, D) float64 locations of the records' features."""
-    return np.stack([r.features.grid.locations() for r in records], dtype=np.float64)
+def _fill(out: np.ndarray, records: list[SupervisionRecord], indices: list[int]) -> np.ndarray:
+    """The first len(indices) rows of out (B, N, D), filled with the float64
+    locations of records[i] for each i in indices."""
+    x = out[: len(indices)]
+    for row, i in enumerate(indices):
+        x[row] = records[i].features.grid.locations()
+    return x
+
+
+class _ChunkBuffers:
+    """The float64 arrays build_supervision_set's chunks are sampled in,
+    made once per call: the features of a chunk's tagged images and of its
+    pairs, and the pairs' similarity rows. image is the pair image index of
+    the records' tagged pairs."""
+
+    def __init__(self, records: list[SupervisionRecord], image: np.ndarray):
+        g = records[0].features.grid
+        cuts = np.searchsorted(image, np.arange(0, len(records) + CHUNK, CHUNK))
+        pairs = int(np.diff(cuts).max())
+        self.images = np.empty((min(CHUNK, len(records), pairs), g.n_locations, g.depth))
+        self.pairs = np.empty((pairs, g.n_locations, g.depth))
+        self.sim = np.empty((pairs, g.n_locations, 1))
 
 
 def _chunk_scores(scores: PairScores, start: int, b: int):
@@ -590,17 +630,22 @@ def _dense_chunk(records, pairs, tau, calibration) -> PointSet:
     )])
 
 
-def _sample_chunk(start, records, pairs, config, seed, table) -> PointSet:
+def _sample_chunk(start, records, pairs, config, seed, table, bufs) -> PointSet:
     """k foreground points per pair, then k background points per image,
-    of the non-dense strategies; table is the spatial strategy's."""
-    feats = _stack(records)
-    b, n, _ = feats.shape
+    of the non-dense strategies, in bufs (a _ChunkBuffers); table is the
+    spatial strategy's."""
+    b, n = len(records), records[0].features.grid.n_locations
     k = config.k
     pair_image, pair_class, fg = pairs
     blocks = []
     if pair_image.shape[0]:
+        images, first, slot = np.unique(pair_image, return_index=True, return_inverse=True)
+        image_feats = _fill(bufs.images, records, images.tolist())
+        pair_feats = bufs.pairs[: slot.shape[0]]
+        np.take(image_feats, slot, axis=0, out=pair_feats, mode="clip")  # slot is in range
+        sim = bufs.sim[: slot.shape[0]]
         scores = np.maximum(fg, 0.0)
-        similarity = _feature_rows(feats[pair_image])
+        similarity = _feature_rows(pair_feats, sim)
         if config.strategy == "diverse":
             picks, values, fg_sim = _greedy_fg(scores, k, similarity)
         else:
@@ -611,11 +656,11 @@ def _sample_chunk(start, records, pairs, config, seed, table) -> PointSet:
             fg_sim = _fold(similarity, picks, np.zeros(scores.shape, dtype=np.float64))
         blocks.append(_block(pair_image, pair_class, picks, values))
         # an image's foreground max similarity is the max over its pairs'
-        images, first, slot = np.unique(pair_image, return_index=True, return_inverse=True)
         available = np.ones((images.shape[0], n), dtype=bool)
         available[slot[:, None], picks] = False
         bg_picks, bg_values = _background(
-            feats[images], k, np.maximum.reduceat(fg_sim, first, axis=0), available
+            image_feats, k, np.maximum.reduceat(fg_sim, first, axis=0), available,
+            sim[: images.shape[0]],
         )
         blocks.append(_block(images, np.full(images.shape, BACKGROUND), bg_picks, bg_values))
     for i in np.setdiff1d(np.arange(b), pair_image).tolist():

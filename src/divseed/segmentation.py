@@ -37,16 +37,16 @@ from .nn import (
     adam_step,
     is_int,
     load_checkpoint,
-    masked_ce_loss_and_grad,
     meta_value,
     mlp_backward,
     mlp_forward,
     require_count,
     require_rate,
     save_checkpoint,
+    softmax_ce_rows,
 )
 # not called here: perfbench/perftrace.py traces nn ops by the module binding them (NN_OPS)
-from .nn import linear_backward, linear_fwd  # noqa: F401
+from .nn import linear_backward, linear_fwd, masked_ce_loss_and_grad  # noqa: F401
 from .rng import Rng, derive_seed
 from .sampling import (
     BACKGROUND,
@@ -157,8 +157,9 @@ def train_segmentation(
 
     Points are gathered as (n, D) feature rows plus an image index, shuffled
     with the seeded stream each epoch, and consumed in batches of
-    config.batch_size under mean softmax cross-entropy; each batch's
-    [rows | descriptors] is assembled in one reused float64 buffer.
+    config.batch_size under mean softmax cross-entropy. Every step writes
+    into one HeadWorkspace, its batch's [rows | descriptors] included, and
+    Adam into its own scratch: the steps allocate no batch-sized array.
     Ground-truth masks are not an input.
     """
     if not points:
@@ -176,12 +177,10 @@ def train_segmentation(
 
     rows, image, descriptors, y = _gather_points(points, features_by_image, model)
     d = rows.shape[1]
-    buffer = np.empty((min(config.batch_size, len(points)), model.hidden.in_dim))
+    ws = HeadWorkspace(model, min(config.batch_size, len(points)))
 
     rng = Rng(derive_seed(seed, 0x5EC0))
     state = AdamState(lr=config.lr)
-    grad = np.empty_like(model.flat)
-    grads = model.views(grad)
     epoch_losses = []
     for epoch in range(config.epochs):
         order = list(range(len(points)))
@@ -191,15 +190,15 @@ def train_segmentation(
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            xb = buffer[: len(batch)]
+            xb = ws.x[: len(batch)]
             xb[:, :d] = rows[batch]
             xb[:, d:] = descriptors[image[batch]]
             try:
-                lv, _ = head_loss_and_grads(model, xb, y[batch], grads)
+                lv, _ = head_loss_and_grads(model, xb, y[batch], ws)
             except NumericError as e:
                 raise NumericError(f"head: non-finite loss at epoch {epoch + 1}, "
                                    f"batch {n_batches + 1}: {e}") from e
-            adam_step(model.flat, grad, state)
+            adam_step(model.flat, ws.grad, state)
             total += lv.loss
             n_batches += 1
         epoch_losses.append(total / n_batches)
@@ -240,22 +239,43 @@ def _gather_points(points: PointSet,
     return rows, points.image, descriptors, lookup[inverse]
 
 
-def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
-                        grads: list[np.ndarray] | None = None
-                        ) -> tuple[LossValue, list[np.ndarray]]:
-    """Mean cross-entropy of a batch of points and its gradients w.r.t.
-    model.params(): the backward the head trains with. The gradients are
-    written into grads, arrays shaped like params() (training passes views
-    of its flat gradient buffer), or into views of a new buffer.
+class HeadWorkspace:
+    """The arrays a head training step writes, for batches of up to `size`
+    points of a model of these dimensions: the float64 input batch x, the
+    hidden activations, the logits (overwritten by their gradient), the
+    hidden layer's upstream gradient and ReLU mask, and the flat gradient
+    buffer `grad` with its params()-shaped views `grads`. Made once per
+    training call."""
 
-    xb: (m, D) float64 point features; yb: (m,) output indices, one per row.
+    def __init__(self, model: SegmentationModel, size: int):
+        in_dim, hidden, out_dim = model.dims
+        self.x = np.empty((size, in_dim))
+        self.a1 = np.empty((size, hidden))
+        self.logits = np.empty((size, out_dim))
+        self.da1 = np.empty((size, hidden))
+        self.mask = np.empty((size, hidden), dtype=bool)
+        self.rows = np.arange(size)
+        self.grad = np.empty_like(model.flat)
+        self.grads = model.views(self.grad)
+
+
+def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
+                        ws: HeadWorkspace) -> tuple[LossValue, list[np.ndarray]]:
+    """Mean cross-entropy of a batch of points and its gradients w.r.t.
+    model.params(): the step the head trains with, in the workspace ws of a
+    model of model's dimensions. Returns the loss and ws.grads, which the
+    next call overwrites.
+
+    xb: (m, D) float64 point features, m at most ws's size; yb: (m,) output
+    indices, one per row, each in 0 .. n_classes (_gather_points maps the
+    labels).
     """
-    a1, logits = mlp_forward(model.params(), xb)
-    lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
-    if grads is None:
-        grads = model.views(np.empty_like(model.flat))
-    mlp_backward(model.params(), xb, a1, lv.grads["logits"], grads)
-    return lv, grads
+    m = len(yb)
+    params = model.params()
+    a1, logits = mlp_forward(params, xb, out=(ws.a1[:m], ws.logits[:m]))
+    loss, dy = softmax_ce_rows(logits, yb, out=logits, rows=ws.rows[:m])
+    mlp_backward(params, xb, a1, dy, ws.grads, out=(ws.da1[:m], ws.mask[:m]))
+    return LossValue(loss=loss, grads={"logits": dy}), ws.grads
 
 
 def predict(model: SegmentationModel, af: AugmentedFeatureGrid

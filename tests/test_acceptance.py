@@ -47,7 +47,7 @@ from divseed.sampling import (
     sample_diverse_fg,
     sample_spatial,
 )
-from divseed.segmentation import SegmentationModel, head_loss_and_grads
+from divseed.segmentation import HeadWorkspace, SegmentationModel, head_loss_and_grads
 from divseed.tensor import FeatureGrid, Grid, NormState
 
 from reference_samplers import naive_diverse_bg, naive_diverse_fg, naive_spatial
@@ -241,9 +241,11 @@ def test_criterion_4_gradient_checks():
             rng.next_u64(), x.shape[1], 5, 3, class_ids=(0, 1), global_dim=0
         )
 
+        ws = HeadWorkspace(head, len(labels))
+
         def masked(ps):
             head.set_params(ps)
-            lv, grads = head_loss_and_grads(head, x[::2], labels)
+            lv, grads = head_loss_and_grads(head, x[::2], labels, ws)
             return lv.loss, grads
 
         err = grad_check(masked, head.params(), Rng(rng.next_u64()), n_coords=100)

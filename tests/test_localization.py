@@ -32,6 +32,7 @@ from divseed.sampling import SamplingConfig, build_supervision_set
 from divseed.tensor import FeatureGrid, Grid, NormState
 
 from reference_localizer import reference_train_localizer
+from test_tensor import _traced_peak
 
 
 def image_probability(model, f):
@@ -443,6 +444,31 @@ def test_lockstep_models_do_not_alias():
     for a in models:
         for b in models:
             assert a is b or not np.shares_memory(a.flat, b.flat)
+
+
+def test_a_lockstep_step_allocates_no_stacked_activations():
+    """A step of four 16 x 16 images stacks them and runs its forward and
+    backward in the lockstep's workspace: it allocates no (C, N, D) images
+    and no (C, N, hidden) activations."""
+    c, n, d, hidden = 4, 256, 48, 64
+    rng = Rng(0x57E9)
+    features = []
+    for _ in range(c):
+        vecs = rng.uniform_array(n * d, -1, 1).reshape(n, d)
+        features.append(unit_grid(vecs / np.linalg.norm(vecs, axis=1, keepdims=True), (16, 16)))
+    models = [new_localization_model(k, d, LocConfig(hidden=hidden), k) for k in range(c)]
+    params = np.stack([m.flat for m in models])
+    grads = np.empty_like(params)
+    ws = localization.StepWorkspace(c, n, models[0].dims)
+
+    def step():
+        x = ws.images(features)
+        localization._loss_and_grads(models[0].views(params), "global", x, [1, 0, 1, 0],
+                                     models[0].views(grads), ws)
+
+    step()
+    _, peak = _traced_peak(step)
+    assert peak < c * n * min(d, hidden) * 8
 
 
 def test_a_diverging_class_is_named_with_its_step(monkeypatch):

@@ -25,6 +25,7 @@ from divseed.nn import (
     LinearLayer,
     adam_step,
     bce_loss_and_grad,
+    bce_pooled,
     global_softmax_prob,
     grad_check,
     init_linear,
@@ -33,17 +34,20 @@ from divseed.nn import (
     masked_ce_loss_and_grad,
     pixel_softmax_prob,
     save_checkpoint,
+    softmax_ce_rows,
 )
 from divseed.rng import Rng
 from divseed.segmentation import (
     SegConfig,
     SegmentationModel,
     SegTrainResult,
+    HeadWorkspace,
     head_loss_and_grads,
     load_seg_checkpoint,
     save_seg_checkpoint,
 )
 from divseed.tensor import Grid, atomic_write, load_tensor, save_tensor
+from test_tensor import _traced_peak
 
 
 def sigmoid(u):
@@ -200,6 +204,16 @@ def test_bce_clamp_counted():
     assert math.isfinite(lv.loss)
 
 
+def test_bce_pooled_is_the_scalars_of_the_routed_loss():
+    for p, label in ((0.3, 1), (0.3, 0), (1.0 - 1e-12, 0), (0.0, 0), (1.0, 1)):
+        _, trace = pixel_softmax_prob(np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+        lv = bce_loss_and_grad(p, label, trace, n_locations=2)
+        loss, g, events = bce_pooled(p, label)
+        assert (loss, events) == (lv.loss, lv.clamp_events)
+        assert lv.grads["fg"][trace.fg_loc] == g
+        assert np.signbit(lv.grads["bg"][trace.bg_loc]) == np.signbit(0.0 - g)
+
+
 # ---------------------------------------------------------------------------
 # masked cross-entropy
 
@@ -253,6 +267,35 @@ def test_masked_ce_takes_pairs_or_an_array():
     assert empty.loss == 0.0 and not empty.grads["logits"].any()
 
 
+def _reference_ce(logits, cls):
+    """The every-row cross-entropy as the head computed it before its step
+    workspace, out of place."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+    picked = np.arange(len(cls)), cls
+    loss = -float(log_probs[picked].sum() / len(cls))
+    grad = np.exp(log_probs)
+    grad[picked] -= 1.0
+    grad /= len(cls)
+    return loss, grad
+
+
+@pytest.mark.parametrize("m", [1, 9, 100])
+def test_softmax_ce_rows_in_place_equals_the_reference(m):
+    rng = Rng(0xCE + m)
+    logits = rng.uniform_array(m * 5, -20, 20).reshape(m, 5)
+    cls = np.array([rng.randint(5) for _ in range(m)], dtype=np.int64)
+    loss, grad = _reference_ce(logits, cls)
+    assert softmax_ce_rows(logits, cls)[0] == loss
+    assert softmax_ce_rows(logits, cls)[1].tobytes() == grad.tobytes()
+    buffer = logits.copy()
+    got_loss, got = softmax_ce_rows(buffer, cls, out=buffer, rows=np.arange(m))
+    assert got is buffer
+    assert got_loss == loss and got.tobytes() == grad.tobytes()
+    every_row = masked_ce_loss_and_grad(logits, np.stack([np.arange(m), cls], axis=1))
+    assert every_row.loss == loss and every_row.grads["logits"].tobytes() == grad.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -296,6 +339,27 @@ def test_adam_shape_mismatch():
         adam_step(np.zeros(3), np.ones(3), state)
 
 
+def test_adam_allocates_nothing_parameter_sized_after_its_first_step():
+    params = np.zeros(20_000)
+    state = AdamState(lr=0.1)
+    adam_step(params, np.ones(20_000), state)
+    _, peak = _traced_peak(adam_step, params, np.full(20_000, 0.5), state)
+    assert peak < params.nbytes
+
+
+def test_adam_keep_shrinks_moments_and_scratch():
+    stack = np.zeros((3, 4))
+    state = AdamState(lr=np.full(3, 0.1))
+    state.keep([0, 2])  # before the first step: nothing to shrink
+    assert state.m is None
+    adam_step(stack, np.ones((3, 4)), state)
+    state.keep([0, 2])
+    assert state.m.shape == state.v.shape == (2, 4)
+    assert [a.shape for a in state.scratch] == [(2, 4), (2, 4)]
+    state.lr = np.full(2, 0.1)
+    adam_step(stack[[0, 2]], np.ones((2, 4)), state)
+
+
 def _per_array_adam(params, grads, state, moments):
     """Adam applied one parameter array at a time: the reference update."""
     if not moments:
@@ -312,6 +376,21 @@ def _per_array_adam(params, grads, state, moments):
         v_hat = v[i] / (1 - state.beta2 ** t)
         out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
     return out
+
+
+def test_adam_equals_the_per_array_update_past_its_rounded_bias_correction():
+    """From step 356, 1 - 0.9 ** t is 1.0 and the update skips its division
+    by it; every step still has the reference's bits."""
+    rng = Rng(0xB1A5)
+    params = rng.uniform_array(40, -1, 1)
+    ref, ref_state, moments = [params.copy()], AdamState(lr=1e-2), {}
+    state = AdamState(lr=1e-2)
+    for _ in range(400):
+        g = rng.uniform_array(40, -1, 1)
+        adam_step(params, g, state)
+        ref = _per_array_adam(ref, [g], ref_state, moments)
+        assert params.tobytes() == ref[0].tobytes()
+    assert 1 - state.beta1 ** state.t == 1.0
 
 
 def test_flat_adam_equals_per_array_update_bitwise():
@@ -441,7 +520,7 @@ def _mlp_masked_loss(x, labels):
 
     def fn(params):
         model = _mlp(params, SegmentationModel, class_ids=(0, 1, 2), global_dim=0)
-        lv, grads = head_loss_and_grads(model, x[locs], classes)
+        lv, grads = head_loss_and_grads(model, x[locs], classes, HeadWorkspace(model, len(locs)))
         return lv.loss, grads
 
     return fn

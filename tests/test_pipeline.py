@@ -1,7 +1,5 @@
 import copy
-import importlib
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +39,7 @@ from divseed.tensor import FeatureGrid, NormState, save_json
 
 from reference_localizer import reference_train_localizer
 from reference_samplers import reference_supervision_set
+from test_perftrace_names import _perfbench_module
 
 # small but real: big enough for localizers to train, small enough for CI
 TINY = PipelineConfig(seed=3, n_train=80, n_test=16, n_classes=2, image_size=32)
@@ -120,28 +119,6 @@ def test_run_variant_reports_sane_miou(tiny_bench, tiny_models):
     assert 0.0 <= report.miou <= 1.0
     assert len(points) > 0
     assert seg.wall_seconds < 60
-
-
-def _perfbench_module(name):
-    """A module of the benchmark in perfbench/, imported by name."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    return importlib.import_module(name)
-
-
-def test_every_name_the_benchmark_tracer_patches_resolves():
-    """perfbench's tracer looks these up by name on every traced run."""
-    perftrace = _perfbench_module("perftrace")
-    names = [(qualified, attr) for qualified, attr, _, _ in perftrace.FUNCTIONS]
-    names += [(module.__name__, attr) for module, attr, _ in perftrace.NN_OPS]
-    names.append(("divseed.pipeline", "ProcessPoolExecutor"))
-    missing = []
-    for qualified, attr in names:
-        owner = importlib.import_module(qualified)
-        for part in attr.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
-            missing.append(f"{qualified}.{attr}")
-    assert missing == []
 
 
 @pytest.mark.slow

@@ -11,8 +11,17 @@ from divseed.sampling import (
     SamplingConfig,
     SupervisionRecord,
 )
-from divseed.nn import linear_backward, linear_fwd, masked_ce_loss_and_grad, relu, relu_backward
+from divseed.nn import (
+    AdamState,
+    adam_step,
+    linear_backward,
+    linear_fwd,
+    masked_ce_loss_and_grad,
+    relu,
+    relu_backward,
+)
 from divseed.segmentation import (
+    HeadWorkspace,
     SegConfig,
     _gather_points,
     add_class,
@@ -178,19 +187,43 @@ def _chain_loss_and_grads(model, xb, yb):
 
 @pytest.mark.parametrize("m", [1, 7, 100])
 def test_head_backward_equals_the_layer_chain(m):
+    """The training step, in one workspace of the trainer's default batch size
+    reused across models, gives the chain's loss and gradients."""
+    ws = None
     for seed in range(6):
         model = new_segmentation_model((4, 0, 2), 12, 6, SegConfig(hidden=16), seed)
+        ws = ws or HeadWorkspace(model, SegConfig().batch_size)
         rng = Rng(900 + seed)
         model.hidden.bias[:] = rng.uniform_array(16, -0.3, 0.3)  # mixed ReLU mask
         model.out.bias[:] = rng.uniform_array(4, -0.3, 0.3)
         xb = rng.uniform_array(m * 12, -1, 1).reshape(m, 12)
         yb = np.array([rng.randint(4) for _ in range(m)], dtype=np.int64)
-        lv, grads = head_loss_and_grads(model, xb, yb)
+        lv, grads = head_loss_and_grads(model, xb, yb, ws)
         loss, chain = _chain_loss_and_grads(model, xb, yb)
         assert lv.loss == loss
         for a, b in zip(grads, chain):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
+
+
+def test_a_head_step_allocates_no_batch_activations():
+    """After the first step, a training step (the loss, its backward and
+    Adam) allocates no (batch, hidden) float64 array: every one of them is
+    the workspace's or Adam's own."""
+    model = new_segmentation_model((0, 1, 2, 3), 96, 48, SegConfig(), 3)
+    ws = HeadWorkspace(model, 100)
+    rng = Rng(5)
+    xb = rng.uniform_array(100 * 96, -1, 1).reshape(100, 96)
+    yb = np.array([rng.randint(5) for _ in range(100)], dtype=np.int64)
+    state = AdamState(lr=1e-3)
+
+    def step():
+        head_loss_and_grads(model, xb, yb, ws)
+        adam_step(model.flat, ws.grad, state)
+
+    step()
+    _, peak = _traced_peak(step)
+    assert peak < 100 * SegConfig().hidden * 8
 
 
 def test_separable_points_reach_full_accuracy():
