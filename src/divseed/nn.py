@@ -365,17 +365,16 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
     return LossValue(loss=loss, grads={"logits": grad})
 
 
-def softmax_ce_rows(logits: np.ndarray, cls: np.ndarray, out: np.ndarray | None = None,
-                    rows: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def softmax_ce_rows(logits: np.ndarray, cls: np.ndarray, out: np.ndarray | None = None
+                    ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of the rows of logits (m, K), row i against
     class cls[i] in 0 .. K-1, and its gradient w.r.t. the logits, written into
-    out (which may be logits itself) when given. rows, when given, is
-    arange(m)."""
+    out (which may be logits itself) when given."""
     m = logits.shape[0]
     grad = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     log_z = np.log(np.exp(grad).sum(axis=1))
     grad -= log_z[:, None]  # the log-probabilities
-    picked = np.arange(m) if rows is None else rows, cls
+    picked = np.arange(m), cls
     loss = -float(grad[picked].sum() / m)  # the mean's bits, without its overhead
     np.exp(grad, out=grad)
     grad[picked] -= 1.0

@@ -157,9 +157,9 @@ def train_segmentation(
 
     Points are gathered as (n, D) feature rows plus an image index, shuffled
     with the seeded stream each epoch, and consumed in batches of
-    config.batch_size under mean softmax cross-entropy. Every step writes
-    into one HeadWorkspace, its batch's [rows | descriptors] included, and
-    Adam into its own scratch: the steps allocate no batch-sized array.
+    config.batch_size under mean softmax cross-entropy. Every step runs in
+    one HeadWorkspace, its batch's [rows | descriptors] included, and Adam
+    in its own scratch, so no step allocates a (batch, hidden) array.
     Ground-truth masks are not an input.
     """
     if not points:
@@ -218,7 +218,9 @@ def _gather_points(points: PointSet,
     points.image_ids, and (n,) output indices. A point's head input is its
     row followed by its image's descriptor. One fancy-index per image,
     labels mapped through a per-label lookup. DataError for a point whose
-    loc is outside its image's grid."""
+    loc is outside its image's grid or whose label is not in the model's
+    universe: the one check of the labels, which the steps then take as
+    valid output indices."""
     points = PointSet.of(points)
     by_image = np.argsort(points.image, kind="stable")
     bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
@@ -254,7 +256,6 @@ class HeadWorkspace:
         self.logits = np.empty((size, out_dim))
         self.da1 = np.empty((size, hidden))
         self.mask = np.empty((size, hidden), dtype=bool)
-        self.rows = np.arange(size)
         self.grad = np.empty_like(model.flat)
         self.grads = model.views(self.grad)
 
@@ -273,7 +274,7 @@ def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
     m = len(yb)
     params = model.params()
     a1, logits = mlp_forward(params, xb, out=(ws.a1[:m], ws.logits[:m]))
-    loss, dy = softmax_ce_rows(logits, yb, out=logits, rows=ws.rows[:m])
+    loss, dy = softmax_ce_rows(logits, yb, out=logits)
     mlp_backward(params, xb, a1, dy, ws.grads, out=(ws.da1[:m], ws.mask[:m]))
     return LossValue(loss=loss, grads={"logits": dy}), ws.grads
 

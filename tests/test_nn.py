@@ -289,7 +289,7 @@ def test_softmax_ce_rows_in_place_equals_the_reference(m):
     assert softmax_ce_rows(logits, cls)[0] == loss
     assert softmax_ce_rows(logits, cls)[1].tobytes() == grad.tobytes()
     buffer = logits.copy()
-    got_loss, got = softmax_ce_rows(buffer, cls, out=buffer, rows=np.arange(m))
+    got_loss, got = softmax_ce_rows(buffer, cls, out=buffer)
     assert got is buffer
     assert got_loss == loss and got.tobytes() == grad.tobytes()
     every_row = masked_ce_loss_and_grad(logits, np.stack([np.arange(m), cls], axis=1))

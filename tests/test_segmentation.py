@@ -206,6 +206,15 @@ def test_head_backward_equals_the_layer_chain(m):
             assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
 
 
+def test_a_label_outside_the_universe_is_a_data_error():
+    """The labels are checked once, as the points are gathered; the steps
+    take the output indices as given."""
+    points, features = _separable_points()
+    points[5] = SampledPoint(points[5].image_id, points[5].loc, 7, 1, 1.0)
+    with pytest.raises(DataError, match="label 7 not in class universe"):
+        train_segmentation(points, features, [0, 1, 2], SegConfig(hidden=4), seed=1)
+
+
 def test_a_head_step_allocates_no_batch_activations():
     """After the first step, a training step (the loss, its backward and
     Adam) allocates no (batch, hidden) float64 array: every one of them is
