@@ -15,10 +15,11 @@ entry with check_records: every grid is unit-normalized and all share one
 One core, train_class_localizers, trains the localizers of several classes
 together, in lockstep. Each class keeps its own random stream (negatives,
 shuffles, initializer), its own ragged epochs and its own restarts; a step
-stacks the current image of every class still training into one (C, N, D)
-float64 array, runs the stacked forward, pools and scores each class with
-scalar math, runs the stacked two-row backward into the (C, P) gradient
-buffer and takes one Adam step over the (C, P) parameter stack. A stacked
+copies the current image of every class still training into the (C, N, D)
+float64 images of the lockstep's StepWorkspace, runs the stacked forward,
+pools and scores each class with scalar math, runs the stacked two-row
+backward into the (C, P) gradient buffer and takes one Adam step over the
+(C, P) parameter stack, all in buffers made once per lockstep. A stacked
 matmul gives each slice the bits of its own product, so every class's model
 equals its one-class training bit for bit. train_localizer and
 localizer_loss_and_grads are the one-class calls of the same core.

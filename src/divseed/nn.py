@@ -28,7 +28,16 @@ product takes a matrix-vector path that rounds differently.
 
 adam_step is the one Adam: it updates a flat parameter buffer, or a (C, P)
 stack of them with a learning rate per row, in place, using the same
-elementwise expressions, in the same order, as a per-array update.
+elementwise expressions, in the same order, as a per-array update. Its
+intermediate results go to two scratch buffers its state allocates beside
+the moments, so only its first step allocates.
+
+A training step allocates none of its activations or gradients:
+mlp_forward and mlp_backward write activations, outputs, the hidden
+gradient and the ReLU mask into a caller's step workspace through numpy's
+out=, and softmax_ce_rows can overwrite the logits with their gradient.
+The float operations and their order are those of the unbuffered calls
+(out=None), so the results keep their bits.
 
 Numeric conventions:
   - parameters and loss math are float64; float32 only at storage boundaries
