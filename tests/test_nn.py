@@ -268,8 +268,8 @@ def test_masked_ce_takes_pairs_or_an_array():
 
 
 def _reference_ce(logits, cls):
-    """The every-row cross-entropy as the head computed it before its step
-    workspace, out of place."""
+    """The every-row cross-entropy out of place, one new array per
+    operation: the reference."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
     picked = np.arange(len(cls)), cls
