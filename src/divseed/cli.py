@@ -24,12 +24,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import pipeline
 from .dataset import load_manifest, make_split
-from .errors import ConfigError, DataError, DivseedError, NumericError, TensorFormatError
+from .errors import (ConfigError, DataError, DivseedError, NumericError, TensorFormatError,
+                     check_fields, is_int_list, require_count)
 from .localization import (
     LocalizationModel,
     load_loc_checkpoint,
@@ -53,7 +55,7 @@ from .segmentation import (
     train_segmentation,
 )
 from .synthdata import ExtractorSpec
-from .tensor import load_tensor, save_json, save_tensor
+from .tensor import load_json, load_tensor, save_json, save_tensor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,21 +64,19 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
-def _load_json_object(path: str) -> dict:
-    """A config document: a UTF-8 JSON object, else a ConfigError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ConfigError(f"{path}: invalid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return doc
+@contextmanager
+def _naming(where: str):
+    """Put where before the message of a ConfigError raised inside."""
+    try:
+        yield
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def _load_config(args) -> pipeline.PipelineConfig:
-    """The --config document with the --set overrides applied."""
-    doc = _load_json_object(args.config) if args.config else {}
+    """The --config document with the --set overrides applied; a ConfigError
+    names the file and --set."""
+    doc = load_json(args.config, ConfigError) if args.config else {}
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set wants key=value, got {item!r}")
@@ -85,7 +85,18 @@ def _load_config(args) -> pipeline.PipelineConfig:
             doc[key] = json.loads(raw)
         except json.JSONDecodeError:
             doc[key] = raw
-    return pipeline.PipelineConfig.from_dict(doc)
+    with _naming(" and ".join(s for s in (args.config, args.set and "--set") if s)):
+        return pipeline.PipelineConfig.from_dict(doc)
+
+
+#: an ablation grid's keys, base and seeds optional: (key, check, what it must be)
+_GRID_FIELDS = (
+    ("base", lambda v: isinstance(v, dict), "a JSON object"),
+    ("variants", lambda v: isinstance(v, list) and len(v) > 0
+     and all(isinstance(x, dict) for x in v), "a non-empty list of objects"),
+    ("seeds", lambda v: is_int_list(v) and len(set(v)) == len(v),
+     "a list of distinct integers"),
+)
 
 
 # --------------------------------------------------------------------------
@@ -223,18 +234,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    grid = _load_json_object(args.grid)
-    base_doc = grid.get("base", {})
-    if not isinstance(base_doc, dict):
-        raise ConfigError(f"{args.grid}: base must be a JSON object")
-    base = pipeline.PipelineConfig.from_dict(base_doc)
-    variants = grid.get("variants", [])
-    if not (isinstance(variants, list) and variants
-            and all(isinstance(v, dict) for v in variants)):
-        raise ConfigError(f"{args.grid}: variants must be a non-empty list of objects")
-    seeds = grid.get("seeds", [])
-    if not isinstance(seeds, list):
-        raise ConfigError(f"{args.grid}: seeds must be a list")
+    require_count("--seeds", args.seeds)
+    grid = load_json(args.grid, ConfigError)
+    unknown = sorted(set(grid) - {key for key, _, _ in _GRID_FIELDS})
+    if unknown:
+        raise ConfigError(f"{args.grid}: unknown keys {unknown}")
+    base_doc, variants, seeds = check_fields(
+        {"base": {}, "seeds": [], **grid}, _GRID_FIELDS, args.grid, ConfigError)
+    with _naming(f"{args.grid}: base"):
+        base = pipeline.PipelineConfig.from_dict(base_doc)
+    for i, overrides in enumerate(variants):  # each checked before any seed runs
+        with _naming(f"{args.grid}: variants[{i}]"):
+            pipeline.base_with(base, overrides)
     seeds = seeds or [derive_seed(base.seed, i) % 10**6 for i in range(args.seeds)]
     summary = pipeline.ablation_run(base, variants, seeds, log=print)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

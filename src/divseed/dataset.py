@@ -19,7 +19,6 @@ set's extractor and frozen stats.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -27,9 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_fields, is_count, is_int, is_int_list
 from .localization import SupervisionRecord, TagSet
-from .nn import is_int
 from .synthdata import (
     GRID_FACTOR,
     ExtractorSpec,
@@ -44,6 +42,7 @@ from .tensor import (
     NormStats,
     atomic_write,
     compute_norm_stats,
+    load_json,
     load_tensor,
     normalize_features,
     save_tensor,
@@ -223,21 +222,17 @@ def write_dataset(out_dir: str, tags: list[TagSet], n_classes: int, size: int,
         save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
 
 
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(is_int(x) for x in v)
-
-
 def _is_size(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(is_int(x) and x >= 1 for x in v)
+    return isinstance(v, list) and len(v) == 2 and all(map(is_count, v))
 
 
 #: a manifest's fields: (key, check, what it must be); a dot reaches into an
 #: object
 _MANIFEST_FIELDS = (
-    ("classes", _is_int_list, "a list of integers"),
+    ("classes", is_int_list, "a list of integers"),
     ("image_size", _is_size, "two integers >= 1"),
     ("grid_size", _is_size, "two integers >= 1"),
-    ("feature_depth", lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    ("feature_depth", is_count, "an integer >= 1"),
     ("extractor.seed", is_int, "an integer"),
     ("norm_stats", lambda v: isinstance(v, str), "a file name"),
     ("images", lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
@@ -246,21 +241,8 @@ _MANIFEST_FIELDS = (
 #: each entry of its images list
 _ENTRY_FIELDS = (
     ("id", lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    ("tags", _is_int_list, "a list of integers"),
+    ("tags", is_int_list, "a list of integers"),
 )
-
-
-def _check_fields(doc: dict, fields, where: str) -> None:
-    """DataError naming where and the key unless each field is present and
-    passes its check."""
-    for key, valid, want in fields:
-        value = doc
-        for part in key.split("."):
-            if not isinstance(value, dict) or part not in value:
-                raise DataError(f"{where}: missing key {key!r}")
-            value = value[part]
-        if not valid(value):
-            raise DataError(f"{where}: {key!r} must be {want}, got {value!r}")
 
 
 def load_manifest(path: str) -> Manifest:
@@ -272,43 +254,28 @@ def load_manifest(path: str) -> Manifest:
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = load_json(path, DataError)
     except FileNotFoundError:
         raise DataError(f"manifest not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"manifest {path} is not valid JSON: {e}")
     root = os.path.dirname(os.path.abspath(path))
-    if not isinstance(doc, dict):
-        raise DataError(f"manifest {path}: not a JSON object")
     if doc.get("version") != MANIFEST_VERSION:
         raise DataError(
             f"manifest {path} is version {doc.get('version')!r}, and only version "
             f"{MANIFEST_VERSION} (one stacked tensor per kind) is read; "
             "regenerate the dataset with `divseed gen-data`"
         )
-    _check_fields(doc, _MANIFEST_FIELDS, f"manifest {path}")
-    for row, e in enumerate(doc["images"]):
+    classes, image_size, grid_size, depth, extractor_seed, stats, images = check_fields(
+        doc, _MANIFEST_FIELDS, f"manifest {path}", DataError)
+    entries = []
+    for row, e in enumerate(images):
         where = f"manifest {path}: images[{row}]"
-        _check_fields(e, _ENTRY_FIELDS, where)
-        if not set(doc["classes"]).issuperset(e["tags"]):
-            raise DataError(f"{where}: 'tags' {e['tags']!r} name a class not in "
-                            f"'classes' {doc['classes']!r}")
-    entries = [
-        ManifestEntry(image_id=e["id"], row=row, tags=frozenset(e["tags"]))
-        for row, e in enumerate(doc["images"])
-    ]
+        image_id, tags = check_fields(e, _ENTRY_FIELDS, where, DataError)
+        if not set(classes).issuperset(tags):
+            raise DataError(f"{where}: 'tags' {tags!r} name a class not in 'classes' {classes!r}")
+        entries.append(ManifestEntry(image_id, row, frozenset(tags)))
     ids = [e.image_id for e in entries]
     if len(set(ids)) != len(ids):
         repeated = next(i for i in ids if ids.count(i) > 1)
         raise DataError(f"manifest {path} lists image {repeated!r} more than once")
-    return Manifest(
-        root=root,
-        classes=doc["classes"],
-        image_size=tuple(doc["image_size"]),
-        grid_size=tuple(doc["grid_size"]),
-        feature_depth=doc["feature_depth"],
-        extractor_seed=doc["extractor"]["seed"],
-        stats_path=doc["norm_stats"],
-        entries=entries,
-    )
+    return Manifest(root, classes, tuple(image_size), tuple(grid_size), depth, extractor_seed,
+                    stats, entries)

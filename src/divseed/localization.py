@@ -27,11 +27,13 @@ localizer_loss_and_grads are the one-class calls of the same core.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import (ConfigError, DataError, NumericError, check_fields, is_int, require_count,
+                     require_rate)
 from .nn import (
     MLP,
     AdamState,
@@ -40,15 +42,11 @@ from .nn import (
     adam_step,
     bce_pooled,
     global_softmax_prob,
-    is_int,
     load_checkpoint,
-    meta_value,
     mlp_backward,
     mlp_forward,
     pixel_softmax_prob,
     pool_rows,
-    require_count,
-    require_rate,
     save_checkpoint,
 )
 # not called here: perfbench/perftrace.py traces nn ops by the module binding them (NN_OPS)
@@ -145,15 +143,16 @@ class LocConfig:
     pooling: str = "global"
 
     def __post_init__(self):
+        # a message names the config key that sets the field
         if self.pooling not in POOLING_MODES:
             raise ConfigError(f"unknown pooling {self.pooling!r}, want one of {POOLING_MODES}")
-        require_count("localizer hidden size", self.hidden)
+        require_count("loc_hidden", self.hidden)
         for epochs, lr in self.lr_schedule:
             if epochs < 0:
-                raise ConfigError(f"lr_schedule epochs must be >= 0, got {epochs!r}")
-            require_rate("lr_schedule learning rate", lr)
+                raise ConfigError(f"loc_lr_schedule epochs must be >= 0, got {epochs!r}")
+            require_rate("loc_lr_schedule learning rate", lr)
         if sum(epochs for epochs, _ in self.lr_schedule) < 1:
-            raise ConfigError("lr_schedule runs no epoch")
+            raise ConfigError("loc_lr_schedule runs no epoch")
 
 
 @dataclass
@@ -497,13 +496,17 @@ def save_loc_checkpoint(path, result: LocTrainResult) -> None:
     )
 
 
+#: a localizer's own meta.json fields: (key, check, what it must be)
+_META_FIELDS = (
+    ("out_dim", lambda v: v == 2, "2, a foreground and a background map"),
+    ("class_id", is_int, "an integer"),
+    ("pooling", lambda v: v in POOLING_MODES, f"one of {POOLING_MODES}"),
+)
+
+
 def load_loc_checkpoint(path) -> LocalizationModel:
     """DataError unless the checkpoint's output layer gives the two maps."""
     fields, meta = load_checkpoint(path, "localization")
-    meta_value(path, meta, "out_dim", lambda v: v == 2, "2, a foreground and a background map")
-    return LocalizationModel(
-        **fields,
-        class_id=meta_value(path, meta, "class_id", is_int, "an integer"),
-        pooling=meta_value(path, meta, "pooling", lambda v: v in POOLING_MODES,
-                           f"one of {POOLING_MODES}"),
-    )
+    _, class_id, pooling = check_fields(meta, _META_FIELDS, os.path.join(path, "meta.json"),
+                                        DataError)
+    return LocalizationModel(**fields, class_id=class_id, pooling=pooling)

@@ -47,7 +47,6 @@ Numeric conventions:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import shutil
@@ -55,9 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_fields, is_count, is_int
 from .rng import Rng
-from .tensor import load_tensor, save_json, save_tensor
+from .tensor import load_json, load_tensor, save_json, save_tensor
 
 PROB_CLAMP = 1e-7
 
@@ -543,6 +542,15 @@ def save_checkpoint(path, model: MLP, meta: dict) -> None:
             shutil.rmtree(old, ignore_errors=True)
 
 
+#: the meta.json fields of every checkpoint: (key, check, what it must be)
+_META_FIELDS = (
+    ("in_dim", is_count, "an integer >= 1"),
+    ("hidden", is_count, "an integer >= 1"),
+    ("out_dim", is_count, "an integer >= 1"),
+    ("seed", is_int, "an integer"),
+)
+
+
 def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
     """Read a checkpoint written by save_checkpoint with meta["kind"] == kind.
 
@@ -552,16 +560,10 @@ def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
     a params.dstn that is not one axis of exactly the parameters those
     dimensions give.
     """
-    try:
-        with open(os.path.join(path, "meta.json")) as fh:
-            meta = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"{path}: meta.json is not valid JSON: {e}")
-    if not isinstance(meta, dict) or meta.get("kind") != kind:
-        raise DataError(f"{path}: not a {kind} checkpoint")
-    dims = [meta_value(path, meta, key, lambda v: is_int(v) and v >= 1, "an integer >= 1")
-            for key in ("in_dim", "hidden", "out_dim")]
-    seed = meta_value(path, meta, "seed", is_int, "an integer")
+    where = os.path.join(path, "meta.json")
+    meta = load_json(where, DataError)
+    _, *dims, seed = check_fields(
+        meta, (("kind", lambda v: v == kind, repr(kind)), *_META_FIELDS), where, DataError)
     params = os.path.join(path, "params.dstn")
     flat = load_tensor(params)
     if flat.ndim != 1:
@@ -571,34 +573,3 @@ def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
     except DataError as e:
         raise DataError(f"{params}: {e}") from None
     return {"hidden": LinearLayer(w1, b1), "out": LinearLayer(w2, b2), "seed": seed}, meta
-
-
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def require_count(name: str, value) -> None:
-    """ConfigError unless value is at least 1."""
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value!r}")
-
-
-def require_rate(name: str, value) -> None:
-    """ConfigError unless value is a positive finite number."""
-    if not (is_number(value) and math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-
-
-def meta_value(path, meta: dict, key: str, valid, want: str):
-    """meta[key] of the checkpoint at path; DataError naming its meta.json
-    and the key when the key is missing or valid(value) is false."""
-    where = os.path.join(path, "meta.json")
-    if key not in meta:
-        raise DataError(f"{where}: missing key {key!r}")
-    if not valid(meta[key]):
-        raise DataError(f"{where}: {key!r} must be {want}, got {meta[key]!r}")
-    return meta[key]

@@ -37,7 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import make_split
-from .errors import ConfigError, DataError, DivseedError
+from .errors import (ConfigError, DataError, DivseedError, check_fields, is_int, is_number,
+                     require_count)
 from .evaluation import ConfusionMatrix, EvalReport, accumulate, miou
 from .localization import (
     LocalizationModel,
@@ -47,7 +48,6 @@ from .localization import (
     save_loc_checkpoint,
     train_class_localizers,
 )
-from .nn import is_int, is_number
 from .rng import derive_seed
 from .sampling import (
     PointSet,
@@ -95,23 +95,18 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        # types here; the stage configs check the values, before any work
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not is_int(value):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type.startswith("float") and not (
-                is_number(value) or (value is None and f.type == "float | None")
-            ):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-        object.__setattr__(self, "loc_lr_schedule", _lr_schedule(self.loc_lr_schedule))
-        for n in (self.n_train, self.n_test):
-            check_dataset_size(n, self.n_classes, self.image_size, self.image_size)
+        # types here, then counts and the stage configs check the values, before
+        # any work
+        check_fields(vars(self), _CONFIG_FIELDS, "config", ConfigError)
+        object.__setattr__(self, "loc_lr_schedule",
+                           tuple((epochs, float(lr)) for epochs, lr in self.loc_lr_schedule))
+        for key in ("n_train", "n_test"):
+            require_count(key, getattr(self, key))
+        check_dataset_size(self.n_train, self.n_classes, self.image_size, self.image_size)
         self.loc_config()
         self.sampling_config()
         self.seg_config()
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        require_count("jobs", self.jobs)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -124,10 +119,7 @@ class PipelineConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(str(e))
+        return cls(**d)
 
     def loc_config(self) -> LocConfig:
         return LocConfig(
@@ -160,17 +152,22 @@ class PipelineConfig:
         return d
 
 
-def _lr_schedule(schedule) -> tuple[tuple[int, float], ...]:
-    """loc_lr_schedule as (epochs, lr) tuples: a non-empty list of [integer,
-    number] pairs, else a ConfigError. LocConfig checks the values."""
-    want = "loc_lr_schedule must be a non-empty list of [epochs, lr] pairs"
-    if not isinstance(schedule, (list, tuple)) or not schedule:
-        raise ConfigError(f"{want}, got {schedule!r}")
-    for pair in schedule:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and is_int(pair[0]) and is_number(pair[1])):
-            raise ConfigError(f"{want} with integer epochs and a number lr, got {pair!r}")
-    return tuple((epochs, float(lr)) for epochs, lr in schedule)
+def _is_schedule(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and is_int(p[0]) and is_number(p[1])
+        for p in v)
+
+
+#: a PipelineConfig field's check by its annotation: (check, what it must be)
+_FIELD_TYPES = {
+    "int": (is_int, "an integer"),
+    "float": (is_number, "a number"),
+    "float | None": (lambda v: v is None or is_number(v), "a number"),
+    "tuple[tuple[int, float], ...]": (
+        _is_schedule, "a non-empty list of [epochs, lr] pairs, integer epochs and a number lr"),
+}
+_CONFIG_FIELDS = tuple((f.name, *_FIELD_TYPES[f.type])
+                       for f in dataclasses.fields(PipelineConfig) if f.type in _FIELD_TYPES)
 
 
 # stage seed streams
@@ -583,12 +580,7 @@ def ablation_run(
 
 
 def base_with(base: PipelineConfig, overrides: dict) -> PipelineConfig:
-    d = base.to_dict()
-    unknown = sorted(set(overrides) - set(d))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    d.update(overrides)
-    return PipelineConfig.from_dict(d)
+    return PipelineConfig.from_dict({**base.to_dict(), **overrides})
 
 
 def variant_name(overrides: dict) -> str:

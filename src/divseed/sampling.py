@@ -40,10 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_fields, is_int, require_count, require_rate
 from .localization import (LocalizationModel, ScoreMap, SupervisionRecord, TagSet,
                            check_grid, check_records, score_batch, score_image)
-from .nn import is_int, require_count, require_rate
 from .rng import Rng, derive_seed
 from .tensor import FeatureGrid, atomic_write
 
@@ -730,12 +729,7 @@ def load_points(path) -> PointSet:
                 raise DataError(f"{where}: {type(e).__name__} {e}")
             if not isinstance(d, dict):
                 raise DataError(f"{where}: not a JSON object")
-            d = {"flags": [], **d}
-            for key, valid, want in _POINT_FIELDS:
-                if key not in d:
-                    raise DataError(f"{where}: missing key {key!r}")
-                if not valid(d[key]):
-                    raise DataError(f"{where}: {key!r} must be {want}, got {d[key]!r}")
-            image, loc, label, rank, value, flags = (d[key] for key, _, _ in _POINT_FIELDS)
+            image, loc, label, rank, value, flags = check_fields(
+                {"flags": [], **d}, _POINT_FIELDS, where, DataError)
             points.append(SampledPoint(image, loc, label, rank, float(value), tuple(flags)))
     return PointSet.of(points)

@@ -16,12 +16,14 @@ background always the last index.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import (DataError, NumericError, check_fields, is_int, is_int_list, require_count,
+                     require_rate)
 from .localization import (
     LocalizationModel,
     LocConfig,
@@ -35,13 +37,9 @@ from .nn import (
     AdamState,
     LossValue,
     adam_step,
-    is_int,
     load_checkpoint,
-    meta_value,
     mlp_backward,
     mlp_forward,
-    require_count,
-    require_rate,
     save_checkpoint,
     softmax_ce_rows,
 )
@@ -124,10 +122,11 @@ class SegConfig:
     batch_size: int = 100
 
     def __post_init__(self):
-        require_count("head hidden size", self.hidden)
-        require_count("head epochs", self.epochs)
-        require_count("head batch size", self.batch_size)
-        require_rate("head learning rate", self.lr)
+        # a message names the config key that sets the field
+        require_count("seg_hidden", self.hidden)
+        require_count("seg_epochs", self.epochs)
+        require_count("seg_batch", self.batch_size)
+        require_rate("seg_lr", self.lr)
 
 
 @dataclass
@@ -387,14 +386,10 @@ def load_seg_checkpoint(path) -> SegmentationModel:
     """DataError unless the checkpoint's output layer has one output per
     class in class_ids plus background."""
     fields, meta = load_checkpoint(path, "segmentation")
-    class_ids = meta_value(
-        path, meta, "class_ids",
-        lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers",
-    )
-    meta_value(path, meta, "out_dim", lambda v: v == len(class_ids) + 1,
-               f"{len(class_ids) + 1}, one output per class in class_ids plus background")
-    return SegmentationModel(
-        **fields,
-        class_ids=tuple(class_ids),
-        global_dim=meta_value(path, meta, "global_dim", is_int, "an integer"),
-    )
+    class_ids, global_dim, _ = check_fields(meta, (
+        ("class_ids", is_int_list, "a list of integers"),
+        ("global_dim", is_int, "an integer"),
+        ("out_dim", lambda v: v == len(meta["class_ids"]) + 1,  # class_ids checked above
+         "one output per class in class_ids plus background"),
+    ), os.path.join(path, "meta.json"), DataError)
+    return SegmentationModel(**fields, class_ids=tuple(class_ids), global_dim=global_dim)

@@ -194,12 +194,12 @@ def check_dataset_size(n_images: int, n_classes: int, h: int, w: int) -> None:
     if n_images < 1:
         raise ConfigError(f"need at least one image, got {n_images}")
     if not 1 <= n_classes <= MAX_CLASSES:
-        raise ConfigError(f"class count must be 1..{MAX_CLASSES}, got {n_classes}")
-    if SIZE_FRACTION[1] * min(h, w) < 2.0:
-        raise ConfigError(f"image {h}x{w} too small for the shape size range")
+        raise ConfigError(f"n_classes must be 1..{MAX_CLASSES}, got {n_classes}")
+    if min(h, w) < 2.0 / SIZE_FRACTION[1]:  # no float of h, w: they may be any size
+        raise ConfigError(f"image_size {h}x{w} too small for the shape size range")
     for factor in (GRID_FACTOR, *ExtractorSpec.scales):
         if h % factor or w % factor:
-            raise ConfigError(f"image dims {h}x{w} must be divisible by {factor}")
+            raise ConfigError(f"image_size {h}x{w} must be divisible by {factor}")
 
 
 def generate_dataset(n_images: int, n_classes: int, h: int, w: int, seed: int,

@@ -1,6 +1,6 @@
 """Dense float grids, two-stage feature normalization, the DSTN file format,
-the JSON artifact writer, and the atomic writer behind every tensor, JSON
-and points file.
+the JSON artifact writer and document reader, and the atomic writer behind
+every tensor, JSON and points file.
 
 A Grid is an H x W x depth block of float32 values, location-major: the flat
 location index of (row, col) is row * width + col, with the channel axis
@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, NumericError, TensorFormatError
+from .errors import DataError, DivseedError, NumericError, TensorFormatError
 
 MAGIC = b"DSTN"
 _FORMAT_VERSION = 1
@@ -247,6 +247,19 @@ def load_tensor(path) -> np.ndarray:
         if fh.readinto(flat.data.cast("B")) != payload:
             raise TensorFormatError(f"{path}: payload shorter than its {payload} bytes")
     return flat.reshape(dims).astype(np.float32, copy=False)
+
+
+def load_json(path, error: type[DivseedError]) -> dict:
+    """The JSON object a UTF-8 file holds; error naming the file for any
+    other content."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise error(f"{path}: not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    return doc
 
 
 def save_json(doc, path) -> None:

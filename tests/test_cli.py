@@ -565,6 +565,58 @@ def test_malformed_ablation_grid_is_config_error(tmp_path, capsys, grid):
     assert not (tmp_path / "abl.json").exists()
 
 
+def _grid_must_not_run(monkeypatch):
+    from divseed import cli
+
+    def ran(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli.pipeline, "ablation_run", ran)
+
+
+# each ran: a typo'd key ran the derived seeds, a repeated seed ran twice and
+# counted twice in the median, and a bool failed later without naming the grid
+@pytest.mark.parametrize("grid, key", [
+    ({"variants": [{}], "seedz": [1]}, "seedz"),
+    ({"variants": [{}], "seeds": [3, 3]}, "seeds"),
+    ({"variants": [{}], "seeds": [True]}, "seeds"),
+], ids=["unknown-key", "seeds-repeated", "seeds-bool"])
+def test_grid_key_or_seeds_refused_names_the_grid(tmp_path, capsys, monkeypatch, grid, key):
+    _grid_must_not_run(monkeypatch)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"base": {"n_train": 10}, **grid}))
+    assert main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_ablate_seeds_below_one_is_config_error(tmp_path, capsys, monkeypatch, seeds):
+    """With a grid that lists no seeds, these ran nothing and wrote an empty
+    table."""
+    _grid_must_not_run(monkeypatch)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"base": {"n_train": 10}, "variants": [{}]}))
+    rc = main(["ablate", "--grid", str(path), "--seeds", seeds, "--out", str(tmp_path / "abl")])
+    assert rc == 2
+    assert "--seeds must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "abl.json").exists()
+
+
+@pytest.mark.parametrize("variant, key", [
+    ({"k": "x"}, "'k'"), ({"seg_batch": 0}, "seg_batch"), ({"kk": 5}, "'kk'"),
+], ids=["mistyped", "out-of-range", "unknown-key"])
+def test_refused_variant_names_the_grid_and_its_index(tmp_path, capsys, monkeypatch, variant,
+                                                     key):
+    _grid_must_not_run(monkeypatch)
+    path = tmp_path / "grid.json"
+    variants = [{}, {"k": 5}, {"strategy": "top_k"}, variant, {"k": 10}]
+    path.write_text(json.dumps({"base": {"n_train": 10}, "variants": variants}))
+    assert main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: variants[3]: " in err and key in err
+
+
 def test_non_integer_set_value_is_config_error(tmp_path):
     rc = main(["run", "--set", "k=2.5", "--out", str(tmp_path / "out")])
     assert rc == 2
