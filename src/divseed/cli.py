@@ -34,6 +34,7 @@ from .errors import (ConfigError, DataError, DivseedError, NumericError, TensorF
                      check_fields, is_int_list, require_count)
 from .localization import (
     LocalizationModel,
+    StepWorkspace,
     load_loc_checkpoint,
     localizer_loss_and_grads,
     save_loc_checkpoint,
@@ -243,9 +244,15 @@ def cmd_ablate(args) -> int:
         {"base": {}, "seeds": [], **grid}, _GRID_FIELDS, args.grid, ConfigError)
     with _naming(f"{args.grid}: base"):
         base = pipeline.PipelineConfig.from_dict(base_doc)
+    first: dict[str, int] = {}
     for i, overrides in enumerate(variants):  # each checked before any seed runs
         with _naming(f"{args.grid}: variants[{i}]"):
             pipeline.base_with(base, overrides)
+        name = pipeline.variant_name(overrides)  # rows are summarized by name
+        if name in first:
+            raise ConfigError(f"{args.grid}: variants[{first[name]}] and variants[{i}] "
+                              f"are both {name!r}")
+        first[name] = i
     seeds = seeds or [derive_seed(base.seed, i) % 10**6 for i in range(args.seeds)]
     summary = pipeline.ablation_run(base, variants, seeds, log=print)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
@@ -288,7 +295,8 @@ def cmd_add_class(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     """Finite-difference checks of the backward each model trains with: the
-    localizer's pooled BCE and the head's loss."""
+    localizer's pooled BCE and the head's loss, each step in a float64
+    workspace (a float32 loss is too coarse for the differences)."""
     rng = Rng(args.seed)
     init_seed = derive_seed(args.seed, 1)
     n, d, h = 12, 6, 5
@@ -306,14 +314,15 @@ def cmd_gradcheck(args) -> int:
     for pooling in ("pixel", "global"):
         x = rng.uniform_array(n * d, -1, 1).reshape(n, d)
         model = LocalizationModel.initialized(init_seed, d, h, 2, class_id=0, pooling=pooling)
-        err = check(model, lambda m: localizer_loss_and_grads(m, x, label=1), 2)
+        loc_ws = StepWorkspace(1, n, model.dims, np.float64)
+        err = check(model, lambda m: localizer_loss_and_grads(m, x, 1, loc_ws), 2)
         checks.append((f"pooled-bce[{pooling}]", err))
     x = rng.uniform_array(n * d, -1, 1).reshape(n, d)
     head = SegmentationModel.initialized(
         derive_seed(args.seed, 4), d, h, 4, class_ids=(0, 1, 2), global_dim=0
     )
     labels = np.arange(0, n, 2) % 4
-    ws = HeadWorkspace(head, len(labels))
+    ws = HeadWorkspace(head, len(labels), np.float64)
     err = check(head, lambda m: head_loss_and_grads(m, x[::2], labels, ws), 3)
     checks.append(("masked-ce", err))
 

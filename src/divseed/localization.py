@@ -16,13 +16,17 @@ One core, train_class_localizers, trains the localizers of several classes
 together, in lockstep. Each class keeps its own random stream (negatives,
 shuffles, initializer), its own ragged epochs and its own restarts; a step
 copies the current image of every class still training into the (C, N, D)
-float64 images of the lockstep's StepWorkspace, runs the stacked forward,
-pools and scores each class with scalar math, runs the stacked two-row
-backward into the (C, P) gradient buffer and takes one Adam step over the
-(C, P) parameter stack, all in buffers made once per lockstep. A stacked
-matmul gives each slice the bits of its own product, so every class's model
-equals its one-class training bit for bit. train_localizer and
-localizer_loss_and_grads are the one-class calls of the same core.
+images of the lockstep's StepWorkspace and the (C, P) float64 parameter
+stack into the workspace's parameter buffer, runs the stacked forward,
+pools and scores each class with scalar float64 math, runs the stacked
+two-row backward into the workspace's (C, P) gradient buffer and takes one
+Adam step over the parameter stack, all in buffers made once per lockstep.
+The workspace's dtype is the step's compute dtype: float32 to train (the
+features' own dtype, so the images are copied, not converted), float64 for
+gradient checks. A stacked matmul gives each slice the bits of its own
+product, so every class's model equals its one-class training bit for bit.
+train_localizer and localizer_loss_and_grads are the one-class calls of the
+same core.
 """
 
 from __future__ import annotations
@@ -41,16 +45,15 @@ from .nn import (
     PoolingTrace,
     adam_step,
     bce_pooled,
-    global_softmax_prob,
     load_checkpoint,
     mlp_backward,
     mlp_forward,
-    pixel_softmax_prob,
     pool_rows,
     save_checkpoint,
 )
 # not called here: perfbench/perftrace.py traces nn ops by the module binding them (NN_OPS)
-from .nn import bce_loss_and_grad, linear_backward, linear_fwd, relu_backward  # noqa: F401
+from .nn import (bce_loss_and_grad, global_softmax_prob, linear_backward,  # noqa: F401
+                 linear_fwd, pixel_softmax_prob, relu_backward)
 from .rng import Rng, derive_seed
 from .tensor import FeatureGrid, NormState
 
@@ -173,17 +176,17 @@ def new_localization_model(class_id: int, in_dim: int, config: LocConfig, seed: 
 
 def score_batch(model: LocalizationModel, x: np.ndarray,
                 out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """One forward pass over the locations of B images of one grid size,
-    with the parameters rounded to the float32 a checkpoint stores: a model
-    scores the same bits before and after a checkpoint round trip.
+    """One float32 forward pass over the locations of B images of one grid
+    size, with the parameters rounded to the float32 a checkpoint stores: a
+    model scores the same bits before and after a checkpoint round trip.
 
-    x: (B, N, D) float64 unit features -> (B, N, 2) float32 fg/bg scores,
+    x: (B, N, D) float32 unit features -> (B, N, 2) float32 fg/bg scores,
     each image's equal bit for bit to its own forward pass. out, when given,
-    holds the forward's (B * N, hidden) and (B * N, 2) float64 activations.
+    holds the forward's (B * N, hidden) and (B * N, 2) float32 activations.
     NumericError if any score is non-finite.
     """
     b, n, d = x.shape
-    params = model.views(model.flat.astype(np.float32).astype(np.float64))
+    params = model.views(model.flat.astype(np.float32))
     _, y = mlp_forward(params, x.reshape(b * n, d), out=out)
     scores = y.astype(np.float32).reshape(b, n, 2)
     if not np.all(np.isfinite(scores)):
@@ -195,19 +198,10 @@ def score_image(model: LocalizationModel, f: FeatureGrid, image_id: str = "") ->
     """Deterministic forward pass to fg/bg maps at feature-grid resolution."""
     check_grid(f, image_id)
     g = f.grid
-    y = score_batch(model, g.locations().astype(np.float64)[None])[0]
+    y = score_batch(model, g.locations()[None])[0]
     fg = np.ascontiguousarray(y[:, 0]).reshape(g.height, g.width)
     bg = np.ascontiguousarray(y[:, 1]).reshape(g.height, g.width)
     return ScoreMap(class_id=model.class_id, image_id=image_id, fg=fg, bg=bg)
-
-
-def pooled_probability(model_pooling: str, fg: np.ndarray, bg: np.ndarray
-                       ) -> tuple[float, PoolingTrace]:
-    if model_pooling == "pixel":
-        return pixel_softmax_prob(fg, bg)
-    if model_pooling == "global":
-        return global_softmax_prob(fg, bg)
-    raise DataError(f"unknown pooling mode {model_pooling!r}")
 
 
 def train_localizer(
@@ -334,14 +328,12 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
     array. Rows of the (C, P) parameter stack, its gradient buffer and the
     Adam moments belong to the unfinished runs, in order; a finished run's
     row is copied into its model and dropped. Adam keeps accumulated
-    moments across each lr drop, like a lr scheduler."""
+    moments across each lr drop, like a lr scheduler. The steps run in a
+    float32 StepWorkspace; the parameter stack and Adam stay float64."""
     if not runs:
         return []
     live = list(range(len(runs)))
-    views = runs[0].model.views
     params = np.stack([run.model.flat for run in runs])
-    grads = np.empty_like(params)
-    param_views, grad_views = views(params), views(grads)
     n = runs[0].batches[0][0].grid.n_locations
     ws = StepWorkspace(len(runs), n, runs[0].model.dims)
     state = AdamState(lr=0.0)
@@ -353,24 +345,21 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
                 runs[live[row]].model.flat[:] = params[row]
             keep = [row for row in range(len(live)) if row not in finished]
             live = [live[row] for row in keep]
-            params, grads = params[keep], grads[keep]
-            param_views, grad_views = views(params), views(grads)
+            params = params[keep]
             state.keep(keep)
             continue
         batch = [runs[i].batch(step) for i in live]
         x = ws.images([f for f, _ in batch])
         try:
-            lvs = _loss_and_grads(
-                param_views, pooling, x, [label for _, label in batch], grad_views, ws
-            )
+            lvs = _loss_and_grads(params, pooling, x, [label for _, label in batch], ws)
         except NumericError as e:
-            ids = [runs[live[j]].model.class_id for j in _diverged(param_views, x)]
+            ids = [runs[live[j]].model.class_id for j in _diverged(ws.stack(len(live))[0], x)]
             raise NumericError(f"class {', '.join(map(str, ids))}: "
                                f"non-finite loss at step {step + 1}: {e}") from e
         for i, lv in zip(live, lvs):
             runs[i].record(step, lv)
         state.lr = np.array([runs[i].lr(step) for i in live])
-        adam_step(params, grads, state)
+        adam_step(params, ws.grad[: len(live)], state)
         step += 1
     return [run.result() for run in runs]
 
@@ -384,45 +373,55 @@ def _diverged(params: list[np.ndarray], x: np.ndarray) -> list[int]:
     return bad or list(range(len(x)))
 
 
-def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int
-                             ) -> tuple[LossValue, list[np.ndarray]]:
-    """Pooled BCE of one image and its gradients w.r.t. model.params(), as
-    views of one flat gradient buffer: the one-class call of the step the
-    localizers train with.
+def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int,
+                             ws: "StepWorkspace") -> tuple[LossValue, list[np.ndarray]]:
+    """Pooled BCE of one image and its gradients w.r.t. model.params(): the
+    one-class call of the step the localizers train with, in the workspace
+    ws of a model of model's dimensions on images of x's locations (a
+    float64 one for a gradient check). Returns the loss and gradient views
+    into ws, which the next call overwrites.
 
-    x: (N, D) float64 locations. The pooled loss depends on the scores at
-    its fg/bg argmax locations only, so the backward runs on those rows
-    alone; the result equals the full-grid chain bit for bit (see nn).
+    x: (N, D) locations. The pooled loss depends on the scores at its fg/bg
+    argmax locations only, so the backward runs on those rows alone; the
+    result equals the full-grid chain bit for bit (see nn).
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(model.flat)
-    (lv,) = _loss_and_grads(
-        [p[None] for p in model.params()], model.pooling, x[None], [label],
-        model.views(grad[None]), StepWorkspace(1, x.shape[0], model.dims),
-    )
-    return lv, model.views(grad)
+    ws.x[0] = x
+    (lv,) = _loss_and_grads(model.flat[None], model.pooling, ws.x[:1], [label], ws)
+    return lv, model.views(ws.grad[0])
 
 
 class StepWorkspace:
     """The arrays a lockstep step writes, for up to `size` models of these
-    (in_dim, hidden, out_dim) on images of n locations: the (size, n, in_dim)
-    float64 images x, the forward's activations and outputs, and the
+    (in_dim, hidden, out_dim) on images of n locations, in the step's
+    compute dtype: the (size, n, in_dim) images x, the (size, P) parameter
+    and gradient buffers, the forward's activations and outputs, and the
     two-row backward's rows, inputs, upstream gradients, hidden gradient
     and ReLU mask. A step of C models uses the first C of each. Made once
     per lockstep."""
 
-    def __init__(self, size: int, n: int, dims: tuple[int, int, int]):
+    def __init__(self, size: int, n: int, dims: tuple[int, int, int],
+                 dtype: type = np.float32):
         in_dim, hidden, out_dim = dims
         r = min(n, 2)
-        self.x = np.empty((size, n, in_dim))
-        self.a1 = np.empty((size, n, hidden))
-        self.y = np.empty((size, n, out_dim))
+        n_params = hidden * (in_dim + 1) + out_dim * (hidden + 1)
+        self.params = np.empty((size, n_params), dtype)
+        self.grad = np.empty((size, n_params), dtype)
+        self.param_views = MLP.layout(self.params, *dims)
+        self.grad_views = MLP.layout(self.grad, *dims)
+        self.x = np.empty((size, n, in_dim), dtype)
+        self.a1 = np.empty((size, n, hidden), dtype)
+        self.y = np.empty((size, n, out_dim), dtype)
         self.rows = np.empty((size, r), dtype=np.int64)
-        self.x_rows = np.empty((size, r, in_dim))
-        self.a1_rows = np.empty((size, r, hidden))
-        self.dy = np.empty((size, r, out_dim))
-        self.da1 = np.empty((size, r, hidden))
+        self.x_rows = np.empty((size, r, in_dim), dtype)
+        self.a1_rows = np.empty((size, r, hidden), dtype)
+        self.dy = np.empty((size, r, out_dim), dtype)
+        self.da1 = np.empty((size, r, hidden), dtype)
         self.mask = np.empty((size, r, hidden), dtype=bool)
+
+    def stack(self, c: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """params()-shaped views of the first c rows of the parameter and
+        the gradient buffers."""
+        return [v[:c] for v in self.param_views], [v[:c] for v in self.grad_views]
 
     def images(self, features: list[FeatureGrid]) -> np.ndarray:
         """The first len(features) rows of x, holding their locations."""
@@ -432,19 +431,21 @@ class StepWorkspace:
         return x
 
 
-def _loss_and_grads(params: list[np.ndarray], pooling: str, x: np.ndarray,
-                    labels: list[int], grads: list[np.ndarray], ws: StepWorkspace
-                    ) -> list[LossValue]:
+def _loss_and_grads(flat: np.ndarray, pooling: str, x: np.ndarray, labels: list[int],
+                    ws: StepWorkspace) -> list[LossValue]:
     """One lockstep step's losses for C models and C images, in ws.
 
-    params: the stacked (C, ...) parameter arrays; x: (C, N, D) float64
-    images; labels: C presence labels. Writes each model's gradients into
-    the stacked arrays grads and returns the C pooled BCE values (loss and
-    clamp events). A model's score gradient is p - label at the pooled fg
-    location's fg score, its negation at the bg location's bg score, as
-    nn.bce_loss_and_grad routes it.
+    flat: the (C, P) float64 parameter stack, copied into ws's parameter
+    buffer; x: (C, N, D) images of ws's dtype; labels: C presence labels.
+    Writes each model's gradients into the first C rows of ws.grad and
+    returns the C pooled BCE values (loss and clamp events). A model's
+    score gradient is p - label at the pooled fg location's fg score, its
+    negation at the bg location's bg score, as nn.bce_loss_and_grad routes
+    it.
     """
     n_models, n = x.shape[:2]
+    np.copyto(ws.params[:n_models], flat)
+    params, grads = ws.stack(n_models)
     a1, y = mlp_forward(params, x, out=(ws.a1[:n_models], ws.y[:n_models]))
     rows, dy = ws.rows[:n_models], ws.dy[:n_models]
     dy.fill(0.0)

@@ -1,7 +1,7 @@
 """Per-location neural net machinery with hand-derived gradients.
 
-Everything here operates on (N, dim) float64 arrays where N is the number of
-grid locations; receptive field is always 1x1, so a "layer" is a plain affine
+Everything here operates on (N, dim) arrays where N is the number of grid
+locations; receptive field is always 1x1, so a "layer" is a plain affine
 map applied at every location. Both models (the per-class localizer and the
 segmentation head) are an MLP: a hidden layer, a ReLU, an output layer. MLP
 holds the layers and their initializer; a checkpoint is an MLP's flat buffer
@@ -40,7 +40,13 @@ The float operations and their order are those of the unbuffered calls
 (out=None), so the results keep their bits.
 
 Numeric conventions:
-  - parameters and loss math are float64; float32 only at storage boundaries
+  - mixed precision: parameters (MLP.flat), Adam's moments and the loss math
+    (pooling, BCE, softmax) are float64; the products of mlp_forward and
+    mlp_backward run in the dtype of the arrays they are given, which a
+    training step's workspace sets: float32 to train, score and predict,
+    float64 for gradient checks. A float32 step copies the float64 master
+    parameters into its float32 buffer, reads its scores or logits back as
+    float64 for the loss, and hands float32 gradients to adam_step
   - max-pooling subgradient: all gradient to the lowest-linear-index argmax
   - ReLU subgradient at exactly 0 is 0
 """
@@ -185,10 +191,6 @@ def linear_backward(
     return dw, db, dx
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def relu_backward(x: np.ndarray, dy: np.ndarray, out: np.ndarray | None = None,
                   mask: np.ndarray | None = None) -> np.ndarray:
     """dy times (x > 0), into out (which may be dy) and the mask into mask
@@ -215,8 +217,9 @@ def mlp_backward(params: list[np.ndarray], x: np.ndarray, a1: np.ndarray, dy: np
                  out: tuple[np.ndarray, np.ndarray] | None = None) -> None:
     """Write into grads, shaped like params, the gradients for upstream dy at
     the outputs of mlp_forward's a1 at x, or of rows of both. out, when
-    given, holds a float64 and a bool array shaped like a1, for the hidden
-    layer's upstream gradient (masked in place) and the ReLU mask."""
+    given, holds an array of a1's dtype and a bool array shaped like a1, for
+    the hidden layer's upstream gradient (masked in place) and the ReLU
+    mask."""
     w1, b1, w2, b2 = params
     dw1, db1, dw2, db2 = grads
     da1_out, mask = out or (None, None)
@@ -272,9 +275,10 @@ def global_softmax_prob(fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingT
 
 def pool_rows(mode: str, scores: np.ndarray) -> list[tuple[float, PoolingTrace]]:
     """pixel_softmax_prob or global_softmax_prob, by mode, of every row of a
-    (C, N, 2) float64 stack of fg / bg scores: the argmaxes (first index on
-    ties) over the whole stack at once, each row's sigmoid in scalar math.
-    NumericError if any score is non-finite."""
+    (C, N, 2) stack of fg / bg scores, read as float64: the argmaxes (first
+    index on ties) over the whole stack at once, each row's sigmoid in
+    scalar math. NumericError if any score is non-finite."""
+    scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite scores in pooling")
     rows = np.arange(scores.shape[0])
@@ -397,9 +401,9 @@ def softmax_ce_rows(logits: np.ndarray, cls: np.ndarray, out: np.ndarray | None 
 @dataclass
 class AdamState:
     """Bias-corrected Adam state; m and v, and the two scratch buffers a step
-    keeps its intermediate results in, are shaped like the parameter buffer,
-    allocated by the first step. lr is a number, or for a (C, P) stack a (C,)
-    array with one rate per row."""
+    keeps its intermediate results in, are float64 arrays shaped like the
+    parameter buffer, allocated by the first step. lr is a number, or for a
+    (C, P) stack a (C,) array with one rate per row."""
 
     lr: float | np.ndarray
     t: int = 0
@@ -420,8 +424,12 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One update of a flat float64 parameter buffer (P,), or of a (C, P)
-    stack of them, in place; advances the state. Allocates nothing after the
-    first step."""
+    stack of them, in place, from float32 or float64 gradients; advances the
+    state. The moments and the update are float64, in the reordered form of
+    Kingma & Ba (2015, section 2): both bias corrections fold into the step
+    size alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t), and eps into
+    eps_hat = eps * sqrt(1 - beta2^t), which is the textbook update up to
+    rounding. Allocates nothing after the first step."""
     if params.shape != grads.shape:
         raise DataError(f"adam_step: shape mismatch {params.shape} vs {grads.shape}")
     if state.m is None:
@@ -432,8 +440,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
         raise DataError(f"adam_step: parameters {params.shape}, state holds {state.m.shape}")
     state.t += 1
     t = state.t
-    m, v, g = state.m, state.v, grads
-    a, b = state.scratch
+    m, v = state.m, state.v
+    a, g = state.scratch
+    np.copyto(g, grads)  # as float64: a float32 loop would round the products
     # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
     m *= state.beta1
     m += np.multiply(1 - state.beta1, g, out=a)
@@ -441,18 +450,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     np.multiply(1 - state.beta2, g, out=a)
     a *= g
     v += a
-    # p - lr * m_hat / (sqrt(v_hat) + eps)
-    np.divide(v, 1 - state.beta2 ** t, out=a)
-    np.sqrt(a, out=a)
-    a += state.eps
-    c1 = 1 - state.beta1 ** t
-    # from the step where 1 - beta1 ** t rounds to 1.0 (t = 356 for 0.9), m_hat = m / 1.0
-    # has m's own bits
-    m_hat = m if c1 == 1.0 else np.divide(m, c1, out=b)
-    np.multiply(m_hat, state.lr if np.ndim(state.lr) == 0 else np.asarray(state.lr)[:, None],
-                out=b)
-    b /= a
-    params -= b
+    # p - alpha_t * m / (sqrt(v) + eps_hat)
+    root = math.sqrt(1 - state.beta2 ** t)
+    alpha = np.multiply(state.lr, root / (1 - state.beta1 ** t))
+    np.sqrt(v, out=a)
+    a += state.eps * root
+    np.multiply(m, alpha if np.ndim(alpha) == 0 else alpha[:, None], out=g)
+    g /= a
+    params -= g
 
 
 # ---------------------------------------------------------------------------

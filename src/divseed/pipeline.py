@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import os
 import shutil
 import time
@@ -618,23 +619,24 @@ def k_band_analysis(variants: list[dict], rel_band: float = 0.25) -> dict | None
     A sweep is any group of variants whose overrides differ only in k; with
     several sweeps in the grid, the largest one is analyzed.
     """
-    sweeps: dict[tuple, dict[int, float]] = {}
+    # by the other overrides as canonical JSON: their values may be lists
+    sweeps: dict[str, tuple[dict, dict[int, float]]] = {}
     for v in variants:
-        overrides = dict(v["overrides"])
+        overrides = dict(sorted(v["overrides"].items()))
         if "k" not in overrides:
             continue
         k = int(overrides.pop("k"))
-        key = tuple(sorted(overrides.items()))
-        sweeps.setdefault(key, {})[k] = v["median_miou"]
-    candidates = [(key, s) for key, s in sweeps.items() if len(s) >= 2]
+        _, sweep = sweeps.setdefault(json.dumps(overrides, sort_keys=True), (overrides, {}))
+        sweep[k] = v["median_miou"]
+    candidates = [item for item in sweeps.values() if len(item[1]) >= 2]
     if not candidates:
         return None
-    key, sweep = max(candidates, key=lambda item: len(item[1]))
+    context, sweep = max(candidates, key=lambda item: len(item[1]))
     best_k = max(sweep, key=lambda k: (sweep[k], -k))
     best = sweep[best_k]
     violations = [k for k, m in sweep.items() if m < (1 - rel_band) * best]
     return {
-        "context": dict(key),
+        "context": context,
         "k_values": sorted(sweep),
         "median_miou_by_k": {str(k): sweep[k] for k in sorted(sweep)},
         "best_k": best_k,

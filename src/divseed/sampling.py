@@ -18,8 +18,8 @@ flat location index. Point labels use -1 for background so the encoding
 survives growing the class universe.
 
 Scoring and sampling are separate steps. `pair_scores` runs the
-localizers: one forward pass per class over a slice of CHUNK images gives
-the raw foreground scores of every tagged (image, class) pair.
+localizers: one float32 forward pass per class over a slice of CHUNK images
+gives the raw foreground scores of every tagged (image, class) pair.
 `build_supervision_set` samples from those scores and the records alone;
 it checks the records once (localization.check_records: unit features, one
 grid shape for the whole dataset) and the scores against them, then takes
@@ -478,9 +478,9 @@ def pair_scores(
     records: list[SupervisionRecord], models: dict[int, LocalizationModel]
 ) -> PairScores:
     """Score every tagged pair of records: CHUNK images at a time, one
-    forward pass per class, each row the bits of its pair's score_image.
-    DataError for records that break check_records or a tagged class
-    without a model."""
+    forward pass per class in float32 chunk buffers, each row the bits of
+    its pair's score_image. DataError for records that break check_records
+    or a tagged class without a model."""
     image, class_id, n = _tagged_pairs(records)
     missing = sorted(set(class_id.tolist()) - set(models))
     if missing:
@@ -488,11 +488,12 @@ def pair_scores(
     fg = np.empty((image.shape[0], n), dtype=np.float64)
     if not records:
         return PairScores(image, class_id, fg)
-    # one set of chunk buffers for the call: the images of a class, and the
-    # activations of the widest model
-    x_buf = np.empty((min(CHUNK, len(records)), n, records[0].features.grid.depth))
+    # one set of float32 chunk buffers for the call: the images of a class,
+    # and the activations of the widest model
+    x_buf = np.empty((min(CHUNK, len(records)), n, records[0].features.grid.depth), np.float32)
     hidden = max((models[c].dims[1] for c in set(class_id.tolist())), default=0)
-    a1_buf, y_buf = np.empty(x_buf.shape[0] * n * hidden), np.empty(x_buf.shape[0] * n * 2)
+    a1_buf = np.empty(x_buf.shape[0] * n * hidden, np.float32)
+    y_buf = np.empty(x_buf.shape[0] * n * 2, np.float32)
     for start in range(0, len(records), CHUNK):
         lo, hi = np.searchsorted(image, [start, start + CHUNK]).tolist()
         for c in np.unique(class_id[lo:hi]).tolist():
@@ -568,8 +569,8 @@ def sample_class_points(
 
 
 def _fill(out: np.ndarray, records: list[SupervisionRecord], indices: list[int]) -> np.ndarray:
-    """The first len(indices) rows of out (B, N, D), filled with the float64
-    locations of records[i] for each i in indices."""
+    """The first len(indices) rows of out (B, N, D), filled with the
+    locations of records[i] for each i in indices, as out's dtype."""
     x = out[: len(indices)]
     for row, i in enumerate(indices):
         x[row] = records[i].features.grid.locations()

@@ -157,9 +157,9 @@ def train_segmentation(
     Points are gathered as (n, D) feature rows plus an image index, shuffled
     with the seeded stream each epoch, and consumed in batches of
     config.batch_size under mean softmax cross-entropy. Every step runs in
-    one HeadWorkspace, its batch's [rows | descriptors] included, and Adam
-    in its own scratch, so no step allocates a (batch, hidden) array.
-    Ground-truth masks are not an input.
+    one float32 HeadWorkspace, its batch's [rows | descriptors] included,
+    and Adam, on the float64 parameters, in its own scratch, so no step
+    allocates a (batch, hidden) array. Ground-truth masks are not an input.
     """
     if not points:
         raise DataError("train_segmentation: empty point set")
@@ -242,20 +242,25 @@ def _gather_points(points: PointSet,
 
 class HeadWorkspace:
     """The arrays a head training step writes, for batches of up to `size`
-    points of a model of these dimensions: the float64 input batch x, the
-    hidden activations, the logits (overwritten by their gradient), the
-    hidden layer's upstream gradient and ReLU mask, and the flat gradient
-    buffer `grad` with its params()-shaped views `grads`. Made once per
-    training call."""
+    points of a model of these dimensions, in the step's compute dtype
+    (float32 to train, float64 for a gradient check): the input batch x, the
+    parameter buffer `flat` with its params()-shaped views `params`, the
+    hidden activations, the logits (overwritten by their gradient), their
+    float64 copy `logits64` that the loss reads, the hidden layer's upstream
+    gradient and ReLU mask, and the flat gradient buffer `grad` with its
+    views `grads`. Made once per training call."""
 
-    def __init__(self, model: SegmentationModel, size: int):
+    def __init__(self, model: SegmentationModel, size: int, dtype: type = np.float32):
         in_dim, hidden, out_dim = model.dims
-        self.x = np.empty((size, in_dim))
-        self.a1 = np.empty((size, hidden))
-        self.logits = np.empty((size, out_dim))
-        self.da1 = np.empty((size, hidden))
+        self.x = np.empty((size, in_dim), dtype)
+        self.flat = np.empty(model.flat.shape, dtype)
+        self.params = model.views(self.flat)
+        self.a1 = np.empty((size, hidden), dtype)
+        self.logits = np.empty((size, out_dim), dtype)
+        self.logits64 = np.empty((size, out_dim))
+        self.da1 = np.empty((size, hidden), dtype)
         self.mask = np.empty((size, hidden), dtype=bool)
-        self.grad = np.empty_like(model.flat)
+        self.grad = np.empty(model.flat.shape, dtype)
         self.grads = model.views(self.grad)
 
 
@@ -263,32 +268,37 @@ def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
                         ws: HeadWorkspace) -> tuple[LossValue, list[np.ndarray]]:
     """Mean cross-entropy of a batch of points and its gradients w.r.t.
     model.params(): the step the head trains with, in the workspace ws of a
-    model of model's dimensions. Returns the loss and ws.grads, which the
-    next call overwrites.
+    model of model's dimensions. The products run on ws's copy of the
+    parameters, the softmax on a float64 copy of the logits. Returns the
+    loss and ws.grads, which the next call overwrites.
 
-    xb: (m, D) float64 point features, m at most ws's size; yb: (m,) output
-    indices, one per row, each in 0 .. n_classes (_gather_points maps the
-    labels).
+    xb: (m, D) point features of ws's dtype, m at most ws's size; yb: (m,)
+    output indices, one per row, each in 0 .. n_classes (_gather_points maps
+    the labels).
     """
     m = len(yb)
-    params = model.params()
-    a1, logits = mlp_forward(params, xb, out=(ws.a1[:m], ws.logits[:m]))
-    loss, dy = softmax_ce_rows(logits, yb, out=logits)
-    mlp_backward(params, xb, a1, dy, ws.grads, out=(ws.da1[:m], ws.mask[:m]))
+    np.copyto(ws.flat, model.flat)
+    a1, logits = mlp_forward(ws.params, xb, out=(ws.a1[:m], ws.logits[:m]))
+    logits64 = ws.logits64[:m]
+    np.copyto(logits64, logits)
+    loss, dy = softmax_ce_rows(logits64, yb, out=logits64)
+    np.copyto(logits, dy)
+    mlp_backward(ws.params, xb, a1, logits, ws.grads, out=(ws.da1[:m], ws.mask[:m]))
     return LossValue(loss=loss, grads={"logits": dy}), ws.grads
 
 
 def predict(model: SegmentationModel, af: AugmentedFeatureGrid
             ) -> tuple[np.ndarray, Grid]:
     """Dense prediction: (H, W) argmax label indices (background = C, ties to
-    the lowest index) and the (H, W, C+1) softmax probability grid."""
+    the lowest index) and the (H, W, C+1) softmax probability grid. The
+    products run in float32, the softmax on the logits read as float64."""
     if af.depth != model.hidden.in_dim:
         raise DataError(
             f"predict: feature depth {af.depth} != model input {model.hidden.in_dim}"
         )
     g = af.features.grid
-    x = af.locations(np.float64)
-    _, logits = mlp_forward(model.params(), x)
+    _, logits = mlp_forward(model.views(model.flat.astype(np.float32)), af.locations())
+    logits = logits.astype(np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)

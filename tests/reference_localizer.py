@@ -2,20 +2,33 @@
 localizers of one pooling trained in lockstep.
 
 One class at a time, one image per step: a 2-D forward over the image's
-locations, pooled BCE, the two-row backward, then Adam over the parameter
-arrays concatenated into one vector and split again. Restarts retrain the
-class from its derived seed. It is kept as the oracle for
-`localization.train_class_localizers` and stays structurally independent
-of it: plain 2-D products, its own Adam, separate parameter arrays.
+float32 locations with the float64 parameters rounded to float32, pooled
+BCE on the scores read as float64, the two-row float32 backward, then Adam
+in float64 over the parameter arrays concatenated into one vector and split
+again. Restarts retrain the class from its derived seed. It is kept as the
+oracle for `localization.train_class_localizers` and stays structurally
+independent of it: plain 2-D products, its own Adam, separate parameter
+arrays.
 """
+
+import math
 
 import numpy as np
 
 from divseed import localization
 from divseed.errors import DataError
-from divseed.localization import new_localization_model, pooled_probability
-from divseed.nn import bce_loss_and_grad
+from divseed.localization import new_localization_model
+from divseed.nn import bce_loss_and_grad, global_softmax_prob, pixel_softmax_prob
 from divseed.rng import Rng, derive_seed
+
+
+def pooled_probability(pooling, fg, bg):
+    """The pooled presence probability and its trace, by pooling mode."""
+    if pooling == "pixel":
+        return pixel_softmax_prob(fg, bg)
+    if pooling == "global":
+        return global_softmax_prob(fg, bg)
+    raise DataError(f"unknown pooling mode {pooling!r}")
 
 
 def reference_train_localizer(class_id, records, config, seed):
@@ -59,7 +72,7 @@ def _train_once(class_id, records, config, seed):
             total = 0.0
             for bi in order:
                 f, label = batches[bi]
-                x = f.grid.locations().astype(np.float64)
+                x = f.grid.locations()
                 loss, clamped, grads = _loss_and_grads(params, config.pooling, x, label)
                 params = _adam(params, grads, adam)
                 clamp_events += clamped
@@ -69,16 +82,17 @@ def _train_once(class_id, records, config, seed):
 
 
 def _loss_and_grads(params, pooling, x, label):
-    w1, b1, w2, b2 = params
+    w1, b1, w2, b2 = (p.astype(np.float32) for p in params)
     h1 = x @ w1.T
     h1 += b1
     a1 = np.maximum(h1, 0.0)
     y = a1 @ w2.T
     y += b2
+    y = y.astype(np.float64)
     p, trace = pooled_probability(pooling, y[:, 0], y[:, 1])
     lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
     rows = _gradient_rows(trace.fg_loc, trace.bg_loc, x.shape[0])
-    dy = np.stack([lv.grads["fg"][rows], lv.grads["bg"][rows]], axis=1)
+    dy = np.stack([lv.grads["fg"][rows], lv.grads["bg"][rows]], axis=1).astype(np.float32)
     dw2, db2 = dy.T @ a1[rows], dy.sum(axis=0)
     dh1 = (dy @ w2) * (h1[rows] > 0.0)
     dw1, db1 = dh1.T @ x[rows], dh1.sum(axis=0)
@@ -95,8 +109,10 @@ def _gradient_rows(fg_loc, bg_loc, n):
 
 
 def _adam(params, grads, state, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam in Kingma & Ba's reordered form: the bias corrections in the
+    step size, eps scaled to match."""
     p = np.concatenate([a.ravel() for a in params])
-    g = np.concatenate([a.ravel() for a in grads])
+    g = np.concatenate([a.ravel() for a in grads]).astype(np.float64)
     if state["m"] is None:
         state["m"], state["v"] = np.zeros_like(p), np.zeros_like(p)
     state["t"] += 1
@@ -107,11 +123,10 @@ def _adam(params, grads, state, beta1=0.9, beta2=0.999, eps=1e-8):
     gg = (1 - beta2) * g
     gg *= g
     v += gg
-    denom = v / (1 - beta2 ** t)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step = m / (1 - beta1 ** t)
-    step *= state["lr"]
+    root = math.sqrt(1 - beta2 ** t)
+    denom = np.sqrt(v)
+    denom += eps * root
+    step = m * (state["lr"] * (root / (1 - beta1 ** t)))
     step /= denom
     p -= step
     out, start = [], 0

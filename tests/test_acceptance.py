@@ -20,6 +20,7 @@ from divseed.localization import (
     LocalizationModel,
     LocTrainResult,
     ScoreMap,
+    StepWorkspace,
     localizer_loss_and_grads,
     save_loc_checkpoint,
 )
@@ -31,7 +32,6 @@ from divseed.nn import (
     linear_fwd,
     masked_ce_loss_and_grad,
     pixel_softmax_prob,
-    relu,
 )
 from divseed.pipeline import (
     PipelineConfig,
@@ -204,21 +204,22 @@ def test_criterion_4_gradient_checks():
     while done < 20:
         x, params = _loc_style_instance(rng)
         label = done % 2
+        loc_ws = StepWorkspace(1, x.shape[0], (x.shape[1], len(params[1]), 2), np.float64)
 
         def loss_and_grads(ps, pooling):
-            # the backward the localizer trains with
+            # the step the localizer trains with, in a float64 workspace
             model = LocalizationModel(
                 hidden=LinearLayer(ps[0], ps[1]), out=LinearLayer(ps[2], ps[3]),
                 seed=0, class_id=0, pooling=pooling,
             )
-            lv, grads = localizer_loss_and_grads(model, x, label)
+            lv, grads = localizer_loss_and_grads(model, x, label, loc_ws)
             return lv.loss, grads
 
         # unique argmaxes: regenerate until the pooled maxima are isolated,
         # so the finite-difference step cannot cross a tie
         y = linear_fwd(
             LinearLayer(params[2], params[3]),
-            relu(linear_fwd(LinearLayer(params[0], params[1]), x)),
+            np.maximum(linear_fwd(LinearLayer(params[0], params[1]), x), 0.0),
         )
         if (
             _argmax_gap(y[:, 0] - y[:, 1]) < 1e-3
@@ -234,14 +235,14 @@ def test_criterion_4_gradient_checks():
             )
             worst[name] = max(worst[name], err)
 
-        # the head's loss on every other location, through the backward
-        # the head trains with (hidden layer included)
+        # the head's loss on every other location, through the step the
+        # head trains with (hidden layer included), in a float64 workspace
         labels = np.arange(0, x.shape[0], 2) % 3
         head = SegmentationModel.initialized(
             rng.next_u64(), x.shape[1], 5, 3, class_ids=(0, 1), global_dim=0
         )
 
-        ws = HeadWorkspace(head, len(labels))
+        ws = HeadWorkspace(head, len(labels), np.float64)
 
         def masked(ps):
             head.set_params(ps)

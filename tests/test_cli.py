@@ -617,6 +617,24 @@ def test_refused_variant_names_the_grid_and_its_index(tmp_path, capsys, monkeypa
     assert f"config error: {path}: variants[3]: " in err and key in err
 
 
+@pytest.mark.parametrize("first, second", [
+    ({"k": 5}, {"k": 5}),
+    ({"k": 5, "strategy": "diverse"}, {"strategy": "diverse", "k": 5}),
+], ids=["same", "keys-reordered"])
+def test_a_variant_listed_twice_is_refused_naming_both(tmp_path, capsys, monkeypatch, first,
+                                                       second):
+    """The summary groups rows by variant name, so a second copy of a variant
+    would be merged into the first's median."""
+    _grid_must_not_run(monkeypatch)
+    path = tmp_path / "grid.json"
+    variants = [{}, first, {"strategy": "top_k"}, second]
+    path.write_text(json.dumps({"base": {"n_train": 10}, "variants": variants}))
+    assert main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: variants[1] and variants[3] are both " in err
+    assert not (tmp_path / "abl.json").exists()
+
+
 def test_non_integer_set_value_is_config_error(tmp_path):
     rc = main(["run", "--set", "k=2.5", "--out", str(tmp_path / "out")])
     assert rc == 2

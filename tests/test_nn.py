@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from divseed import nn
+from divseed import localization, nn
 from divseed.errors import ConfigError, DataError
 from divseed.localization import (
     LocalizationModel,
     LocTrainResult,
+    StepWorkspace,
     load_loc_checkpoint,
     localizer_loss_and_grads,
     save_loc_checkpoint,
@@ -361,26 +362,29 @@ def test_adam_keep_shrinks_moments_and_scratch():
 
 
 def _per_array_adam(params, grads, state, moments):
-    """Adam applied one parameter array at a time: the reference update."""
+    """Adam applied one parameter array at a time, in float64, in Kingma &
+    Ba's reordered form (section 2): the reference update."""
     if not moments:
         moments["m"] = [np.zeros_like(p) for p in params]
         moments["v"] = [np.zeros_like(p) for p in params]
     m, v = moments["m"], moments["v"]
     state.t += 1
     t = state.t
+    root = math.sqrt(1 - state.beta2 ** t)
+    alpha_t = state.lr * (root / (1 - state.beta1 ** t))
+    eps_hat = state.eps * root
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
+        g = np.asarray(g, dtype=np.float64)
         m[i] = state.beta1 * m[i] + (1 - state.beta1) * g
         v[i] = state.beta2 * v[i] + (1 - state.beta2) * g * g
-        m_hat = m[i] / (1 - state.beta1 ** t)
-        v_hat = v[i] / (1 - state.beta2 ** t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        out.append(p - alpha_t * m[i] / (np.sqrt(v[i]) + eps_hat))
     return out
 
 
 def test_adam_equals_the_per_array_update_past_its_rounded_bias_correction():
-    """From step 356, 1 - 0.9 ** t is 1.0 and the update skips its division
-    by it; every step still has the reference's bits."""
+    """From step 356, 1 - 0.9 ** t is 1.0, so the step size alpha_t is
+    lr * sqrt(1 - 0.999 ** t); every step still has the reference's bits."""
     rng = Rng(0xB1A5)
     params = rng.uniform_array(40, -1, 1)
     ref, ref_state, moments = [params.copy()], AdamState(lr=1e-2), {}
@@ -520,7 +524,8 @@ def _mlp_masked_loss(x, labels):
 
     def fn(params):
         model = _mlp(params, SegmentationModel, class_ids=(0, 1, 2), global_dim=0)
-        lv, grads = head_loss_and_grads(model, x[locs], classes, HeadWorkspace(model, len(locs)))
+        ws = HeadWorkspace(model, len(locs), np.float64)
+        lv, grads = head_loss_and_grads(model, x[locs], classes, ws)
         return lv.loss, grads
 
     return fn
@@ -530,7 +535,8 @@ def _pooled_bce_loss(x, pooling, label):
     """The localizer's training loss."""
     def fn(params):
         model = _mlp(params, LocalizationModel, class_id=0, pooling=pooling)
-        lv, grads = localizer_loss_and_grads(model, x, label)
+        ws = StepWorkspace(1, x.shape[0], model.dims, np.float64)
+        lv, grads = localizer_loss_and_grads(model, x, label, ws)
         return lv.loss, grads
 
     return fn
@@ -567,6 +573,62 @@ def test_grad_check_constant_loss():
 
     err = grad_check(fn, [np.ones((3, 3))], Rng(0))
     assert err < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# compute precision: the steps train in float32 workspaces and are checked in
+# float64 ones, so the two must give one loss and one gradient
+
+
+def _assert_close_to_float32_precision(steps):
+    """steps: (loss, gradient buffer) by workspace dtype."""
+    (loss32, grad32), (loss64, grad64) = steps[np.float32], steps[np.float64]
+    assert grad32.dtype == np.float32 and grad64.dtype == np.float64
+    assert loss32 == pytest.approx(loss64, rel=1e-5)
+    scale = np.abs(grad64).max(axis=-1, keepdims=True)
+    assert scale.min() > 0.0
+    assert np.all(np.abs(grad32 - grad64) <= 1e-5 * scale)
+
+
+@pytest.mark.parametrize("pooling", ["global", "pixel"])
+def test_a_lockstep_step_gives_one_loss_and_gradient_in_both_precisions(pooling):
+    """One step of three localizers on three 8 x 8 images, in a float32 and
+    a float64 StepWorkspace: the same losses and (C, P) gradients, to
+    float32 precision."""
+    c, n, d, hidden = 3, 64, 12, 16
+    rng = Rng(0xF32)
+    models = [LocalizationModel.initialized(100 + k, d, hidden, 2, class_id=k, pooling=pooling)
+              for k in range(c)]
+    for m in models:
+        m.hidden.bias[:] = rng.uniform_array(hidden, -0.3, 0.3)  # mixed ReLU mask
+    params = np.stack([m.flat for m in models])
+    vecs = rng.uniform_array(c * n * d, -1, 1).reshape(c, n, d)
+    x = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True)).astype(np.float32)
+    steps = {}
+    for dtype in (np.float32, np.float64):
+        ws = StepWorkspace(c, n, models[0].dims, dtype)
+        ws.x[:] = x
+        lvs = localization._loss_and_grads(params, pooling, ws.x, [1, 0, 1], ws)
+        steps[dtype] = sum(lv.loss for lv in lvs), ws.grad.copy()
+    _assert_close_to_float32_precision(steps)
+
+
+def test_a_head_batch_gives_one_loss_and_gradient_in_both_precisions():
+    """One batch of 50 points through the head's step, in a float32 and a
+    float64 HeadWorkspace: the same loss and gradient, to float32
+    precision."""
+    rng = Rng(0x4EAD)
+    model = SegmentationModel.initialized(7, 24, 32, 4, class_ids=(0, 1, 2), global_dim=12)
+    model.hidden.bias[:] = rng.uniform_array(32, -0.3, 0.3)
+    x = rng.uniform_array(50 * 24, -1, 1).reshape(50, 24).astype(np.float32)
+    y = np.array([rng.randint(4) for _ in range(50)], dtype=np.int64)
+    steps = {}
+    for dtype in (np.float32, np.float64):
+        ws = HeadWorkspace(model, 50, dtype)
+        ws.x[:] = x
+        lv, _ = head_loss_and_grads(model, ws.x, y, ws)
+        steps[dtype] = lv.loss, ws.grad.copy()
+    _assert_close_to_float32_precision(steps)
 
 
 # ---------------------------------------------------------------------------

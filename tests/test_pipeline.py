@@ -473,3 +473,19 @@ def test_k_band_flags_violations():
     band = k_band_analysis(variants)
     assert band["within_band"] is False
     assert band["violations"] == [5]
+
+
+def test_k_band_groups_sweeps_whose_overrides_hold_lists():
+    """A k-sweep run under a learning-rate schedule: its overrides hold a
+    list, which the grouping of sweeps once failed to hash after the whole
+    grid had run."""
+    schedule = [[1, 0.02], [1, 0.002]]
+    variants = [
+        {"variant": f"k={k}", "overrides": {"k": k, "loc_lr_schedule": schedule},
+         "median_miou": m, "mious": []}
+        for k, m in ((5, 0.3), (20, 0.6), (50, 0.58))
+    ] + [{"variant": "k=10", "overrides": {"k": 10}, "median_miou": 0.6, "mious": []}]
+    band = k_band_analysis(variants)
+    assert band["context"] == {"loc_lr_schedule": schedule}
+    assert band["k_values"] == [5, 20, 50]
+    assert band["violations"] == [5]

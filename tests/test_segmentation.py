@@ -17,7 +17,6 @@ from divseed.nn import (
     linear_backward,
     linear_fwd,
     masked_ce_loss_and_grad,
-    relu,
     relu_backward,
 )
 from divseed.segmentation import (
@@ -176,7 +175,7 @@ def test_training_holds_no_point_matrix():
 def _chain_loss_and_grads(model, xb, yb):
     """The head's loss and backward layer by layer: the reference chain."""
     h1 = linear_fwd(model.hidden, xb)
-    a1 = relu(h1)
+    a1 = np.maximum(h1, 0.0)
     logits = linear_fwd(model.out, a1)
     lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
     dw2, db2, da1 = linear_backward(model.out, a1, lv.grads["logits"])
@@ -187,12 +186,13 @@ def _chain_loss_and_grads(model, xb, yb):
 
 @pytest.mark.parametrize("m", [1, 7, 100])
 def test_head_backward_equals_the_layer_chain(m):
-    """The training step, in one workspace of the trainer's default batch size
-    reused across models, gives the chain's loss and gradients."""
+    """The training step, in one float64 workspace of the trainer's default
+    batch size reused across models, gives the float64 chain's loss and
+    gradients."""
     ws = None
     for seed in range(6):
         model = new_segmentation_model((4, 0, 2), 12, 6, SegConfig(hidden=16), seed)
-        ws = ws or HeadWorkspace(model, SegConfig().batch_size)
+        ws = ws or HeadWorkspace(model, SegConfig().batch_size, np.float64)
         rng = Rng(900 + seed)
         model.hidden.bias[:] = rng.uniform_array(16, -0.3, 0.3)  # mixed ReLU mask
         model.out.bias[:] = rng.uniform_array(4, -0.3, 0.3)
@@ -217,12 +217,12 @@ def test_a_label_outside_the_universe_is_a_data_error():
 
 def test_a_head_step_allocates_no_batch_activations():
     """After the first step, a training step (the loss, its backward and
-    Adam) allocates no (batch, hidden) float64 array: every one of them is
+    Adam) allocates no (batch, hidden) float32 array: every one of them is
     the workspace's or Adam's own."""
     model = new_segmentation_model((0, 1, 2, 3), 96, 48, SegConfig(), 3)
     ws = HeadWorkspace(model, 100)
     rng = Rng(5)
-    xb = rng.uniform_array(100 * 96, -1, 1).reshape(100, 96)
+    xb = rng.uniform_array(100 * 96, -1, 1).reshape(100, 96).astype(np.float32)
     yb = np.array([rng.randint(5) for _ in range(100)], dtype=np.int64)
     state = AdamState(lr=1e-3)
 
@@ -232,7 +232,7 @@ def test_a_head_step_allocates_no_batch_activations():
 
     step()
     _, peak = _traced_peak(step)
-    assert peak < 100 * SegConfig().hidden * 8
+    assert peak < 100 * SegConfig().hidden * 4
 
 
 def test_separable_points_reach_full_accuracy():

@@ -55,40 +55,40 @@ def trained_digests() -> dict[str, str]:
     return digests
 
 
-# the bits of the steps before they moved into preallocated workspaces
+# float32 products on float64 master weights, Adam in its reordered form
 PINNED = {
     "loc[global]":
-        "0eece20e2ddeaca79f57c1809588173a81fa8e49f35ff72cbb93b4d2431776aa",
+        "055c2473f42c1abbdf4ce076730a1284b006639a6a27bc6467a015b7d7b9a564",
     "loc[pixel]":
-        "9e57f8e340c33741bac325f5c1159af9c6ec3ba298367b55aa35657a7d9b1934",
+        "2285496af0de013c0ff6ab728a072924739ed7110aac52affb54866256247d28",
     "points[strategy=diverse]":
-        "5066ac21f8ac7e44c49bfdad954d758b4ce4c59663d7bc3067749430ea519ad9",
+        "460bfafcd0edc379921fa9ab2fa4468ebb4e3b1e120edfe797da67a95886af16",
     "head[strategy=diverse]":
-        "94455bfaa6189dc5c503052b8db0350a0a0e3e95a00a50bf564c490dd917f71d",
+        "d9ecdee75e3ced4785d3c4dd3b8285d9bb95d41d87d6fddfde4b24e7035c2a82",
     "miou[strategy=diverse]":
         "0.5264862375134883",
     "points[strategy=top_k]":
-        "45cb3b4d22b59fc1ddcebf170faf55b545515c0312c7c2f4ec6aef92e5ae3f11",
+        "827aac57650ba522e31e7790e03b07213024789d742b3774fe01dffa7de49dfc",
     "head[strategy=top_k]":
-        "a3d5279bea101a0557405caec09b4af7630dfb0c79e49d6c66ff02e7f9bd14f7",
+        "6059e1023403b041f303c7a2eb279a3ed987a43f077ac95bd6abb4e20df97eea",
     "miou[strategy=top_k]":
         "0.558435044371731",
     "points[strategy=spatial]":
-        "379b4e4fec217c8560f0aede07748192219684eb61c904b2772f9e350c1b1994",
+        "30ef771ac20d7dc2c7f641c0de0ffd6200ef06928f3972a47d3a91f7d503e58c",
     "head[strategy=spatial]":
-        "98dfbd28aaff2c775a1565534aced90167970347c38991fe3530ea3ed25da537",
+        "060cdd6a67ac87d7413da5c8c274443788f1872a8d53cbdf72a3acbdcd0479be",
     "miou[strategy=spatial]":
         "0.5633999032421887",
     "points[strategy=dense]":
-        "70cabdd0c2401dd8452cedc0f45cb785fba66d073380c420470c43ac11f935f6",
+        "e1fff060fb473973bcb18760378ad98a33601aafaaa24bc9621acb19cf718928",
     "head[strategy=dense]":
-        "7bb0a9a951de061756384abed44d5fa7e8748547c4126c97d579e44b58704ea9",
+        "ba330b2c9e938b4bf25914740b7d2ce80780c8ada7e5bf0f7a830e17cad19c0c",
     "miou[strategy=dense]":
         "0.6094420600858369",
     "points[pooling=pixel,strategy=diverse]":
-        "5b200c9aebcbd0c8dd3406dd3b5d02951fb464cd0d061361c5bf3054736299cc",
+        "df4e7eece3c533ead97e2aa39ea7a76da85f6a3fb5a3386463b8df19523fa706",
     "head[pooling=pixel,strategy=diverse]":
-        "8c4a48cdcd135f6a2c20815b614f436ba7e2ca9f959e2040004f9cf057669d37",
+        "229f35767d818bdfd61944a3de1962dacc4b04c37b4aa6d9c018a2a814c6e82a",
     "miou[pooling=pixel,strategy=diverse]":
         "0.3415921924172128",
 }
