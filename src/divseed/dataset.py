@@ -12,7 +12,8 @@ Row i of each tensor belongs to manifest entry i. A Manifest reads each
 tensor once, on first use, and checks its shape against the manifest.
 Features are stored raw; consumers z-score + unit-normalize them against the
 manifest's stats file on load. `make_split` builds every split, in memory and
-on disk, one scene at a time: a training split computes its stats, and a
+on disk, one scene at a time, into one stacked features array per split
+(a `FeatureStack`): a training split computes its stats, and a
 split made from a training set (test splits, added-class data) takes that
 set's extractor and frozen stats.
 """
@@ -38,6 +39,7 @@ from .synthdata import (
 )
 from .tensor import (
     FeatureGrid,
+    FeatureStack,
     Grid,
     NormStats,
     atomic_write,
@@ -163,21 +165,22 @@ class Manifest:
 
 def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: ExtractorSpec,
                stats: NormStats | None = None, out_dir: str | None = None
-               ) -> tuple[list[TagSet], list[FeatureGrid], list[np.ndarray], NormStats]:
+               ) -> tuple[list[TagSet], FeatureStack, list[np.ndarray], NormStats]:
     """n size x size scenes from seed, ids prefixed by name, made one at a
-    time; returns their tags, raw features from spec and grid-resolution
-    truth, and the given stats (else stats computed from the features). With
-    out_dir each scene is also appended to the split's stacked tensors there,
-    which replace the old files only after the last row, the stats and
+    time; returns their tags, their raw features from spec as one
+    FeatureStack filled scene by scene, their grid-resolution truth, and the
+    given stats (else stats computed from the features). With out_dir each
+    scene is also appended to the split's stacked tensors there, which
+    replace the old files only after the last row, the stats and
     write_dataset, so a failure before those renames leaves an earlier split
     whole."""
     check_dataset_size(n, n_classes, size, size)
-    tags, features, truth = [], [], []
+    grid = size // GRID_FACTOR
+    tags, features, truth = [], FeatureStack(n, (grid, grid, spec.depth)), []
     with ExitStack() as files:
         rows = []
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            grid = size // GRID_FACTOR
             rows = [files.enter_context(tensor_rows(os.path.join(out_dir, f), (n, *row)))
                     for f, row in ((IMAGES_NAME, (size, size, 3)), (MASKS_NAME, (size, size)),
                                    (FEATURES_NAME, (grid, grid, spec.depth)))]

@@ -51,6 +51,7 @@ from .localization import (
 )
 from .rng import derive_seed
 from .sampling import (
+    PairScores,
     PointSet,
     SamplingConfig,
     build_supervision_set,
@@ -60,6 +61,7 @@ from .sampling import (
 from .segmentation import (
     AddClassResult,
     AugmentedFeatureGrid,
+    FeatureTable,
     SegConfig,
     SegmentationModel,
     SegTrainResult,
@@ -70,7 +72,7 @@ from .segmentation import (
     train_segmentation,
 )
 from .synthdata import ExtractorSpec, check_dataset_size
-from .tensor import FeatureGrid, NormStats, normalize_features, save_json
+from .tensor import FeatureGrid, NormStats, save_json
 
 
 @dataclass(frozen=True)
@@ -211,24 +213,54 @@ class EvalImage:
     features: FeatureGrid  # unit
     truth: np.ndarray  # grid-resolution labels, background = n_classes
 
+    @cached_property
+    def augmented(self) -> AugmentedFeatureGrid:
+        """The head's input, built on first use and read by every evaluation."""
+        return augment_with_global(self.features)
+
+
+def _score_key(models: dict[int, LocalizationModel]) -> tuple:
+    """What pair_scores depends on besides the records: each class id, with
+    its model's dims and the float32 parameters score_batch scores with."""
+    return tuple((c, m.dims, m.flat.astype(np.float32).tobytes())
+                 for c, m in sorted(models.items()))
+
 
 @dataclass
 class Benchmark:
     n_classes: int
     train_records: list[SupervisionRecord]
+    train_table: np.ndarray  # (n_train, H, W, D) unit features; row i is record i's grid
     test_images: list[EvalImage]
     extractor: ExtractorSpec
     norm_stats: NormStats  # frozen from the training split
+    _scores: tuple | None = dataclasses.field(default=None, init=False, repr=False)
 
     @cached_property
-    def train_features(self) -> dict[str, AugmentedFeatureGrid]:
-        """The head's input per training image, built on first use and shared
-        by every head trained on this benchmark."""
-        return {r.image_id: augment_with_global(r.features) for r in self.train_records}
+    def train_features(self) -> FeatureTable:
+        """The head's input per training image, over train_table in place;
+        built on first use and shared by every head trained on this
+        benchmark."""
+        return FeatureTable([r.image_id for r in self.train_records], self.train_table)
+
+    def pair_scores(self, models: dict[int, LocalizationModel]) -> PairScores:
+        """pair_scores of the training records under models. The scores of
+        the last localizer set scored are kept, read-only, and returned again
+        while the models' class ids, dims and float32 parameters are the
+        same: the variants of a grid seed share one localizer set."""
+        key = _score_key(models)
+        if self._scores is None or self._scores[0] != key:
+            self._scores = None  # free the old scores first
+            scores = pair_scores(self.train_records, models)
+            for column in scores:
+                column.flags.writeable = False
+            self._scores = key, scores
+        return self._scores[1]
 
 
 def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Benchmark:
-    """Generate train/test scenes and normalized features in memory.
+    """Generate train/test scenes and normalized features in memory, each
+    split's features normalized into the rows of its one stack.
 
     With data_dir, both splits are also written there as dataset directories
     (data_dir/train, data_dir/test) sharing the training extractor and stats.
@@ -241,15 +273,14 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
             n, config.n_classes, config.image_size, derive_seed(config.seed, stream),
             name, spec, stats, None if data_dir is None else os.path.join(data_dir, name),
         )
-        for i, f in enumerate(features):  # in place: raw grids are freed as we go
-            features[i] = normalize_features(f, stats)
-        return zip(tags, features, truth), stats
+        features.normalize(stats)
+        return tags, features, truth, stats
 
-    train, stats = split("train", config.n_train, _STREAM_TRAIN_DATA)
-    train_records = [SupervisionRecord(t.image_id, f, t) for t, f, _ in train]
-    test, _ = split("test", config.n_test, _STREAM_TEST_DATA, stats)
-    test_images = [EvalImage(t.image_id, f, truth) for t, f, truth in test]
-    return Benchmark(config.n_classes, train_records, test_images, spec, stats)
+    tags, train, _, stats = split("train", config.n_train, _STREAM_TRAIN_DATA)
+    train_records = [SupervisionRecord(t.image_id, f, t) for t, f in zip(tags, train)]
+    tags, test, truth, _ = split("test", config.n_test, _STREAM_TEST_DATA, stats)
+    test_images = [EvalImage(t.image_id, f, m) for t, f, m in zip(tags, test, truth)]
+    return Benchmark(config.n_classes, train_records, train.values, test_images, spec, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +334,14 @@ def sample_supervision(
     models: dict[int, LocalizationModel],
     sampling_config: SamplingConfig,
     seed: int,
+    scores: PairScores | None = None,
 ) -> PointSet:
-    """The sample stage, in this process: the pair_scores of the training
-    records under the localizers, then build_supervision_set from them."""
-    return build_supervision_set(records, pair_scores(records, models), sampling_config, seed)
+    """The sample stage, in this process: build_supervision_set from the
+    pair_scores of the training records under the localizers, scored here
+    unless the caller passes them as scores (Benchmark.pair_scores)."""
+    if scores is None:
+        scores = pair_scores(records, models)
+    return build_supervision_set(records, scores, sampling_config, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +367,7 @@ def evaluate_images(
     lookup[truth_background_label] = model.background_index
     cm = ConfusionMatrix(n_labels=model.n_classes + 1)
     for im in images:
-        pred, _ = predict(model, augment_with_global(im.features))
+        pred, _ = predict(model, im.augmented)
         if im.truth.min() < 0 or im.truth.max() > truth_background_label:
             raise DataError(f"truth labels out of range for {im.image_id}")
         truth_idx = lookup[im.truth]
@@ -450,7 +485,7 @@ def run_variant(
     with _stage(stages, "sample"):
         points = sample_supervision(
             bench.train_records, models, config.sampling_config(),
-            sampling_seed(config.seed),
+            sampling_seed(config.seed), bench.pair_scores(models),
         )
         if out_dir is not None:
             save_points(points, os.path.join(out_dir, "points.jsonl"))
@@ -488,10 +523,8 @@ def new_class_records(
         derive_seed(config.seed, _STREAM_ADD_CLASS_DATA), "new",
         bench.extractor, bench.norm_stats,
     )
-    return [
-        SupervisionRecord(t.image_id, normalize_features(f, bench.norm_stats), t)
-        for t, f in zip(tags, features)
-    ]
+    features.normalize(bench.norm_stats)
+    return [SupervisionRecord(t.image_id, f, t) for t, f in zip(tags, features)]
 
 
 @dataclass

@@ -32,6 +32,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+#: swap targets Rng.shuffle holds as Python ints at once
+_SHUFFLE_BLOCK = 4096
 
 
 def mix64(x: int) -> int:
@@ -116,8 +118,10 @@ class Rng:
             if u < limit:
                 return u % n
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates; swap i takes randint(i + 1), i = n-1 .. 1."""
+    def shuffle(self, items) -> None:
+        """In-place Fisher-Yates over a list (or any mutable sequence, such
+        as an array.array); swap i takes randint(i + 1), i = n-1 .. 1. The
+        swap targets are read as Python ints a block at a time."""
         n = len(items)
         if n < 2:
             return
@@ -132,8 +136,10 @@ class Rng:
                 j = self.randint(i + 1)
                 items[i], items[j] = items[j], items[i]
             return
-        for i, j in zip(range(n - 1, 0, -1), (draws % bounds).tolist()):
-            items[i], items[j] = items[j], items[i]
+        np.remainder(draws, bounds, out=draws)
+        for lo in range(0, n - 1, _SHUFFLE_BLOCK):
+            for i, j in zip(range(n - 1 - lo, 0, -1), draws[lo : lo + _SHUFFLE_BLOCK].tolist()):
+                items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), partial Fisher-Yates order."""

@@ -16,8 +16,10 @@ background always the last index.
 
 from __future__ import annotations
 
+import array
 import os
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +54,7 @@ from .sampling import (
     SamplingConfig,
     sample_class_points,
 )
-from .tensor import FeatureGrid, Grid, l2_normalize_locations
+from .tensor import FeatureGrid, Grid, NormState, l2_normalize_locations
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def new_segmentation_model(class_ids, in_dim: int, global_dim: int,
 
 def train_segmentation(
     points: PointSet,
-    features_by_image: dict[str, AugmentedFeatureGrid],
+    features_by_image: Mapping[str, AugmentedFeatureGrid],
     class_ids,
     config: SegConfig,
     seed: int,
@@ -154,7 +156,9 @@ def train_segmentation(
     """Train the per-location head on the pooled point set (a PointSet, or a
     list of SampledPoint rows).
 
-    Points are gathered as (n, D) feature rows plus an image index, shuffled
+    Each point is a row of a feature table plus an image index
+    (_point_inputs): a FeatureTable's shared array, indexed in place, or
+    the points' rows gathered from any other mapping. Points are shuffled
     with the seeded stream each epoch, and consumed in batches of
     config.batch_size under mean softmax cross-entropy. Every step runs in
     one float32 HeadWorkspace, its batch's [rows | descriptors] included,
@@ -174,23 +178,23 @@ def train_segmentation(
         class_ids, first.depth, first.global_dim, config, derive_seed(seed, 0x5E6)
     )
 
-    rows, image, descriptors, y = _gather_points(points, features_by_image, model)
-    d = rows.shape[1]
+    table, rows, image, descriptors, y = _point_inputs(points, features_by_image, model)
+    d = table.shape[1]
     ws = HeadWorkspace(model, min(config.batch_size, len(points)))
 
     rng = Rng(derive_seed(seed, 0x5EC0))
     state = AdamState(lr=config.lr)
     epoch_losses = []
     for epoch in range(config.epochs):
-        order = list(range(len(points)))
+        order = array.array("q", range(len(points)))  # 8 bytes a point, not a list's 40
         rng.shuffle(order)
-        order = np.array(order, dtype=np.int64)
+        order = np.frombuffer(order, dtype=np.int64)
         total = 0.0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             xb = ws.x[: len(batch)]
-            xb[:, :d] = rows[batch]
+            xb[:, :d] = table[rows[batch]]
             xb[:, d:] = descriptors[image[batch]]
             try:
                 lv, _ = head_loss_and_grads(model, xb, y[batch], ws)
@@ -208,36 +212,75 @@ def train_segmentation(
     )
 
 
-def _gather_points(points: PointSet,
-                   features_by_image: dict[str, AugmentedFeatureGrid],
-                   model: SegmentationModel
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """In point order: (n, D) float32 unit feature rows as stored, (n,) image
-    indices into the (k, global_dim) float32 descriptors of
-    points.image_ids, and (n,) output indices. A point's head input is its
-    row followed by its image's descriptor. One fancy-index per image,
-    labels mapped through a per-label lookup. DataError for a point whose
-    loc is outside its image's grid or whose label is not in the model's
-    universe: the one check of the labels, which the steps then take as
-    valid output indices."""
+class FeatureTable(Mapping):
+    """The head's inputs of images whose unit grids are the rows of one
+    C-ordered (n, H, W, D) float32 array, values: each image's
+    AugmentedFeatureGrid by id, plus the array's (n*H*W, D) location rows
+    as `table` (a view) and each image's first row in it, `first_row`.
+    train_segmentation reads a point's features from `table` in place."""
+
+    def __init__(self, image_ids: list[str], values: np.ndarray):
+        n, h, w, d = values.shape
+        if len(image_ids) != n or not values.flags.c_contiguous:
+            raise DataError(f"FeatureTable: {len(image_ids)} image ids for {n} grids, "
+                            "which must be one C-ordered array")
+        self.table = values.reshape(n * h * w, d)  # a view of C-ordered values
+        self.first_row = {image_id: i * h * w for i, image_id in enumerate(image_ids)}
+        self._grids = {
+            image_id: augment_with_global(FeatureGrid(Grid(values[i]), NormState.UNIT))
+            for i, image_id in enumerate(image_ids)
+        }
+
+    def __getitem__(self, image_id: str) -> AugmentedFeatureGrid:
+        return self._grids[image_id]
+
+    def __iter__(self):
+        return iter(self._grids)
+
+    def __len__(self) -> int:
+        return len(self._grids)
+
+
+def _point_inputs(points: PointSet,
+                  features_by_image: Mapping[str, AugmentedFeatureGrid],
+                  model: SegmentationModel
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """In point order, what the head trains on: point i's input is row
+    rows[i] of the (m, D) float32 unit features `table` followed by
+    descriptor image[i] of the (k, global_dim) float32 descriptors of
+    points.image_ids; y[i] is its output index. Returns (table, rows, image,
+    descriptors, y).
+
+    A FeatureTable's table is its shared array, indexed in place; for any
+    other mapping the points' rows are gathered into a table of their own,
+    one fancy-index per image. Labels are mapped through a per-label lookup.
+    DataError for a point whose loc is outside its image's grid or whose
+    label is not in the model's universe: the one check of the labels,
+    which the steps then take as valid output indices."""
     points = PointSet.of(points)
-    by_image = np.argsort(points.image, kind="stable")
-    bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
     augmented = [features_by_image[image_id] for image_id in points.image_ids]
-    rows = np.empty((len(points), model.hidden.in_dim - model.global_dim), dtype=np.float32)
-    for c, (image_id, af) in enumerate(zip(points.image_ids, augmented)):
-        at = by_image[bounds[c] : bounds[c + 1]]
-        grid = af.features.grid
-        locs = points.loc[at]
-        outside = locs[(locs < 0) | (locs >= grid.n_locations)]
-        if outside.size:
-            raise DataError(f"image {image_id!r}: point loc {int(outside[0])} is outside "
-                            f"its grid of {grid.n_locations} locations")
-        rows[at] = grid.locations()[locs]
+    n_locations = np.array([af.features.grid.n_locations for af in augmented], dtype=np.int64)
+    outside = np.flatnonzero((points.loc < 0) | (points.loc >= n_locations[points.image]))
+    if outside.size:
+        i = outside[np.argmin(points.image[outside])]  # the first of the first image
+        c = points.image[i]
+        raise DataError(f"image {points.image_ids[c]!r}: point loc {int(points.loc[i])} is "
+                        f"outside its grid of {n_locations[c]} locations")
+    if isinstance(features_by_image, FeatureTable):
+        first = np.array([features_by_image.first_row[i] for i in points.image_ids], np.int64)
+        table, rows = features_by_image.table, first[points.image] + points.loc
+    else:
+        by_image = np.argsort(points.image, kind="stable")
+        bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
+        table = np.empty((len(points), model.hidden.in_dim - model.global_dim), np.float32)
+        for c, af in enumerate(augmented):
+            at = by_image[bounds[c] : bounds[c + 1]]
+            table[at] = af.features.grid.locations()[points.loc[at]]
+        rows = np.arange(len(points))
     descriptors = np.stack([af.descriptor for af in augmented])
     labels, inverse = np.unique(points.label, return_inverse=True)
     lookup = np.array([model.label_to_index(int(c)) for c in labels], dtype=np.int64)
-    return rows, points.image, descriptors, lookup[inverse]
+    return table, rows, points.image, descriptors, lookup[inverse]
 
 
 class HeadWorkspace:
@@ -273,7 +316,7 @@ def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
     loss and ws.grads, which the next call overwrites.
 
     xb: (m, D) point features of ws's dtype, m at most ws's size; yb: (m,)
-    output indices, one per row, each in 0 .. n_classes (_gather_points maps
+    output indices, one per row, each in 0 .. n_classes (_point_inputs maps
     the labels).
     """
     m = len(yb)

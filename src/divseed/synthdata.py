@@ -210,12 +210,6 @@ def generate_dataset(n_images: int, n_classes: int, h: int, w: int, seed: int,
     ]
 
 
-def expected_class_frequency(n_classes: int, max_shapes: int = MAX_SHAPES) -> float:
-    """P(a given class appears in a scene), ignoring the coverage retry."""
-    miss = 1.0 - 1.0 / n_classes
-    return 1.0 - sum(miss ** n for n in range(max_shapes + 1)) / (max_shapes + 1)
-
-
 # ---------------------------------------------------------------------------
 # fixed multi-scale feature extractor
 

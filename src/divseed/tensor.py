@@ -1,6 +1,6 @@
-"""Dense float grids, two-stage feature normalization, the DSTN file format,
-the JSON artifact writer and document reader, and the atomic writer behind
-every tensor, JSON and points file.
+"""Dense float grids and stacks of them, two-stage feature normalization,
+the DSTN file format, the JSON artifact writer and document reader, and the
+atomic writer behind every tensor, JSON and points file.
 
 A Grid is an H x W x depth block of float32 values, location-major: the flat
 location index of (row, col) is row * width + col, with the channel axis
@@ -22,6 +22,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -175,6 +176,37 @@ def normalize_features(f: FeatureGrid, stats: NormStats) -> FeatureGrid:
     z /= stats.divisors()
     _unit_rows(z.reshape(-1, z.shape[-1]))
     return FeatureGrid(grid=Grid(z.astype(np.float32)), norm_state=NormState.UNIT)
+
+
+class FeatureStack(Sequence):
+    """A sequence of FeatureGrids whose grids are the rows of one C-ordered
+    (n, H, W, D) float32 array, `values`, filled one grid at a time."""
+
+    def __init__(self, n: int, shape: tuple[int, int, int]):
+        self.values = np.empty((n, *shape), dtype=np.float32)
+        self._grids: list[FeatureGrid] = []
+
+    def __len__(self) -> int:
+        return len(self._grids)
+
+    def __getitem__(self, i):
+        return self._grids[i]
+
+    def _store(self, i: int, f: FeatureGrid) -> FeatureGrid:
+        """f copied into row i, as a view of that row."""
+        self.values[i] = f.grid.values
+        return FeatureGrid(Grid(self.values[i]), f.norm_state)
+
+    def append(self, f: FeatureGrid) -> None:
+        """Copy f into the next row."""
+        self._grids.append(self._store(len(self._grids), f))
+
+    def normalize(self, stats: NormStats) -> None:
+        """normalize_features each grid into its own row, one grid at a time:
+        the raw rows are overwritten, so grids taken from the stack before
+        are stale."""
+        for i, f in enumerate(self._grids):
+            self._grids[i] = self._store(i, normalize_features(f, stats))
 
 
 @contextmanager

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divseed import pipeline
 from divseed.dataset import load_manifest
 from divseed.errors import ConfigError, DataError, NumericError
 from divseed.pipeline import (
@@ -20,6 +21,7 @@ from divseed.pipeline import (
     run_pipeline,
     run_variant,
     sample_supervision,
+    sampling_seed,
     summarize_ablation,
     train_localizers,
 )
@@ -27,6 +29,7 @@ from divseed.rng import derive_seed
 from divseed.sampling import (
     CHUNK,
     STRATEGIES,
+    PointSet,
     SamplingConfig,
     SupervisionRecord,
     build_supervision_set,
@@ -34,12 +37,15 @@ from divseed.sampling import (
     save_points,
     score_tagged_classes,
 )
-from divseed.segmentation import new_segmentation_model, save_seg_checkpoint, SegConfig
+from divseed.segmentation import (FeatureTable, SegConfig, augment_with_global,
+                                  new_segmentation_model, save_seg_checkpoint,
+                                  train_segmentation)
 from divseed.tensor import FeatureGrid, NormState, save_json
 
 from reference_localizer import reference_train_localizer
 from reference_samplers import reference_supervision_set
 from test_perftrace_names import _perfbench_module
+from test_tensor import _traced_peak
 
 # small but real: big enough for localizers to train, small enough for CI
 TINY = PipelineConfig(seed=3, n_train=80, n_test=16, n_classes=2, image_size=32)
@@ -134,6 +140,98 @@ def test_ablation_seed_equals_the_benchmark_hand_loop(tmp_path):
     assert {row["variant"]: row["miou"] for row in run.rows()} == mious
     assert untouched
     assert added_report.miou == added_miou
+
+
+# ---------------------------------------------------------------------------
+# what the variants of a benchmark share: the training features, the scores
+# of a localizer set and the test images' head inputs
+
+
+def test_benchmark_features_are_views_of_its_training_table(tiny_bench):
+    table = tiny_bench.train_table
+    assert table.shape == (80, 8, 8, 48) and table.flags.c_contiguous
+    for i, r in enumerate(tiny_bench.train_records):
+        assert np.shares_memory(r.features.grid.values, table[i])
+    features = tiny_bench.train_features
+    assert isinstance(features, FeatureTable) and np.shares_memory(features.table, table)
+    assert list(features) == [r.image_id for r in tiny_bench.train_records]
+
+
+@pytest.mark.parametrize("strategy", ["diverse", "dense"])
+def test_a_head_trains_the_same_bits_on_the_shared_table_as_on_a_plain_dict(
+        tiny_bench, tiny_models, strategy):
+    """The benchmark's table is indexed in place; a plain dict of the same
+    grids has its points' rows gathered."""
+    cfg = base_with(TINY, {"strategy": strategy, "k": 20})
+    points = sample_supervision(tiny_bench.train_records, tiny_models, cfg.sampling_config(),
+                                sampling_seed(cfg.seed))
+    plain = {r.image_id: augment_with_global(r.features) for r in tiny_bench.train_records}
+    heads = [train_segmentation(points, features, [0, 1], cfg.seg_config(), 5)
+             for features in (tiny_bench.train_features, plain)]
+    assert heads[0].model.flat.tobytes() == heads[1].model.flat.tobytes()
+    assert heads[0].epoch_losses == heads[1].epoch_losses
+
+
+def test_a_dense_head_holds_no_copy_of_the_training_features():
+    """Every location of a benchmark as a point: training on its shared
+    table peaks below the split's features, the size of the copy a gather
+    would make."""
+    bench = make_benchmark(PipelineConfig(seed=4, n_train=60, n_test=1, n_classes=2))
+    n, h, w, _ = bench.train_table.shape
+    loc = np.tile(np.arange(h * w), n)
+    points = PointSet(tuple(r.image_id for r in bench.train_records),
+                      np.repeat(np.arange(n), h * w), loc, loc % 3 - 1,
+                      np.ones_like(loc), np.zeros(loc.shape), np.zeros(loc.shape, np.uint8))
+    _, peak = _traced_peak(train_segmentation, points, bench.train_features, [0, 1],
+                           SegConfig(hidden=8, epochs=1), 5)
+    assert peak < bench.train_table.nbytes
+
+
+def _counting(monkeypatch, module, name):
+    """Calls of module.name, counted into the returned list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
+def test_the_benchmark_keeps_the_scores_of_its_last_localizer_set(monkeypatch, tiny_models):
+    """The same bits as pair_scores, scored again only when the float32
+    parameters score_batch reads change, in place included. On a benchmark
+    of its own: the shared one may hold scores already."""
+    bench = make_benchmark(TINY)
+    models = copy.deepcopy(tiny_models)
+    calls = _counting(monkeypatch, pipeline, "pair_scores")
+
+    def assert_scored_as_pair_scores(scores):
+        for got, want in zip(scores, pair_scores(bench.train_records, models)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    scores = bench.pair_scores(models)
+    assert_scored_as_pair_scores(scores)
+    assert not scores.fg.flags.writeable
+    models[1].flat[0] = np.nextafter(models[1].flat[0], np.inf)  # same float32
+    assert bench.pair_scores(models) is scores and len(calls) == 1
+    models[1].flat[0] += 0.25
+    rescored = bench.pair_scores(models)
+    assert len(calls) == 2 and rescored.fg.tobytes() != scores.fg.tobytes()
+    assert_scored_as_pair_scores(rescored)
+
+
+def test_ablation_seed_scores_once_per_pooling(monkeypatch):
+    calls = _counting(monkeypatch, pipeline, "pair_scores")
+    variants = [{"strategy": "diverse"}, {"strategy": "top_k"}, {"strategy": "dense"},
+                {"strategy": "diverse", "pooling": "pixel"}]
+    base = PipelineConfig(n_train=24, n_test=4, n_classes=2, image_size=32)
+    ablation_seed(base, variants, 3)
+    assert len(calls) == 2
+
+
+def test_a_test_image_builds_its_head_input_once(monkeypatch, tiny_models):
+    calls = _counting(monkeypatch, pipeline, "augment_with_global")
+    bench = make_benchmark(TINY)
+    for _ in range(2):
+        run_variant(bench, tiny_models, TINY)
+    assert len(calls) == len(bench.test_images)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import array
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +122,16 @@ def test_shuffle_matches_sequential_fisher_yates(seed):
         _sequential_shuffle(rs, seq)
         assert bulk == seq, n
         assert rb.next_u64() == rs.next_u64()  # same stream position after
+
+
+def test_shuffle_of_an_array_equals_that_of_a_list():
+    """The head shuffles its point order as an array.array of int64, across
+    several blocks of swap targets."""
+    n = 3 * 4096 + 5
+    items, arr = list(range(n)), array.array("q", range(n))
+    Rng(9).shuffle(items)
+    Rng(9).shuffle(arr)
+    assert arr.tolist() == items
 
 
 class ScriptedRng(Rng):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import shutil
 from argparse import Namespace
 from pathlib import Path
 from unittest import mock
@@ -205,3 +206,66 @@ def test_missing_key_is_formatted_in_one_module():
     src = Path(divseed.__file__).parent
     assert [p.name for p in sorted(src.glob("*.py")) if "missing key" in p.read_text()] == [
         "errors.py"]
+
+
+# ---------------------------------------------------------------------------
+# a run's files truncated or with one byte flipped, fed to the command that
+# reads them
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run")
+    assert main(["run", "--out", str(root), "--set", "n_train=12", "--set", "n_test=4",
+                 "--set", "n_classes=2", "--set", "image_size=32"]) == 0
+    return root
+
+
+# file: (what is copied, the file in the copy, the command reading the copy c
+# of the run r, writing to o)
+_RUN_FILES = {
+    "loc params.dstn": ("loc", "class_0/params.dstn",
+                        lambda r, c, o: ["sample", "--loc-dir", c, "--features",
+                                         f"{r}/data/train", "--out", o]),
+    "head params.dstn": ("seg.ckpt", "params.dstn",
+                         lambda r, c, o: ["eval", "--model", c, "--data", f"{r}/data/test",
+                                          "--out", o]),
+    "features.dstn": ("data/train", "features.dstn",
+                      lambda r, c, o: ["sample", "--loc-dir", f"{r}/loc", "--features", c,
+                                       "--out", o]),
+    "manifest.json": ("data/train", "manifest.json",
+                      lambda r, c, o: ["sample", "--loc-dir", f"{r}/loc", "--features", c,
+                                       "--out", o]),
+    "points.jsonl": ("points.jsonl", "",
+                     lambda r, c, o: ["train-seg", "--points", c, "--features",
+                                      f"{r}/data/train", "--out", o]),
+}
+
+# a cut or a flip: at a header offset or anywhere, taken modulo the length
+_damage = st.tuples(st.sampled_from(["truncate", "flip"]),
+                    st.integers(0, 40) | st.integers(0, 2**24), st.integers(1, 255))
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_FILES))
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(damage=_damage)
+def test_a_damaged_run_file_exits_with_a_documented_code(tmp_path_factory, tiny_run, name,
+                                                         damage):
+    """main returns a code rather than raising: any other exception would
+    end the command in a traceback."""
+    copied, rel, argv = _RUN_FILES[name]
+    work = tmp_path_factory.mktemp("damaged")
+    copy_path = work / Path(copied).name
+    if (tiny_run / copied).is_dir():
+        shutil.copytree(tiny_run / copied, copy_path)
+    else:
+        shutil.copy(tiny_run / copied, copy_path)
+    target = copy_path / rel if rel else copy_path
+    data = bytearray(target.read_bytes())
+    kind, at, xor = damage
+    if kind == "truncate":
+        del data[at % (len(data) + 1):]
+    else:
+        data[at % len(data)] ^= xor
+    target.write_bytes(bytes(data))
+    assert main(argv(tiny_run, str(copy_path), str(work / "out"))) in (0, 2, 3, 4, 5)

@@ -21,8 +21,9 @@ from divseed.nn import (
 )
 from divseed.segmentation import (
     HeadWorkspace,
+    FeatureTable,
     SegConfig,
-    _gather_points,
+    _point_inputs,
     add_class,
     augment_with_global,
     head_loss_and_grads,
@@ -133,8 +134,13 @@ def _per_point_gather(points, features, model):
 
 
 def test_gather_equals_per_point_loop():
+    """A plain dict's rows are gathered, a FeatureTable of the same grids is
+    indexed in place: both give every point the reference row and label."""
     class_ids = (5, 0, 2)  # unsorted universe: indices are not ids
-    features = {f"im{i}": augment_with_global(unit_features(200 + i)) for i in range(25)}
+    grids = [unit_features(200 + i) for i in range(25)]
+    ids = [f"im{i}" for i in range(25)]
+    plain = {i: augment_with_global(f) for i, f in zip(ids, grids)}
+    shared = FeatureTable(ids, np.stack([f.grid.values for f in grids]))
     rng = Rng(0x6A7)
     points = []
     for _ in range(400):  # images interleaved, duplicates likely
@@ -143,18 +149,22 @@ def test_gather_equals_per_point_loop():
         points.append(SampledPoint(image_id, rng.randint(16), label[rng.randint(4)], 1, 0.5))
     points += points[:30]  # exact duplicates
     model = new_segmentation_model(class_ids, 12, 6, SegConfig(hidden=4), seed=1)
-    rows, image, descriptors, y = _gather_points(points, features, model)
-    ref_x, ref_y = _per_point_gather(points, features, model)
-    assert rows.dtype == descriptors.dtype == np.float32
-    assert rows.shape == (len(points), 6) and descriptors.shape == (25, 6)
-    x = np.concatenate([rows, descriptors[image]], axis=1)
-    assert x.tobytes() == ref_x.tobytes()
-    for i, p in enumerate(points):
-        assert descriptors[image[i]].tobytes() == features[p.image_id].descriptor.tobytes()
-    assert np.array_equal(y, ref_y)
-    assert set(y.tolist()) == {0, 1, 2, 3}
-    with pytest.raises(DataError):
-        _gather_points(points + [SampledPoint("im0", 0, 7, 1, 0.5)], features, model)
+    ref_x, ref_y = _per_point_gather(points, plain, model)
+    for features, n_rows in ((plain, len(points)), (shared, 25 * 16)):
+        table, rows, image, descriptors, y = _point_inputs(points, features, model)
+        assert table.dtype == descriptors.dtype == np.float32
+        assert table.shape == (n_rows, 6) and descriptors.shape == (25, 6)
+        x = np.concatenate([table[rows], descriptors[image]], axis=1)
+        assert x.tobytes() == ref_x.tobytes()
+        for i, p in enumerate(points):
+            assert descriptors[image[i]].tobytes() == plain[p.image_id].descriptor.tobytes()
+        assert np.array_equal(y, ref_y)
+        assert set(y.tolist()) == {0, 1, 2, 3}
+        with pytest.raises(DataError, match="not in class universe"):
+            _point_inputs(points + [SampledPoint("im0", 0, 7, 1, 0.5)], features, model)
+        with pytest.raises(DataError, match="'im3': point loc 16 is outside its grid of 16"):
+            _point_inputs(points + [SampledPoint("im3", 16, 0, 1, 0.5)], features, model)
+    assert np.shares_memory(shared.table, shared["im3"].features.grid.values)
 
 
 def test_training_holds_no_point_matrix():

@@ -9,12 +9,12 @@ from divseed.errors import ConfigError, DataError
 from divseed.synthdata import (
     GRID_FACTOR,
     MAX_CLASS_COVER,
+    MAX_SHAPES,
     MIN_CLASS_COVER,
     ExtractorSpec,
     SyntheticScene,
     _avg_pool,
     downsample_mask,
-    expected_class_frequency,
     extract_features,
     generate_dataset,
     nearest_indices,
@@ -53,6 +53,12 @@ def test_coverage_invariant():
 def test_image_values_in_unit_range():
     for scene in generate_dataset(10, 2, 32, 32, seed=5):
         assert scene.image.min() >= 0.0 and scene.image.max() <= 1.0
+
+
+def expected_class_frequency(n_classes: int, max_shapes: int = MAX_SHAPES) -> float:
+    """P(a given class appears in a scene), ignoring the coverage retry."""
+    miss = 1.0 - 1.0 / n_classes
+    return 1.0 - sum(miss ** n for n in range(max_shapes + 1)) / (max_shapes + 1)
 
 
 def test_class_frequency_near_prior():
