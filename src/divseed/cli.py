@@ -3,16 +3,16 @@
 Subcommands: gen-data, train-loc, sample, train-seg, predict, eval, ablate,
 add-class, gradcheck, render, run. One JSON config document (`--config`,
 then `--set key=value` overrides) drives `run` and the stage commands
-train-loc, sample, train-seg, eval and add-class; an ablation grid's `base`
-is the config of `ablate`. Each stage command builds its stage config and
-derives its seed from the config exactly as `run` does, checked before
-anything is read or written, so the stage commands given a run's
-config.json reproduce that run's artifacts byte for byte. Stage commands
-take image sizes and classes from their manifests, never from the config's
-data keys. `sample` and `add-class` read a `--loc-dir` of localizer
-checkpoints through one loader; `train-loc --export-maps` writes score maps
-for `render --kind heatmap` only. The `jobs` key sizes the worker pool for
-per-class localizer training in `run` and `ablate`.
+gen-data, train-loc, sample, train-seg, eval and add-class; an ablation
+grid's `base` is the config of `ablate`. Each stage command builds its stage
+config and derives its seed from the config exactly as `run` does, checked
+before anything is read or written, so the stage commands given a run's
+config.json reproduce that run's artifacts byte for byte, gen-data its
+data. The others take image sizes and classes from their manifests, never
+from the config's data keys. `sample` and `add-class` read a `--loc-dir`
+of localizer checkpoints through one loader; `train-loc --export-maps`
+writes score maps for `render --kind heatmap` only. The `jobs` key sizes the
+worker pool for per-class localizer training in `run` and `ablate`.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure,
 5 I/O or file-format error.
@@ -29,7 +29,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import pipeline
-from .dataset import load_manifest, make_split
+from .dataset import load_manifest
 from .errors import (ConfigError, DataError, DivseedError, NumericError, TensorFormatError,
                      check_fields, is_int_list, require_count)
 from .localization import (
@@ -55,7 +55,6 @@ from .segmentation import (
     save_seg_checkpoint,
     train_segmentation,
 )
-from .synthdata import ExtractorSpec
 from .tensor import load_json, load_tensor, save_json, save_tensor
 
 EXIT_OK = 0
@@ -105,17 +104,9 @@ _GRID_FIELDS = (
 
 
 def cmd_gen_data(args) -> int:
-    """With --stats-from, the split takes that training set's extractor and
-    stats, as `run` makes its test split; without, it derives its extractor
-    from --seed and computes its stats."""
-    if args.stats_from is None:
-        spec = ExtractorSpec(seed=derive_seed(args.seed, pipeline._STREAM_EXTRACTOR))
-        stats = None
-    else:
-        base = load_manifest(args.stats_from)
-        spec, stats = ExtractorSpec(seed=base.extractor_seed), base.load_stats()
-    make_split(args.n, args.classes, args.size, args.seed, args.prefix, spec, stats, args.out)
-    print(f"wrote {args.n} scenes -> {args.out}")
+    config = _load_config(args)
+    tags, _, _, _ = pipeline.config_split(config, args.split, args.out, args.n)
+    print(f"wrote {len(tags)} scenes -> {args.out}")
     return EXIT_OK
 
 
@@ -375,16 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="divseed", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--classes", type=int, required=True)
-    g.add_argument("--size", type=int, default=64)
-    g.add_argument("--seed", type=int, default=7)
+    g = sub.add_parser("gen-data", help="write one split of the config's benchmark")
+    g.add_argument("--split", choices=("train", "test", "new"), required=True,
+                   help="train and test as run makes them; new: images of one class more")
+    g.add_argument("--n", type=int, default=None, help="image count of a new split")
     g.add_argument("--out", required=True)
-    g.add_argument("--prefix", default="scene")
-    g.add_argument("--stats-from", default=None,
-                   help="training dataset (directory or manifest) whose extractor "
-                        "and stats this split takes")
+    _add_config_args(g)
     g.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("train-loc", help="train one class's localizer")

@@ -32,7 +32,6 @@ from .localization import SupervisionRecord, TagSet
 from .synthdata import (
     GRID_FACTOR,
     ExtractorSpec,
-    check_dataset_size,
     downsample_mask,
     extract_features,
     generate_scene,
@@ -42,6 +41,7 @@ from .tensor import (
     FeatureStack,
     Grid,
     NormStats,
+    _require_finite,
     atomic_write,
     compute_norm_stats,
     load_json,
@@ -96,6 +96,7 @@ class Manifest:
         arr = load_tensor(self.path(self.stats_path)).astype(np.float64)
         if arr.ndim != 2 or arr.shape[0] != 2:
             raise DataError(f"stats tensor must be (2, D), got {arr.shape}")
+        _require_finite(arr, self.path(self.stats_path))
         return NormStats(mean=arr[0], std=arr[1])
 
     def _load_stacked(self, name: str, row_shape: tuple[int, ...]) -> np.ndarray:
@@ -167,14 +168,14 @@ def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: Ex
                stats: NormStats | None = None, out_dir: str | None = None
                ) -> tuple[list[TagSet], FeatureStack, list[np.ndarray], NormStats]:
     """n size x size scenes from seed, ids prefixed by name, made one at a
-    time; returns their tags, their raw features from spec as one
-    FeatureStack filled scene by scene, their grid-resolution truth, and the
-    given stats (else stats computed from the features). With out_dir each
+    time (the sizes are checked by the caller: pipeline.config_split);
+    returns their tags, their raw features from spec as one FeatureStack
+    filled scene by scene, their grid-resolution truth, and the given stats
+    (else stats computed from the features). With out_dir each
     scene is also appended to the split's stacked tensors there, which
     replace the old files only after the last row, the stats and
     write_dataset, so a failure before those renames leaves an earlier split
     whole."""
-    check_dataset_size(n, n_classes, size, size)
     grid = size // GRID_FACTOR
     tags, features, truth = [], FeatureStack(n, (grid, grid, spec.depth)), []
     with ExitStack() as files:

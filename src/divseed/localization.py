@@ -55,7 +55,7 @@ from .nn import (
 from .nn import (bce_loss_and_grad, global_softmax_prob, linear_backward,  # noqa: F401
                  linear_fwd, pixel_softmax_prob, relu_backward)
 from .rng import Rng, derive_seed
-from .tensor import FeatureGrid, NormState
+from .tensor import FeatureGrid, NormState, _require_finite
 
 POOLING_MODES = ("global", "pixel")
 
@@ -120,8 +120,7 @@ class ScoreMap:
     def __post_init__(self):
         if self.fg.shape != self.bg.shape:
             raise DataError("ScoreMap fg/bg shapes differ")
-        if not (np.all(np.isfinite(self.fg)) and np.all(np.isfinite(self.bg))):
-            raise NumericError("non-finite score map")
+        _require_finite(np.stack([self.fg, self.bg]), "score map")
 
     def fg_flat(self) -> np.ndarray:
         return self.fg.astype(np.float64).ravel()
@@ -189,8 +188,7 @@ def score_batch(model: LocalizationModel, x: np.ndarray,
     params = model.views(model.flat.astype(np.float32))
     _, y = mlp_forward(params, x.reshape(b * n, d), out=out)
     scores = y.astype(np.float32).reshape(b, n, 2)
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite score map")
+    _require_finite(scores, "score map")
     return scores
 
 

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, check_fields, is_count, is_int
 from .rng import Rng
-from .tensor import load_json, load_tensor, save_json, save_tensor
+from .tensor import _require_finite, load_json, load_tensor, save_json, save_tensor
 
 PROB_CLAMP = 1e-7
 
@@ -279,8 +279,7 @@ def pool_rows(mode: str, scores: np.ndarray) -> list[tuple[float, PoolingTrace]]
     index on ties) over the whole stack at once, each row's sigmoid in
     scalar math. NumericError if any score is non-finite."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite scores in pooling")
+    _require_finite(scores, "pooling scores")
     rows = np.arange(scores.shape[0])
     if mode == "pixel":
         diffs = scores[:, :, 0] - scores[:, :, 1]
@@ -563,7 +562,7 @@ def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
     the meta document. DataError for another kind, an unreadable meta, a
     seed that is not an integer, a dimension that is not an integer >= 1, or
     a params.dstn that is not one axis of exactly the parameters those
-    dimensions give.
+    dimensions give; NumericError naming params.dstn for a non-finite value.
     """
     where = os.path.join(path, "meta.json")
     meta = load_json(where, DataError)
@@ -573,6 +572,7 @@ def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
     flat = load_tensor(params)
     if flat.ndim != 1:
         raise DataError(f"{params}: shape {flat.shape}, want one axis")
+    _require_finite(flat, params)
     try:
         w1, b1, w2, b2 = MLP.layout(flat, *dims)
     except DataError as e:

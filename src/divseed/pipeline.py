@@ -174,14 +174,12 @@ _CONFIG_FIELDS = tuple((f.name, *_FIELD_TYPES[f.type])
 
 
 # stage seed streams
-_STREAM_TRAIN_DATA = 0xDA7A1
-_STREAM_TEST_DATA = 0xDA7A2
 _STREAM_EXTRACTOR = 0xE87
 _STREAM_LOC_BASE = 0x10C000
 _STREAM_SAMPLING = 0x5A3F
 _STREAM_SEG = 0x5E60
-_STREAM_ADD_CLASS_DATA = 0xADDDA7A
 _STREAM_ADD_CLASS = 0xADD
+_SPLIT_STREAMS = {"train": 0xDA7A1, "test": 0xDA7A2, "new": 0xADDDA7A}
 
 
 # Every model-stage seed is derived from the run seed by one of these, in a
@@ -201,6 +199,10 @@ def seg_seed(seed: int) -> int:
 
 def add_class_seed(seed: int) -> int:
     return derive_seed(seed, _STREAM_ADD_CLASS)
+
+
+def extractor_spec(seed: int) -> ExtractorSpec:
+    return ExtractorSpec(seed=derive_seed(seed, _STREAM_EXTRACTOR))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +260,24 @@ class Benchmark:
         return self._scores[1]
 
 
+def config_split(config: PipelineConfig, split: str, out_dir: str | None = None,
+                 n: int | None = None, stats: NormStats | None = None):
+    """make_split of the config's split, ids `<split>_NNNNN`: train and test
+    of n_train and n_test images, new of n (else ConfigError) over one class
+    more, all from the training extractor; test and new take the training
+    stats, given or computed from the training split made in memory."""
+    if (n is None) == (split == "new"):
+        raise ConfigError(f"a {split} split {'needs' if n is None else 'takes no'} image count n")
+    n = n if split == "new" else getattr(config, f"n_{split}")
+    n_classes = config.n_classes + (split == "new")
+    check_dataset_size(n, n_classes, config.image_size, config.image_size)
+    if split != "train" and stats is None:
+        stats = config_split(config, "train")[3]
+    return make_split(n, n_classes, config.image_size,
+                      derive_seed(config.seed, _SPLIT_STREAMS[split]), split,
+                      extractor_spec(config.seed), stats, out_dir)
+
+
 def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Benchmark:
     """Generate train/test scenes and normalized features in memory, each
     split's features normalized into the rows of its one stack.
@@ -266,21 +286,18 @@ def make_benchmark(config: PipelineConfig, data_dir: str | None = None) -> Bench
     (data_dir/train, data_dir/test) sharing the training extractor and stats.
     Scenes and raw features are not kept in the Benchmark.
     """
-    spec = ExtractorSpec(seed=derive_seed(config.seed, _STREAM_EXTRACTOR))
-
-    def split(name, n, stream, stats=None):
-        tags, features, truth, stats = make_split(
-            n, config.n_classes, config.image_size, derive_seed(config.seed, stream),
-            name, spec, stats, None if data_dir is None else os.path.join(data_dir, name),
-        )
+    def split(name, stats=None):
+        out_dir = None if data_dir is None else os.path.join(data_dir, name)
+        tags, features, truth, stats = config_split(config, name, out_dir, stats=stats)
         features.normalize(stats)
         return tags, features, truth, stats
 
-    tags, train, _, stats = split("train", config.n_train, _STREAM_TRAIN_DATA)
+    tags, train, _, stats = split("train")
     train_records = [SupervisionRecord(t.image_id, f, t) for t, f in zip(tags, train)]
-    tags, test, truth, _ = split("test", config.n_test, _STREAM_TEST_DATA, stats)
+    tags, test, truth, _ = split("test", stats)
     test_images = [EvalImage(t.image_id, f, m) for t, f, m in zip(tags, test, truth)]
-    return Benchmark(config.n_classes, train_records, train.values, test_images, spec, stats)
+    return Benchmark(config.n_classes, train_records, train.values, test_images,
+                     extractor_spec(config.seed), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +532,9 @@ def run_variant(
 def new_class_records(
     bench: Benchmark, config: PipelineConfig, n_images: int
 ) -> list[SupervisionRecord]:
-    """n_images scenes over one class more than the benchmark, with features
-    from its extractor normalized by its frozen training stats: the data
-    class addition learns class n_classes from."""
-    tags, features, _, _ = make_split(
-        n_images, config.n_classes + 1, config.image_size,
-        derive_seed(config.seed, _STREAM_ADD_CLASS_DATA), "new",
-        bench.extractor, bench.norm_stats,
-    )
+    """The config's new split of n_images, normalized by the frozen training
+    stats of the benchmark made from config: what class addition learns from."""
+    tags, features, _, _ = config_split(config, "new", n=n_images, stats=bench.norm_stats)
     features.normalize(bench.norm_stats)
     return [SupervisionRecord(t.image_id, f, t) for t, f in zip(tags, features)]
 

@@ -99,8 +99,9 @@ def overlay_points_rgb(
     """Mark each grid point on the full-resolution image.
 
     Points live on the coarse grid; each is drawn as a 3x3 block centered on
-    its cell's center pixel.
+    its cell's center pixel. NumericError for a non-finite image value.
     """
+    _require_finite(image, "image")
     img = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
     out = np.round(img * 255.0).astype(np.uint8)
     h, w, _ = out.shape

@@ -15,26 +15,28 @@ from test_tensor import MALFORMED_DSTN
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """One tiny dataset shared by the stage-command tests."""
+    """One tiny dataset shared by the stage-command tests: the train and test
+    splits of config.json."""
     root = tmp_path_factory.mktemp("cli")
-    rc = main([
-        "gen-data", "--n", "60", "--classes", "2", "--size", "32",
-        "--seed", "5", "--out", str(root / "train"), "--prefix", "tr",
-    ])
-    assert rc == 0
-    rc = main([
-        "gen-data", "--n", "12", "--classes", "2", "--size", "32",
-        "--seed", "6", "--out", str(root / "test"), "--prefix", "te",
-        "--stats-from", str(root / "train"),
-    ])
-    assert rc == 0
+    (root / "config.json").write_text(json.dumps(
+        {"n_train": 60, "n_test": 12, "n_classes": 2, "image_size": 32, "seed": 5}))
+    for split in ("train", "test"):
+        assert main(["gen-data", "--split", split, "--config", str(root / "config.json"),
+                     "--out", str(root / split)]) == 0
     return root
+
+
+def _gen_new(workdir, out, n=4):
+    """gen-data's new split of the workdir's config: n images of class 2 too."""
+    assert main(["gen-data", "--split", "new", "--n", str(n),
+                 "--config", str(workdir / "config.json"), "--out", str(out)]) == 0
 
 
 def test_gen_data_manifest(workdir):
     m = load_manifest(str(workdir / "train"))
     assert len(m.entries) == 60
     assert m.classes == [0, 1]
+    assert [e.image_id for e in m.entries[:2]] == ["train_00000", "train_00001"]
     # a split made from a training set takes its extractor and stats
     test = load_manifest(str(workdir / "test"))
     assert test.extractor_seed == m.extractor_seed
@@ -46,24 +48,32 @@ def _files(root) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_gen_data_from_a_run_training_set_writes_its_test_split(tmp_path):
-    """gen-data with the run's test-split seed, --stats-from the run's
-    training set, writes the run's test split byte for byte."""
-    from divseed.pipeline import _STREAM_TEST_DATA
-    from divseed.rng import derive_seed
+def test_gen_data_writes_a_run_split_from_its_config_alone(tmp_path):
+    """gen-data --split test, given only a run's config.json, writes the
+    run's test split byte for byte, with its training extractor and stats
+    worked out in memory; --split new writes the images run_add_class
+    learns from, bit for bit."""
+    import numpy as np
+
+    from divseed.pipeline import PipelineConfig, make_benchmark, new_class_records
 
     run = tmp_path / "run"
     rc = main(["run", "--set", "n_train=20", "--set", "n_test=6", "--set", "n_classes=2",
                "--set", "image_size=32", "--set", "seed=17", "--set", "seg_epochs=1",
                "--out", str(run)])
     assert rc == 0
-    rc = main([
-        "gen-data", "--n", "6", "--classes", "2", "--size", "32",
-        "--seed", str(derive_seed(17, _STREAM_TEST_DATA)), "--prefix", "test",
-        "--stats-from", str(run / "data" / "train"), "--out", str(tmp_path / "test"),
-    ])
-    assert rc == 0
+    config = ["--config", str(run / "config.json")]
+    assert main(["gen-data", "--split", "test", *config, "--out", str(tmp_path / "test")]) == 0
     assert _files(tmp_path / "test") == _files(run / "data" / "test")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run", "test"]
+    assert main(["gen-data", "--split", "new", "--n", "5", *config,
+                 "--out", str(tmp_path / "new")]) == 0
+    cfg = PipelineConfig.from_dict(json.loads((run / "config.json").read_text()))
+    expected = new_class_records(make_benchmark(cfg), cfg, 5)
+    got = load_manifest(str(tmp_path / "new")).load_records()
+    assert [(r.image_id, r.tags) for r in got] == [(r.image_id, r.tags) for r in expected]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.features.grid.values, b.features.grid.values)
 
 
 # the tiny run the stage chains below reproduce
@@ -76,14 +86,18 @@ TINY_RUN = ["--set", "n_train=80", "--set", "n_test=16", "--set", "n_classes=2",
     ["strategy=top_k", "pooling=pixel"],
 ], ids=["diverse", "dense", "spatial", "top_k-pixel"])
 def test_stage_chain_reproduces_a_run(tmp_path, overrides):
-    """train-loc per class, sample, train-seg and eval, each given the run's
-    config.json, write the run's loc/, points.jsonl, seg.ckpt/ and
-    report.json byte for byte; so does sample from the run's own loc/."""
+    """gen-data for the train and test splits, train-loc per class, sample,
+    train-seg and eval, each given the run's config.json, write the run's
+    data/, loc/, points.jsonl, seg.ckpt/ and report.json byte for byte; so
+    does sample from the run's own loc/."""
     run, chain = tmp_path / "run", tmp_path / "chain"
     sets = [arg for item in overrides for arg in ("--set", item)]
     assert main(["run", *TINY_RUN, *sets, "--out", str(run)]) == 0
     config = ["--config", str(run / "config.json")]
-    train = str(run / "data" / "train")
+    for split in ("train", "test"):
+        assert main(["gen-data", "--split", split, *config,
+                     "--out", str(chain / "data" / split)]) == 0
+    train = str(chain / "data" / "train")
     assert main(["sample", "--loc-dir", str(run / "loc"), "--features", train, *config,
                  "--out", str(tmp_path / "points.jsonl")]) == 0
     assert (tmp_path / "points.jsonl").read_bytes() == (run / "points.jsonl").read_bytes()
@@ -95,25 +109,22 @@ def test_stage_chain_reproduces_a_run(tmp_path, overrides):
     assert main(["train-seg", "--points", str(chain / "points.jsonl"), "--features", train,
                  *config, "--out", str(chain / "seg.ckpt")]) == 0
     assert main(["eval", "--model", str(chain / "seg.ckpt"),
-                 "--data", str(run / "data" / "test"), *config,
+                 "--data", str(chain / "data" / "test"), *config,
                  "--out", str(chain / "report.json")]) == 0
-    produced = {rel: blob for rel, blob in _files(run).items()
-                if rel.split(os.sep)[0] in ("loc", "points.jsonl", "seg.ckpt", "report.json")}
-    assert len(produced) == 2 * 2 + 1 + 2 + 1
+    produced = {rel: blob for rel, blob in _files(run).items() if rel.split(os.sep)[0] in
+                ("data", "loc", "points.jsonl", "seg.ckpt", "report.json")}
+    assert len(produced) == 2 * 5 + 2 * 2 + 1 + 2 + 1
     assert _files(chain) == produced
 
 
 @pytest.mark.parametrize("strategy", ["diverse", "dense"])
 def test_add_class_command_equals_the_in_memory_class_addition(tmp_path, strategy):
-    """gen-data makes the new-class split run_add_class makes in memory;
-    add-class, given the run's config.json, then writes the new localizer,
-    the merged points and the head that run_add_class returns, for any
-    strategy the config names."""
+    """gen-data --split new makes the new-class split run_add_class makes in
+    memory; add-class, given the run's config.json, then writes the new
+    localizer, the merged points and the head that run_add_class returns,
+    for any strategy the config names."""
     from divseed.localization import save_loc_checkpoint
-    from divseed.pipeline import (
-        _STREAM_ADD_CLASS_DATA, PipelineConfig, ablation_seed,
-    )
-    from divseed.rng import derive_seed
+    from divseed.pipeline import PipelineConfig, ablation_seed
     from divseed.sampling import save_points
     from divseed.segmentation import save_seg_checkpoint
 
@@ -122,11 +133,8 @@ def test_add_class_command_equals_the_in_memory_class_addition(tmp_path, strateg
                  "--out", str(run)]) == 0
     cfg = PipelineConfig.from_dict(json.loads((run / "config.json").read_text()))
     n_images, new = 30, tmp_path / "new"
-    assert main([
-        "gen-data", "--n", str(n_images), "--classes", "3", "--size", "32",
-        "--seed", str(derive_seed(cfg.seed, _STREAM_ADD_CLASS_DATA)), "--prefix", "new",
-        "--stats-from", str(run / "data" / "train"), "--out", str(new),
-    ]) == 0
+    assert main(["gen-data", "--split", "new", "--n", str(n_images),
+                 "--config", str(run / "config.json"), "--out", str(new)]) == 0
     assert main([
         "add-class", "--class", "2", "--data", str(new),
         "--base-data", str(run / "data" / "train"), "--loc-dir", str(run / "loc"),
@@ -143,7 +151,7 @@ def test_add_class_command_equals_the_in_memory_class_addition(tmp_path, strateg
 
 def test_no_option_aliases_a_config_key():
     """A setting has one name, its config key, set by --config or --set.
-    gen-data and gradcheck read no config; their --seed is their own."""
+    gradcheck reads no config; its --seed is its own."""
     import argparse
     import dataclasses
 
@@ -158,7 +166,7 @@ def test_no_option_aliases_a_config_key():
         for action in subparser._actions
         if action.option_strings and action.dest in keys
     }
-    assert aliases == {("gen-data", "seed"), ("gradcheck", "seed")}
+    assert aliases == {("gradcheck", "seed")}
 
 
 def _readme_commands() -> list[str]:
@@ -287,8 +295,7 @@ def test_two_checkpoints_of_one_class_are_data_error(workdir, tmp_path, capsys, 
         argv = ["sample", "--features", str(workdir / "train")]
     else:
         new = tmp_path / "new"
-        assert main(["gen-data", "--n", "4", "--classes", "3", "--size", "32", "--seed", "44",
-                     "--stats-from", str(workdir / "train"), "--out", str(new)]) == 0
+        _gen_new(workdir, new)
         argv = ["add-class", "--class", "2", "--data", str(new),
                 "--base-data", str(workdir / "train"),
                 "--points", str(workdir / "points.jsonl")]
@@ -301,12 +308,7 @@ def test_two_checkpoints_of_one_class_are_data_error(workdir, tmp_path, capsys, 
 
 def test_add_class_command(workdir):
     """Runs after the chain test: extends the 2-class system with class 2."""
-    rc = main([
-        "gen-data", "--n", "30", "--classes", "3", "--size", "32",
-        "--seed", "44", "--out", str(workdir / "new"), "--prefix", "new",
-        "--stats-from", str(workdir / "train"),
-    ])
-    assert rc == 0
+    _gen_new(workdir, workdir / "new", 30)
     loc_dir = workdir / "loc"
     before = {
         p: (loc_dir / p / "params.dstn").read_bytes()
@@ -348,8 +350,7 @@ def test_add_class_rejects_data_not_made_from_the_base(workdir, tmp_path, capsys
     """New-class data made from the base set, then given another extractor
     seed or other stats; rejected before any model or points file is read."""
     new = tmp_path / "new"
-    assert main(["gen-data", "--n", "4", "--classes", "3", "--size", "32", "--seed", "44",
-                 "--stats-from", str(workdir / "train"), "--out", str(new)]) == 0
+    _gen_new(workdir, new)
     edit(new)
     rc = main([
         "add-class", "--class", "2", "--data", str(new),
@@ -475,7 +476,7 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
 
 
 # a stage command checks its config with the stage config `run` uses,
-# and gen-data its flags, before anything is read or written
+# and gen-data its --n, before anything is read or written
 @pytest.mark.parametrize("argv", [
     ["train-seg", "--set", "seg_batch=0"],
     ["train-seg", "--set", "seg_epochs=0"],
@@ -485,14 +486,20 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
     ["train-loc", "--class", "0", "--set", "loc_hidden=0"],
     ["sample", "--set", "k=0"],
     ["sample", "--set", "strategy=spatial", "--set", "spatial_scale=0"],
-    ["gen-data", "--n", "4", "--classes", "2", "--size", "30"],
-    ["gen-data", "--n", "4", "--classes", "2", "--size", "36"],
-    ["gen-data", "--n", "0", "--classes", "2"],
-    ["gen-data", "--n", "4", "--classes", "9"],
+    ["gen-data", "--split", "train", "--set", "image_size=30"],
+    ["gen-data", "--split", "test", "--set", "image_size=36"],
+    ["gen-data", "--split", "new", "--n", "0"],
+    ["gen-data", "--split", "train", "--set", "n_classes=9"],
+    ["gen-data", "--split", "new", "--n", "4", "--set", "n_classes=8"],
+    ["gen-data", "--split", "train", "--n", "4"],
+    ["gen-data", "--split", "test", "--n", "4"],
+    ["gen-data", "--split", "new"],
 ], ids=["train-seg-batch-zero", "train-seg-epochs-zero", "add-class-epochs-zero",
         "train-seg-hidden-zero", "add-class-hidden-zero", "train-loc-hidden-zero",
         "sample-k-zero", "sample-spatial-scale-zero", "gen-data-size-30",
-        "gen-data-size-36", "gen-data-n-zero", "gen-data-classes-nine"])
+        "gen-data-size-36", "gen-data-n-zero", "gen-data-classes-nine",
+        "gen-data-new-classes-nine", "gen-data-n-for-train", "gen-data-n-for-test",
+        "gen-data-new-without-n"])
 def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv):
     inputs = {
         "train-seg": ["--points", workdir / "points.jsonl", "--features", workdir / "train"],
@@ -699,19 +706,12 @@ def test_version_1_manifest_is_data_error(workdir, tmp_path, capsys):
     assert "gen-data" in err
 
 
-def test_binary_manifest_is_data_error(workdir, tmp_path, capsys):
+def test_binary_manifest_is_data_error(tmp_path, capsys):
     binary = _binary_file(tmp_path / "m.dstn")
     rc = main(["train-loc", "--class", "0", "--data", str(binary),
                "--out", str(tmp_path / "ck")])
     assert rc == 3
     assert "m.dstn" in capsys.readouterr().err
-    # --stats-from names the training set, not its stats file
-    rc = main(["gen-data", "--n", "4", "--classes", "2", "--size", "32",
-               "--stats-from", str(workdir / "train" / "stats.dstn"),
-               "--out", str(tmp_path / "test")])
-    assert rc == 3
-    assert "stats.dstn" in capsys.readouterr().err
-    assert not (tmp_path / "test").exists()
 
 
 def test_manifest_non_integer_tag_is_data_error(workdir, tmp_path, capsys):
@@ -906,8 +906,7 @@ def test_malformed_point_field_is_data_error(workdir, tmp_path, capsys, command,
         argv = ["train-seg", "--features", str(workdir / "train")]
     else:
         new = tmp_path / "new"
-        assert main(["gen-data", "--n", "4", "--classes", "3", "--size", "32", "--seed", "44",
-                     "--stats-from", str(workdir / "train"), "--out", str(new)]) == 0
+        _gen_new(workdir, new)
         argv = ["add-class", "--class", "2", "--data", str(new),
                 "--base-data", str(workdir / "train"), "--loc-dir", str(workdir / "loc")]
     rc = main(argv + ["--points", str(bad), "--out", str(tmp_path / "out")])

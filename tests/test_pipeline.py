@@ -295,7 +295,7 @@ def test_supervision_set_errors_match_the_per_image_loop(tiny_bench, tiny_models
     ]
     broken = copy.deepcopy(tiny_models)
     broken[1].out.weights[0, 0] = np.inf
-    cases.append((records, broken, {"k": 5}, "non-finite score map"))
+    cases.append((records, broken, {"k": 5}, "non-finite values in score map"))
     for dataset, models, overrides, message in cases:
         error = NumericError if "non-finite" in message else DataError
         for strategy in STRATEGIES:
@@ -498,6 +498,37 @@ def test_run_and_benchmark_train_on_bitwise_equal_data(tmp_path):
     for c in classes:
         for a, b in zip(from_disk[c].model.params(), in_memory[c].model.params()):
             assert np.array_equal(a, b)
+
+
+def test_config_split_is_the_benchmark_split():
+    """config_split makes the benchmark's training split, and its test split
+    without the training stats given; n is for a new split alone."""
+    config = PipelineConfig(seed=3, n_train=12, n_test=4, n_classes=2, image_size=32)
+    bench = make_benchmark(config)
+    tags, features, _, stats = pipeline.config_split(config, "train")
+    features.normalize(stats)
+    assert [t.image_id for t in tags] == [r.image_id for r in bench.train_records]
+    assert np.array_equal(features.values, bench.train_table)
+    tags, features, truth, stats = pipeline.config_split(config, "test")
+    assert (stats.mean.tobytes(), stats.std.tobytes()) == (
+        bench.norm_stats.mean.tobytes(), bench.norm_stats.std.tobytes())
+    features.normalize(stats)
+    for t, f, m, im in zip(tags, features, truth, bench.test_images, strict=True):
+        assert t.image_id == im.image_id and np.array_equal(m, im.truth)
+        assert np.array_equal(f.grid.values, im.features.grid.values)
+    for split, n in (("train", 3), ("test", 3), ("new", None)):
+        with pytest.raises(ConfigError, match="count n"):
+            pipeline.config_split(config, split, n=n)
+
+
+def test_seed_streams_are_named_in_one_module():
+    """Every seed stream is derived in pipeline, a split's scenes by
+    config_split, the one caller of make_split."""
+    src = Path(pipeline.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "_STREAM_" in p.read_text()] == [
+        "pipeline.py"]
+    assert [p.name for p in sorted(src.glob("*.py")) if "make_split(" in p.read_text()] == [
+        "dataset.py", "pipeline.py"]
 
 
 def test_stage_failure_names_the_stage(tmp_path):

@@ -239,6 +239,25 @@ _RUN_FILES = {
     "points.jsonl": ("points.jsonl", "",
                      lambda r, c, o: ["train-seg", "--points", c, "--features",
                                       f"{r}/data/train", "--out", o]),
+    "stats.dstn": ("data/train", "stats.dstn",
+                   lambda r, c, o: ["sample", "--loc-dir", f"{r}/loc", "--features", c,
+                                    "--out", o]),
+    "masks.dstn": ("data/test", "masks.dstn",
+                   lambda r, c, o: ["eval", "--model", f"{r}/seg.ckpt", "--data", c,
+                                    "--out", o]),
+    "images.dstn": ("data/train", "images.dstn",
+                    lambda r, c, o: ["render", "--kind", "points", "--points",
+                                     f"{r}/points.jsonl", "--data", c, "--image",
+                                     "train_00000", "--out", o]),
+    "loc meta.json": ("loc", "class_0/meta.json",
+                      lambda r, c, o: ["sample", "--loc-dir", c, "--features",
+                                       f"{r}/data/train", "--out", o]),
+    "head meta.json": ("seg.ckpt", "meta.json",
+                       lambda r, c, o: ["eval", "--model", c, "--data", f"{r}/data/test",
+                                        "--out", o]),
+    "config.json": ("config.json", "",
+                    lambda r, c, o: ["sample", "--config", c, "--loc-dir", f"{r}/loc",
+                                     "--features", f"{r}/data/train", "--out", o]),
 }
 
 # a cut or a flip: at a header offset or anywhere, taken modulo the length
@@ -269,3 +288,38 @@ def test_a_damaged_run_file_exits_with_a_documented_code(tmp_path_factory, tiny_
         data[at % len(data)] ^= xor
     target.write_bytes(bytes(data))
     assert main(argv(tiny_run, str(copy_path), str(work / "out"))) in (0, 2, 3, 4, 5)
+
+
+# a DSTN file of the run with NaN or +inf as its first value: (what is copied,
+# the file in the copy, the command reading the copy, the exit code, whether
+# the message names the file)
+_FIRST_VALUE_CASES = {
+    "stats": ("data/train", "stats.dstn", _RUN_FILES["stats.dstn"][2], 4, True),
+    "features": ("data/train", "features.dstn", _RUN_FILES["features.dstn"][2], 4, False),
+    "masks": ("data/test", "masks.dstn", _RUN_FILES["masks.dstn"][2], 3, True),
+    "images": ("data/train", "images.dstn", _RUN_FILES["images.dstn"][2], 4, False),
+    "loc params": ("loc", "class_0/params.dstn", _RUN_FILES["loc params.dstn"][2], 4, True),
+    "head params": ("seg.ckpt", "params.dstn", _RUN_FILES["head params.dstn"][2], 4, True),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(_FIRST_VALUE_CASES))
+def test_a_non_finite_value_in_a_run_tensor_exits_with_its_code(tmp_path, capsys, tiny_run,
+                                                                case, value):
+    """Random flips almost never write these values. Each is refused before
+    any arithmetic reads it, so no RuntimeWarning is raised (an error under
+    this suite's settings)."""
+    from divseed.tensor import load_tensor, save_tensor
+
+    copied, rel, argv, code, names_file = _FIRST_VALUE_CASES[case]
+    copy_path = tmp_path / Path(copied).name
+    shutil.copytree(tiny_run / copied, copy_path)
+    target = copy_path / rel
+    arr = load_tensor(target)
+    arr.reshape(-1)[0] = value
+    save_tensor(arr, target)
+    assert main(argv(tiny_run, str(copy_path), str(tmp_path / "out"))) == code
+    err = capsys.readouterr().err
+    assert str(target) in err if names_file else "non-finite" in err
+    assert not (tmp_path / "out").exists()
