@@ -119,6 +119,10 @@ class Manifest:
         masks = self._load_stacked(MASKS_NAME, self.image_size)
         if masks.size and not 0 <= masks.min() <= masks.max() <= self.background_label:
             raise DataError(f"{self.path(MASKS_NAME)}: labels outside 0..{self.background_label}")
+        fractional = masks != np.round(masks)  # load_grid_truth casts the labels to integers
+        if fractional.any():
+            raise DataError(f"{self.path(MASKS_NAME)}: label {masks[fractional][0]} is not an "
+                            "integer")
         return masks
 
     @cached_property

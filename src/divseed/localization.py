@@ -18,9 +18,11 @@ shuffles, initializer), its own ragged epochs and its own restarts; a step
 copies the current image of every class still training into the (C, N, D)
 images of the lockstep's StepWorkspace and the (C, P) float64 parameter
 stack into the workspace's parameter buffer, runs the stacked forward,
-pools and scores each class with scalar float64 math, runs the stacked
-two-row backward into the workspace's (C, P) gradient buffer and takes one
-Adam step over the parameter stack, all in buffers made once per lockstep.
+pools every class at once (nn.pool_rows) and scores each with scalar
+float64 math (nn.bce_rows), runs the stacked two-row backward into the
+workspace's (C, P) gradient buffer and takes one Adam step, in the
+gradients' dtype, over the parameter stack, all in buffers made once per
+lockstep.
 The workspace's dtype is the step's compute dtype: float32 to train (the
 features' own dtype, so the images are copied, not converted), float64 for
 gradient checks. A stacked matmul gives each slice the bits of its own
@@ -42,9 +44,8 @@ from .nn import (
     MLP,
     AdamState,
     LossValue,
-    PoolingTrace,
     adam_step,
-    bce_pooled,
+    bce_rows,
     load_checkpoint,
     mlp_backward,
     mlp_forward,
@@ -304,9 +305,13 @@ class _ClassRun:
     def lr(self, step: int) -> float:
         return self.epoch_lrs[step // len(self.batches)]
 
-    def record(self, step: int, lv: LossValue) -> None:
-        self.clamp_events += lv.clamp_events
-        self.total += lv.loss
+    def next_epoch(self, step: int) -> int:
+        """The first step of the epoch after step's."""
+        return (step // len(self.batches) + 1) * len(self.batches)
+
+    def record(self, step: int, loss: float, clamp_events: int) -> None:
+        self.clamp_events += clamp_events
+        self.total += loss
         if (step + 1) % len(self.batches) == 0:
             self.epoch_losses.append(self.total / len(self.batches))
             self.total = 0.0
@@ -326,8 +331,9 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
     array. Rows of the (C, P) parameter stack, its gradient buffer and the
     Adam moments belong to the unfinished runs, in order; a finished run's
     row is copied into its model and dropped. Adam keeps accumulated
-    moments across each lr drop, like a lr scheduler. The steps run in a
-    float32 StepWorkspace; the parameter stack and Adam stay float64."""
+    moments across each lr drop, like a lr scheduler; the rows' rates are
+    gathered again only when a run starts an epoch or finishes. The steps
+    run in a float32 StepWorkspace; the parameter stack stays float64."""
     if not runs:
         return []
     live = list(range(len(runs)))
@@ -335,7 +341,7 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
     n = runs[0].batches[0][0].grid.n_locations
     ws = StepWorkspace(len(runs), n, runs[0].model.dims)
     state = AdamState(lr=0.0)
-    step = 0
+    step = lrs_until = 0  # the rates in state.lr hold for the steps before lrs_until
     while live:
         finished = [row for row, i in enumerate(live) if len(runs[i].plan) == step]
         if finished:
@@ -345,18 +351,22 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
             live = [live[row] for row in keep]
             params = params[keep]
             state.keep(keep)
+            lrs_until = step
             continue
         batch = [runs[i].batch(step) for i in live]
         x = ws.images([f for f, _ in batch])
         try:
-            lvs = _loss_and_grads(params, pooling, x, [label for _, label in batch], ws)
+            losses, clamp_events = _loss_and_grads(params, pooling, x,
+                                                   [label for _, label in batch], ws)
         except NumericError as e:
             ids = [runs[live[j]].model.class_id for j in _diverged(ws.stack(len(live))[0], x)]
             raise NumericError(f"class {', '.join(map(str, ids))}: "
                                f"non-finite loss at step {step + 1}: {e}") from e
-        for i, lv in zip(live, lvs):
-            runs[i].record(step, lv)
-        state.lr = np.array([runs[i].lr(step) for i in live])
+        for i, loss, events in zip(live, losses, clamp_events):
+            runs[i].record(step, loss, events)
+        if step == lrs_until:
+            state.lr = np.array([runs[i].lr(step) for i in live])
+            lrs_until = min(runs[i].next_epoch(step) for i in live)
         adam_step(params, ws.grad[: len(live)], state)
         step += 1
     return [run.result() for run in runs]
@@ -384,7 +394,8 @@ def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int
     result equals the full-grid chain bit for bit (see nn).
     """
     ws.x[0] = x
-    (lv,) = _loss_and_grads(model.flat[None], model.pooling, ws.x[:1], [label], ws)
+    losses, clamp_events = _loss_and_grads(model.flat[None], model.pooling, ws.x[:1], [label], ws)
+    lv = LossValue(loss=losses[0], clamp_events=clamp_events[0])
     return lv, model.views(ws.grad[0])
 
 
@@ -430,31 +441,29 @@ class StepWorkspace:
 
 
 def _loss_and_grads(flat: np.ndarray, pooling: str, x: np.ndarray, labels: list[int],
-                    ws: StepWorkspace) -> list[LossValue]:
+                    ws: StepWorkspace) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """One lockstep step's losses for C models and C images, in ws.
 
     flat: the (C, P) float64 parameter stack, copied into ws's parameter
     buffer; x: (C, N, D) images of ws's dtype; labels: C presence labels.
     Writes each model's gradients into the first C rows of ws.grad and
-    returns the C pooled BCE values (loss and clamp events). A model's
-    score gradient is p - label at the pooled fg location's fg score, its
-    negation at the bg location's bg score, as nn.bce_loss_and_grad routes
-    it.
+    returns the C pooled BCE losses and clamp events. A model's score
+    gradient is p - label at the pooled fg location's fg score, its negation
+    at the bg location's bg score, as nn.bce_loss_and_grad routes it.
     """
     n_models, n = x.shape[:2]
     np.copyto(ws.params[:n_models], flat)
     params, grads = ws.stack(n_models)
     a1, y = mlp_forward(params, x, out=(ws.a1[:n_models], ws.y[:n_models]))
+    fg_locs, bg_locs, logits = pool_rows(pooling, y)
+    losses, g, clamp_events = bce_rows(logits, labels)
     rows, dy = ws.rows[:n_models], ws.dy[:n_models]
     dy.fill(0.0)
-    lvs = []
-    for c, ((p, trace), label) in enumerate(zip(pool_rows(pooling, y), labels)):
-        loss, g, events = bce_pooled(p, label)
-        pair = _gradient_rows(trace, n)
+    for c, (fg, bg, g_c) in enumerate(zip(fg_locs.tolist(), bg_locs.tolist(), g)):
+        pair = _gradient_rows(fg, bg, n)
         rows[c] = pair
-        dy[c, pair.index(trace.fg_loc), 0] = 0.0 + g  # the bits of d_fg[fg_loc] += g
-        dy[c, pair.index(trace.bg_loc), 1] = 0.0 - g  # and of d_bg[bg_loc] -= g
-        lvs.append(LossValue(loss=loss, clamp_events=events))
+        dy[c, pair.index(fg), 0] = 0.0 + g_c  # the bits of d_fg[fg_loc] += g
+        dy[c, pair.index(bg), 1] = 0.0 - g_c  # and of d_bg[bg_loc] -= g
     at = (rows + n * np.arange(n_models)[:, None]).ravel()  # into the (C * N) rows
     x_rows, a1_rows = ws.x_rows[:n_models], ws.a1_rows[:n_models]
     for stack, out in ((x, x_rows), (a1, a1_rows)):  # in range: mode="clip" never clips
@@ -462,13 +471,13 @@ def _loss_and_grads(flat: np.ndarray, pooling: str, x: np.ndarray, labels: list[
                 out=out.reshape(-1, out.shape[2]), mode="clip")
     mlp_backward(params, x_rows, a1_rows, dy, grads,
                  out=(ws.da1[:n_models], ws.mask[:n_models]))
-    return lvs
+    return losses, clamp_events
 
 
-def _gradient_rows(trace: PoolingTrace, n_locations: int) -> list[int]:
-    """The traced locations as two distinct rows in ascending order; when
-    they coincide, a neighbouring row (zero gradient) is the second."""
-    a, b = sorted((trace.fg_loc, trace.bg_loc))
+def _gradient_rows(fg_loc: int, bg_loc: int, n_locations: int) -> list[int]:
+    """The two traced locations as two distinct rows in ascending order;
+    when they coincide, a neighbouring row (zero gradient) is the second."""
+    a, b = sorted((fg_loc, bg_loc))
     if a != b:
         return [a, b]
     if n_locations == 1:

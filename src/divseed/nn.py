@@ -28,9 +28,9 @@ product takes a matrix-vector path that rounds differently.
 
 adam_step is the one Adam: it updates a flat parameter buffer, or a (C, P)
 stack of them with a learning rate per row, in place, using the same
-elementwise expressions, in the same order, as a per-array update. Its
-intermediate results go to two scratch buffers its state allocates beside
-the moments, so only its first step allocates.
+elementwise expressions, in the same order, as a per-array update in the
+gradients' dtype. Its intermediate results go to scratch buffers its state
+allocates beside the moments, so only its first step allocates.
 
 A training step allocates none of its activations or gradients:
 mlp_forward and mlp_backward write activations, outputs, the hidden
@@ -40,13 +40,14 @@ The float operations and their order are those of the unbuffered calls
 (out=None), so the results keep their bits.
 
 Numeric conventions:
-  - mixed precision: parameters (MLP.flat), Adam's moments and the loss math
-    (pooling, BCE, softmax) are float64; the products of mlp_forward and
-    mlp_backward run in the dtype of the arrays they are given, which a
-    training step's workspace sets: float32 to train, score and predict,
-    float64 for gradient checks. A float32 step copies the float64 master
-    parameters into its float32 buffer, reads its scores or logits back as
-    float64 for the loss, and hands float32 gradients to adam_step
+  - mixed precision: parameters (MLP.flat) and the loss math (pooling, BCE,
+    softmax) are float64; the products of mlp_forward and mlp_backward run
+    in the dtype of the arrays they are given, which a training step's
+    workspace sets: float32 to train, score and predict, float64 for
+    gradient checks. A float32 step copies the float64 master parameters
+    into its float32 buffer, reads its scores or logits back as float64 for
+    the loss, and hands float32 gradients to adam_step, whose moments and
+    update are then float32 too
   - max-pooling subgradient: all gradient to the lowest-linear-index argmax
   - ReLU subgradient at exactly 0 is 0
 """
@@ -261,7 +262,7 @@ def pixel_softmax_prob(fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingTr
     which is how it is computed; the argmax of the difference is the single
     location gradients flow through.
     """
-    return pool_rows("pixel", _score_pair(fg, bg))[0]
+    return _pool_one("pixel", fg, bg)
 
 
 def global_softmax_prob(fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingTrace]:
@@ -270,14 +271,17 @@ def global_softmax_prob(fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingT
     Equals sigmoid(max_i fg_i - max_l bg_l); gradients flow through the two
     argmax locations.
     """
-    return pool_rows("global", _score_pair(fg, bg))[0]
+    return _pool_one("global", fg, bg)
 
 
-def pool_rows(mode: str, scores: np.ndarray) -> list[tuple[float, PoolingTrace]]:
-    """pixel_softmax_prob or global_softmax_prob, by mode, of every row of a
-    (C, N, 2) stack of fg / bg scores, read as float64: the argmaxes (first
-    index on ties) over the whole stack at once, each row's sigmoid in
-    scalar math. NumericError if any score is non-finite."""
+def pool_rows(mode: str, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pooled logits of every row of a (C, N, 2) stack of fg / bg scores,
+    read as float64, by mode, and the locations they come from: (fg_locs,
+    bg_locs, logits), each (C,), the argmaxes (first index on ties) taken
+    over the whole stack at once. A row's pooled probability is the sigmoid
+    of its logit (pixel_softmax_prob, global_softmax_prob; bce_rows); the
+    pixel scheme's fg and bg locations are one. NumericError if any score
+    is non-finite."""
     scores = np.asarray(scores, dtype=np.float64)
     _require_finite(scores, "pooling scores")
     rows = np.arange(scores.shape[0])
@@ -290,21 +294,20 @@ def pool_rows(mode: str, scores: np.ndarray) -> list[tuple[float, PoolingTrace]]
         logits = scores[rows, fg_locs, 0] - scores[rows, bg_locs, 1]
     else:
         raise DataError(f"unknown pooling mode {mode!r}")
-    return [
-        (_sigmoid(u), PoolingTrace(mode=mode, fg_loc=i, bg_loc=l))
-        for u, i, l in zip(logits.tolist(), fg_locs.tolist(), bg_locs.tolist())
-    ]
+    return fg_locs, bg_locs, logits
 
 
-def _score_pair(fg: np.ndarray, bg: np.ndarray) -> np.ndarray:
-    """Two score maps of one image as a (1, N, 2) float64 stack."""
+def _pool_one(mode: str, fg: np.ndarray, bg: np.ndarray) -> tuple[float, PoolingTrace]:
+    """The one-row call of pool_rows: the pooled probability of one image's
+    two score maps, read as float64, and its trace."""
     f = np.asarray(fg, dtype=np.float64).ravel()
     b = np.asarray(bg, dtype=np.float64).ravel()
     if f.size == 0:
         raise DataError("empty score map")
     if f.shape != b.shape:
         raise DataError(f"score map shapes differ: {fg.shape} vs {bg.shape}")
-    return np.stack([f, b], axis=1)[None]
+    fg_locs, bg_locs, logits = pool_rows(mode, np.stack([f, b], axis=1)[None])
+    return _sigmoid(float(logits[0])), PoolingTrace(mode, int(fg_locs[0]), int(bg_locs[0]))
 
 
 @dataclass
@@ -342,6 +345,18 @@ def bce_pooled(p: float, label: int) -> tuple[float, float, int]:
     clamped = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
     loss = -(label * math.log(clamped) + (1 - label) * math.log(1.0 - clamped))
     return loss, p - label, int(clamped != p)  # p - label: exact for unclamped sigmoid
+
+
+def bce_rows(logits: np.ndarray, labels: list[int]
+             ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
+    """bce_pooled of each row's pooled probability, the sigmoid of its pooled
+    logit (pool_rows), against its label: the C losses, dL/du and clamp
+    events. The sigmoid and the logs stay scalar math.exp / math.log calls,
+    as pixel_softmax_prob and bce_loss_and_grad make them: numpy's exp
+    rounds some values differently."""
+    losses, grads, events = zip(*(bce_pooled(_sigmoid(u), label)
+                                  for u, label in zip(logits.tolist(), labels)))
+    return losses, grads, events
 
 
 def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | np.ndarray
@@ -399,10 +414,13 @@ def softmax_ce_rows(logits: np.ndarray, cls: np.ndarray, out: np.ndarray | None 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam state; m and v, and the two scratch buffers a step
-    keeps its intermediate results in, are float64 arrays shaped like the
-    parameter buffer, allocated by the first step. lr is a number, or for a
-    (C, P) stack a (C,) array with one rate per row."""
+    """Bias-corrected Adam state. m and v, and the two scratch buffers a step
+    keeps its intermediate results in, are arrays shaped like the parameter
+    buffer in the dtype of the gradients, allocated by the first step; for
+    gradients narrower than the parameters, a third scratch buffer in the
+    parameters' dtype takes the update before it is subtracted (a
+    mixed-dtype subtraction would allocate a cast buffer each step). lr is a
+    number, or for a (C, P) stack a (C,) array with one rate per row."""
 
     lr: float | np.ndarray
     t: int = 0
@@ -411,7 +429,7 @@ class AdamState:
     eps: float = 1e-8
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    scratch: tuple[np.ndarray, np.ndarray] | None = None
+    scratch: tuple[np.ndarray, ...] | None = None
 
     def keep(self, rows: list[int]) -> None:
         """Keep only these rows of a (C, P) stack's moments; the scratch
@@ -423,40 +441,54 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One update of a flat float64 parameter buffer (P,), or of a (C, P)
-    stack of them, in place, from float32 or float64 gradients; advances the
-    state. The moments and the update are float64, in the reordered form of
-    Kingma & Ba (2015, section 2): both bias corrections fold into the step
-    size alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t), and eps into
-    eps_hat = eps * sqrt(1 - beta2^t), which is the textbook update up to
-    rounding. Allocates nothing after the first step."""
+    stack of them, in place; advances the state. The moments and the update
+    are computed in the gradients' dtype, float32 from a training step's
+    workspace, float64 from a gradient check's, and only the update is
+    subtracted from the parameters in their own dtype: the wide type holds
+    the master weights alone (Micikevicius et al. 2018). The update is
+    Kingma & Ba's reordered form (2015, section 2): both bias corrections
+    fold into the step size alpha_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t),
+    rounded to the gradients' dtype (per row for a stack, as a per-row
+    update's scalar would be), and eps into eps_hat = eps * sqrt(1 - beta2^t),
+    which is the textbook update up to rounding. Allocates nothing
+    parameter-sized after the first step."""
     if params.shape != grads.shape:
         raise DataError(f"adam_step: shape mismatch {params.shape} vs {grads.shape}")
     if state.m is None:
-        state.m = np.zeros_like(params)
-        state.v = np.zeros_like(params)
-        state.scratch = np.empty_like(params), np.empty_like(params)
-    elif state.m.shape != params.shape:
-        raise DataError(f"adam_step: parameters {params.shape}, state holds {state.m.shape}")
+        state.m = np.zeros(grads.shape, grads.dtype)
+        state.v = np.zeros(grads.shape, grads.dtype)
+        wide = [] if grads.dtype == params.dtype else [np.empty_like(params)]
+        state.scratch = (np.empty(grads.shape, grads.dtype), np.empty(grads.shape, grads.dtype),
+                         *wide)
+    elif (state.m.shape, state.m.dtype) != (params.shape, grads.dtype):
+        raise DataError(f"adam_step: {grads.dtype} gradients {params.shape}, state holds "
+                        f"{state.m.dtype} {state.m.shape}")
     state.t += 1
     t = state.t
     m, v = state.m, state.v
-    a, g = state.scratch
-    np.copyto(g, grads)  # as float64: a float32 loop would round the products
+    a, u, *wide = state.scratch
     # m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g
     m *= state.beta1
-    m += np.multiply(1 - state.beta1, g, out=a)
+    m += np.multiply(1 - state.beta1, grads, out=a)
     v *= state.beta2
-    np.multiply(1 - state.beta2, g, out=a)
-    a *= g
+    np.multiply(1 - state.beta2, grads, out=a)
+    a *= grads
     v += a
     # p - alpha_t * m / (sqrt(v) + eps_hat)
     root = math.sqrt(1 - state.beta2 ** t)
-    alpha = np.multiply(state.lr, root / (1 - state.beta1 ** t))
+    alpha = np.multiply(state.lr, root / (1 - state.beta1 ** t)).astype(grads.dtype)
     np.sqrt(v, out=a)
     a += state.eps * root
-    np.multiply(m, alpha if np.ndim(alpha) == 0 else alpha[:, None], out=g)
-    g /= a
-    params -= g
+    if m.ndim == 1:
+        np.multiply(m, alpha, out=u)
+    else:  # row by row: numpy would buffer a broadcast column of rates, allocating
+        for m_row, u_row, rate in zip(m, u, np.broadcast_to(alpha, len(m))):
+            np.multiply(m_row, rate, out=u_row)
+    u /= a
+    if wide:
+        np.copyto(wide[0], u)
+        u = wide[0]
+    params -= u
 
 
 # ---------------------------------------------------------------------------

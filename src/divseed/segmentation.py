@@ -162,8 +162,9 @@ def train_segmentation(
     with the seeded stream each epoch, and consumed in batches of
     config.batch_size under mean softmax cross-entropy. Every step runs in
     one float32 HeadWorkspace, its batch's [rows | descriptors] included,
-    and Adam, on the float64 parameters, in its own scratch, so no step
-    allocates a (batch, hidden) array. Ground-truth masks are not an input.
+    and Adam in float32, in its own scratch, subtracting its update from the
+    float64 parameters, so no step allocates a (batch, hidden) array.
+    Ground-truth masks are not an input.
     """
     if not points:
         raise DataError("train_segmentation: empty point set")

@@ -4,7 +4,8 @@ localizers of one pooling trained in lockstep.
 One class at a time, one image per step: a 2-D forward over the image's
 float32 locations with the float64 parameters rounded to float32, pooled
 BCE on the scores read as float64, the two-row float32 backward, then Adam
-in float64 over the parameter arrays concatenated into one vector and split
+in float32 over the gradient arrays concatenated into one vector, its update
+subtracted from the float64 parameters concatenated likewise and split
 again. Restarts retrain the class from its derived seed. It is kept as the
 oracle for `localization.train_class_localizers` and stays structurally
 independent of it: plain 2-D products, its own Adam, separate parameter
@@ -110,11 +111,12 @@ def _gradient_rows(fg_loc, bg_loc, n):
 
 def _adam(params, grads, state, beta1=0.9, beta2=0.999, eps=1e-8):
     """Adam in Kingma & Ba's reordered form: the bias corrections in the
-    step size, eps scaled to match."""
+    step size, eps scaled to match; the moments and the update in the
+    gradients' float32, the update subtracted from the float64 parameters."""
     p = np.concatenate([a.ravel() for a in params])
-    g = np.concatenate([a.ravel() for a in grads]).astype(np.float64)
+    g = np.concatenate([a.ravel() for a in grads])
     if state["m"] is None:
-        state["m"], state["v"] = np.zeros_like(p), np.zeros_like(p)
+        state["m"], state["v"] = np.zeros_like(g), np.zeros_like(g)
     state["t"] += 1
     t, m, v = state["t"], state["m"], state["v"]
     m *= beta1

@@ -24,6 +24,7 @@ from divseed.segmentation import (SegConfig, SegmentationModel, SegTrainResult,
                                   load_seg_checkpoint, save_seg_checkpoint)
 from divseed.synthdata import ExtractorSpec
 
+GRID_PATH = Path(__file__).resolve().parents[1] / "configs" / "strategy_ablation.json"
 _VALID_POINT = {"flags": [], "image": "im0", "label": 1, "loc": 3, "rank": 1, "value": 0.5}
 
 _json_values = st.recursive(
@@ -265,6 +266,17 @@ _damage = st.tuples(st.sampled_from(["truncate", "flip"]),
                     st.integers(0, 40) | st.integers(0, 2**24), st.integers(1, 255))
 
 
+def _damaged(data: bytes, damage) -> bytes:
+    """data cut at, or with the byte at, the damage's offset xor-ed."""
+    data = bytearray(data)
+    kind, at, xor = damage
+    if kind == "truncate":
+        del data[at % (len(data) + 1):]
+    else:
+        data[at % len(data)] ^= xor
+    return bytes(data)
+
+
 @pytest.mark.parametrize("name", sorted(_RUN_FILES))
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(damage=_damage)
@@ -280,14 +292,26 @@ def test_a_damaged_run_file_exits_with_a_documented_code(tmp_path_factory, tiny_
     else:
         shutil.copy(tiny_run / copied, copy_path)
     target = copy_path / rel if rel else copy_path
-    data = bytearray(target.read_bytes())
-    kind, at, xor = damage
-    if kind == "truncate":
-        del data[at % (len(data) + 1):]
-    else:
-        data[at % len(data)] ^= xor
-    target.write_bytes(bytes(data))
+    target.write_bytes(_damaged(target.read_bytes(), damage))
     assert main(argv(tiny_run, str(copy_path), str(work / "out"))) in (0, 2, 3, 4, 5)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(damage=_damage)
+def test_a_damaged_ablation_grid_exits_with_a_documented_code(tmp_path_factory, damage):
+    """The committed grid, truncated or with one byte flipped, through
+    `ablate` with the grid run stubbed as _load_command stubs it: a grid
+    that still reads reaches the run, any other exits 2, the code of a
+    refused grid, and never raises."""
+    work = tmp_path_factory.mktemp("grid")
+    grid = work / "grid.json"
+    grid.write_bytes(_damaged(GRID_PATH.read_bytes(), damage))
+    with mock.patch.object(cli.pipeline, "ablation_run", side_effect=_Loaded):
+        try:
+            code = main(["ablate", "--grid", str(grid), "--out", str(work / "out")])
+        except _Loaded:
+            return
+    assert code == 2
 
 
 # a DSTN file of the run with NaN or +inf as its first value: (what is copied,
@@ -303,13 +327,10 @@ _FIRST_VALUE_CASES = {
 }
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("case", sorted(_FIRST_VALUE_CASES))
-def test_a_non_finite_value_in_a_run_tensor_exits_with_its_code(tmp_path, capsys, tiny_run,
-                                                                case, value):
-    """Random flips almost never write these values. Each is refused before
-    any arithmetic reads it, so no RuntimeWarning is raised (an error under
-    this suite's settings)."""
+def _first_value_exits_with_its_code(tmp_path, capsys, tiny_run, case, value):
+    """The run file of case with value as its first value: the command that
+    reads it exits with the case's code, names the file or says
+    non-finite, and writes nothing."""
     from divseed.tensor import load_tensor, save_tensor
 
     copied, rel, argv, code, names_file = _FIRST_VALUE_CASES[case]
@@ -323,3 +344,19 @@ def test_a_non_finite_value_in_a_run_tensor_exits_with_its_code(tmp_path, capsys
     err = capsys.readouterr().err
     assert str(target) in err if names_file else "non-finite" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(_FIRST_VALUE_CASES))
+def test_a_non_finite_value_in_a_run_tensor_exits_with_its_code(tmp_path, capsys, tiny_run,
+                                                                case, value):
+    """Random flips almost never write these values. Each is refused before
+    any arithmetic reads it, so no RuntimeWarning is raised (an error under
+    this suite's settings)."""
+    _first_value_exits_with_its_code(tmp_path, capsys, tiny_run, case, value)
+
+
+def test_a_fractional_mask_label_is_a_data_error_naming_the_file(tmp_path, capsys, tiny_run):
+    """A label of 1.5 lies in the label range, and casting it to an integer
+    would read it as class 1: it is refused as the NaN above is."""
+    _first_value_exits_with_its_code(tmp_path, capsys, tiny_run, "masks", 1.5)
