@@ -293,13 +293,12 @@ def cmd_gradcheck(args) -> int:
     n, d, h = 12, 6, 5
 
     def check(model, loss_and_grads, stream):
-        def fn(params):
-            model.set_params(params)
-            lv, grads = loss_and_grads(model)
-            return lv.loss, grads
+        def fn(flat):
+            model.flat[:] = flat
+            lv, grad = loss_and_grads(model)
+            return lv.loss, grad
 
-        params = [p.copy() for p in model.params()]
-        return grad_check(fn, params, Rng(derive_seed(args.seed, stream)))
+        return grad_check(fn, model.flat, Rng(derive_seed(args.seed, stream)))
 
     checks = []
     for pooling in ("pixel", "global"):

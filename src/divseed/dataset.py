@@ -224,8 +224,9 @@ def write_dataset(out_dir: str, tags: list[TagSet], n_classes: int, size: int,
         "norm_stats": STATS_NAME,
         "images": [{"id": t.image_id, "tags": sorted(t.present)} for t in tags],
     }
-    with atomic_write(os.path.join(out_dir, MANIFEST_NAME)) as fh:
-        write_json(doc, fh)
+    manifest = os.path.join(out_dir, MANIFEST_NAME)
+    with atomic_write(manifest) as fh:
+        write_json(doc, fh, manifest)
         fh.flush()
         save_tensor(np.stack([stats.mean, stats.std]), os.path.join(out_dir, STATS_NAME))
 

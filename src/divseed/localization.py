@@ -382,12 +382,12 @@ def _diverged(params: list[np.ndarray], x: np.ndarray) -> list[int]:
 
 
 def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int,
-                             ws: "StepWorkspace") -> tuple[LossValue, list[np.ndarray]]:
-    """Pooled BCE of one image and its gradients w.r.t. model.params(): the
+                             ws: "StepWorkspace") -> tuple[LossValue, np.ndarray]:
+    """Pooled BCE of one image and its gradient w.r.t. model.flat: the
     one-class call of the step the localizers train with, in the workspace
     ws of a model of model's dimensions on images of x's locations (a
-    float64 one for a gradient check). Returns the loss and gradient views
-    into ws, which the next call overwrites.
+    float64 one for a gradient check). Returns the loss and the (P,)
+    gradient row of ws, which the next call overwrites.
 
     x: (N, D) locations. The pooled loss depends on the scores at its fg/bg
     argmax locations only, so the backward runs on those rows alone; the
@@ -396,7 +396,7 @@ def localizer_loss_and_grads(model: LocalizationModel, x: np.ndarray, label: int
     ws.x[0] = x
     losses, clamp_events = _loss_and_grads(model.flat[None], model.pooling, ws.x[:1], [label], ws)
     lv = LossValue(loss=losses[0], clamp_events=clamp_events[0])
-    return lv, model.views(ws.grad[0])
+    return lv, ws.grad[0]
 
 
 class StepWorkspace:

@@ -3,21 +3,22 @@
 Everything here operates on (N, dim) arrays where N is the number of grid
 locations; receptive field is always 1x1, so a "layer" is a plain affine
 map applied at every location. Both models (the per-class localizer and the
-segmentation head) are an MLP: a hidden layer, a ReLU, an output layer. MLP
-holds the layers and their initializer; a checkpoint is an MLP's flat buffer
-as one params.dstn tensor beside a meta.json that records its dimensions
+segmentation head) are an MLP: a hidden layer, a ReLU, an output layer. An
+MLP is its parameters, one flat float64 buffer `MLP.flat`, with its
+dimensions and its initializer's seed; a checkpoint is that buffer as one
+params.dstn tensor beside a meta.json that records the dimensions
 (save_checkpoint). Both models run mlp_forward/mlp_backward, the one chain
 of linear_fwd, ReLU, linear_backward and relu_backward. Losses return a
 LossValue carrying the scalar loss and gradients w.r.t. their direct inputs.
 
-An MLP keeps its four parameter arrays as views into one flat float64
-buffer, `MLP.flat`, in the one layout `MLP.layout` states; `MLP.views` lays
-the same shapes over any buffer of that length, such as a gradient buffer,
-or over a (C, P) stack of them with a leading class axis. Write parameters
-through `set_params` or in place; a rebound layer array is no longer part of
-the buffer. The layer ops take such stacked layers too: (C, out, in) weights
-map (C, N, in) inputs slice by slice, and a stacked matmul gives each slice
-the bits of its own product.
+The buffer has one layout, `MLP.layout`: hidden weights, hidden bias,
+output weights, output bias. `MLP.params` and `MLP.views` compute the four
+arrays as views on each call, over the model's buffer or over any other of
+that length, such as a gradient buffer, or over a (C, P) stack of them with
+a leading class axis; no copy of a parameter is kept anywhere else. The
+layer ops take weights and biases as arrays, stacked ones too: (C, out, in)
+weights map (C, N, in) inputs slice by slice, and a stacked matmul gives
+each slice the bits of its own product.
 
 The localizer's max-pooled loss sends its gradient through at most two
 locations, so its backward (localization.localizer_loss_and_grads) runs
@@ -69,73 +70,39 @@ PROB_CLAMP = 1e-7
 
 
 @dataclass
-class LinearLayer:
-    """Affine map applied per location: y = W x + b; stacked, C of them."""
-
-    weights: np.ndarray  # (out_dim, in_dim) float64, or (C, out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,) float64, or (C, out_dim)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[-1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[-2]
-
-    def params(self) -> list[np.ndarray]:
-        return [self.weights, self.bias]
-
-
-def init_linear(rng: Rng, in_dim: int, out_dim: int) -> LinearLayer:
-    """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)); zero bias.
-
-    Weights are drawn row-major over (out, in) so layouts are reproducible.
-    """
-    a = math.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform_array(out_dim * in_dim, -a, a).reshape(out_dim, in_dim)
-    return LinearLayer(weights=w, bias=np.zeros(out_dim, dtype=np.float64))
-
-
-@dataclass
 class MLP:
-    """Per-location network: hidden layer, ReLU, output layer. params() lists
-    hidden weights, hidden bias, output weights, output bias: views into the
-    flat buffer `flat`, which construction fills with copies of the layers'
-    arrays."""
+    """Per-location network: hidden layer, ReLU, output layer, held as one
+    (P,) float64 buffer `flat` of its (in_dim, hidden, out_dim) `dims`.
+    params() lists hidden weights, hidden bias, output weights, output bias
+    as views into it. DataError if flat is not such a buffer."""
 
-    hidden: LinearLayer
-    out: LinearLayer
+    flat: np.ndarray  # (P,) float64
+    dims: tuple[int, int, int]  # (in_dim, hidden, out_dim)
     seed: int  # the initializer's seed
 
     def __post_init__(self):
-        self.flat = np.concatenate([np.ravel(a) for a in self.params()], dtype=np.float64)
-        w1, b1, w2, b2 = self.views(self.flat)
-        self.hidden, self.out = LinearLayer(w1, b1), LinearLayer(w2, b2)
-
-    # pickles (and deep copies) carry the arrays; unpickling rebuilds the buffer
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "flat"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__post_init__()
+        if self.flat.ndim != 1 or self.flat.dtype != np.float64:
+            raise DataError(f"MLP parameters: {self.flat.dtype} {self.flat.shape}, "
+                            "want one float64 axis")
+        self.layout(self.flat, *self.dims)
 
     @classmethod
     def initialized(cls, seed: int, in_dim: int, hidden: int, out_dim: int, **fields):
-        """Fresh layers from one Rng(seed), the hidden layer drawn first."""
+        """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)) and
+        zero biases, from one Rng(seed): the hidden layer's weights first,
+        each layer's drawn row-major over (out, in)."""
+        dims = (in_dim, hidden, out_dim)
+        flat = np.zeros(hidden * (in_dim + 1) + out_dim * (hidden + 1))
+        w1, _, w2, _ = cls.layout(flat, *dims)
         rng = Rng(seed)
-        hidden_layer = init_linear(rng, in_dim, hidden)
-        out_layer = init_linear(rng, hidden, out_dim)
-        return cls(hidden=hidden_layer, out=out_layer, seed=seed, **fields)
+        for w in (w1, w2):
+            fan_out, fan_in = w.shape
+            a = math.sqrt(6.0 / (fan_in + fan_out))
+            w[...] = rng.uniform_array(w.size, -a, a).reshape(w.shape)
+        return cls(flat=flat, dims=dims, seed=seed, **fields)
 
     def params(self) -> list[np.ndarray]:
-        return self.hidden.params() + self.out.params()
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """(in_dim, hidden, out_dim)."""
-        return self.hidden.in_dim, self.hidden.out_dim, self.out.out_dim
+        return self.views(self.flat)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Arrays shaped like params() over consecutive spans of flat's last
@@ -155,40 +122,32 @@ class MLP:
         spans = np.split(flat, np.cumsum(sizes[:-1]), axis=-1)
         return [span.reshape(flat.shape[:-1] + shape) for span, shape in zip(spans, shapes)]
 
-    def set_params(self, params: list[np.ndarray]) -> None:
-        """Copy params, shaped like params(), into the buffer."""
-        views = self.params()
-        if len(params) != len(views):
-            raise DataError(f"set_params: {len(params)} arrays, want {len(views)}")
-        for view, p in zip(views, params):
-            if view.shape != np.shape(p):
-                raise DataError(f"set_params: shape {np.shape(p)} != {view.shape}")
-            view[...] = p
 
-
-def linear_fwd(layer: LinearLayer, x: np.ndarray, out: np.ndarray | None = None
-               ) -> np.ndarray:
-    """x: (N, in_dim) -> (N, out_dim); a stacked layer maps (C, N, in_dim).
-    The result is written into out when given."""
-    if x.shape[-1] != layer.in_dim:
-        raise DataError(f"linear: input depth {x.shape[-1]} != in_dim {layer.in_dim}")
-    y = np.matmul(x, layer.weights.swapaxes(-1, -2), out=out)
-    y += layer.bias[..., None, :]
+def linear_fwd(weights: np.ndarray, bias: np.ndarray, x: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """y = W x + b per location: x (N, in_dim) -> (N, out_dim) for (out_dim,
+    in_dim) weights and (out_dim,) bias; stacked (C, out_dim, in_dim)
+    weights and (C, out_dim) biases map (C, N, in_dim). The result is
+    written into out when given."""
+    if x.shape[-1] != weights.shape[-1]:
+        raise DataError(f"linear: input depth {x.shape[-1]} != in_dim {weights.shape[-1]}")
+    y = np.matmul(x, weights.swapaxes(-1, -2), out=out)
+    y += bias[..., None, :]
     return y
 
 
 def linear_backward(
-    layer: LinearLayer, x: np.ndarray, dy: np.ndarray, input_grad: bool = True,
+    weights: np.ndarray, x: np.ndarray, dy: np.ndarray, input_grad: bool = True,
     out: tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Returns (dW, db, dx) for upstream gradient dy of shape (N, out_dim), or
-    (C, N, out_dim) for a stacked layer, each written into its array of out
-    where that is given; dx is None when input_grad is False (a first layer
-    needs none)."""
+    """Returns (dW, db, dx) of linear_fwd with these weights at x for upstream
+    gradient dy of shape (N, out_dim), or (C, N, out_dim) for stacked
+    weights, each written into its array of out where that is given; dx is
+    None when input_grad is False (a first layer needs none)."""
     dw_out, db_out, dx_out = out or (None, None, None)
     dw = np.matmul(dy.swapaxes(-1, -2), x, out=dw_out)
     db = dy.sum(axis=-2, out=db_out)
-    dx = np.matmul(dy, layer.weights, out=dx_out) if input_grad else None
+    dx = np.matmul(dy, weights, out=dx_out) if input_grad else None
     return dw, db, dx
 
 
@@ -208,9 +167,9 @@ def mlp_forward(params: list[np.ndarray], x: np.ndarray,
     exactly where its pre-activation is."""
     w1, b1, w2, b2 = params
     a1_out, y_out = out or (None, None)
-    a1 = linear_fwd(LinearLayer(w1, b1), x, out=a1_out)
+    a1 = linear_fwd(w1, b1, x, out=a1_out)
     np.maximum(a1, 0.0, out=a1)
-    return a1, linear_fwd(LinearLayer(w2, b2), a1, out=y_out)
+    return a1, linear_fwd(w2, b2, a1, out=y_out)
 
 
 def mlp_backward(params: list[np.ndarray], x: np.ndarray, a1: np.ndarray, dy: np.ndarray,
@@ -221,11 +180,11 @@ def mlp_backward(params: list[np.ndarray], x: np.ndarray, a1: np.ndarray, dy: np
     given, holds an array of a1's dtype and a bool array shaped like a1, for
     the hidden layer's upstream gradient (masked in place) and the ReLU
     mask."""
-    w1, b1, w2, b2 = params
+    w1, _, w2, _ = params
     dw1, db1, dw2, db2 = grads
     da1_out, mask = out or (None, None)
-    _, _, da1 = linear_backward(LinearLayer(w2, b2), a1, dy, out=(dw2, db2, da1_out))
-    linear_backward(LinearLayer(w1, b1), x, relu_backward(a1, da1, out=da1, mask=mask),
+    _, _, da1 = linear_backward(w2, a1, dy, out=(dw2, db2, da1_out))
+    linear_backward(w1, x, relu_backward(a1, da1, out=da1, mask=mask),
                     input_grad=False, out=(dw1, db1, None))
 
 
@@ -366,28 +325,21 @@ def masked_ce_loss_and_grad(logits: np.ndarray, labels: list[tuple[int, int]] | 
     logits: (N, C+1); labels: (location, class) pairs, as a list of pairs or
     an (m, 2) integer array; duplicates are allowed and counted toward the
     mean. Gradient rows at unlabeled locations are exactly zero. An empty
-    label set gives loss 0 and an all-zero gradient. When the labels are
-    locations 0 .. N-1 in order (a training batch labels every row once),
-    the logits are used as they are and the gradient is the rows' own.
+    label set gives loss 0 and an all-zero gradient.
     """
     logits = np.asarray(logits, dtype=np.float64)
     n, n_classes = logits.shape
     pairs = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
-    m = pairs.shape[0]
-    if m == 0:
+    if pairs.shape[0] == 0:
         return LossValue(loss=0.0, grads={"logits": np.zeros_like(logits)})
     locs, cls = pairs[:, 0], pairs[:, 1]
     if locs.min() < 0 or locs.max() >= n:
         raise DataError("masked CE: location index out of range")
     if cls.min() < 0 or cls.max() >= n_classes:
         raise DataError("masked CE: class index out of range")
-    every_row = m == n and bool(np.all(locs[1:] > locs[:-1]))  # then locs is 0 .. n-1
-    loss, row_grad = softmax_ce_rows(logits if every_row else logits[locs], cls)
-    if every_row:
-        grad = row_grad
-    else:
-        grad = np.zeros_like(logits)
-        np.add.at(grad, locs, row_grad)  # accumulates duplicates
+    loss, row_grad = softmax_ce_rows(logits[locs], cls)
+    grad = np.zeros_like(logits)
+    np.add.at(grad, locs, row_grad)  # accumulates duplicates
     return LossValue(loss=loss, grads={"logits": grad})
 
 
@@ -495,44 +447,38 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
 # finite-difference gradient checking
 
 
-def grad_check(loss_fn, params: list[np.ndarray], rng: Rng, n_coords: int = 100,
+def grad_check(loss_fn, flat: np.ndarray, rng: Rng, n_coords: int = 100,
                step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    loss_fn(params) must return (loss, grads) with grads shaped like params.
-    Checks a random subsample of at least n_coords coordinates (all of them
-    if fewer exist); rel err = |ga - gf| / max(|ga|, |gf|, 1e-8). params
-    are copied first: a loss_fn given a model's own parameter views that
-    writes its arguments into that model (set_params) would otherwise move
-    the base point. The analytic gradients are copied too, so a loss_fn may
-    write every call's gradients into one workspace.
+    loss_fn(flat) must return (loss, grad) with grad shaped like flat, a
+    model's (P,) parameter buffer. Checks a random subsample of at least
+    n_coords coordinates (all of them if fewer exist); rel err = |ga - gf| /
+    max(|ga|, |gf|, 1e-8). flat is copied first: a loss_fn given a model's
+    own buffer that writes its argument into that model would otherwise
+    move the base point. The analytic gradient is copied too, so a loss_fn
+    may write every call's gradient into one workspace.
     """
-    params = [np.array(p, dtype=np.float64) for p in params]
-    loss0, analytic = loss_fn(params)
-    analytic = [np.array(g, dtype=np.float64) for g in analytic]
+    flat = np.array(flat, dtype=np.float64)
+    loss0, analytic = loss_fn(flat)
+    analytic = np.array(analytic, dtype=np.float64)
     if not math.isfinite(loss0):
         raise NumericError("grad_check: non-finite loss")
-    sizes = [p.size for p in params]
-    total = sum(sizes)
-    if total <= n_coords:
-        coords = list(range(total))
+    if flat.size <= n_coords:
+        coords = list(range(flat.size))
     else:
-        coords = rng.sample_indices(total, n_coords)
-    offsets = np.cumsum([0] + sizes)
+        coords = rng.sample_indices(flat.size, n_coords)
     worst = 0.0
-    for flat in coords:
-        pi = int(np.searchsorted(offsets, flat, side="right")) - 1
-        j = flat - offsets[pi]
-        idx = np.unravel_index(j, params[pi].shape)
+    for i in coords:
 
         def eval_at(delta):
-            bumped = [p.copy() for p in params]
-            bumped[pi][idx] += delta
+            bumped = flat.copy()
+            bumped[i] += delta
             loss, _ = loss_fn(bumped)
             return loss
 
         fd = (eval_at(step) - eval_at(-step)) / (2 * step)
-        ga = float(analytic[pi][idx])
+        ga = float(analytic[i])
         err = abs(ga - fd) / max(abs(ga), abs(fd), 1e-8)
         worst = max(worst, err)
     return worst
@@ -590,7 +536,7 @@ _META_FIELDS = (
 def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
     """Read a checkpoint written by save_checkpoint with meta["kind"] == kind.
 
-    Returns the MLP fields (hidden, out, seed), with float64 parameters, and
+    Returns the MLP fields (flat, dims, seed), with float64 parameters, and
     the meta document. DataError for another kind, an unreadable meta, a
     seed that is not an integer, a dimension that is not an integer >= 1, or
     a params.dstn that is not one axis of exactly the parameters those
@@ -606,7 +552,7 @@ def load_checkpoint(path, kind: str) -> tuple[dict, dict]:
         raise DataError(f"{params}: shape {flat.shape}, want one axis")
     _require_finite(flat, params)
     try:
-        w1, b1, w2, b2 = MLP.layout(flat, *dims)
+        MLP.layout(flat, *dims)
     except DataError as e:
         raise DataError(f"{params}: {e}") from None
-    return {"hidden": LinearLayer(w1, b1), "out": LinearLayer(w2, b2), "seed": seed}, meta
+    return {"flat": flat.astype(np.float64), "dims": tuple(dims), "seed": seed}, meta

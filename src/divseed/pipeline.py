@@ -556,13 +556,15 @@ class SeedRun:
     variants: list[VariantRun]
 
     def rows(self) -> list[dict]:
+        """One row per variant; a class absent from the test images has IoU
+        null, as in report.json."""
         return [
             {
                 "variant": variant_name(v.overrides),
                 "overrides": dict(v.overrides),
                 "seed": self.seed,
                 "miou": v.report.miou,
-                "per_class_iou": v.report.per_class_iou,
+                "per_class_iou": v.report.to_dict()["per_class_iou"],
             }
             for v in self.variants
         ]

@@ -273,7 +273,7 @@ def _point_inputs(points: PointSet,
     else:
         by_image = np.argsort(points.image, kind="stable")
         bounds = np.searchsorted(points.image[by_image], np.arange(len(points.image_ids) + 1))
-        table = np.empty((len(points), model.hidden.in_dim - model.global_dim), np.float32)
+        table = np.empty((len(points), model.dims[0] - model.global_dim), np.float32)
         for c, af in enumerate(augmented):
             at = by_image[bounds[c] : bounds[c + 1]]
             table[at] = af.features.grid.locations()[points.loc[at]]
@@ -309,12 +309,13 @@ class HeadWorkspace:
 
 
 def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray,
-                        ws: HeadWorkspace) -> tuple[LossValue, list[np.ndarray]]:
-    """Mean cross-entropy of a batch of points and its gradients w.r.t.
-    model.params(): the step the head trains with, in the workspace ws of a
+                        ws: HeadWorkspace) -> tuple[LossValue, np.ndarray]:
+    """Mean cross-entropy of a batch of points and its gradient w.r.t.
+    model.flat: the step the head trains with, in the workspace ws of a
     model of model's dimensions. The products run on ws's copy of the
     parameters, the softmax on a float64 copy of the logits. Returns the
-    loss and ws.grads, which the next call overwrites.
+    loss and the flat gradient buffer ws.grad, which the next call
+    overwrites.
 
     xb: (m, D) point features of ws's dtype, m at most ws's size; yb: (m,)
     output indices, one per row, each in 0 .. n_classes (_point_inputs maps
@@ -328,7 +329,7 @@ def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
     loss, dy = softmax_ce_rows(logits64, yb, out=logits64)
     np.copyto(logits, dy)
     mlp_backward(ws.params, xb, a1, logits, ws.grads, out=(ws.da1[:m], ws.mask[:m]))
-    return LossValue(loss=loss, grads={"logits": dy}), ws.grads
+    return LossValue(loss=loss, grads={"logits": dy}), ws.grad
 
 
 def predict(model: SegmentationModel, af: AugmentedFeatureGrid
@@ -336,10 +337,8 @@ def predict(model: SegmentationModel, af: AugmentedFeatureGrid
     """Dense prediction: (H, W) argmax label indices (background = C, ties to
     the lowest index) and the (H, W, C+1) softmax probability grid. The
     products run in float32, the softmax on the logits read as float64."""
-    if af.depth != model.hidden.in_dim:
-        raise DataError(
-            f"predict: feature depth {af.depth} != model input {model.hidden.in_dim}"
-        )
+    if af.depth != model.dims[0]:
+        raise DataError(f"predict: feature depth {af.depth} != model input {model.dims[0]}")
     g = af.features.grid
     _, logits = mlp_forward(model.views(model.flat.astype(np.float32)), af.locations())
     logits = logits.astype(np.float64)

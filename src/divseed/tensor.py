@@ -297,10 +297,15 @@ def load_json(path, error: type[DivseedError]) -> dict:
 def save_json(doc, path) -> None:
     """Write a JSON artifact (write_json) through atomic_write."""
     with atomic_write(path) as fh:
-        write_json(doc, fh)
+        write_json(doc, fh, path)
 
 
-def write_json(doc, fh) -> None:
-    """A JSON artifact's text: 2-space indent, sorted keys, trailing newline."""
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+def write_json(doc, fh, path) -> None:
+    """A JSON artifact's text: 2-space indent, sorted keys, trailing newline.
+    Strict JSON only: NumericError naming path, with nothing written, for a
+    NaN or infinite number in doc."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericError(f"{path}: not written, JSON holds no NaN or infinity ({e})") from None
+    fh.write(text + "\n")

@@ -25,12 +25,10 @@ from divseed.localization import (
     save_loc_checkpoint,
 )
 from divseed.nn import (
-    LinearLayer,
     global_softmax_prob,
     grad_check,
-    init_linear,
-    linear_fwd,
     masked_ce_loss_and_grad,
+    mlp_forward,
     pixel_softmax_prob,
 )
 from divseed.pipeline import (
@@ -51,6 +49,7 @@ from divseed.segmentation import HeadWorkspace, SegmentationModel, head_loss_and
 from divseed.tensor import FeatureGrid, Grid, NormState
 
 from reference_samplers import naive_diverse_bg, naive_diverse_fg, naive_spatial
+from test_nn import random_net
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -181,14 +180,7 @@ def test_criterion_3_monotonicity():
 
 
 def _loc_style_instance(rng: Rng, n=14, d=6, hidden=5):
-    init = Rng(rng.next_u64())
-    l1 = init_linear(init, d, hidden)
-    l2 = init_linear(init, hidden, 2)
-    l1.bias = init.uniform_array(hidden, -0.3, 0.3)
-    l2.bias = init.uniform_array(2, -0.3, 0.3)
-    x = init.uniform_array(n * d, -1, 1).reshape(n, d)
-    params = [l1.weights, l1.bias, l2.weights, l2.bias]
-    return x, params
+    return random_net(rng.next_u64(), d, hidden, 2, n)
 
 
 def _argmax_gap(values: np.ndarray) -> float:
@@ -202,25 +194,19 @@ def test_criterion_4_gradient_checks():
     worst = {"pixel": 0.0, "global": 0.0, "masked": 0.0}
     done = 0
     while done < 20:
-        x, params = _loc_style_instance(rng)
+        x, net = _loc_style_instance(rng)
         label = done % 2
-        loc_ws = StepWorkspace(1, x.shape[0], (x.shape[1], len(params[1]), 2), np.float64)
+        loc_ws = StepWorkspace(1, x.shape[0], net.dims, np.float64)
 
-        def loss_and_grads(ps, pooling):
+        def loss_and_grads(flat, pooling):
             # the step the localizer trains with, in a float64 workspace
-            model = LocalizationModel(
-                hidden=LinearLayer(ps[0], ps[1]), out=LinearLayer(ps[2], ps[3]),
-                seed=0, class_id=0, pooling=pooling,
-            )
-            lv, grads = localizer_loss_and_grads(model, x, label, loc_ws)
-            return lv.loss, grads
+            model = LocalizationModel(flat, net.dims, 0, class_id=0, pooling=pooling)
+            lv, grad = localizer_loss_and_grads(model, x, label, loc_ws)
+            return lv.loss, grad
 
         # unique argmaxes: regenerate until the pooled maxima are isolated,
         # so the finite-difference step cannot cross a tie
-        y = linear_fwd(
-            LinearLayer(params[2], params[3]),
-            np.maximum(linear_fwd(LinearLayer(params[0], params[1]), x), 0.0),
-        )
+        _, y = mlp_forward(net.params(), x)
         if (
             _argmax_gap(y[:, 0] - y[:, 1]) < 1e-3
             or _argmax_gap(y[:, 0]) < 1e-3
@@ -230,7 +216,7 @@ def test_criterion_4_gradient_checks():
         done += 1
         for name in ("pixel", "global"):
             err = grad_check(
-                lambda ps, name=name: loss_and_grads(ps, name), params,
+                lambda flat, name=name: loss_and_grads(flat, name), net.flat,
                 Rng(rng.next_u64()), n_coords=100,
             )
             worst[name] = max(worst[name], err)
@@ -244,12 +230,12 @@ def test_criterion_4_gradient_checks():
 
         ws = HeadWorkspace(head, len(labels), np.float64)
 
-        def masked(ps):
-            head.set_params(ps)
-            lv, grads = head_loss_and_grads(head, x[::2], labels, ws)
-            return lv.loss, grads
+        def masked(flat):
+            head.flat[:] = flat
+            lv, grad = head_loss_and_grads(head, x[::2], labels, ws)
+            return lv.loss, grad
 
-        err = grad_check(masked, head.params(), Rng(rng.next_u64()), n_coords=100)
+        err = grad_check(masked, head.flat, Rng(rng.next_u64()), n_coords=100)
         worst["masked"] = max(worst["masked"], err)
     elapsed = time.perf_counter() - started
     ok = max(worst.values()) < 1e-4 and elapsed < 60.0

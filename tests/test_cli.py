@@ -597,6 +597,38 @@ def test_grid_key_or_seeds_refused_names_the_grid(tmp_path, capsys, monkeypatch,
     assert f"config error: {path}: " in err and f"'{key}'" in err
 
 
+def _strict_json(path):
+    """The JSON document at path, read as a strict parser does: a NaN or
+    Infinity token is an error."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_a_class_absent_from_the_test_images_is_null_in_the_ablation(tmp_path):
+    """Two test images leave classes out of seed 0's truth and predictions:
+    their IoU is null in abl.json, as in report.json, never a bare NaN."""
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"base": {"n_train": 40, "n_test": 2},
+                                "variants": [{"strategy": "diverse"}], "seeds": [0]}))
+    assert main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")]) == 0
+    (row,) = _strict_json(tmp_path / "abl.json")["rows"]
+    assert None in row["per_class_iou"]
+    assert all(v is None or 0.0 <= v <= 1.0 for v in row["per_class_iou"])
+
+
+def test_a_non_finite_number_in_an_artifact_exits_4_naming_it(tmp_path, capsys, monkeypatch):
+    from divseed import cli
+
+    monkeypatch.setattr(cli.pipeline, "ablation_run", lambda *_, **__: {"x": float("inf")})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"variants": [{}], "seeds": [1]}))
+    assert main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")]) == 4
+    assert f"{tmp_path / 'abl.json'}: " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["grid.json"]
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_ablate_seeds_below_one_is_config_error(tmp_path, capsys, monkeypatch, seeds):
     """With a grid that lists no seeds, these ran nothing and wrote an empty
@@ -1035,9 +1067,10 @@ def test_head_in_the_per_layer_layout_is_data_error(workdir, tmp_path, capsys):
         model = load_seg_checkpoint(head)
         (head / "params.dstn").unlink()
         (head / "params").mkdir()
-        for name, layer in (("hidden", model.hidden), ("out", model.out)):
-            save_tensor(layer.weights, head / "params" / f"{name}_w.dstn")
-            save_tensor(layer.bias, head / "params" / f"{name}_b.dstn")
+        w1, b1, w2, b2 = model.params()
+        for name, weights, bias in (("hidden", w1, b1), ("out", w2, b2)):
+            save_tensor(weights, head / "params" / f"{name}_w.dstn")
+            save_tensor(bias, head / "params" / f"{name}_b.dstn")
         _edit_meta(lambda m: m.pop("out_dim"))(head)
 
     head = _edited_head(workdir, tmp_path, per_layer)

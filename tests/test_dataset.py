@@ -146,7 +146,7 @@ def test_a_split_failing_partway_leaves_the_earlier_split(tmp_path, monkeypatch,
     def crash(*args):
         raise RuntimeError("crashed")
 
-    def half_json(doc, fh):
+    def half_json(doc, fh, path):
         fh.write('{"classes": ')
         raise RuntimeError("crashed")
 

@@ -202,7 +202,7 @@ def test_non_finite_scores_abort():
     from divseed.errors import NumericError
 
     model = new_localization_model(0, in_dim=3, config=LocConfig(hidden=4), seed=6)
-    model.out.weights[0, 0] = np.inf
+    model.params()[2][0, 0] = np.inf  # an output weight
     f = FeatureGrid(
         grid=Grid(np.full((2, 2, 3), 0.5, dtype=np.float32)),
         norm_state=NormState.UNIT,
@@ -221,9 +221,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert model.class_id == 3
     assert model.pooling == result.model.pooling
     # float32 storage round trip
-    assert np.array_equal(
-        model.hidden.weights, result.model.hidden.weights.astype(np.float32)
-    )
+    assert np.array_equal(model.flat, result.model.flat.astype(np.float32))
     # which scoring already rounds to: the loaded model scores the same bits
     for rec in data:
         before, after = score_image(result.model, rec.features), score_image(model, rec.features)
@@ -245,25 +243,26 @@ def test_checkpoint_records_restarts(tmp_path, monkeypatch):
 
 def _dense_loss_and_grads(model, x, label):
     """The backward over every location: the reference chain."""
-    h1 = linear_fwd(model.hidden, x)
+    w1, b1, w2, b2 = model.params()
+    h1 = linear_fwd(w1, b1, x)
     a1 = np.maximum(h1, 0.0)
-    y = linear_fwd(model.out, a1)
+    y = linear_fwd(w2, b2, a1)
     p, trace = pooled_probability(model.pooling, y[:, 0], y[:, 1])
     lv = bce_loss_and_grad(p, label, trace, n_locations=x.shape[0])
     dy = np.stack([lv.grads["fg"], lv.grads["bg"]], axis=1)
-    dw2, db2, da1 = linear_backward(model.out, a1, dy)
+    dw2, db2, da1 = linear_backward(w2, a1, dy)
     dh1 = relu_backward(h1, da1)
-    dw1, db1, _ = linear_backward(model.hidden, x, dh1)
+    dw1, db1, _ = linear_backward(w1, x, dh1)
     return lv.loss, [dw1, db1, dw2, db2], trace
 
 
 def _assert_sparse_equals_dense(model, x, label):
     """The training step, in a float64 workspace, against the float64 chain."""
     ws = StepWorkspace(1, x.shape[0], model.dims, np.float64)
-    lv, grads = localizer_loss_and_grads(model, x, label, ws)
+    lv, grad = localizer_loss_and_grads(model, x, label, ws)
     loss, dense, trace = _dense_loss_and_grads(model, x, label)
     assert lv.loss == loss
-    for a, b in zip(grads, dense):
+    for a, b in zip(model.views(grad), dense):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
     return trace
@@ -272,8 +271,9 @@ def _assert_sparse_equals_dense(model, x, label):
 def _model(pooling, d, seed, hidden=6):
     model = new_localization_model(0, d, LocConfig(hidden=hidden, pooling=pooling), seed)
     rng = Rng(seed + 1)
-    model.hidden.bias[:] = rng.uniform_array(hidden, -0.3, 0.3)
-    model.out.bias[:] = rng.uniform_array(2, -0.3, 0.3)
+    _, b1, _, b2 = model.params()
+    b1[:] = rng.uniform_array(hidden, -0.3, 0.3)
+    b2[:] = rng.uniform_array(2, -0.3, 0.3)
     return model
 
 
@@ -291,11 +291,12 @@ def test_sparse_backward_at_the_last_location(pooling):
     """Both argmaxes on the last row: the added row is the one before it."""
     n, d = 9, 5
     model = _model(pooling, d, 3)
-    np.abs(model.hidden.weights, out=model.hidden.weights)
-    model.hidden.bias[:] = 0.0
-    np.abs(model.out.weights, out=model.out.weights)
+    w1, b1, w2, _ = model.params()
+    np.abs(w1, out=w1)
+    b1[:] = 0.0
+    np.abs(w2, out=w2)
     if pooling == "pixel":
-        model.out.weights[1] = 0.0  # fg - bg then peaks where fg does
+        w2[1] = 0.0  # fg - bg then peaks where fg does
     x = Rng(7).uniform_array(n * d, 0, 1).reshape(n, d)
     x[-1] = 2.0  # dominates every other row, elementwise
     for label in (0, 1):
@@ -305,8 +306,9 @@ def test_sparse_backward_at_the_last_location(pooling):
 
 def test_sparse_backward_with_coinciding_global_argmaxes():
     model = _model("global", 8, 5)
-    model.out.weights[1] = model.out.weights[0]
-    model.out.bias[1] = model.out.bias[0]  # bg map equals fg map
+    _, _, w2, b2 = model.params()
+    w2[1] = w2[0]
+    b2[1] = b2[0]  # bg map equals fg map
     x = Rng(11).uniform_array(16 * 8, -1, 1).reshape(16, 8)
     for label in (0, 1):
         trace = _assert_sparse_equals_dense(model, x, label)
@@ -480,7 +482,7 @@ def test_a_diverging_class_is_named_with_its_step(monkeypatch):
     def poisoned(class_id, in_dim, config, seed):
         model = make(class_id, in_dim, config, seed)
         if class_id == 1:
-            model.out.weights[0, 0] = np.inf
+            model.params()[2][0, 0] = np.inf  # an output weight
         return model
 
     monkeypatch.setattr(localization, "new_localization_model", poisoned)

@@ -23,13 +23,11 @@ from divseed.localization import (
 from divseed.nn import (
     MLP,
     AdamState,
-    LinearLayer,
     adam_step,
     bce_loss_and_grad,
     bce_pooled,
     global_softmax_prob,
     grad_check,
-    init_linear,
     linear_fwd,
     load_checkpoint,
     masked_ce_loss_and_grad,
@@ -55,10 +53,10 @@ def sigmoid(u):
     return 1.0 / (1.0 + math.exp(-u))
 
 
-def linear_forward(layer: LinearLayer, x: Grid) -> Grid:
+def linear_forward(weights: np.ndarray, bias: np.ndarray, x: Grid) -> Grid:
     """linear_fwd applied to every location of a grid (same H, W)."""
-    y = linear_fwd(layer, x.locations().astype(np.float64))
-    return Grid(y.reshape(x.height, x.width, layer.out_dim).astype(np.float32))
+    y = linear_fwd(weights, bias, x.locations().astype(np.float64))
+    return Grid(y.reshape(x.height, x.width, weights.shape[0]).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +64,14 @@ def linear_forward(layer: LinearLayer, x: Grid) -> Grid:
 
 
 def test_linear_identity():
-    layer = LinearLayer(weights=np.eye(3), bias=np.zeros(3))
     g = Grid(np.random.default_rng(0).normal(size=(2, 2, 3)).astype(np.float32))
-    out = linear_forward(layer, g)
+    out = linear_forward(np.eye(3), np.zeros(3), g)
     assert np.allclose(out.values, g.values)
 
 
 def test_linear_scalar_case():
-    layer = LinearLayer(weights=np.array([[2.0]]), bias=np.array([1.0]))
-    out = linear_forward(layer, Grid(np.full((1, 1, 1), 3.0, dtype=np.float32)))
+    out = linear_forward(np.array([[2.0]]), np.array([1.0]),
+                         Grid(np.full((1, 1, 1), 3.0, dtype=np.float32)))
     assert out.values[0, 0, 0] == pytest.approx(7.0)
 
 
@@ -82,14 +79,13 @@ def test_linear_single_location_is_matvec():
     rng = np.random.default_rng(3)
     w, b = rng.normal(size=(4, 6)), rng.normal(size=4)
     x = rng.normal(size=6).astype(np.float32)
-    out = linear_forward(LinearLayer(w, b), Grid(x.reshape(1, 1, 6)))
+    out = linear_forward(w, b, Grid(x.reshape(1, 1, 6)))
     assert np.allclose(out.values.ravel(), w @ x.astype(np.float64) + b, atol=1e-6)
 
 
 def test_linear_depth_mismatch():
-    layer = LinearLayer(weights=np.eye(3), bias=np.zeros(3))
     with pytest.raises(DataError):
-        linear_forward(layer, Grid(np.zeros((1, 1, 2), dtype=np.float32)))
+        linear_forward(np.eye(3), np.zeros(3), Grid(np.zeros((1, 1, 2), dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,24 +488,34 @@ def _assert_views_of_flat(model, arrays):
         assert np.shares_memory(p, model.flat)
 
 
-def test_mlp_keeps_its_arrays_as_views_of_one_flat_buffer():
+def test_mlp_is_its_flat_buffer():
+    """params() are views of flat, computed on each call: writing into them
+    or into flat is one write, and a clone has a buffer of its own."""
     arrays = _separate_arrays(0xF1A7)
-    model = MLP(hidden=LinearLayer(arrays[0], arrays[1]),
-                out=LinearLayer(arrays[2], arrays[3]), seed=0)
+    flat = np.concatenate([a.ravel() for a in arrays])
+    model = MLP(flat=flat, dims=(7, 5, 2), seed=0)
+    assert model.flat is flat
     _assert_views_of_flat(model, arrays)
-    assert not any(np.shares_memory(p, a) for p, a in zip(model.params(), arrays))
 
     new = _separate_arrays(0xF1A8)
-    model.set_params(new)
+    for view, a in zip(model.params(), new):
+        view[...] = a
     _assert_views_of_flat(model, new)
-    with pytest.raises(DataError):
-        model.set_params([new[0], new[1], new[2], new[3][:1]])
-    with pytest.raises(DataError):
-        model.set_params(new[:3])
 
     for clone in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
         _assert_views_of_flat(clone, new)
         assert not np.shares_memory(clone.flat, model.flat)
+        assert (clone.dims, clone.seed) == (model.dims, model.seed)
+
+
+@pytest.mark.parametrize("flat", [np.zeros(51), np.zeros(53), np.zeros((1, 52)),
+                                  np.zeros(52, np.float32)],
+                         ids=["short", "long", "stacked", "float32"])
+def test_mlp_refuses_a_buffer_that_is_not_its_parameters(flat):
+    """52 float64 parameters for dims (7, 5, 2), on one axis, or DataError."""
+    assert MLP(flat=np.zeros(52), dims=(7, 5, 2), seed=0).flat.size == 52
+    with pytest.raises(DataError):
+        MLP(flat=flat, dims=(7, 5, 2), seed=0)
 
 
 def test_mlp_views_lay_its_shapes_over_a_stack():
@@ -523,19 +529,19 @@ def test_mlp_views_lay_its_shapes_over_a_stack():
 
 
 def test_grad_check_keeps_its_base_point_when_the_loss_sets_the_model():
-    """Given a model's own parameter views, a loss that writes its arguments
-    into that model (as criterion 4's head check does) is evaluated at the
+    """Given a model's own buffer, a loss that writes its argument into that
+    model (as the gradient checks of the trainers do) is evaluated at the
     base point and at one bumped coordinate at a time."""
     model = MLP.initialized(5, 4, 3, 2)
     base = model.flat.copy()
     seen = []
 
-    def fn(params):
-        model.set_params(params)
+    def fn(flat):
+        model.flat[:] = flat
         seen.append(model.flat.copy())
-        return float(model.flat @ model.flat), [2.0 * p for p in model.params()]
+        return float(model.flat @ model.flat), 2.0 * model.flat
 
-    assert grad_check(fn, model.params(), Rng(1), n_coords=12) < 1e-6
+    assert grad_check(fn, model.flat, Rng(1), n_coords=12) < 1e-6
     assert seen[0].tobytes() == base.tobytes()
     for bumped in seen[1:]:
         assert np.count_nonzero(bumped != base) == 1
@@ -545,65 +551,63 @@ def test_grad_check_keeps_its_base_point_when_the_loss_sets_the_model():
 # gradient checking
 
 
-def _mlp(params, model_type, **fields):
-    w1, b1, w2, b2 = params
-    return model_type(hidden=LinearLayer(w1, b1), out=LinearLayer(w2, b2), seed=0, **fields)
-
-
-def _mlp_masked_loss(x, labels):
+def _mlp_masked_loss(x, labels, dims):
     """The head's training loss on the labeled (location, class) rows."""
     locs, classes = np.array(labels).T
 
-    def fn(params):
-        model = _mlp(params, SegmentationModel, class_ids=(0, 1, 2), global_dim=0)
+    def fn(flat):
+        model = SegmentationModel(flat, dims, 0, class_ids=(0, 1, 2), global_dim=0)
         ws = HeadWorkspace(model, len(locs), np.float64)
-        lv, grads = head_loss_and_grads(model, x[locs], classes, ws)
-        return lv.loss, grads
+        lv, grad = head_loss_and_grads(model, x[locs], classes, ws)
+        return lv.loss, grad
 
     return fn
 
 
-def _pooled_bce_loss(x, pooling, label):
+def _pooled_bce_loss(x, pooling, label, dims):
     """The localizer's training loss."""
-    def fn(params):
-        model = _mlp(params, LocalizationModel, class_id=0, pooling=pooling)
+    def fn(flat):
+        model = LocalizationModel(flat, dims, 0, class_id=0, pooling=pooling)
         ws = StepWorkspace(1, x.shape[0], model.dims, np.float64)
-        lv, grads = localizer_loss_and_grads(model, x, label, ws)
-        return lv.loss, grads
+        lv, grad = localizer_loss_and_grads(model, x, label, ws)
+        return lv.loss, grad
 
     return fn
 
 
-def _random_net(seed, d=6, h=5, out=4):
+def random_net(seed, d=6, h=5, out=4, n=12):
+    """An initialized MLP of dims (d, h, out), its biases then drawn
+    non-zero so their gradients are exercised away from 0, and n input
+    rows; all from the one stream Rng(seed), in that order."""
+    model = MLP.initialized(seed, d, h, out)
     rng = Rng(seed)
-    l1 = init_linear(rng, d, h)
-    l2 = init_linear(rng, h, out)
-    # non-zero biases so their gradients are exercised away from 0
-    l1.bias = rng.uniform_array(h, -0.3, 0.3)
-    l2.bias = rng.uniform_array(out, -0.3, 0.3)
-    x = rng.uniform_array(12 * d, -1, 1).reshape(12, d)
-    return x, [l1.weights, l1.bias, l2.weights, l2.bias]
+    rng.next_u64_array(h * d + out * h)  # the weights' draws
+    _, b1, _, b2 = model.params()
+    b1[:] = rng.uniform_array(h, -0.3, 0.3)
+    b2[:] = rng.uniform_array(out, -0.3, 0.3)
+    return rng.uniform_array(n * d, -1, 1).reshape(n, d), model
 
 
 def test_grad_check_masked_ce():
-    x, params = _random_net(2)
+    x, net = random_net(2)
     labels = [(0, 1), (4, 3), (7, 0), (11, 2)]
-    err = grad_check(_mlp_masked_loss(x, labels), params, Rng(3), n_coords=120)
+    err = grad_check(_mlp_masked_loss(x, labels, net.dims), net.flat, Rng(3), n_coords=120)
     assert err < 1e-4
 
 
 @pytest.mark.parametrize("pool_name", ["pixel", "global"])
 def test_grad_check_pooled_bce(pool_name):
-    x, params = _random_net(5, out=2)
-    err = grad_check(_pooled_bce_loss(x, pool_name, 1), params, Rng(7), n_coords=120)
+    x, net = random_net(5, out=2)
+    err = grad_check(_pooled_bce_loss(x, pool_name, 1, net.dims), net.flat, Rng(7),
+                     n_coords=120)
     assert err < 1e-4
 
 
 def test_grad_check_constant_loss():
-    def fn(params):
-        return 1.5, [np.zeros_like(p) for p in params]
+    def fn(flat):
+        return 1.5, np.zeros_like(flat)
 
-    err = grad_check(fn, [np.ones((3, 3))], Rng(0))
+    err = grad_check(fn, np.ones(9), Rng(0))
     assert err < 1e-8
 
 
@@ -632,7 +636,7 @@ def test_a_lockstep_step_gives_one_loss_and_gradient_in_both_precisions(pooling)
     models = [LocalizationModel.initialized(100 + k, d, hidden, 2, class_id=k, pooling=pooling)
               for k in range(c)]
     for m in models:
-        m.hidden.bias[:] = rng.uniform_array(hidden, -0.3, 0.3)  # mixed ReLU mask
+        m.params()[1][:] = rng.uniform_array(hidden, -0.3, 0.3)  # mixed ReLU mask
     params = np.stack([m.flat for m in models])
     vecs = rng.uniform_array(c * n * d, -1, 1).reshape(c, n, d)
     x = (vecs / np.linalg.norm(vecs, axis=2, keepdims=True)).astype(np.float32)
@@ -651,7 +655,7 @@ def test_a_head_batch_gives_one_loss_and_gradient_in_both_precisions():
     precision."""
     rng = Rng(0x4EAD)
     model = SegmentationModel.initialized(7, 24, 32, 4, class_ids=(0, 1, 2), global_dim=12)
-    model.hidden.bias[:] = rng.uniform_array(32, -0.3, 0.3)
+    model.params()[1][:] = rng.uniform_array(32, -0.3, 0.3)
     x = rng.uniform_array(50 * 24, -1, 1).reshape(50, 24).astype(np.float32)
     y = np.array([rng.randint(4) for _ in range(50)], dtype=np.int64)
     steps = {}
@@ -670,11 +674,7 @@ def test_a_head_batch_gives_one_loss_and_gradient_in_both_precisions():
 def _f32_params(model, seed):
     """Random float32-representable parameters, so a float32 checkpoint
     holds them exactly."""
-    rng = Rng(seed)
-    model.set_params([
-        rng.uniform_array(p.size, -1, 1).reshape(p.shape).astype(np.float32).astype(np.float64)
-        for p in model.params()
-    ])
+    model.flat[:] = Rng(seed).uniform_array(model.flat.size, -1, 1).astype(np.float32)
     return model
 
 
@@ -722,7 +722,7 @@ def test_model_checkpoint_round_trips_bitwise(tmp_path, make):
 
     def other_fields(m):
         return {f.name: getattr(m, f.name) for f in dataclasses.fields(m)
-                if f.name not in ("hidden", "out")}
+                if f.name != "flat"}
 
     assert other_fields(loaded) == other_fields(model)
 

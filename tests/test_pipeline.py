@@ -46,6 +46,7 @@ from reference_localizer import reference_train_localizer
 from reference_samplers import reference_supervision_set
 from test_perftrace_names import _perfbench_module
 from test_tensor import _traced_peak
+from test_trained_bits import DEFAULT_RUN, run_digest
 
 # small but real: big enough for localizers to train, small enough for CI
 TINY = PipelineConfig(seed=3, n_train=80, n_test=16, n_classes=2, image_size=32)
@@ -294,7 +295,7 @@ def test_supervision_set_errors_match_the_per_image_loop(tiny_bench, tiny_models
         (records, {0: tiny_models[0]}, {"k": 5}, "no localization model"),
     ]
     broken = copy.deepcopy(tiny_models)
-    broken[1].out.weights[0, 0] = np.inf
+    broken[1].params()[2][0, 0] = np.inf  # an output weight
     cases.append((records, broken, {"k": 5}, "non-finite values in score map"))
     for dataset, models, overrides, message in cases:
         error = NumericError if "non-finite" in message else DataError
@@ -305,16 +306,6 @@ def test_supervision_set_errors_match_the_per_image_loop(tiny_bench, tiny_models
             for sampler in (sample_supervision, reference_supervision_set):
                 with pytest.raises(error, match=message), np.errstate(all="ignore"):
                     sampler(dataset, models, config, 1)
-
-
-def test_train_localizers_jobs_equivalent(tiny_bench):
-    a = train_localizers(tiny_bench.train_records, [0, 1], TINY.loc_config(),
-                         TINY.seed, jobs=1)
-    b = train_localizers(tiny_bench.train_records, [0, 1], TINY.loc_config(),
-                         TINY.seed, jobs=2)
-    for c in (0, 1):
-        for pa, pb in zip(a[c].model.params(), b[c].model.params()):
-            assert np.array_equal(pa, pb)
 
 
 def test_train_localizers_equal_the_per_class_loop_for_any_worker_count():
@@ -549,7 +540,8 @@ def test_default_config_end_to_end_under_ten_minutes(tmp_path):
     summary = run_pipeline(PipelineConfig(), str(tmp_path / "default"))
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
-    assert 0.0 <= summary["report"]["miou"] <= 1.0
+    # the same behaviour: every artifact and the mIoU, bit for bit
+    assert run_digest(summary) == DEFAULT_RUN
 
 
 @pytest.mark.slow

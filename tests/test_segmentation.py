@@ -125,7 +125,7 @@ def _separable_points(n_images=6, d=6):
 def _per_point_gather(points, features, model):
     """One augmented row and one label lookup per point: the reference
     gather, rows kept float32 as the grids store them."""
-    x = np.empty((len(points), model.hidden.in_dim), dtype=np.float32)
+    x = np.empty((len(points), model.dims[0]), dtype=np.float32)
     y = np.empty(len(points), dtype=np.int64)
     for i, p in enumerate(points):
         x[i] = features[p.image_id].grid.locations()[p.loc]
@@ -184,13 +184,14 @@ def test_training_holds_no_point_matrix():
 
 def _chain_loss_and_grads(model, xb, yb):
     """The head's loss and backward layer by layer: the reference chain."""
-    h1 = linear_fwd(model.hidden, xb)
+    w1, b1, w2, b2 = model.params()
+    h1 = linear_fwd(w1, b1, xb)
     a1 = np.maximum(h1, 0.0)
-    logits = linear_fwd(model.out, a1)
+    logits = linear_fwd(w2, b2, a1)
     lv = masked_ce_loss_and_grad(logits, np.stack([np.arange(len(yb)), yb], axis=1))
-    dw2, db2, da1 = linear_backward(model.out, a1, lv.grads["logits"])
+    dw2, db2, da1 = linear_backward(w2, a1, lv.grads["logits"])
     dh1 = relu_backward(h1, da1)
-    dw1, db1, _ = linear_backward(model.hidden, xb, dh1)
+    dw1, db1, _ = linear_backward(w1, xb, dh1)
     return lv.loss, [dw1, db1, dw2, db2]
 
 
@@ -204,14 +205,15 @@ def test_head_backward_equals_the_layer_chain(m):
         model = new_segmentation_model((4, 0, 2), 12, 6, SegConfig(hidden=16), seed)
         ws = ws or HeadWorkspace(model, SegConfig().batch_size, np.float64)
         rng = Rng(900 + seed)
-        model.hidden.bias[:] = rng.uniform_array(16, -0.3, 0.3)  # mixed ReLU mask
-        model.out.bias[:] = rng.uniform_array(4, -0.3, 0.3)
+        _, b1, _, b2 = model.params()
+        b1[:] = rng.uniform_array(16, -0.3, 0.3)  # mixed ReLU mask
+        b2[:] = rng.uniform_array(4, -0.3, 0.3)
         xb = rng.uniform_array(m * 12, -1, 1).reshape(m, 12)
         yb = np.array([rng.randint(4) for _ in range(m)], dtype=np.int64)
-        lv, grads = head_loss_and_grads(model, xb, yb, ws)
+        lv, grad = head_loss_and_grads(model, xb, yb, ws)
         loss, chain = _chain_loss_and_grads(model, xb, yb)
         assert lv.loss == loss
-        for a, b in zip(grads, chain):
+        for a, b in zip(model.views(grad), chain):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()  # bitwise, signed zeros included
 
@@ -389,7 +391,7 @@ def test_add_class_grows_universe_and_keeps_old_models():
         seed=5,
     )
     assert result.class_ids == (0, 1, 2, 7)
-    assert result.seg_result.model.out.out_dim == 5  # 4 classes + bg
+    assert result.seg_result.model.dims[2] == 5  # 4 classes + bg
     assert len(result.new_points) > 0
     assert len(result.merged_points) == len(points) + len(result.new_points)
     # only positive new images contribute points, each k fg + k bg

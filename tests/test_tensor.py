@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from divseed.errors import DataError, TensorFormatError
+from divseed.errors import DataError, NumericError, TensorFormatError
 from divseed.tensor import (
     STD_EPSILON,
     FeatureGrid,
@@ -343,6 +344,18 @@ def test_write_raising_partway_keeps_the_old_file(tmp_path):
         save_json({"a": 2, "b": object()}, doc)
     assert doc.read_text() == '{\n  "a": 1\n}\n'
     assert sorted(os.listdir(tmp_path)) == ["d.json", "t.dstn"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_json_artifact_refuses_a_non_finite_number(tmp_path, value):
+    """NaN and infinity are not JSON: save_json raises NumericError naming
+    the file, and an old file at the path stays as it was."""
+    doc = tmp_path / "d.json"
+    save_json({"a": 1}, doc)
+    with pytest.raises(NumericError, match=f"^{doc}: "):
+        save_json({"a": [1.0, value]}, doc)
+    assert doc.read_text() == '{\n  "a": 1\n}\n'
+    assert os.listdir(tmp_path) == ["d.json"]
 
 
 def test_writers_replace_the_file_only_when_complete(tmp_path, monkeypatch):

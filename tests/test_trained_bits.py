@@ -2,24 +2,28 @@
 every localizer, point set, head and mIoU of a tiny grid seed exactly as it
 was, under one BLAS thread and under the default threading.
 
+The default config's run (seed 7) is pinned too, by a digest of its artifact
+hashes and its mIoU, in tests/test_pipeline.py's end-to-end test.
+
 A change that declares new numerics regenerates the pins with
 
     PYTHONPATH=src python tests/test_trained_bits.py
 
 which prints the current digests as a PINNED literal to paste over the one
-below."""
+below, and the default run's DEFAULT_RUN pin."""
 
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import divseed
-from divseed.pipeline import PipelineConfig, ablation_seed, variant_name
+from divseed.pipeline import PipelineConfig, ablation_seed, run_pipeline, variant_name
 
 # three classes so the lockstep drops runs of unequal length one by one;
 # 60 images give point counts that are no multiple of the head's batch; the
@@ -101,6 +105,20 @@ PINNED = {
 }
 
 
+def run_digest(summary: dict) -> dict:
+    """A run summary's sha256 over its sorted (artifact, hash) items, and its
+    mIoU."""
+    items = json.dumps(sorted(summary["artifacts"].items())).encode()
+    return {"artifacts": hashlib.sha256(items).hexdigest(), "miou": summary["report"]["miou"]}
+
+
+# `divseed run` at the default config
+DEFAULT_RUN = {
+    "artifacts": "a222f4735d14b97fc17781b7cb502d25576a206b22acb557fa980a8560fc0232",
+    "miou": 0.5649630658497728,
+}
+
+
 def test_trained_bits_are_pinned():
     assert trained_digests() == PINNED
 
@@ -119,4 +137,10 @@ if __name__ == "__main__":
     print("PINNED = {")
     for key, value in trained_digests().items():
         print(f"    {json.dumps(key)}:\n        {json.dumps(value)},")
+    print("}")
+    with tempfile.TemporaryDirectory() as out:
+        pin = run_digest(run_pipeline(PipelineConfig(), out))
+    print("DEFAULT_RUN = {")
+    print(f'    "artifacts": "{pin["artifacts"]}",')
+    print(f'    "miou": {pin["miou"]!r},')
     print("}")
