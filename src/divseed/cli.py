@@ -55,7 +55,7 @@ from .segmentation import (
     save_seg_checkpoint,
     train_segmentation,
 )
-from .tensor import load_json, load_tensor, save_json, save_tensor
+from .tensor import atomic_write, load_json, load_tensor, save_json, save_tensor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,7 +186,7 @@ def cmd_predict(args) -> int:
     manifest = load_manifest(args.data)
     model = load_seg_checkpoint(args.model)
     feats = manifest.load_unit_features(manifest.entry(args.image), manifest.load_stats())
-    labels, _ = predict(model, augment_with_global(feats))
+    labels = predict(model, augment_with_global(feats))
     save_tensor(labels.astype(np.float32), args.out)
     print(f"labels -> {args.out}")
     if args.ppm:
@@ -249,7 +249,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     save_json(summary, args.out + ".json")
     table = pipeline.format_ablation_table(summary)
-    with open(args.out + ".txt", "w") as fh:
+    with atomic_write(args.out + ".txt") as fh:
         fh.write(table)
     print(table, end="")
     return EXIT_OK

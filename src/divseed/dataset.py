@@ -39,7 +39,6 @@ from .synthdata import (
 from .tensor import (
     FeatureGrid,
     FeatureStack,
-    Grid,
     NormStats,
     _require_finite,
     atomic_write,
@@ -136,7 +135,7 @@ class Manifest:
         return found
 
     def load_raw_features(self, entry: ManifestEntry) -> FeatureGrid:
-        return FeatureGrid(grid=Grid(self.raw_features[entry.row]))
+        return FeatureGrid(self.raw_features[entry.row])
 
     def load_unit_features(self, entry: ManifestEntry, stats: NormStats) -> FeatureGrid:
         return normalize_features(self.load_raw_features(entry), stats)
@@ -192,7 +191,7 @@ def make_split(n: int, n_classes: int, size: int, seed: int, name: str, spec: Ex
         for i in range(n):
             scene = generate_scene(seed, i, n_classes, size, size, name)
             raw = extract_features(scene, spec)
-            for append, row in zip(rows, (scene.image, scene.mask, raw.grid.values)):
+            for append, row in zip(rows, (scene.image, scene.mask, raw.values)):
                 append(row)
             tags.append(scene.tags)
             features.append(raw)

@@ -97,10 +97,10 @@ def check_records(records: list[SupervisionRecord]) -> None:
         if f.norm_state != NormState.UNIT:
             raise DataError(f"image {rec.image_id!r}: expected unit-normalized "
                             f"features, got {f.norm_state.value}")
-        if f.grid.values.shape != records[0].features.grid.values.shape:
+        if f.values.shape != records[0].features.values.shape:
             first = records[0]
-            raise DataError(f"image {rec.image_id!r}: grid shape {f.grid.values.shape} "
-                            f"differs from {first.features.grid.values.shape} of image "
+            raise DataError(f"image {rec.image_id!r}: grid shape {f.values.shape} "
+                            f"differs from {first.features.values.shape} of image "
                             f"{first.image_id!r}")
 
 
@@ -196,10 +196,9 @@ def score_batch(model: LocalizationModel, x: np.ndarray,
 def score_image(model: LocalizationModel, f: FeatureGrid, image_id: str = "") -> ScoreMap:
     """Deterministic forward pass to fg/bg maps at feature-grid resolution."""
     check_grid(f, image_id)
-    g = f.grid
-    y = score_batch(model, g.locations()[None])[0]
-    fg = np.ascontiguousarray(y[:, 0]).reshape(g.height, g.width)
-    bg = np.ascontiguousarray(y[:, 1]).reshape(g.height, g.width)
+    y = score_batch(model, f.locations()[None])[0]
+    fg = np.ascontiguousarray(y[:, 0]).reshape(f.height, f.width)
+    bg = np.ascontiguousarray(y[:, 1]).reshape(f.height, f.width)
     return ScoreMap(class_id=model.class_id, image_id=image_id, fg=fg, bg=bg)
 
 
@@ -287,7 +286,7 @@ class _ClassRun:
             chosen = [rng.randint(len(negative_pool)) for _ in range(n_pos)]
         negatives = [negative_pool[i] for i in chosen]
 
-        in_dim = records[0].features.grid.depth
+        in_dim = records[0].features.depth
         model = new_localization_model(class_id, in_dim, config, derive_seed(seed, 0x1417))
         batches = [(r.features, 1) for r in positives] + [(r.features, 0) for r in negatives]
         plan, epoch_lrs = [], []
@@ -338,7 +337,7 @@ def _train_lockstep(runs: list[_ClassRun], pooling: str) -> list[LocTrainResult]
         return []
     live = list(range(len(runs)))
     params = np.stack([run.model.flat for run in runs])
-    n = runs[0].batches[0][0].grid.n_locations
+    n = runs[0].batches[0][0].n_locations
     ws = StepWorkspace(len(runs), n, runs[0].model.dims)
     state = AdamState(lr=0.0)
     step = lrs_until = 0  # the rates in state.lr hold for the steps before lrs_until
@@ -436,7 +435,7 @@ class StepWorkspace:
         """The first len(features) rows of x, holding their locations."""
         x = self.x[: len(features)]
         for row, f in enumerate(features):
-            x[row] = f.grid.locations()
+            x[row] = f.locations()
         return x
 
 

@@ -384,7 +384,7 @@ def evaluate_images(
     lookup[truth_background_label] = model.background_index
     cm = ConfusionMatrix(n_labels=model.n_classes + 1)
     for im in images:
-        pred, _ = predict(model, im.augmented)
+        pred = predict(model, im.augmented)
         if im.truth.min() < 0 or im.truth.max() > truth_background_label:
             raise DataError(f"truth labels out of range for {im.image_id}")
         truth_idx = lookup[im.truth]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .sampling import BACKGROUND, SampledPoint
-from .tensor import _require_finite
+from .tensor import _require_finite, atomic_write
 
 #: RGB per class index; background is (0, 0, 0) in label maps and white in
 #: point overlays
@@ -37,7 +37,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
     if g.ndim != 2:
         raise DataError(f"PGM needs a 2-d array, got shape {g.shape}")
     h, w = g.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(g.astype(np.uint8).tobytes())
 
@@ -47,7 +47,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if a.ndim != 3 or a.shape[2] != 3:
         raise DataError(f"PPM needs an (H, W, 3) array, got shape {a.shape}")
     h, w, _ = a.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(a.astype(np.uint8).tobytes())
 

@@ -323,7 +323,7 @@ def _clamped_scores(sm: ScoreMap) -> np.ndarray:
 def sample_diverse_fg(sm: ScoreMap, f: FeatureGrid, k: int) -> list[SampledPoint]:
     """Greedy score-times-dissimilarity selection of k foreground points."""
     check_grid(f, sm.image_id)
-    feats = f.grid.locations().astype(np.float64)
+    feats = f.locations().astype(np.float64)
     if feats.shape[0] != sm.fg.size:
         raise DataError("score map and feature grid shapes differ")
     picks, values, _ = _greedy_fg(_clamped_scores(sm), k, _feature_rows(feats[None]))
@@ -350,7 +350,7 @@ def sample_diverse_bg(
     locations (requires rng), flagged FLAG_RANDOM_BG with value 0.
     """
     check_grid(f, fg_points[0].image_id if fg_points else "")
-    feats = f.grid.locations().astype(np.float64)[None]
+    feats = f.locations().astype(np.float64)[None]
     n = feats.shape[1]
     if not fg_points:
         if rng is None:
@@ -471,7 +471,7 @@ def _tagged_pairs(records: list[SupervisionRecord]):
     pairs = [(i, c) for i, rec in enumerate(records) for c in sorted(rec.tags.present)]
     return (np.array([i for i, _ in pairs], dtype=np.int64),
             np.array([c for _, c in pairs], dtype=np.int64),
-            records[0].features.grid.n_locations if records else 0)
+            records[0].features.n_locations if records else 0)
 
 
 def pair_scores(
@@ -490,7 +490,7 @@ def pair_scores(
         return PairScores(image, class_id, fg)
     # one set of float32 chunk buffers for the call: the images of a class,
     # and the activations of the widest model
-    x_buf = np.empty((min(CHUNK, len(records)), n, records[0].features.grid.depth), np.float32)
+    x_buf = np.empty((min(CHUNK, len(records)), n, records[0].features.depth), np.float32)
     hidden = max((models[c].dims[1] for c in set(class_id.tolist())), default=0)
     a1_buf = np.empty(x_buf.shape[0] * n * hidden, np.float32)
     y_buf = np.empty(x_buf.shape[0] * n * 2, np.float32)
@@ -540,8 +540,8 @@ def build_supervision_set(
         ])
     table = None
     if config.strategy == "spatial" and records:
-        g = records[0].features.grid
-        table = _spatial_table((g.height, g.width), config.spatial_scale)
+        f = records[0].features
+        table = _spatial_table((f.height, f.width), config.spatial_scale)
     bufs = _ChunkBuffers(records, image) if records else None
     return PointSet.concat([
         _sample_chunk(start, chunk, _chunk_scores(scores, start, len(chunk)), config, seed,
@@ -573,7 +573,7 @@ def _fill(out: np.ndarray, records: list[SupervisionRecord], indices: list[int])
     locations of records[i] for each i in indices, as out's dtype."""
     x = out[: len(indices)]
     for row, i in enumerate(indices):
-        x[row] = records[i].features.grid.locations()
+        x[row] = records[i].features.locations()
     return x
 
 
@@ -584,12 +584,12 @@ class _ChunkBuffers:
     the records' tagged pairs."""
 
     def __init__(self, records: list[SupervisionRecord], image: np.ndarray):
-        g = records[0].features.grid
+        f = records[0].features
         cuts = np.searchsorted(image, np.arange(0, len(records) + CHUNK, CHUNK))
         pairs = int(np.diff(cuts).max())
-        self.images = np.empty((min(CHUNK, len(records), pairs), g.n_locations, g.depth))
-        self.pairs = np.empty((pairs, g.n_locations, g.depth))
-        self.sim = np.empty((pairs, g.n_locations, 1))
+        self.images = np.empty((min(CHUNK, len(records), pairs), f.n_locations, f.depth))
+        self.pairs = np.empty((pairs, f.n_locations, f.depth))
+        self.sim = np.empty((pairs, f.n_locations, 1))
 
 
 def _chunk_scores(scores: PairScores, start: int, b: int):
@@ -622,7 +622,7 @@ def _point_set(records, blocks) -> PointSet:
 def _dense_chunk(records, pairs, tau, calibration) -> PointSet:
     """Every location of every image, in location order."""
     pair_image, pair_class, fg = pairs
-    b, n = len(records), records[0].features.grid.n_locations
+    b, n = len(records), records[0].features.n_locations
     labels, values = _dense_labels(fg, pair_image, pair_class, b, tau, calibration)
     return _point_set(records, [(
         np.repeat(np.arange(b), n), np.tile(np.arange(n), b), labels.ravel(),
@@ -634,7 +634,7 @@ def _sample_chunk(start, records, pairs, config, seed, table, bufs) -> PointSet:
     """k foreground points per pair, then k background points per image,
     of the non-dense strategies, in bufs (a _ChunkBuffers); table is the
     spatial strategy's."""
-    b, n = len(records), records[0].features.grid.n_locations
+    b, n = len(records), records[0].features.n_locations
     k = config.k
     pair_image, pair_class, fg = pairs
     blocks = []

@@ -4,10 +4,11 @@ The classifier is a hidden-ReLU-(C+1) per-location network. Its input at a
 location is the unit feature vector there followed by the image's global
 descriptor (the L2-normalized spatial mean of the unit feature grid), the
 global-context appending of ParseNet. The descriptor is stored once per
-image; the (H, W, 2D) input grid is built only where a whole image is
-predicted. Training touches only the sparse sampled points; it never sees
-ground-truth masks. Growing the class universe re-instantiates and retrains
-just this head, leaving all localization models alone.
+image; the (H*W, 2D) input rows are built only where a whole image is
+predicted, and a prediction is only the argmax label at each location.
+Training touches only the sparse sampled points; it never sees ground-truth
+masks. Growing the class universe re-instantiates and retrains just this
+head, leaving all localization models alone.
 
 Label spaces: sampled points carry class ids with -1 for background; the
 model maps ids onto output indices via its ordered class universe, with
@@ -54,7 +55,7 @@ from .sampling import (
     SamplingConfig,
     sample_class_points,
 )
-from .tensor import FeatureGrid, Grid, NormState, l2_normalize_locations
+from .tensor import FeatureGrid, NormState, l2_normalize_locations
 
 
 @dataclass(frozen=True)
@@ -71,25 +72,19 @@ class AugmentedFeatureGrid:
 
     @property
     def depth(self) -> int:
-        return self.features.grid.depth + self.global_dim
+        return self.features.depth + self.global_dim
 
     def locations(self, dtype=np.float32) -> np.ndarray:
         """(H*W, depth) head inputs in location order, as dtype."""
-        locs = self.features.grid.locations()
+        locs = self.features.locations()
         tiled = np.broadcast_to(self.descriptor, (locs.shape[0], self.global_dim))
         return np.concatenate([locs, tiled], axis=1, dtype=dtype)
-
-    @property
-    def grid(self) -> Grid:
-        """The (H, W, depth) input grid, built on each use."""
-        g = self.features.grid
-        return Grid(self.locations().reshape(g.height, g.width, self.depth))
 
 
 def augment_with_global(f: FeatureGrid) -> AugmentedFeatureGrid:
     """Pair a unit grid with its normalized mean feature vector."""
     check_grid(f)
-    mean = f.grid.locations().astype(np.float64).mean(axis=0)
+    mean = f.locations().astype(np.float64).mean(axis=0)
     unit_mean = l2_normalize_locations(mean[None, :])
     return AugmentedFeatureGrid(features=f, descriptor=unit_mean[0].astype(np.float32))
 
@@ -228,7 +223,7 @@ class FeatureTable(Mapping):
         self.table = values.reshape(n * h * w, d)  # a view of C-ordered values
         self.first_row = {image_id: i * h * w for i, image_id in enumerate(image_ids)}
         self._grids = {
-            image_id: augment_with_global(FeatureGrid(Grid(values[i]), NormState.UNIT))
+            image_id: augment_with_global(FeatureGrid(values[i], NormState.UNIT))
             for i, image_id in enumerate(image_ids)
         }
 
@@ -260,7 +255,7 @@ def _point_inputs(points: PointSet,
     which the steps then take as valid output indices."""
     points = PointSet.of(points)
     augmented = [features_by_image[image_id] for image_id in points.image_ids]
-    n_locations = np.array([af.features.grid.n_locations for af in augmented], dtype=np.int64)
+    n_locations = np.array([af.features.n_locations for af in augmented], dtype=np.int64)
     outside = np.flatnonzero((points.loc < 0) | (points.loc >= n_locations[points.image]))
     if outside.size:
         i = outside[np.argmin(points.image[outside])]  # the first of the first image
@@ -276,7 +271,7 @@ def _point_inputs(points: PointSet,
         table = np.empty((len(points), model.dims[0] - model.global_dim), np.float32)
         for c, af in enumerate(augmented):
             at = by_image[bounds[c] : bounds[c + 1]]
-            table[at] = af.features.grid.locations()[points.loc[at]]
+            table[at] = af.features.locations()[points.loc[at]]
         rows = np.arange(len(points))
     descriptors = np.stack([af.descriptor for af in augmented])
     labels, inverse = np.unique(points.label, return_inverse=True)
@@ -332,24 +327,14 @@ def head_loss_and_grads(model: SegmentationModel, xb: np.ndarray, yb: np.ndarray
     return LossValue(loss=loss, grads={"logits": dy}), ws.grad
 
 
-def predict(model: SegmentationModel, af: AugmentedFeatureGrid
-            ) -> tuple[np.ndarray, Grid]:
-    """Dense prediction: (H, W) argmax label indices (background = C, ties to
-    the lowest index) and the (H, W, C+1) softmax probability grid. The
-    products run in float32, the softmax on the logits read as float64."""
+def predict(model: SegmentationModel, af: AugmentedFeatureGrid) -> np.ndarray:
+    """Dense prediction: the (H, W) label indices (background = C), each the
+    argmax of its location's float32 logits, ties to the lowest index."""
     if af.depth != model.dims[0]:
         raise DataError(f"predict: feature depth {af.depth} != model input {model.dims[0]}")
-    g = af.features.grid
+    f = af.features
     _, logits = mlp_forward(model.views(model.flat.astype(np.float32)), af.locations())
-    logits = logits.astype(np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    labels = probs.argmax(axis=1).reshape(g.height, g.width)
-    prob_grid = Grid(
-        probs.reshape(g.height, g.width, model.n_classes + 1).astype(np.float32)
-    )
-    return labels, prob_grid
+    return logits.argmax(axis=1).reshape(f.height, f.width)
 
 
 # ---------------------------------------------------------------------------

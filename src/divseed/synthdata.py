@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .localization import TagSet
 from .rng import Rng, derive_seed
-from .tensor import FeatureGrid, Grid
+from .tensor import FeatureGrid
 
 MAX_CLASSES = 8
 MAX_SHAPES = 3
@@ -284,7 +284,7 @@ def extract_features(scene: SyntheticScene, spec: ExtractorSpec) -> FeatureGrid:
         feat += b
         np.maximum(feat, 0.0, out=feat)
         out[:, :, i * spec.dims_per_scale:(i + 1) * spec.dims_per_scale] = feat
-    return FeatureGrid(grid=Grid(out))
+    return FeatureGrid(out)
 
 
 @cache

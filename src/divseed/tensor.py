@@ -1,10 +1,11 @@
-"""Dense float grids and stacks of them, two-stage feature normalization,
+"""Feature grids and stacks of them, two-stage feature normalization,
 the DSTN file format, the JSON artifact writer and document reader, and the
-atomic writer behind every tensor, JSON and points file.
+atomic writer behind every file divseed writes.
 
-A Grid is an H x W x depth block of float32 values, location-major: the flat
-location index of (row, col) is row * width + col, with the channel axis
-innermost. All public operations keep values finite.
+A FeatureGrid is one image's H x W x depth block of float32 feature values
+and its normalization state. It is location-major: the flat location index
+of (row, col) is row * width + col, with the channel axis innermost. All
+public operations keep values finite.
 
 DSTN tensor file format (bit-exact, no padding, no footer):
 
@@ -44,21 +45,28 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise NumericError(f"non-finite values in {what}")
 
 
+class NormState(Enum):
+    RAW = "raw"
+    UNIT = "unit"
+
+
 @dataclass(frozen=True)
-class Grid:
-    """H x W x depth float32 grid; all values finite."""
+class FeatureGrid:
+    """Per-image H x W x depth float32 grid of feature vectors, all finite,
+    plus its normalization state."""
 
     values: np.ndarray
+    norm_state: NormState = NormState.RAW
 
     def __post_init__(self):
         v = self.values
         if v.ndim != 3:
-            raise DataError(f"Grid needs a 3-d array, got shape {v.shape}")
+            raise DataError(f"FeatureGrid needs a 3-d array, got shape {v.shape}")
         if min(v.shape) < 1:
-            raise DataError(f"Grid dims must be positive, got {v.shape}")
+            raise DataError(f"FeatureGrid dims must be positive, got {v.shape}")
         if v.dtype != np.float32:
             object.__setattr__(self, "values", v.astype(np.float32))
-        _require_finite(self.values, "Grid")
+        _require_finite(self.values, "FeatureGrid")
 
     @property
     def height(self) -> int:
@@ -79,19 +87,6 @@ class Grid:
     def locations(self) -> np.ndarray:
         """(H*W, depth) view in location order."""
         return self.values.reshape(self.n_locations, self.depth)
-
-
-class NormState(Enum):
-    RAW = "raw"
-    UNIT = "unit"
-
-
-@dataclass(frozen=True)
-class FeatureGrid:
-    """Per-image grid of feature vectors plus its normalization state."""
-
-    grid: Grid
-    norm_state: NormState = NormState.RAW
 
 
 @dataclass(frozen=True)
@@ -124,10 +119,10 @@ def compute_norm_stats(features: list[FeatureGrid] | tuple[FeatureGrid, ...]) ->
     """
     if len(features) == 0:
         raise DataError("compute_norm_stats: no feature grids given")
-    depths = {f.grid.depth for f in features}
+    depths = {f.depth for f in features}
     if len(depths) != 1:
         raise DataError(f"compute_norm_stats: mismatched depths {sorted(depths)}")
-    blocks = [f.grid.locations() for f in features]
+    blocks = [f.locations() for f in features]
     if depths == {1}:  # numpy adds a single column pairwise, not row by row
         blocks = [np.concatenate(blocks)]
     n = sum(len(b) for b in blocks)
@@ -167,15 +162,15 @@ def normalize_features(f: FeatureGrid, stats: NormStats) -> FeatureGrid:
     """Two-stage normalization: per-dim z-score, then per-location unit norm."""
     if f.norm_state != NormState.RAW:
         raise DataError(f"normalize_features: input already {f.norm_state.value}")
-    if stats.depth != f.grid.depth:
+    if stats.depth != f.depth:
         raise DataError(
-            f"normalize_features: stats depth {stats.depth} != grid depth {f.grid.depth}"
+            f"normalize_features: stats depth {stats.depth} != grid depth {f.depth}"
         )
-    z = np.array(f.grid.values, dtype=np.float64, order="C")  # edited in place
+    z = np.array(f.values, dtype=np.float64, order="C")  # edited in place
     z -= stats.mean
     z /= stats.divisors()
     _unit_rows(z.reshape(-1, z.shape[-1]))
-    return FeatureGrid(grid=Grid(z.astype(np.float32)), norm_state=NormState.UNIT)
+    return FeatureGrid(z.astype(np.float32), NormState.UNIT)
 
 
 class FeatureStack(Sequence):
@@ -194,8 +189,8 @@ class FeatureStack(Sequence):
 
     def _store(self, i: int, f: FeatureGrid) -> FeatureGrid:
         """f copied into row i, as a view of that row."""
-        self.values[i] = f.grid.values
-        return FeatureGrid(Grid(self.values[i]), f.norm_state)
+        self.values[i] = f.values
+        return FeatureGrid(self.values[i], f.norm_state)
 
     def append(self, f: FeatureGrid) -> None:
         """Copy f into the next row."""

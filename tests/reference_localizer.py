@@ -59,7 +59,7 @@ def _train_once(class_id, records, config, seed):
     negatives = [negative_pool[i] for i in chosen]
 
     model = new_localization_model(
-        class_id, records[0].features.grid.depth, config, derive_seed(seed, 0x1417)
+        class_id, records[0].features.depth, config, derive_seed(seed, 0x1417)
     )
     params = [p.copy() for p in model.params()]
     batches = [(r.features, 1) for r in positives] + [(r.features, 0) for r in negatives]
@@ -73,7 +73,7 @@ def _train_once(class_id, records, config, seed):
             total = 0.0
             for bi in order:
                 f, label = batches[bi]
-                x = f.grid.locations()
+                x = f.locations()
                 loss, clamped, grads = _loss_and_grads(params, config.pooling, x, label)
                 params = _adam(params, grads, adam)
                 clamp_events += clamped

@@ -114,7 +114,7 @@ def reference_sample_image(rec, maps, config, calibration, rng):
         sample_top_k,
     )
 
-    h, w = rec.features.grid.height, rec.features.grid.width
+    h, w = rec.features.height, rec.features.width
     if config.strategy == "dense":
         if not maps:
             labels = np.full((h, w), BACKGROUND, dtype=np.int64)

@@ -10,7 +10,7 @@ must stay structurally independent of it.
 import numpy as np
 
 from divseed.synthdata import GRID_FACTOR
-from divseed.tensor import FeatureGrid, Grid
+from divseed.tensor import FeatureGrid
 
 
 def _nearest_indices(src_size, dst_size):
@@ -36,4 +36,4 @@ def reference_extract_features(scene, spec):
         cols = _nearest_indices(w // s, gw)
         parts.append(feat[rows][:, cols])
     stacked = np.concatenate(parts, axis=2).astype(np.float32)
-    return FeatureGrid(grid=Grid(stacked))
+    return FeatureGrid(stacked)

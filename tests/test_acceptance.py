@@ -45,8 +45,16 @@ from divseed.sampling import (
     sample_diverse_fg,
     sample_spatial,
 )
-from divseed.segmentation import HeadWorkspace, SegmentationModel, head_loss_and_grads
-from divseed.tensor import FeatureGrid, Grid, NormState
+from divseed.segmentation import (
+    FeatureTable,
+    HeadWorkspace,
+    SegConfig,
+    SegmentationModel,
+    augment_with_global,
+    head_loss_and_grads,
+    train_segmentation,
+)
+from divseed.tensor import FeatureGrid, NormState
 
 from reference_samplers import naive_diverse_bg, naive_diverse_fg, naive_spatial
 from test_nn import random_net
@@ -64,8 +72,7 @@ def _unit_rows(rng: Rng, n: int, d: int) -> np.ndarray:
 
 
 def _fg(values, shape):
-    return FeatureGrid(grid=Grid(values.reshape(*shape, -1)),
-                       norm_state=NormState.UNIT)
+    return FeatureGrid(values.reshape(*shape, -1), NormState.UNIT)
 
 
 def _sm(scores, shape, image_id="img"):
@@ -466,6 +473,44 @@ def test_criterion_11_determinism(tmp_path):
 # 12. masked-CE zero gradient at unlabeled locations (bitwise)
 
 
+def _trained_heads(rng: Rng, replace_referenced: bool) -> list[bytes]:
+    """Head parameters trained on random unit grids and points, through a
+    FeatureTable and through a plain mapping, then again with the vectors at
+    the locations no point references moved round among themselves: each
+    such location gets another unit vector of its image (with
+    replace_referenced, so does the first point's location). The float32
+    vectors sum exactly in float64 in any order, so each image's descriptor
+    stays bitwise the same and only the moved locations differ between the
+    two runs."""
+    n_images, h, w, d = 6, 4, 5, 8
+    values = _unit_rows(rng, n_images * h * w, d).reshape(n_images, h, w, d)
+    ids = [f"im{i}" for i in range(n_images)]
+    points = []
+    for image_id in ids:
+        for loc in rng.sample_indices(h * w, 3 + rng.randint(6)):
+            points.append(SampledPoint(image_id, loc, rng.randint(3) - 1, 1, 0.5))
+    replaced = values.copy()
+    for i, image_id in enumerate(ids):
+        locs = replaced[i].reshape(h * w, d)
+        referenced = {p.loc for p in points if p.image_id == image_id}
+        free = [loc for loc in range(h * w) if loc not in referenced]
+        if replace_referenced and i == 0:
+            free.append(points[0].loc)
+        locs[free] = locs[np.roll(free, 1)]
+    config, seed = SegConfig(hidden=16, epochs=2, batch_size=8), rng.randint(99)
+    descriptors = [augment_with_global(_fg(v, (h, w))).descriptor.tobytes() for v in values]
+    heads = []
+    for grids in (values, replaced):
+        table = FeatureTable(ids, grids)
+        plain = {image_id: augment_with_global(_fg(grids[i], (h, w)))
+                 for i, image_id in enumerate(ids)}
+        for features in (table, plain):
+            assert [features[i].descriptor.tobytes() for i in ids] == descriptors
+            result = train_segmentation(points, features, (0, 1), config, seed)
+            heads.append(result.model.flat.tobytes())
+    return heads
+
+
 def test_criterion_12_masking_contract():
     rng = Rng(0xACC12)
     nonzero = 0
@@ -480,6 +525,18 @@ def test_criterion_12_masking_contract():
         unlabeled = sorted(set(range(n)) - {loc for loc, _ in labels})
         block = lv.grads["logits"][unlabeled]
         nonzero += int(np.count_nonzero(block))
-    _verdict(12, nonzero == 0,
+    # the path a run trains on: the head never reads an unreferenced location
+    unmoved, moved = 0, 0
+    for _ in range(5):
+        seed = rng.next_u64()
+        table, plain, table2, plain2 = _trained_heads(Rng(seed), replace_referenced=False)
+        unmoved += int(table == plain == table2 == plain2)
+        table, plain, table2, plain2 = _trained_heads(Rng(seed), replace_referenced=True)
+        moved += int(table == plain and table2 == plain2 and table != table2)
+    ok = nonzero == 0 and unmoved == moved == 5
+    _verdict(12, ok,
              f"gradient bitwise zero at unlabeled locations across 50 "
-             f"instances (nonzero entries={nonzero})")
+             f"instances (nonzero entries={nonzero}); train_segmentation's head "
+             f"bitwise unchanged by the features at unreferenced locations in "
+             f"{unmoved}/5 runs, through a FeatureTable and a plain mapping, "
+             f"and changed by a referenced one in {moved}/5")

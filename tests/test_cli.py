@@ -26,6 +26,42 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def chain(workdir):
+    """The stage chain on the workdir's splits, written into the workdir:
+    train-loc for classes 0 and 1 (their score maps exported to maps/),
+    sample (points.jsonl), train-seg (seg.ckpt), predict of the first
+    training image (pred.dstn, pred.ppm) and eval (report.json). Each test
+    that reads one of these files takes this fixture, so it runs alone."""
+    for c in (0, 1):
+        assert main([
+            "train-loc", "--class", str(c), "--data", str(workdir / "train"),
+            "--set", "pooling=global", "--set", "seed=9", "--set", "loc_hidden=32",
+            "--out", str(workdir / "loc" / f"class_{c}"),
+            "--export-maps", str(workdir / "maps"),
+        ]) == 0
+    assert main([
+        "sample", "--set", "strategy=diverse", "--set", "k=5",
+        "--loc-dir", str(workdir / "loc"), "--features", str(workdir / "train"),
+        "--set", "seed=3", "--out", str(workdir / "points.jsonl"),
+    ]) == 0
+    assert main([
+        "train-seg", "--points", str(workdir / "points.jsonl"),
+        "--features", str(workdir / "train"), "--set", "seed=4",
+        "--out", str(workdir / "seg.ckpt"),
+    ]) == 0
+    image_id = load_manifest(str(workdir / "train")).entries[0].image_id
+    assert main([
+        "predict", "--model", str(workdir / "seg.ckpt"),
+        "--data", str(workdir / "train"), "--image", image_id,
+        "--out", str(workdir / "pred.dstn"), "--ppm", str(workdir / "pred.ppm"),
+    ]) == 0
+    assert main([
+        "eval", "--model", str(workdir / "seg.ckpt"),
+        "--data", str(workdir / "test"), "--out", str(workdir / "report.json"),
+    ]) == 0
+
+
 def _gen_new(workdir, out, n=4):
     """gen-data's new split of the workdir's config: n images of class 2 too."""
     assert main(["gen-data", "--split", "new", "--n", str(n),
@@ -73,7 +109,7 @@ def test_gen_data_writes_a_run_split_from_its_config_alone(tmp_path):
     got = load_manifest(str(tmp_path / "new")).load_records()
     assert [(r.image_id, r.tags) for r in got] == [(r.image_id, r.tags) for r in expected]
     for a, b in zip(got, expected):
-        assert np.array_equal(a.features.grid.values, b.features.grid.values)
+        assert np.array_equal(a.features.values, b.features.values)
 
 
 # the tiny run the stage chains below reproduce
@@ -191,24 +227,10 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {line}")
 
 
+@pytest.mark.usefixtures("chain")
 def test_train_loc_sample_seg_predict_eval_chain(workdir):
-    maps_dir = workdir / "maps"
     for c in (0, 1):
-        rc = main([
-            "train-loc", "--class", str(c), "--data", str(workdir / "train"),
-            "--set", "pooling=global", "--set", "seed=9", "--set", "loc_hidden=32",
-            "--out", str(workdir / "loc" / f"class_{c}"),
-            "--export-maps", str(maps_dir),
-        ])
-        assert rc == 0
         assert (workdir / "loc" / f"class_{c}" / "meta.json").exists()
-
-    rc = main([
-        "sample", "--set", "strategy=diverse", "--set", "k=5",
-        "--loc-dir", str(workdir / "loc"), "--features", str(workdir / "train"),
-        "--set", "seed=3", "--out", str(workdir / "points.jsonl"),
-    ])
-    assert rc == 0
     points = load_points(workdir / "points.jsonl")
     assert points
     by_image = {}
@@ -219,36 +241,19 @@ def test_train_loc_sample_seg_predict_eval_chain(workdir):
         n_tagged = len(e.tags)
         assert len(by_image[e.image_id]) == 5 * (n_tagged + 1)
 
-    rc = main([
-        "train-seg", "--points", str(workdir / "points.jsonl"),
-        "--features", str(workdir / "train"), "--set", "seed=4",
-        "--out", str(workdir / "seg.ckpt"),
-    ])
-    assert rc == 0
-
-    image_id = m.entries[0].image_id
-    rc = main([
-        "predict", "--model", str(workdir / "seg.ckpt"),
-        "--data", str(workdir / "train"), "--image", image_id,
-        "--out", str(workdir / "pred.dstn"), "--ppm", str(workdir / "pred.ppm"),
-    ])
-    assert rc == 0
+    assert (workdir / "seg.ckpt" / "params.dstn").exists()
     labels = load_tensor(workdir / "pred.dstn")
     assert labels.shape == (8, 8)
     assert (workdir / "pred.ppm").read_bytes().startswith(b"P6\n8 8\n255\n")
 
-    rc = main([
-        "eval", "--model", str(workdir / "seg.ckpt"),
-        "--data", str(workdir / "test"), "--out", str(workdir / "report.json"),
-    ])
-    assert rc == 0
     report = json.loads((workdir / "report.json").read_text())
     assert 0.0 <= report["miou"] <= 1.0
 
 
 @pytest.mark.parametrize("strategy", ["diverse", "dense"])
+@pytest.mark.usefixtures("chain")
 def test_sample_names_a_tagged_class_without_a_checkpoint(workdir, tmp_path, capsys, strategy):
-    """Runs after the chain test: a --loc-dir without class 1's checkpoint."""
+    """A --loc-dir without class 1's checkpoint."""
     import shutil
 
     loc = tmp_path / "loc"
@@ -263,9 +268,9 @@ def test_sample_names_a_tagged_class_without_a_checkpoint(workdir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("chain")
 def test_sample_names_a_checkpoint_of_another_depth(workdir, tmp_path, capsys):
-    """Runs after the chain test: class 1's localizer takes 40 features, the
-    manifest's grids hold 48."""
+    """Class 1's localizer takes 40 features, the manifest's grids hold 48."""
     import shutil
 
     from divseed.localization import LocTrainResult, new_localization_model, save_loc_checkpoint
@@ -283,9 +288,10 @@ def test_sample_names_a_checkpoint_of_another_depth(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sample", "add-class"])
+@pytest.mark.usefixtures("chain")
 def test_two_checkpoints_of_one_class_are_data_error(workdir, tmp_path, capsys, command):
-    """Runs after the chain test: the class_0.old<pid> directory a killed
-    checkpoint write leaves beside class_0 holds class 0 too."""
+    """The class_0.old<pid> directory a killed checkpoint write leaves
+    beside class_0 holds class 0 too."""
     import shutil
 
     loc = tmp_path / "loc"
@@ -306,8 +312,9 @@ def test_two_checkpoints_of_one_class_are_data_error(workdir, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.usefixtures("chain")
 def test_add_class_command(workdir):
-    """Runs after the chain test: extends the 2-class system with class 2."""
+    """Extends the chain's 2-class system with class 2."""
     _gen_new(workdir, workdir / "new", 30)
     loc_dir = workdir / "loc"
     before = {
@@ -364,6 +371,7 @@ def test_add_class_rejects_data_not_made_from_the_base(workdir, tmp_path, capsys
     assert not (tmp_path / "added").exists()
 
 
+@pytest.mark.usefixtures("chain")
 def test_render_heatmap_and_points(workdir):
     maps_dir = workdir / "maps"
     some_map = sorted(os.listdir(maps_dir))[0]
@@ -385,6 +393,7 @@ def test_render_heatmap_and_points(workdir):
     assert (workdir / "pts.ppm").read_bytes().startswith(b"P6\n32 32\n255\n")
 
 
+@pytest.mark.usefixtures("chain")
 def test_render_labels(workdir):
     rc = main([
         "render", "--kind", "labels", "--in", str(workdir / "pred.dstn"),
@@ -500,6 +509,7 @@ def test_malformed_config_values_are_config_errors(tmp_path, capsys, doc):
         "gen-data-size-36", "gen-data-n-zero", "gen-data-classes-nine",
         "gen-data-new-classes-nine", "gen-data-n-for-train", "gen-data-n-for-test",
         "gen-data-new-without-n"])
+@pytest.mark.usefixtures("chain")
 def test_malformed_stage_flags_are_config_errors(workdir, tmp_path, capsys, argv):
     inputs = {
         "train-seg": ["--points", workdir / "points.jsonl", "--features", workdir / "train"],
@@ -627,6 +637,31 @@ def test_a_non_finite_number_in_an_artifact_exits_4_naming_it(tmp_path, capsys, 
     assert main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")]) == 4
     assert f"{tmp_path / 'abl.json'}: " in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["grid.json"]
+
+
+def test_a_failed_ablation_table_write_keeps_the_old_table(tmp_path, capsys, monkeypatch):
+    """ablate writes its .txt table through atomic_write, as its .json: with
+    the table's rename failing, the old table stays whole, no temporary file
+    is left and the exit is 5."""
+    from divseed import cli, tensor
+
+    monkeypatch.setattr(cli.pipeline, "ablation_run", lambda *_, **__: {"rows": []})
+    monkeypatch.setattr(cli.pipeline, "format_ablation_table", lambda _: "new table\n")
+    replace = os.replace
+
+    def no_table_rename(src, dst):
+        if str(dst).endswith(".txt"):
+            raise OSError("disk gone")
+        replace(src, dst)
+
+    monkeypatch.setattr(tensor.os, "replace", no_table_rename)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"variants": [{}], "seeds": [1]}))
+    (tmp_path / "abl.txt").write_text("old table\n")
+    assert main(["ablate", "--grid", str(path), "--out", str(tmp_path / "abl")]) == 5
+    assert "disk gone" in capsys.readouterr().err
+    assert (tmp_path / "abl.txt").read_text() == "old table\n"
+    assert sorted(os.listdir(tmp_path)) == ["abl.json", "abl.txt", "grid.json"]
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -826,8 +861,9 @@ def test_features_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
     assert f"{path}: tensor of shape (60, 8, 8, 47)" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("chain")
 def test_masks_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
-    """Runs after the chain test (eval needs its seg.ckpt)."""
+    """eval of the chain's seg.ckpt."""
     data, path = _split_with_edited_tensor(
         workdir, tmp_path, "test", "masks.dstn", lambda t: t[:, :-4]
     )
@@ -837,8 +873,9 @@ def test_masks_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
     assert f"{path}: tensor of shape (12, 28, 32)" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("chain")
 def test_images_of_the_wrong_shape_are_data_error(workdir, tmp_path, capsys):
-    """Runs after the chain test (render needs its points.jsonl)."""
+    """render of the chain's points.jsonl."""
     data, path = _split_with_edited_tensor(
         workdir, tmp_path, "train", "images.dstn", lambda t: t[..., :1]
     )
@@ -862,8 +899,8 @@ def test_truncated_stacked_tensor_is_format_error(workdir, tmp_path, capsys):
 
 
 def _train_seg_on_edited_points(workdir, tmp_path, edit):
-    """train-seg (runs after the chain test) on points.jsonl with its
-    second line replaced by edit(line)."""
+    """train-seg on the chain's points.jsonl with its second line replaced
+    by edit(line)."""
     lines = (workdir / "points.jsonl").read_text().splitlines()
     lines[1] = edit(lines[1])
     bad = tmp_path / "points.jsonl"
@@ -875,6 +912,7 @@ def _train_seg_on_edited_points(workdir, tmp_path, edit):
 
 
 @pytest.mark.parametrize("loc", [1_000_000, -1])
+@pytest.mark.usefixtures("chain")
 def test_point_outside_the_grid_is_data_error(workdir, tmp_path, capsys, loc):
     line = (workdir / "points.jsonl").read_text().splitlines()[1]
     rc = _train_seg_on_edited_points(workdir, tmp_path,
@@ -884,12 +922,14 @@ def test_point_outside_the_grid_is_data_error(workdir, tmp_path, capsys, loc):
     assert json.loads(line)["image"] in err and str(loc) in err
 
 
+@pytest.mark.usefixtures("chain")
 def test_truncated_points_line_is_data_error(workdir, tmp_path, capsys):
     rc = _train_seg_on_edited_points(workdir, tmp_path, lambda line: line[: len(line) // 2])
     assert rc == 3
     assert "points.jsonl:2" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("chain")
 def test_binary_points_file_is_data_error(workdir, tmp_path, capsys):
     binary = _binary_file(tmp_path / "points.dstn")
     rc = main(["train-seg", "--points", str(binary), "--features", str(workdir / "train"),
@@ -898,6 +938,7 @@ def test_binary_points_file_is_data_error(workdir, tmp_path, capsys):
     assert "points.dstn" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("chain")
 def test_point_without_label_is_data_error(workdir, tmp_path, capsys):
     def drop_label(line):
         d = json.loads(line)
@@ -928,8 +969,9 @@ _MALFORMED_POINTS = {
 
 @pytest.mark.parametrize("command", ["train-seg", "add-class"])
 @pytest.mark.parametrize("edit", list(_MALFORMED_POINTS))
+@pytest.mark.usefixtures("chain")
 def test_malformed_point_field_is_data_error(workdir, tmp_path, capsys, command, edit):
-    """Runs after the chain test: points.jsonl with its second line edited."""
+    """The chain's points.jsonl with its second line edited."""
     lines = (workdir / "points.jsonl").read_text().splitlines()
     lines[1] = json.dumps(_MALFORMED_POINTS[edit](json.loads(lines[1])))
     bad = tmp_path / "points.jsonl"
@@ -982,6 +1024,7 @@ def test_missing_class_in_data_is_data_error(workdir, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.usefixtures("chain")
 def test_non_finite_model_is_numeric_error(workdir, tmp_path):
     import shutil
     import warnings
@@ -1006,7 +1049,7 @@ def test_non_finite_model_is_numeric_error(workdir, tmp_path):
 
 
 def _edited_head(workdir, tmp_path, edit):
-    """A copy of the chain test's seg.ckpt, changed in place by edit(dir)."""
+    """A copy of the chain's seg.ckpt, changed in place by edit(dir)."""
     import shutil
 
     head = tmp_path / "seg.ckpt"
@@ -1034,6 +1077,7 @@ def _eval_and_predict(workdir, tmp_path, head):
     ]
 
 
+@pytest.mark.usefixtures("chain")
 def test_head_whose_class_ids_disagree_with_its_outputs_is_data_error(workdir, tmp_path,
                                                                       capsys):
     head = _edited_head(workdir, tmp_path, _edit_meta(lambda m: m["class_ids"].append(2)))
@@ -1043,6 +1087,7 @@ def test_head_whose_class_ids_disagree_with_its_outputs_is_data_error(workdir, t
 
 
 @pytest.mark.parametrize("edit", ["short", "long"])
+@pytest.mark.usefixtures("chain")
 def test_head_params_of_the_wrong_length_are_data_error(workdir, tmp_path, capsys, edit):
     import numpy as np
 
@@ -1057,6 +1102,7 @@ def test_head_params_of_the_wrong_length_are_data_error(workdir, tmp_path, capsy
     assert str(head / "params.dstn") in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("chain")
 def test_head_in_the_per_layer_layout_is_data_error(workdir, tmp_path, capsys):
     """The earlier layout, one params/<layer>_{w,b}.dstn file per array, has
     no out_dim in its meta and no reader."""
@@ -1079,6 +1125,7 @@ def test_head_in_the_per_layer_layout_is_data_error(workdir, tmp_path, capsys):
     assert str(head / "meta.json") in err and "missing key 'out_dim'" in err
 
 
+@pytest.mark.usefixtures("chain")
 def test_head_without_params_is_io_error(workdir, tmp_path, capsys):
     head = _edited_head(workdir, tmp_path, lambda head: (head / "params.dstn").unlink())
     assert _eval_and_predict(workdir, tmp_path, head) == [5, 5]
@@ -1164,13 +1211,17 @@ def test_run_deterministic_across_processes(tmp_path):
     import subprocess
     import sys
 
+    import divseed
+
+    # the interpreters import the divseed this test imported
+    env = dict(os.environ, PYTHONPATH=str(Path(divseed.__file__).parents[1]))
     args = ["--set", "n_train=40", "--set", "n_test=8", "--set", "n_classes=2",
             "--set", "image_size=32", "--set", "seed=17"]
     for name in ("a", "b"):
         proc = subprocess.run(
             [sys.executable, "-m", "divseed", "run", *args,
              "--out", str(tmp_path / name)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "a" / "report.json").read_bytes() == (

@@ -42,8 +42,8 @@ def test_manifest_round_trip(dataset_dir):
         assert e.tags == s.tags.present
         assert m.images[e.row].tobytes() == s.image.tobytes()
         assert m.masks[e.row].tobytes() == s.mask.astype(np.float32).tobytes()
-        expected = extract_features(s, spec).grid.values
-        assert m.load_raw_features(e).grid.values.tobytes() == expected.tobytes()
+        expected = extract_features(s, spec).values
+        assert m.load_raw_features(e).values.tobytes() == expected.tobytes()
 
 
 def test_make_split_returns_raw_features(dataset_dir):
@@ -54,7 +54,7 @@ def test_make_split_returns_raw_features(dataset_dir):
     assert tags == [s.tags for s in scenes]
     assert all(f.norm_state is NormState.RAW for f in features)
     for e, f, t, s in zip(m.entries, features, truth, scenes):
-        assert np.array_equal(m.load_raw_features(e).grid.values, f.grid.values)
+        assert np.array_equal(m.load_raw_features(e).values, f.values)
         assert t.tobytes() == downsample_mask(s.mask, 4).tobytes()
         assert np.array_equal(m.load_grid_truth(e), t)
 
@@ -64,7 +64,7 @@ def test_records_are_unit_normalized(dataset_dir):
     m = load_manifest(str(out))
     records = m.load_records()
     assert all(r.features.norm_state is NormState.UNIT for r in records)
-    norms = np.linalg.norm(records[0].features.grid.locations(), axis=1)
+    norms = np.linalg.norm(records[0].features.locations(), axis=1)
     assert np.all((np.abs(norms - 1) < 1e-5) | (norms == 0))
 
 
@@ -98,7 +98,7 @@ def test_make_split_keeps_no_images(tmp_path, written):
     out = str(tmp_path) if written else None
     make_split(1, 3, size, 6, "w", spec)  # cached grids and projections first
     (_, features, _, _), peak = _traced_peak(make_split, n, 3, size, 5, "tr", spec, None, out)
-    features_bytes = sum(f.grid.values.nbytes for f in features)
+    features_bytes = sum(f.values.nbytes for f in features)
     assert peak < features_bytes + 16 * size * size * (3 * 4 + 8)
     if written:
         masks = load_manifest(str(tmp_path)).masks

@@ -28,7 +28,7 @@ from divseed.nn import (
 )
 from divseed.rng import Rng
 from divseed.sampling import SamplingConfig, build_supervision_set
-from divseed.tensor import FeatureGrid, Grid, NormState
+from divseed.tensor import FeatureGrid, NormState
 
 from reference_localizer import pooled_probability, reference_train_localizer
 from test_tensor import _traced_peak
@@ -43,7 +43,7 @@ def image_probability(model, f):
 
 def unit_grid(vectors, shape):
     arr = np.asarray(vectors, dtype=np.float32).reshape(shape[0], shape[1], -1)
-    return FeatureGrid(grid=Grid(arr), norm_state=NormState.UNIT)
+    return FeatureGrid(arr, norm_state=NormState.UNIT)
 
 
 def record(image_id, features, present):
@@ -154,9 +154,7 @@ def test_negatives_balanced_and_logged():
 
 def test_score_image_constant_on_zero_features():
     model = new_localization_model(0, in_dim=4, config=LocConfig(hidden=8), seed=3)
-    f = FeatureGrid(
-        grid=Grid(np.zeros((3, 4, 4), dtype=np.float32)), norm_state=NormState.UNIT
-    )
+    f = FeatureGrid(np.zeros((3, 4, 4), dtype=np.float32), NormState.UNIT)
     sm = score_image(model, f)
     assert np.all(sm.fg == sm.fg[0, 0])
     assert np.all(sm.bg == sm.bg[0, 0])
@@ -166,11 +164,11 @@ def test_score_image_is_locationwise():
     model = new_localization_model(0, in_dim=3, config=LocConfig(hidden=8), seed=5)
     rng = Rng(8)
     vals = rng.uniform_array(12 * 3, -1, 1).reshape(4, 3, 3).astype(np.float32)
-    f = FeatureGrid(grid=Grid(vals), norm_state=NormState.UNIT)
+    f = FeatureGrid(vals, norm_state=NormState.UNIT)
     sm = score_image(model, f)
     # permute rows of the image; score map permutes identically
     perm = [2, 0, 3, 1]
-    f2 = FeatureGrid(grid=Grid(vals[perm]), norm_state=NormState.UNIT)
+    f2 = FeatureGrid(vals[perm], norm_state=NormState.UNIT)
     sm2 = score_image(model, f2)
     assert np.array_equal(sm.fg[perm], sm2.fg)
     assert np.array_equal(sm.bg[perm], sm2.bg)
@@ -181,7 +179,7 @@ def test_score_image_is_locationwise():
 
 def test_score_image_requires_unit_features():
     model = new_localization_model(0, in_dim=3, config=LocConfig(), seed=5)
-    raw = FeatureGrid(grid=Grid(np.ones((2, 2, 3), dtype=np.float32)))
+    raw = FeatureGrid(np.ones((2, 2, 3), dtype=np.float32))
     with pytest.raises(DataError):
         score_image(model, raw)
 
@@ -203,10 +201,7 @@ def test_non_finite_scores_abort():
 
     model = new_localization_model(0, in_dim=3, config=LocConfig(hidden=4), seed=6)
     model.params()[2][0, 0] = np.inf  # an output weight
-    f = FeatureGrid(
-        grid=Grid(np.full((2, 2, 3), 0.5, dtype=np.float32)),
-        norm_state=NormState.UNIT,
-    )
+    f = FeatureGrid(np.full((2, 2, 3), 0.5, dtype=np.float32), NormState.UNIT)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # inf propagates freely
         with pytest.raises(NumericError):
@@ -383,7 +378,7 @@ def test_lockstep_equals_the_per_class_loop_on_small_grids(pooling, size):
 
 
 def _raw(rec):
-    return SupervisionRecord(rec.image_id, FeatureGrid(rec.features.grid), rec.tags)
+    return SupervisionRecord(rec.image_id, FeatureGrid(rec.features.values), rec.tags)
 
 
 def _train_class_localizers(records):
@@ -439,7 +434,7 @@ def test_lockstep_models_do_not_alias():
     config = LocConfig(hidden=5, lr_schedule=LOCKSTEP_SCHEDULE)
     models = [r.model for r in train_class_localizers([0, 1, 2], data, config, [1, 2, 3])]
     before = [m.flat.tobytes() for m in models]
-    x = data[0].features.grid.locations()
+    x = data[0].features.locations()
     _, grads = localizer_loss_and_grads(models[1], x, 1, StepWorkspace(1, len(x), models[1].dims))
     adam_step(models[1].flat, np.concatenate([g.ravel() for g in grads]), AdamState(lr=0.1))
     assert models[1].flat.tobytes() != before[1]

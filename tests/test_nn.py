@@ -45,7 +45,7 @@ from divseed.segmentation import (
     load_seg_checkpoint,
     save_seg_checkpoint,
 )
-from divseed.tensor import Grid, atomic_write, load_tensor, save_tensor
+from divseed.tensor import FeatureGrid, atomic_write, load_tensor, save_tensor
 from test_tensor import _traced_peak
 
 
@@ -53,10 +53,10 @@ def sigmoid(u):
     return 1.0 / (1.0 + math.exp(-u))
 
 
-def linear_forward(weights: np.ndarray, bias: np.ndarray, x: Grid) -> Grid:
+def linear_forward(weights: np.ndarray, bias: np.ndarray, x: FeatureGrid) -> FeatureGrid:
     """linear_fwd applied to every location of a grid (same H, W)."""
     y = linear_fwd(weights, bias, x.locations().astype(np.float64))
-    return Grid(y.reshape(x.height, x.width, weights.shape[0]).astype(np.float32))
+    return FeatureGrid(y.reshape(x.height, x.width, weights.shape[0]).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +64,14 @@ def linear_forward(weights: np.ndarray, bias: np.ndarray, x: Grid) -> Grid:
 
 
 def test_linear_identity():
-    g = Grid(np.random.default_rng(0).normal(size=(2, 2, 3)).astype(np.float32))
+    g = FeatureGrid(np.random.default_rng(0).normal(size=(2, 2, 3)).astype(np.float32))
     out = linear_forward(np.eye(3), np.zeros(3), g)
     assert np.allclose(out.values, g.values)
 
 
 def test_linear_scalar_case():
     out = linear_forward(np.array([[2.0]]), np.array([1.0]),
-                         Grid(np.full((1, 1, 1), 3.0, dtype=np.float32)))
+                         FeatureGrid(np.full((1, 1, 1), 3.0, dtype=np.float32)))
     assert out.values[0, 0, 0] == pytest.approx(7.0)
 
 
@@ -79,13 +79,13 @@ def test_linear_single_location_is_matvec():
     rng = np.random.default_rng(3)
     w, b = rng.normal(size=(4, 6)), rng.normal(size=4)
     x = rng.normal(size=6).astype(np.float32)
-    out = linear_forward(w, b, Grid(x.reshape(1, 1, 6)))
+    out = linear_forward(w, b, FeatureGrid(x.reshape(1, 1, 6)))
     assert np.allclose(out.values.ravel(), w @ x.astype(np.float64) + b, atol=1e-6)
 
 
 def test_linear_depth_mismatch():
     with pytest.raises(DataError):
-        linear_forward(np.eye(3), np.zeros(3), Grid(np.zeros((1, 1, 2), dtype=np.float32)))
+        linear_forward(np.eye(3), np.zeros(3), FeatureGrid(np.zeros((1, 1, 2), dtype=np.float32)))
 
 
 # ---------------------------------------------------------------------------

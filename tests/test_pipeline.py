@@ -117,7 +117,7 @@ def test_benchmark_shapes(tiny_bench):
     assert len(tiny_bench.train_records) == 80
     assert len(tiny_bench.test_images) == 16
     r = tiny_bench.train_records[0]
-    assert r.features.grid.depth == 48
+    assert r.features.depth == 48
     assert tiny_bench.test_images[0].truth.shape == (8, 8)
 
 
@@ -152,7 +152,7 @@ def test_benchmark_features_are_views_of_its_training_table(tiny_bench):
     table = tiny_bench.train_table
     assert table.shape == (80, 8, 8, 48) and table.flags.c_contiguous
     for i, r in enumerate(tiny_bench.train_records):
-        assert np.shares_memory(r.features.grid.values, table[i])
+        assert np.shares_memory(r.features.values, table[i])
     features = tiny_bench.train_features
     assert isinstance(features, FeatureTable) and np.shares_memory(features.table, table)
     assert list(features) == [r.image_id for r in tiny_bench.train_records]
@@ -280,12 +280,12 @@ def test_pair_scores_equal_the_per_image_score_maps(
 
 def test_supervision_set_errors_match_the_per_image_loop(tiny_bench, tiny_models):
     records = tiny_bench.train_records
-    n = records[0].features.grid.n_locations
+    n = records[0].features.n_locations
     both = next(i for i, r in enumerate(records) if len(r.tags.present) == 2)
     raw = list(records)
     raw[both] = SupervisionRecord(
         records[both].image_id,
-        FeatureGrid(records[both].features.grid, NormState.RAW),
+        FeatureGrid(records[both].features.values, NormState.RAW),
         records[both].tags,
     )
     cases = [
@@ -339,12 +339,9 @@ def test_evaluate_images_maps_grown_universe():
                                    config=SegConfig(hidden=4), seed=0)
     for arr in model.params():
         arr[...] = 0.0
-    from divseed.tensor import FeatureGrid, Grid, NormState
+    from divseed.tensor import FeatureGrid, NormState
 
-    feats = FeatureGrid(
-        grid=Grid(np.full((2, 2, 4), 0.5, dtype=np.float32)),
-        norm_state=NormState.UNIT,
-    )
+    feats = FeatureGrid(np.full((2, 2, 4), 0.5, dtype=np.float32), NormState.UNIT)
     # truth in the original 2-class space: background label 2
     truth = np.array([[0, 1], [2, 2]])
     images = [EvalImage(image_id="x", features=feats, truth=truth)]
@@ -357,12 +354,9 @@ def test_evaluate_images_maps_grown_universe():
 def test_evaluate_images_rejects_unknown_truth():
     model = new_segmentation_model([5], in_dim=8, global_dim=4,
                                    config=SegConfig(hidden=4), seed=0)
-    from divseed.tensor import FeatureGrid, Grid, NormState
+    from divseed.tensor import FeatureGrid, NormState
 
-    feats = FeatureGrid(
-        grid=Grid(np.full((1, 1, 4), 0.5, dtype=np.float32)),
-        norm_state=NormState.UNIT,
-    )
+    feats = FeatureGrid(np.full((1, 1, 4), 0.5, dtype=np.float32), NormState.UNIT)
     images = [EvalImage(image_id="x", features=feats, truth=np.array([[0]]))]
     with pytest.raises(DataError):
         evaluate_images(model, images, truth_background_label=2)
@@ -475,11 +469,11 @@ def test_run_and_benchmark_train_on_bitwise_equal_data(tmp_path):
     assert [r.image_id for r in records] == [r.image_id for r in bench.train_records]
     for disk, mem in zip(records, bench.train_records):
         assert disk.tags == mem.tags
-        assert np.array_equal(disk.features.grid.values, mem.features.grid.values)
+        assert np.array_equal(disk.features.values, mem.features.values)
     assert [e.image_id for e in test.entries] == [im.image_id for im in bench.test_images]
     for entry, mem in zip(test.entries, bench.test_images):
         features = test.load_unit_features(entry, stats)
-        assert np.array_equal(features.grid.values, mem.features.grid.values)
+        assert np.array_equal(features.values, mem.features.values)
         assert np.array_equal(test.load_grid_truth(entry), mem.truth)
     classes = list(range(config.n_classes))
     from_disk = train_localizers(records, classes, config.loc_config(), config.seed)
@@ -506,7 +500,7 @@ def test_config_split_is_the_benchmark_split():
     features.normalize(stats)
     for t, f, m, im in zip(tags, features, truth, bench.test_images, strict=True):
         assert t.image_id == im.image_id and np.array_equal(m, im.truth)
-        assert np.array_equal(f.grid.values, im.features.grid.values)
+        assert np.array_equal(f.values, im.features.values)
     for split, n in (("train", 3), ("test", 3), ("new", None)):
         with pytest.raises(ConfigError, match="count n"):
             pipeline.config_split(config, split, n=n)

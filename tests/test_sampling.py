@@ -27,7 +27,7 @@ from divseed.sampling import (
     sample_top_k,
     save_points,
 )
-from divseed.tensor import FeatureGrid, Grid, NormState
+from divseed.tensor import FeatureGrid, NormState
 
 from reference_samplers import (
     naive_diverse_bg,
@@ -48,8 +48,7 @@ def unit_features(vectors, shape=None):
     n, d = arr.shape
     if shape is None:
         shape = (1, n)
-    grid = Grid(arr.reshape(shape[0], shape[1], d))
-    return FeatureGrid(grid=grid, norm_state=NormState.UNIT)
+    return FeatureGrid(arr.reshape(shape[0], shape[1], d), NormState.UNIT)
 
 
 def random_instance(seed, n_max=64, d_max=8, unit=True):
@@ -280,7 +279,7 @@ def test_k_too_large_errors():
 
 def test_requires_unit_features():
     sm = scoremap([[1.0, 0.5]])
-    raw = FeatureGrid(grid=Grid(np.ones((1, 2, 3), dtype=np.float32)))
+    raw = FeatureGrid(np.ones((1, 2, 3), dtype=np.float32))
     with pytest.raises(DataError):
         sample_diverse_fg(sm, raw, 1)
 
@@ -335,7 +334,7 @@ def _toy_records(n_images=3, n=16, d=4, tagged=((0, 1), (1,), ())):
 def _fake_scores(records):
     """Uniform pseudo scores in [0, 1) for every tagged pair of records."""
     pairs = [(i, c) for i, rec in enumerate(records) for c in sorted(rec.tags.present)]
-    n = records[0].features.grid.n_locations
+    n = records[0].features.n_locations
     return PairScores(
         np.array([i for i, _ in pairs], dtype=np.int64).reshape(-1),
         np.array([c for _, c in pairs], dtype=np.int64).reshape(-1),

@@ -17,6 +17,7 @@ from divseed.nn import (
     linear_backward,
     linear_fwd,
     masked_ce_loss_and_grad,
+    mlp_forward,
     relu_backward,
 )
 from divseed.segmentation import (
@@ -33,7 +34,7 @@ from divseed.segmentation import (
     save_seg_checkpoint,
     train_segmentation,
 )
-from divseed.tensor import FeatureGrid, Grid, NormState, l2_normalize_locations
+from divseed.tensor import FeatureGrid, NormState, l2_normalize_locations
 from test_tensor import _traced_peak
 
 
@@ -41,9 +42,7 @@ def unit_features(seed, h=4, w=4, d=6):
     rng = Rng(seed)
     vecs = np.array(rng.uniform_array(h * w * d, -1, 1)).reshape(h * w, d)
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return FeatureGrid(
-        grid=Grid(vecs.reshape(h, w, d).astype(np.float32)), norm_state=NormState.UNIT
-    )
+    return FeatureGrid(vecs.reshape(h, w, d).astype(np.float32), NormState.UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -52,35 +51,31 @@ def unit_features(seed, h=4, w=4, d=6):
 
 def test_augment_constant_grid():
     v = np.array([3.0, 4.0, 0.0], dtype=np.float32) / 5.0
-    f = FeatureGrid(
-        grid=Grid(np.tile(v, (2, 2, 1))), norm_state=NormState.UNIT
-    )
+    f = FeatureGrid(np.tile(v, (2, 2, 1)), NormState.UNIT)
     af = augment_with_global(f)
-    assert af.grid.depth == 6
+    assert af.depth == af.locations().shape[1] == 6
     assert af.global_dim == 3
     # the appended half equals the (unit-norm) constant vector everywhere
-    assert np.allclose(af.grid.values[..., 3:], v, atol=1e-6)
+    assert np.allclose(af.locations()[:, 3:], v, atol=1e-6)
 
 
 def test_augment_permutation_invariant_descriptor():
     f = unit_features(3)
     af = augment_with_global(f)
     perm = np.random.default_rng(0).permutation(16)
-    shuffled = f.grid.locations()[perm].reshape(4, 4, 6)
-    af2 = augment_with_global(
-        FeatureGrid(grid=Grid(shuffled), norm_state=NormState.UNIT)
-    )
-    assert np.allclose(af.grid.values[0, 0, 6:], af2.grid.values[0, 0, 6:])
+    shuffled = f.locations()[perm].reshape(4, 4, 6)
+    af2 = augment_with_global(FeatureGrid(shuffled, NormState.UNIT))
+    assert np.allclose(af.locations()[0, 6:], af2.locations()[0, 6:])
 
 
 def _stacked_augment(f):
     """The augmented grid built whole: each location's vector with the
     normalized mean appended, cast to float32 at the end."""
-    locs = f.grid.locations().astype(np.float64)
+    locs = f.locations().astype(np.float64)
     unit_mean = l2_normalize_locations(locs.mean(axis=0)[None, :])
     tiled = np.broadcast_to(unit_mean[0], locs.shape)
     stacked = np.concatenate([locs, tiled], axis=1).astype(np.float32)
-    return stacked.reshape(f.grid.height, f.grid.width, 2 * f.grid.depth)
+    return stacked.reshape(f.height, f.width, 2 * f.depth)
 
 
 def test_augmented_grid_equals_the_stacked_build():
@@ -88,14 +83,14 @@ def test_augmented_grid_equals_the_stacked_build():
         f = unit_features(300 + seed, h=1 + seed % 5, w=2 + seed % 3, d=1 + seed % 7)
         af = augment_with_global(f)
         assert af.features is f and af.descriptor.dtype == np.float32
-        assert af.depth == af.grid.depth == 2 * f.grid.depth
-        assert af.grid.values.tobytes() == _stacked_augment(f).tobytes()
+        assert af.depth == 2 * f.depth
+        assert af.locations().tobytes() == _stacked_augment(f).tobytes()
         assert af.locations(np.float64).tobytes() == \
             _stacked_augment(f).reshape(-1, af.depth).astype(np.float64).tobytes()
 
 
 def test_augment_requires_unit():
-    raw = FeatureGrid(grid=Grid(np.ones((2, 2, 3), dtype=np.float32)))
+    raw = FeatureGrid(np.ones((2, 2, 3), dtype=np.float32))
     with pytest.raises(DataError):
         augment_with_global(raw)
 
@@ -117,7 +112,7 @@ def _separable_points(n_images=6, d=6):
             vecs[loc, c] = 1.0
             label = BACKGROUND if c == 3 else c
             points.append(SampledPoint(image_id, loc, label, 1, 1.0))
-        f = FeatureGrid(grid=Grid(vecs.reshape(4, 4, d)), norm_state=NormState.UNIT)
+        f = FeatureGrid(vecs.reshape(4, 4, d), norm_state=NormState.UNIT)
         features[image_id] = augment_with_global(f)
     return points, features
 
@@ -128,7 +123,7 @@ def _per_point_gather(points, features, model):
     x = np.empty((len(points), model.dims[0]), dtype=np.float32)
     y = np.empty(len(points), dtype=np.int64)
     for i, p in enumerate(points):
-        x[i] = features[p.image_id].grid.locations()[p.loc]
+        x[i] = features[p.image_id].locations()[p.loc]
         y[i] = model.label_to_index(p.label)
     return x, y
 
@@ -140,7 +135,7 @@ def test_gather_equals_per_point_loop():
     grids = [unit_features(200 + i) for i in range(25)]
     ids = [f"im{i}" for i in range(25)]
     plain = {i: augment_with_global(f) for i, f in zip(ids, grids)}
-    shared = FeatureTable(ids, np.stack([f.grid.values for f in grids]))
+    shared = FeatureTable(ids, np.stack([f.values for f in grids]))
     rng = Rng(0x6A7)
     points = []
     for _ in range(400):  # images interleaved, duplicates likely
@@ -164,7 +159,7 @@ def test_gather_equals_per_point_loop():
             _point_inputs(points + [SampledPoint("im0", 0, 7, 1, 0.5)], features, model)
         with pytest.raises(DataError, match="'im3': point loc 16 is outside its grid of 16"):
             _point_inputs(points + [SampledPoint("im3", 16, 0, 1, 0.5)], features, model)
-    assert np.shares_memory(shared.table, shared["im3"].features.grid.values)
+    assert np.shares_memory(shared.table, shared["im3"].features.values)
 
 
 def test_training_holds_no_point_matrix():
@@ -253,7 +248,7 @@ def test_separable_points_reach_full_accuracy():
     result = train_segmentation(points, features, [0, 1, 2], config, seed=3)
     correct = 0
     for p in points:
-        labels, _ = predict(result.model, features[p.image_id])
+        labels = predict(result.model, features[p.image_id])
         want = 3 if p.label == BACKGROUND else p.label
         correct += labels.ravel()[p.loc] == want
     assert correct == len(points)
@@ -294,23 +289,46 @@ def test_points_without_features_error():
 # prediction
 
 
-def test_zero_weights_give_uniform_probabilities():
+def _zero_head():
     model = new_segmentation_model([0, 1, 2], in_dim=12, global_dim=6,
                                    config=SegConfig(hidden=8), seed=1)
-    for arr in model.params():
-        arr[...] = 0.0
-    af = augment_with_global(unit_features(7))
-    labels, probs = predict(model, af)
-    assert np.allclose(probs.values, 0.25, atol=1e-7)
+    model.flat[...] = 0.0
+    return model
+
+
+def test_zero_weights_predict_the_lowest_index():
+    labels = predict(_zero_head(), augment_with_global(unit_features(7)))
+    assert labels.shape == (4, 4)
     assert np.all(labels == 0)  # argmax ties resolve to the lowest index
 
 
-def test_probabilities_sum_to_one():
-    model = new_segmentation_model([0, 1], in_dim=12, global_dim=6,
-                                   config=SegConfig(hidden=8), seed=2)
-    _, probs = predict(model, augment_with_global(unit_features(8)))
-    sums = probs.values.sum(axis=2)
-    assert np.all(np.abs(sums - 1.0) < 1e-6)
+def _softmax_argmax(model, af):
+    """The labels as the float64 softmax of the float32 logits ranks them:
+    the argmax of the probabilities, ties to the lowest index."""
+    _, logits = mlp_forward(model.views(model.flat.astype(np.float32)), af.locations())
+    logits = logits.astype(np.float64)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    f = af.features
+    return probs.argmax(axis=1).reshape(f.height, f.width)
+
+
+def test_predict_labels_are_the_argmax_of_the_softmax():
+    """predict's argmax of the float32 logits picks what the argmax of their
+    float64 softmax picks: for random heads, heads scaled to large logits,
+    and the all-tied zero head."""
+    cases = [(_zero_head(), augment_with_global(unit_features(7)), 1.0)]
+    for seed in range(12):
+        classes = list(range(1 + seed % 4))
+        model = new_segmentation_model(classes, in_dim=12, global_dim=6,
+                                       config=SegConfig(hidden=8), seed=100 + seed)
+        af = augment_with_global(unit_features(200 + seed, h=5, w=3))
+        cases.append((model, af, 1.0 + 10.0 * (seed % 3)))
+    for model, af, scale in cases:
+        model.flat *= scale
+        labels = predict(model, af)
+        assert labels.shape == (af.features.height, af.features.width)
+        assert np.array_equal(labels, _softmax_argmax(model, af))
 
 
 def test_predict_locationwise():
@@ -318,14 +336,12 @@ def test_predict_locationwise():
                                    config=SegConfig(hidden=8), seed=4)
     f = unit_features(11)
     af = augment_with_global(f)
-    labels, _ = predict(model, af)
+    labels = predict(model, af)
     perm = [2, 0, 3, 1]
     # permuting rows permutes both the base features and the prediction;
     # the global descriptor is permutation-invariant so it stays valid
-    shuffled = FeatureGrid(
-        grid=Grid(f.grid.values[perm]), norm_state=NormState.UNIT
-    )
-    labels2, _ = predict(model, augment_with_global(shuffled))
+    shuffled = FeatureGrid(f.values[perm], NormState.UNIT)
+    labels2 = predict(model, augment_with_global(shuffled))
     assert np.array_equal(labels[perm], labels2)
 
 
@@ -364,10 +380,7 @@ def _new_class_records(n=8, d=6):
         records.append(
             SupervisionRecord(
                 image_id=image_id,
-                features=FeatureGrid(
-                    grid=Grid(vecs.reshape(4, 4, d).astype(np.float32)),
-                    norm_state=NormState.UNIT,
-                ),
+                features=FeatureGrid(vecs.reshape(4, 4, d).astype(np.float32), NormState.UNIT),
                 tags=TagSet(image_id=image_id,
                             present=frozenset({7} if positive else set())),
             )
@@ -433,7 +446,7 @@ def test_seg_checkpoint_round_trip(tmp_path):
     assert model.class_ids == (0, 1, 2)
     assert model.background_index == 3
     af = next(iter(features.values()))
-    a, _ = predict(seg.model, af)
-    b, _ = predict(model, af)
+    a = predict(seg.model, af)
+    b = predict(model, af)
     # float32 storage may flip exact argmax ties only; none exist here
     assert np.array_equal(a, b)

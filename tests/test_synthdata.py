@@ -101,7 +101,7 @@ def constant_scene(value=(0.3, 0.5, 0.7), h=32, w=32):
 
 def test_constant_image_gives_constant_features():
     feats = extract_features(constant_scene(), ExtractorSpec(seed=5))
-    flat = feats.grid.locations()
+    flat = feats.locations()
     assert np.allclose(flat, flat[0])
 
 
@@ -110,9 +110,9 @@ def test_extraction_deterministic_and_depth():
     spec = ExtractorSpec(seed=17)
     a = extract_features(scene, spec)
     b = extract_features(scene, spec)
-    assert np.array_equal(a.grid.values, b.grid.values)
-    assert a.grid.depth == spec.depth == 48
-    assert (a.grid.height, a.grid.width) == (8, 8)
+    assert np.array_equal(a.values, b.values)
+    assert a.depth == spec.depth == 48
+    assert (a.height, a.width) == (8, 8)
 
 
 def test_projections_are_drawn_once_per_spec():
@@ -120,14 +120,14 @@ def test_projections_are_drawn_once_per_spec():
     a fresh equal one extract the same bits."""
     scenes = generate_dataset(2, 2, 32, 32, seed=9)
     spec = ExtractorSpec(seed=17)
-    first = [extract_features(s, spec).grid.values for s in scenes]
+    first = [extract_features(s, spec).values for s in scenes]
     projections = spec.projections
     assert spec.projections is projections
     assert sorted(projections) == list(spec.scales)
     for p, b in projections.values():
         assert p.shape == (spec.dims_per_scale, 3) and b.shape == (spec.dims_per_scale,)
         assert not (p.flags.writeable or b.flags.writeable)
-    fresh = [extract_features(s, ExtractorSpec(seed=17)).grid.values for s in scenes]
+    fresh = [extract_features(s, ExtractorSpec(seed=17)).values for s in scenes]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, fresh))
 
 
@@ -145,7 +145,7 @@ def test_feature_change_footprint():
     scene2 = SyntheticScene(image=image2, mask=scene.mask, tags=scene.tags)
     other = extract_features(scene2, spec)
 
-    diff = np.any(base.grid.values != other.grid.values, axis=2)
+    diff = np.any(base.values != other.values, axis=2)
     h, w = scene.mask.shape
     gh, gw = h // GRID_FACTOR, w // GRID_FACTOR
     allowed = np.zeros((gh, gw), dtype=bool)
@@ -237,7 +237,7 @@ def _split_digests(n_classes, seed, name, out_dir):
         "images": _sha(written.images),
         "masks": _sha(written.masks.astype(np.int64)),
         "tags": "|".join("".join(map(str, sorted(t.present))) for t in tags),
-        "features": _sha(np.stack([f.grid.values for f in features])),
+        "features": _sha(np.stack([f.values for f in features])),
         "stats": _sha(np.stack([stats.mean, stats.std])),
     }
 
@@ -273,8 +273,8 @@ def test_benchmark_bits_are_pinned():
     config = PipelineConfig(seed=5, n_train=12, n_test=6, n_classes=3, image_size=32)
     bench = make_benchmark(config)
     got = {
-        "train": _sha(np.stack([r.features.grid.values for r in bench.train_records])),
-        "test": _sha(np.stack([e.features.grid.values for e in bench.test_images])),
+        "train": _sha(np.stack([r.features.values for r in bench.train_records])),
+        "test": _sha(np.stack([e.features.values for e in bench.test_images])),
         "truth": _sha(np.stack([e.truth for e in bench.test_images])),
         "stats": _sha(np.stack([bench.norm_stats.mean, bench.norm_stats.std])),
     }
@@ -318,8 +318,8 @@ def test_extractor_equals_the_reference_bit_for_bit(seed, spec_seed, size, p_zer
         tags=TagSet(image_id="x", present=frozenset()),
     )
     spec = ExtractorSpec(seed=spec_seed)
-    got = extract_features(scene, spec).grid.values
-    want = reference_extract_features(scene, spec).grid.values
+    got = extract_features(scene, spec).values
+    want = reference_extract_features(scene, spec).values
     assert got.tobytes() == want.tobytes()
 
 
@@ -349,11 +349,11 @@ def test_avg_pool_equals_the_mean_bit_for_bit(seed, h, w, scale, wide):
 
 
 def test_raw_and_unit_grids_are_c_contiguous():
-    """Feature grids are stored location-major, so Grid.locations() and the
-    normalization's reshape are views, not copies."""
+    """Feature grids are stored location-major, so FeatureGrid.locations()
+    and the normalization's reshape are views, not copies."""
     _, features, _, stats = make_split(3, 2, 32, 1, "c", ExtractorSpec(seed=2))
     for raw in features:
         unit = normalize_features(raw, stats)
-        for grid in (raw.grid, unit.grid):
+        for grid in (raw, unit):
             assert grid.values.flags.c_contiguous
             assert np.shares_memory(grid.locations(), grid.values)

@@ -12,7 +12,6 @@ from divseed.errors import DataError, NumericError, TensorFormatError
 from divseed.tensor import (
     STD_EPSILON,
     FeatureGrid,
-    Grid,
     NormState,
     _row_order_sum,
     atomic_write,
@@ -27,25 +26,31 @@ from divseed.tensor import (
 
 
 def fgrid(values, state=NormState.RAW):
-    return FeatureGrid(grid=Grid(np.asarray(values, dtype=np.float32)), norm_state=state)
+    return FeatureGrid(np.asarray(values, dtype=np.float32), norm_state=state)
 
 
 # ---------------------------------------------------------------------------
-# Grid basics
+# FeatureGrid basics
 
 
 def test_grid_shape_and_locations():
-    g = Grid(np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+    g = FeatureGrid(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
+    assert g.values.dtype == np.float32 and g.norm_state == NormState.RAW
     assert (g.height, g.width, g.depth, g.n_locations) == (2, 3, 4, 6)
     # location index i = row * width + col
     assert np.array_equal(g.locations()[1 * 3 + 2], g.values[1, 2])
+    assert np.shares_memory(g.locations(), g.values)
+    for shape in [(2, 3), (1, 2, 3, 4), (0, 2, 3), (2, 0, 3), (2, 3, 0)]:
+        with pytest.raises(DataError):
+            FeatureGrid(np.zeros(shape, dtype=np.float32))
 
 
 def test_grid_rejects_nonfinite():
-    bad = np.ones((1, 1, 1), dtype=np.float32)
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(Exception):
-        Grid(bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.ones((1, 2, 2), dtype=np.float32)
+        values[0, 1, 0] = bad
+        with pytest.raises(NumericError):
+            FeatureGrid(values, NormState.UNIT)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +99,7 @@ def test_stats_permutation_invariant(seed):
 def _stacked_norm_stats(features):
     """compute_norm_stats on the concatenated locations: the reference the
     streamed sums must equal bit for bit."""
-    stacked = np.concatenate([f.grid.locations() for f in features], dtype=np.float64)
+    stacked = np.concatenate([f.locations() for f in features], dtype=np.float64)
     mean = stacked.mean(axis=0)
     stacked -= mean
     np.square(stacked, out=stacked)
@@ -134,7 +139,7 @@ def test_row_order_sum_equals_the_axis0_reduce_in_float64(depth):
     """Below the float32 rounding of the stats: the streamed column sums are
     the axis-0 reduce of the concatenation, bit for bit."""
     for seed in range(12):
-        blocks = [f.grid.locations().astype(np.float64)
+        blocks = [f.locations().astype(np.float64)
                   for f in _adversarial_grids(seed, 40, depth)]
         want = np.add.reduce(np.concatenate(blocks), axis=0)
         assert _row_order_sum(iter(blocks)).tobytes() == want.tobytes()
@@ -166,7 +171,7 @@ def test_normalize_two_values():
     stats = compute_norm_stats([fgrid([[[1.0], [3.0]]])])
     out = normalize_features(fgrid([[[1.0], [3.0]]]), stats)
     assert out.norm_state is NormState.UNIT
-    flat = out.grid.locations()
+    flat = out.locations()
     assert flat[0, 0] == pytest.approx(-1.0)
     assert flat[1, 0] == pytest.approx(1.0)
 
@@ -176,7 +181,7 @@ def test_normalize_mean_vector_stays_zero():
     stats = compute_norm_stats([fgrid(base)])
     exact_mean = np.tile(stats.mean.astype(np.float32), (1, 2, 1))
     out = normalize_features(fgrid(exact_mean), stats)
-    assert np.all(out.grid.values == 0.0)  # both locations
+    assert np.all(out.values == 0.0)  # both locations
 
 
 def test_normalize_postcondition_norms():
@@ -184,7 +189,7 @@ def test_normalize_postcondition_norms():
     vals = rng.normal(size=(6, 7, 9)).astype(np.float32)
     stats = compute_norm_stats([fgrid(vals)])
     out = normalize_features(fgrid(vals), stats)
-    norms = np.linalg.norm(out.grid.locations(), axis=1)
+    norms = np.linalg.norm(out.locations(), axis=1)
     assert np.all((np.abs(norms - 1.0) < 1e-5) | (norms == 0.0))
 
 
@@ -359,16 +364,19 @@ def test_a_json_artifact_refuses_a_non_finite_number(tmp_path, value):
 
 
 def test_writers_replace_the_file_only_when_complete(tmp_path, monkeypatch):
-    """save_tensor, save_json and save_points all go through atomic_write:
-    with the final rename failing, the old file stays and no temporary is
-    left."""
+    """save_tensor, save_json, save_points and the PGM and PPM writers all go
+    through atomic_write: with the final rename failing, the old file stays
+    and no temporary is left."""
     from divseed import tensor
+    from divseed.render import write_pgm, write_ppm
     from divseed.sampling import save_points
 
     writers = {
         "t.dstn": lambda p: save_tensor(np.ones(3, dtype=np.float32), p),
         "d.json": lambda p: save_json({"a": 2}, p),
         "p.jsonl": lambda p: save_points([], p),
+        "g.pgm": lambda p: write_pgm(p, np.zeros((2, 3), dtype=np.uint8)),
+        "c.ppm": lambda p: write_ppm(p, np.zeros((2, 3, 3), dtype=np.uint8)),
     }
     for name in writers:
         (tmp_path / name).write_bytes(b"old")
